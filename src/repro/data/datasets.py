@@ -195,16 +195,25 @@ def borough_like(name: str, profile: str = "bench") -> Dataset:
     ``name`` is one of ``manhattan``, ``queens``, ``brooklyn``,
     ``staten_island``, ``bronx``.
     """
+    return build_dataset(_sized(_borough(name), profile))
+
+
+def _borough(name: str) -> SynthConfig:
     key = name.lower().replace(" ", "_")
     if key not in _BOROUGHS:
         raise DataError(f"unknown borough {name!r}; choose from {sorted(_BOROUGHS)}")
-    return build_dataset(_sized(_BOROUGHS[key], profile))
+    return _BOROUGHS[key]
+
+
+def canned_config(name: str, profile: str = "bench") -> SynthConfig:
+    """The generator config :func:`canned_city` builds, without building it."""
+    if name == "chicago":
+        return _sized(_CHICAGO_BENCH, profile)
+    if name == "nyc":
+        return _sized(_NYC_BENCH, profile)
+    return _sized(_borough(name), profile)
 
 
 def canned_city(name: str, profile: str = "bench") -> Dataset:
     """Any canned city by name (see :data:`CITY_NAMES`)."""
-    if name == "chicago":
-        return chicago_like(profile)
-    if name == "nyc":
-        return nyc_like(profile)
-    return borough_like(name, profile)
+    return build_dataset(canned_config(name, profile))

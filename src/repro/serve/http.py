@@ -48,6 +48,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     timeout = 60  # a stalled HTTP peer is dropped, same idea as frames
+    # Headers and body leave in two writes; with Nagle's algorithm on,
+    # every reply on a kept-alive connection would wait for the
+    # client's delayed ACK (~40 ms) before its body could be sent.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     def log_message(self, format, *args):  # noqa: A002 — stdlib signature

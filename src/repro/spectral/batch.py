@@ -17,11 +17,11 @@ recurrences can share almost all of their work:
   and ``Q[u]`` to row ``v`` — exact, not approximate.
 
 The dense per-column bookkeeping (coefficients, reorthogonalization,
-stacked ``e^T e_1``) is identical math to
-:func:`repro.spectral.lanczos.lanczos_expm_action_block` — both run
-through the shared :func:`~repro.spectral.lanczos.block_expm_lanczos`
-driver — so the batched estimate of a variant agrees with its
-sequential estimate to floating-point roundoff (the differential
+``e^T e_1``) is identical math to the single-graph
+:func:`repro.spectral.hutchinson.hutchinson_trace` — both run the
+shared block recurrence in :mod:`repro.spectral.lanczos` and its
+quadrature finish — so the batched estimate of a variant agrees with
+its sequential estimate to floating-point roundoff (the differential
 oracle suite in ``tests/test_batch_oracle.py`` pins the end-to-end
 contract: identical routes, objectives within 1e-9).
 """
@@ -32,7 +32,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.spectral.lanczos import block_expm_lanczos
+from repro.spectral.hutchinson import check_probes
+from repro.spectral.lanczos import block_expm_lanczos, block_expm_quadrature
 from repro.utils.errors import GraphError, ValidationError
 
 DEFAULT_MAX_COLUMNS = 1024
@@ -75,6 +76,40 @@ def _normalize_groups(
     return groups
 
 
+def _stacked_operator(A, probes: np.ndarray, pair_groups: Sequence):
+    """``(V, matmat)`` for the ``(n, m*s)`` block of every variant.
+
+    ``matmat`` is one ``A @ Q`` product plus every variant's symmetric
+    unweighted rank-update in a single ``np.add.at`` scatter. Adding
+    edge ``(u, v)`` contributes ``Q[v]`` to row ``u`` and ``Q[u]`` to
+    row ``v`` of the variant's column slice; the scatter lists each
+    group's ``u``-rows, then its ``v``-rows, so every (row, variant)
+    entry accumulates in the same order as one ``np.add.at`` per group
+    and side would, and ``np.add.at`` sums endpoints shared by several
+    added edges correctly.
+    """
+    n, s = probes.shape
+    groups = _normalize_groups(pair_groups, n)
+    m = len(groups)
+    dst: list[np.ndarray] = []
+    src: list[np.ndarray] = []
+    for i, (us, vs) in enumerate(groups):
+        # Row r of variant i is row r * m + i of the (n*m, s) view.
+        dst += [us * m + i, vs * m + i]
+        src += [vs * m + i, us * m + i]
+    cols = np.arange(s)
+    dst_flat = (np.concatenate(dst)[:, None] * s + cols).ravel()
+    src_flat = (np.concatenate(src)[:, None] * s + cols).ravel()
+
+    def matmat(Q: np.ndarray) -> np.ndarray:
+        W = np.ascontiguousarray(A @ Q)
+        if dst_flat.size:
+            np.add.at(W.reshape(-1), dst_flat, Q.reshape(-1)[src_flat])
+        return W
+
+    return np.tile(probes, (1, m)), matmat
+
+
 def batched_expm_actions(
     A,
     probes: np.ndarray,
@@ -89,32 +124,11 @@ def batched_expm_actions(
     sibling of :func:`batched_expm_traces` (which is what the estimator
     consumes); no internal chunking.
     """
-    probes = np.asarray(probes, dtype=float)
-    if probes.ndim != 2 or probes.shape[0] != A.shape[0]:
-        raise ValidationError(
-            f"probes shape {probes.shape} incompatible with matrix {A.shape}"
-        )
-    n, s = probes.shape
-    groups = _normalize_groups(pair_groups, n)
-    m = len(groups)
-    if m == 0:
-        return np.zeros((n, 0))
-
-    V = np.tile(probes, (1, m))
-
-    def matmat(Q: np.ndarray) -> np.ndarray:
-        W = A @ Q
-        for i, (us, vs) in enumerate(groups):
-            if us.size == 0:
-                continue
-            sl = slice(i * s, (i + 1) * s)
-            Wv = W[:, sl]
-            # Symmetric unweighted rank-update; np.add.at accumulates
-            # correctly when several added edges share an endpoint.
-            np.add.at(Wv, us, Q[vs, sl])
-            np.add.at(Wv, vs, Q[us, sl])
-        return W
-
+    probes = check_probes(A, probes)
+    groups = list(pair_groups)
+    if not groups:
+        return np.zeros((probes.shape[0], 0))
+    V, matmat = _stacked_operator(A, probes, groups)
     return block_expm_lanczos(matmat, V, steps)
 
 
@@ -132,25 +146,23 @@ def batched_expm_traces(
     ``(len(pair_groups),)``; an empty sequence returns an empty array
     without touching ``A``. Variants are processed in chunks of at most
     ``max(1, max_columns // s)`` so basis storage stays bounded
-    regardless of the batch size.
+    regardless of the batch size. Uses the quadrature finish
+    (:func:`~repro.spectral.lanczos.block_expm_quadrature`), exactly as
+    :func:`~repro.spectral.hutchinson.hutchinson_trace` does.
     """
-    probes = np.asarray(probes, dtype=float)
-    if probes.ndim != 2 or probes.shape[0] != A.shape[0]:
-        raise ValidationError(
-            f"probes shape {probes.shape} incompatible with matrix {A.shape}"
-        )
+    probes = check_probes(A, probes)
     if max_columns < 1:
         raise ValidationError(f"max_columns must be >= 1, got {max_columns}")
     groups = list(pair_groups)
     m = len(groups)
     if m == 0:
         return np.zeros(0)
-    n, s = probes.shape
+    s = probes.shape[1]
     chunk = max(1, int(max_columns) // max(s, 1))
     traces = np.empty(m)
     for start in range(0, m, chunk):
         part = groups[start : start + chunk]
-        out = batched_expm_actions(A, probes, part, steps=steps)
-        quad = np.einsum("ns,ns->s", np.tile(probes, (1, len(part))), out)
+        V, matmat = _stacked_operator(A, probes, part)
+        quad = block_expm_quadrature(matmat, V, steps)
         traces[start : start + len(part)] = quad.reshape(len(part), s).mean(axis=1)
     return traces

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.spectral.lanczos import lanczos_expm_action_block
+from repro.spectral.lanczos import block_expm_quadrature
 from repro.utils.errors import ValidationError
 from repro.utils.prng import ensure_rng
 from repro.utils.validation import require_positive
@@ -27,6 +27,19 @@ def sample_probes(
     return rng.standard_normal((n, n_probes))
 
 
+def check_probes(A, probes: np.ndarray) -> np.ndarray:
+    """``probes`` as a float ``(n, s)`` array for the ``(n, n)`` matrix ``A``.
+
+    Any other shape raises :class:`ValidationError`.
+    """
+    probes = np.asarray(probes, dtype=float)
+    if probes.ndim != 2 or probes.shape[0] != A.shape[0]:
+        raise ValidationError(
+            f"probes shape {probes.shape} incompatible with matrix {A.shape}"
+        )
+    return probes
+
+
 def hutchinson_trace(
     A, probes: np.ndarray, lanczos_steps: int = 10
 ) -> float:
@@ -36,20 +49,16 @@ def hutchinson_trace(
     *differences* of estimates across nearby graphs accurate enough to
     resolve per-edge increments of order 1e-3 (see DESIGN.md Section 6).
     """
-    probes = np.asarray(probes, dtype=float)
-    if probes.ndim != 2 or probes.shape[0] != A.shape[0]:
-        raise ValidationError(
-            f"probes shape {probes.shape} incompatible with matrix {A.shape}"
-        )
-    out = lanczos_expm_action_block(A, probes, steps=lanczos_steps)
-    quad = np.einsum("ns,ns->s", probes, out)
-    return float(quad.mean())
+    return float(hutchinson_trace_samples(A, probes, lanczos_steps).mean())
 
 
 def hutchinson_trace_samples(
     A, probes: np.ndarray, lanczos_steps: int = 10
 ) -> np.ndarray:
-    """Per-probe quadratic forms ``v_i^T e^A v_i`` (for variance studies)."""
-    probes = np.asarray(probes, dtype=float)
-    out = lanczos_expm_action_block(A, probes, steps=lanczos_steps)
-    return np.einsum("ns,ns->s", probes, out)
+    """Per-probe quadratic forms ``v_i^T e^A v_i`` (for variance studies).
+
+    The validated quadrature entry behind :func:`hutchinson_trace`:
+    probes whose shape does not fit ``A`` raise :class:`ValidationError`.
+    """
+    probes = check_probes(A, probes)
+    return block_expm_quadrature(lambda X: A @ X, probes, lanczos_steps)

@@ -8,10 +8,12 @@ without touching the disk artifact (asserted by counting
 quantiles and pool counters.
 """
 
+import http.client
 import json
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from dataclasses import asdict
 
@@ -512,6 +514,25 @@ class TestHTTPDoor:
         )
         assert status == 200 and reply == {"ok": True}
         assert wait_until(server._shutdown.is_set)
+
+    def test_keep_alive_replies_are_not_delayed(self, http_door):
+        # 20 requests on one kept-alive connection. With Nagle's
+        # algorithm on, each reply waited ~40 ms for the client's
+        # delayed ACK (>= 0.8 s in all); unhindered they take ~10 ms.
+        port = urllib.parse.urlsplit(http_door).port
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        headers = {"Authorization": f"Bearer {http_token(SECRET)}"}
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/stats", headers=headers)
+                response = conn.getresponse()
+                assert response.status == 200
+                json.loads(response.read())
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.4
 
     def test_token_is_not_the_secret(self):
         token = http_token(SECRET)

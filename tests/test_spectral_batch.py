@@ -1,10 +1,12 @@
 """Unit and property tests for the batched candidate-evaluation kernel.
 
-Covers the ``spectral/batch.py`` primitive itself, the estimator's
+Covers the ``spectral/batch.py`` primitive itself, its quadrature
+(trace) finish against the probe . action finish, the estimator's
 batch API (including ``evaluations`` accounting), the strategy-level
 ``extension_scores``, the previously untested corners of
-``lanczos_expm_action_block``, and the ``hutchinson_trace`` error-type
-fix. The end-to-end planning contract lives in ``test_batch_oracle.py``.
+``lanczos_expm_action_block``, and the ``hutchinson_trace`` /
+``hutchinson_trace_samples`` error type. The end-to-end planning
+contract lives in ``test_batch_oracle.py``.
 """
 
 import numpy as np
@@ -16,9 +18,18 @@ from repro.core.objective import OnlineStrategy, PrecomputedStrategy
 from repro.core.precompute import precompute
 from repro.data.datasets import canned_city
 from repro.network.adjacency import AdjacencyBuilder
-from repro.spectral.batch import batched_expm_actions, batched_expm_traces
+from repro.spectral.batch import (
+    _normalize_groups,
+    _stacked_operator,
+    batched_expm_actions,
+    batched_expm_traces,
+)
 from repro.spectral.connectivity import NaturalConnectivityEstimator
-from repro.spectral.hutchinson import hutchinson_trace, sample_probes
+from repro.spectral.hutchinson import (
+    hutchinson_trace,
+    hutchinson_trace_samples,
+    sample_probes,
+)
 from repro.spectral.lanczos import lanczos_expm_action, lanczos_expm_action_block
 from repro.utils.errors import GraphError, ValidationError
 
@@ -134,12 +145,65 @@ class TestBatchedTraces:
         with pytest.raises(GraphError):
             batched_expm_traces(A, probes, [[(0, 99)]], steps=5)
 
+    def test_single_scatter_matches_per_group_updates_bitwise(self):
+        # One np.add.at for every variant must add in the per-group,
+        # u-rows-then-v-rows order, including on shared endpoints.
+        A = random_adjacency(30, 0.1, 58)
+        probes = sample_probes(30, 4, seed=59)
+        hub = 0
+        a, b, c = [v for v in range(1, 30) if A[hub, v] == 0][:3]
+        star = [(hub, a), (hub, b), (c, hub)]  # hub is a u-row and a v-row
+        groups = [star, [], *novel_groups(A, [2, 3], seed=60), star[::-1]]
+        V, matmat = _stacked_operator(A, probes, groups)
+        Q = np.random.default_rng(61).standard_normal(V.shape)
+        want = A @ Q
+        for i, (us, vs) in enumerate(_normalize_groups(groups, 30)):
+            block = want[:, i * 4 : (i + 1) * 4]
+            np.add.at(block, us, Q[vs, i * 4 : (i + 1) * 4])
+            np.add.at(block, vs, Q[us, i * 4 : (i + 1) * 4])
+        assert np.array_equal(matmat(Q), want)
+
     def test_actions_shape(self):
         A = random_adjacency(20, 0.1, 19)
         probes = sample_probes(20, 3, seed=20)
         out = batched_expm_actions(A, probes, [[], []], steps=5)
         assert out.shape == (20, 6)
         np.testing.assert_array_equal(out[:, :3], out[:, 3:])
+
+
+class TestBatchedQuadratureFinish:
+    """The trace finish ``||v||^2 (e^T)_00`` against probe . action."""
+
+    def test_matches_probe_action_finish(self):
+        A = random_adjacency(50, 0.08, 50)
+        probes = sample_probes(50, 10, seed=51)
+        groups = novel_groups(A, [2, 0, 1, 3], seed=52)
+        traces = batched_expm_traces(A, probes, groups, steps=8)
+        actions = batched_expm_actions(A, probes, groups, steps=8)
+        dots = np.einsum("ns,ns->s", np.tile(probes, (1, len(groups))), actions)
+        np.testing.assert_allclose(
+            traces, dots.reshape(len(groups), -1).mean(axis=1), rtol=1e-12, atol=0.0
+        )
+
+    def test_zero_probe_column_adds_nothing(self):
+        A = random_adjacency(30, 0.1, 53)
+        probes = sample_probes(30, 5, seed=54)
+        probes[:, 3] = 0.0
+        groups = [[], *novel_groups(A, [1, 2], seed=55)]
+        with_zero = batched_expm_traces(A, probes, groups, steps=8)
+        without = batched_expm_traces(A, probes[:, [0, 1, 2, 4]], groups, steps=8)
+        np.testing.assert_allclose(with_zero, without * 4 / 5, rtol=1e-14, atol=0.0)
+
+    def test_early_breakdown_probe_freezes(self):
+        # An eigenvector probe breaks down after one step; its quadratic
+        # form is ||v||^2 e^lambda and the other probes run on untouched.
+        A = random_adjacency(20, 0.2, 56)
+        evals, evecs = np.linalg.eigh(A.toarray())
+        probes = sample_probes(20, 4, seed=57)
+        probes[:, 0] = 3.0 * evecs[:, -1]
+        [trace] = batched_expm_traces(A, probes, [[]], steps=8)
+        [rest] = batched_expm_traces(A, probes[:, 1:], [[]], steps=8)
+        assert trace == pytest.approx((9.0 * np.exp(evals[-1]) + 3 * rest) / 4, rel=1e-12)
 
 
 class TestEstimatorBatchAPI:
@@ -335,6 +399,8 @@ class TestHutchinsonErrorType:
         probes = sample_probes(8, 3, seed=40)
         with pytest.raises(ValidationError):
             hutchinson_trace(A, probes)
+        with pytest.raises(ValidationError):
+            hutchinson_trace_samples(A, probes)
 
     def test_validation_error_is_still_a_value_error(self):
         # Callers that caught the old bare ValueError keep working.
