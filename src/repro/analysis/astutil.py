@@ -1,14 +1,13 @@
 """Shared AST plumbing used by the rules.
 
-Three capabilities every rule needs and :mod:`ast` does not provide:
+Capabilities every rule needs and :mod:`ast` does not provide:
 
 * **canonical call names** — resolving ``t()`` / ``np.random.rand()`` /
   ``datetime.now()`` through the module's import aliases to
   ``time.time`` / ``numpy.random.rand`` / ``datetime.datetime.now``;
 * **parent links and enclosing scopes** — which function/class a node
   sits in, and which statements follow it in source order;
-* **dict-key extraction** — the string keys a function writes into
-  records and the keys it reads back out (RPR003's flat wire model).
+* **module constants** — the literal value of a module-level assign.
 """
 
 from __future__ import annotations
@@ -168,84 +167,8 @@ def walk_calls(tree: ast.AST) -> Iterator[ast.Call]:
 
 
 # ----------------------------------------------------------------------
-# Dict-key extraction (RPR003's flat wire model)
+# Module constants
 # ----------------------------------------------------------------------
-
-def _const_str(node: ast.expr) -> "str | None":
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
-
-
-def written_keys(func: ast.AST) -> "set[str]":
-    """String keys the function writes into records.
-
-    Covers dict-literal keys and ``record["key"] = ...`` subscript
-    stores. ``**spread`` and computed keys are invisible to this model
-    on purpose — wire constructors must stay flat and literal so the
-    schema is auditable (docs/static-analysis.md).
-    """
-    keys: "set[str]" = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Dict):
-            for key in node.keys:
-                text = _const_str(key) if key is not None else None
-                if text is not None:
-                    keys.add(text)
-        elif isinstance(node, ast.Subscript) and isinstance(
-            node.ctx, ast.Store
-        ):
-            text = _const_str(node.slice)
-            if text is not None:
-                keys.add(text)
-    return keys
-
-
-def read_keys(func: ast.AST) -> "set[str]":
-    """String keys the function consumes from a record.
-
-    Covers ``record["key"]`` loads and ``.get("key")`` / ``.pop("key")``
-    calls (the parser idioms used across the wire modules).
-    """
-    keys: "set[str]" = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Subscript) and isinstance(
-            node.ctx, ast.Load
-        ):
-            text = _const_str(node.slice)
-            if text is not None:
-                keys.add(text)
-        elif isinstance(node, ast.Call):
-            func_expr = node.func
-            if (
-                isinstance(func_expr, ast.Attribute)
-                and func_expr.attr in ("get", "pop")
-                and node.args
-            ):
-                text = _const_str(node.args[0])
-                if text is not None:
-                    keys.add(text)
-    return keys
-
-
-def module_functions(tree: ast.Module) -> "dict[str, ast.AST]":
-    """Top-level functions and methods by (qualified) name.
-
-    Methods are reachable both as ``name`` and ``Class.name``; when a
-    bare name is ambiguous, the first definition in source order wins —
-    the wire modules keep these names unique.
-    """
-    out: "dict[str, ast.AST]" = {}
-    for stmt in tree.body:
-        if isinstance(stmt, _FUNC_NODES):
-            out.setdefault(stmt.name, stmt)
-        elif isinstance(stmt, ast.ClassDef):
-            for sub in stmt.body:
-                if isinstance(sub, _FUNC_NODES):
-                    out[f"{stmt.name}.{sub.name}"] = sub
-                    out.setdefault(sub.name, sub)
-    return out
-
 
 def module_constant(tree: ast.Module, name: str) -> object:
     """The literal value of a module-level ``NAME = <const>`` assign.

@@ -47,7 +47,7 @@ class AnalysisContext:
     def get(self, relpath: str) -> "Module | None":
         """The module at ``relpath``, or ``None`` when absent.
 
-        Rules that pin invariants of *specific* modules (RPR002/RPR003)
+        Rules that pin invariants of *specific* modules (RPR002)
         skip silently when the module is absent from the scanned tree —
         that is what lets fixture trees exercise one rule at a time —
         and report drift when the module exists but its expected

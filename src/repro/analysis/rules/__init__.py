@@ -15,6 +15,5 @@ from repro.analysis.rules import (  # noqa: F401  (imported to register)
     lock_discipline,
     lock_ordering,
     resource_safety,
-    wire_schema,
     wire_taint,
 )

@@ -3,10 +3,11 @@
 Frames off the socket (``recv_frame`` results, the ``frame`` parameter
 of :class:`FrameServer` handlers) are attacker-controlled bytes that
 happened to parse as JSON. Before such data reaches a filesystem path,
-a subprocess, scenario execution, or a cache key, it must pass through
-one of the sanctioned validators — ``worker_record_from``,
-``scenario_from_spec``, ``outcome_from_wire_record``,
-``PlannerConfig(...)``, or a scalar coercion (``int``/``float``).
+a subprocess, scenario execution, or a cache key, it must go through
+``from_wire`` — the codec that decodes a declared record and rejects a
+missing, unknown or mistyped field — or through one of the validators
+of the fields ``from_wire`` leaves opaque (``scenario_from_spec``,
+``PlannerConfig(...)``), or a scalar coercion (``int``/``float``).
 
 The check is the label-based taint analysis from
 :mod:`repro.analysis.dataflow`, run per function: sources seed the
@@ -30,9 +31,8 @@ WIRE_TAINT_SPEC = TaintSpec(
     source_calls=frozenset({"recv_frame"}),
     source_params=frozenset({"frame"}),
     sanitizers=frozenset({
-        "worker_record_from",
+        "from_wire",
         "scenario_from_spec",
-        "outcome_from_wire_record",
         "PlannerConfig",
         "int",
         "float",
@@ -137,7 +137,6 @@ class WireTaintRule(Rule):
                 hit.col,
                 f"wire-tainted data ({names}) reaches sink "
                 f"'{hit.sink}' in '{info.qualname}'; validate it "
-                "first (worker_record_from / scenario_from_spec / "
-                "outcome_from_wire_record / PlannerConfig / int / "
-                "float)",
+                "first (from_wire / scenario_from_spec / PlannerConfig "
+                "/ int / float)",
             )

@@ -400,17 +400,23 @@ def precompute(dataset: Dataset, config: PlannerConfig) -> Precomputation:
 def rebind(pre: Precomputation, config: PlannerConfig) -> Precomputation:
     """Re-derive a precomputation for a tweaked config, reusing increments.
 
-    Valid for changes to ``k``, ``w``, ``seed_count``, ``max_iterations``,
-    ``expansion``, ``use_domination``, ``new_edges_only``, ``max_turns``,
-    and trace granularity. Changes to ``tau_km`` or the increment mode
-    require a fresh :func:`precompute` (the universe itself changes) —
-    that case is detected and handled by rebuilding the cheap artifacts
-    only when safe.
+    Valid for changes to any field outside
+    :data:`PRECOMPUTE_CONFIG_FIELDS`: ``k``, ``w``, ``seed_count``,
+    ``max_iterations``, ``expansion``, ``use_domination``,
+    ``new_edges_only``, ``max_turns``, and trace granularity. A change to
+    a field in that tuple (``tau_km``, ``increment_mode``,
+    ``batch_eval``, ``n_probes``, ``lanczos_steps``, ``seed``) changes
+    the expensive artifacts themselves — the universe, the estimator,
+    ``Delta(e)``, ``lambda_base`` — so it raises :class:`ValueError`
+    naming the field: run :func:`precompute` instead.
     """
-    if config.tau_km != pre.config.tau_km or config.increment_mode != pre.config.increment_mode:
-        raise ValueError(
-            "rebind cannot change tau_km or increment_mode; run precompute()"
-        )
+    for name in PRECOMPUTE_CONFIG_FIELDS:
+        if getattr(config, name) != getattr(pre.config, name):
+            raise ValueError(
+                f"rebind cannot change {name} "
+                f"({getattr(pre.config, name)!r} -> "
+                f"{getattr(config, name)!r}); run precompute()"
+            )
     top_eigs = pre.top_eigenvalues
     n_eigs = max(2 * config.k, (config.k + 1) // 2, 1)
     if len(top_eigs) < min(n_eigs, pre.universe.n_stops):

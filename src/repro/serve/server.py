@@ -30,6 +30,8 @@ import queue
 import socket
 import threading
 import time
+from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.core.config import PlannerConfig
 from repro.serve.pool import (
@@ -45,16 +47,62 @@ from repro.sweep.remote import (
     DEFAULT_HOST,
     DEFAULT_IDLE_TIMEOUT,
     PROTOCOL_VERSION,
+    ErrorFrame,
     FrameServer,
     send_frame,
 )
-from repro.sweep.report import outcome_wire_record
+from repro.sweep.report import OutcomeRecord
 from repro.sweep.runner import execute_scenario
 from repro.sweep.scenario import scenario_from_spec, scenario_spec
 from repro.utils.errors import PlanningError
+from repro.utils.wire import from_wire, to_wire
 
 SERVE_SCHEMA_VERSION = 1
 """Version of the ``plan_result`` / ``stats`` response documents."""
+
+
+@dataclass(frozen=True)
+class PlanRequest:
+    """The body of ``POST /plan``."""
+
+    scenario: dict  # a scenario_spec; scenario_from_spec validates it
+    base_config: "dict | None" = None  # PlannerConfig(**...) validates it
+
+
+@dataclass(frozen=True)
+class PlanFrame:
+    """The frame door's plan request: a :class:`PlanRequest` plus op and
+    protocol."""
+
+    op: ClassVar[str] = "plan"
+    protocol: int
+    scenario: dict
+    base_config: "dict | None" = None
+
+
+@dataclass(frozen=True)
+class PlanReply:
+    """The body of the answer to ``POST /plan``."""
+
+    schema: int
+    scenario: dict
+    tier: str
+    record: OutcomeRecord
+
+
+class PlanResultFrame(PlanReply):
+    """The frame door's answer: a :class:`PlanReply` under its op."""
+
+    op: ClassVar[str] = "plan_result"
+
+
+@dataclass(frozen=True)
+class ServePongFrame:
+    op: ClassVar[str] = "pong"
+    protocol: int
+    pid: int
+    role: str
+    cache_dir: "str | None"
 
 
 class _PlanJob:
@@ -178,24 +226,27 @@ class PlanServer(FrameServer):
     # Request handling (shared by the frame and HTTP front doors)
     # ------------------------------------------------------------------
     def plan_request(self, doc) -> dict:
-        """Serve one plan request document; returns the response body.
+        """Serve one ``POST /plan`` body; returns the reply body.
 
-        ``doc`` needs ``"scenario"`` (a :func:`scenario_spec`-shaped
-        mapping) and may carry ``"base_config"`` (a full
-        :class:`PlannerConfig` field mapping). Validation failures raise
+        ``doc`` decodes as a :class:`PlanRequest`: a ``"scenario"``
+        (a :func:`scenario_spec`-shaped mapping) and an optional
+        ``"base_config"`` (a full :class:`PlannerConfig` field mapping).
+        Any other key, and every validation failure, raises
         :class:`PlanningError`; the request latency is recorded either
         way, so ``/stats`` reflects what clients actually experienced.
         """
-        if not isinstance(doc, dict):
-            raise PlanningError(f"plan request must be an object, got {doc!r}")
+        return to_wire(self._plan(doc, PlanRequest, PlanReply))
+
+    def _plan(self, doc, request_cls, reply_cls):
+        """Decode ``doc`` as ``request_cls``, plan it, answer ``reply_cls``."""
         started = time.perf_counter()
         try:
             try:
-                scenario = scenario_from_spec(doc.get("scenario"))
-                raw_config = doc.get("base_config")
+                request = from_wire(request_cls, doc)
+                scenario = scenario_from_spec(request.scenario)
                 base_config = (
-                    PlannerConfig(**raw_config)
-                    if raw_config is not None
+                    PlannerConfig(**request.base_config)
+                    if request.base_config is not None
                     else None
                 )
             except PlanningError:
@@ -205,12 +256,12 @@ class PlanServer(FrameServer):
             outcome, tier = self._submit(scenario, base_config)
         finally:
             self.latency.record(time.perf_counter() - started)
-        return {
-            "schema": SERVE_SCHEMA_VERSION,
-            "scenario": scenario_spec(scenario),
-            "tier": tier,
-            "record": outcome_wire_record(outcome),
-        }
+        return reply_cls(
+            schema=SERVE_SCHEMA_VERSION,
+            scenario=scenario_spec(scenario),
+            tier=tier,
+            record=OutcomeRecord.of(outcome),
+        )
 
     def stats(self) -> dict:
         """The ``/stats`` document (frame ``stats`` op returns it too)."""
@@ -227,13 +278,12 @@ class PlanServer(FrameServer):
     def handle_op(self, conn: socket.socket, frame: dict) -> bool:
         op = frame.get("op")
         if op == "ping":
-            send_frame(conn, {
-                "op": "pong",
-                "protocol": PROTOCOL_VERSION,
-                "pid": os.getpid(),
-                "role": "serve",
-                "cache_dir": self.cache_dir,
-            })
+            send_frame(conn, ServePongFrame(
+                protocol=PROTOCOL_VERSION,
+                pid=os.getpid(),
+                role="serve",
+                cache_dir=self.cache_dir,
+            ))
             return True
         if op == "stats":
             send_frame(conn, {"op": "stats", **self.stats()})
@@ -244,24 +294,23 @@ class PlanServer(FrameServer):
             return False
         if op == "plan":
             return self._plan_op(conn, frame)
-        send_frame(conn, {"op": "error", "error": f"unknown op {op!r}"})
+        send_frame(conn, ErrorFrame(error=f"unknown op {op!r}"))
         return False
 
     def _plan_op(self, conn: socket.socket, frame: dict) -> bool:
         protocol = frame.get("protocol")
         if protocol != PROTOCOL_VERSION:
-            send_frame(conn, {
-                "op": "error",
-                "error": f"protocol {protocol!r} not supported; "
-                         f"this server speaks {PROTOCOL_VERSION}",
-            })
+            send_frame(conn, ErrorFrame(
+                error=f"protocol {protocol!r} not supported; "
+                      f"this server speaks {PROTOCOL_VERSION}",
+            ))
             return False
         try:
-            reply = self.plan_request(frame)
+            reply = self._plan(frame, PlanFrame, PlanResultFrame)
         except Exception as exc:  # noqa: BLE001 — report, close, survive
-            send_frame(conn, {"op": "error", "error": str(exc)})
+            send_frame(conn, ErrorFrame(error=str(exc)))
             return False
-        send_frame(conn, {"op": "plan_result", **reply})
+        send_frame(conn, reply)
         return True
 
 

@@ -174,12 +174,9 @@ from repro.sweep.report import (
     SCHEMA_VERSION,
     StreamRecords,
     StreamWriter,
+    OutcomeRecord,
     SweepReport,
-    outcome_from_wire_record,
-    outcome_wire_record,
     read_stream,
-    result_from_wire,
-    result_wire_record,
     scenario_record,
     stream_scenario_record,
     summary_record,
@@ -219,6 +216,7 @@ __all__ = [
     "ExecutionBackend",
     "FileRegistry",
     "Heartbeat",
+    "OutcomeRecord",
     "PROTOCOL_VERSION",
     "PrecomputationCache",
     "ProcessBackend",
@@ -254,16 +252,12 @@ __all__ = [
     "load_grid",
     "load_secret",
     "make_shards",
-    "outcome_from_wire_record",
-    "outcome_wire_record",
     "outcomes_table",
     "parse_worker_addresses",
     "ping",
     "read_stream",
     "resolve_backend",
     "resolve_registry",
-    "result_from_wire",
-    "result_wire_record",
     "scenario_cache_key",
     "scenario_from_spec",
     "scenario_key",

@@ -51,18 +51,22 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from repro.sweep.remote import (
     DEFAULT_HOST,
     PROTOCOL_VERSION,
+    ErrorFrame,
     FrameServer,
     RemoteProtocolError,
     connect_authenticated,
+    decode_reply,
     recv_frame,
     send_frame,
 )
 from repro.utils.errors import DataError, PlanningError
 from repro.utils.timing import wall_clock
+from repro.utils.wire import from_wire, to_wire
 
 DEFAULT_TTL = 30.0
 """Seconds a registration stays live without a fresh heartbeat."""
@@ -79,7 +83,12 @@ REGISTRY_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class WorkerRecord:
-    """One worker's registration: address, capacity, and provenance."""
+    """One worker's registration: address, capacity, and provenance.
+
+    The registry record on the wire and in the file registry; decoded by
+    :func:`~repro.utils.wire.from_wire`, which also runs the checks
+    below.
+    """
 
     host: str
     port: int
@@ -88,52 +97,69 @@ class WorkerRecord:
     cache_fingerprint: "str | None" = None
     last_seen: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not self.host:
+            raise DataError("worker record has an empty host")
+        if not 0 < self.port < 65536:
+            raise DataError(
+                f"worker record port {self.port} not in [1, 65535]"
+            )
+        if self.capacity < 1:
+            raise DataError(
+                f"worker record capacity must be >= 1, got {self.capacity}"
+            )
+
     @property
     def key(self) -> str:
         """Registry identity — one record per listening address."""
         return f"{self.host}:{self.port}"
 
-    def as_record(self) -> dict:
-        return {
-            "host": self.host,
-            "port": self.port,
-            "capacity": self.capacity,
-            "protocol": self.protocol,
-            "cache_fingerprint": self.cache_fingerprint,
-            "last_seen": self.last_seen,
-        }
+
+@dataclass(frozen=True)
+class RegisterFrame:
+    op: ClassVar[str] = "register"
+    # Redundant with the handshake, which already rejects other
+    # versions; kept so op frames are self-describing in captures.
+    protocol: int
+    worker: WorkerRecord
 
 
-def worker_record_from(spec) -> WorkerRecord:
-    """Validate and rebuild a :class:`WorkerRecord` from its dict form."""
-    if not isinstance(spec, dict):
-        raise DataError(
-            f"worker record must be a mapping, got {type(spec).__name__}"
-        )
-    spec = dict(spec)
-    try:
-        host = str(spec.pop("host"))
-        port = int(spec.pop("port"))
-        capacity = int(spec.pop("capacity", 1))
-        protocol = int(spec.pop("protocol", 0))
-        fingerprint = spec.pop("cache_fingerprint", None)
-        last_seen = float(spec.pop("last_seen", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad worker record: {exc}") from None
-    if spec:
-        raise DataError(f"worker record has unknown keys {sorted(spec)}")
-    if not host:
-        raise DataError("worker record has an empty host")
-    if not 0 < port < 65536:
-        raise DataError(f"worker record port {port} not in [1, 65535]")
-    if capacity < 1:
-        raise DataError(f"worker record capacity must be >= 1, got {capacity}")
-    if fingerprint is not None and not isinstance(fingerprint, str):
-        raise DataError("worker record cache_fingerprint must be a string")
-    return WorkerRecord(
-        host=host, port=port, capacity=capacity, protocol=protocol,
-        cache_fingerprint=fingerprint, last_seen=last_seen,
-    )
+@dataclass(frozen=True)
+class RegisteredFrame:
+    op: ClassVar[str] = "registered"
+    ttl: float
+
+
+@dataclass(frozen=True)
+class DeregisterFrame:
+    op: ClassVar[str] = "deregister"
+    key: str
+
+
+@dataclass(frozen=True)
+class DeregisteredFrame:
+    op: ClassVar[str] = "deregistered"
+
+
+@dataclass(frozen=True)
+class WorkersFrame:
+    op: ClassVar[str] = "workers"
+
+
+@dataclass(frozen=True)
+class WorkerListFrame:
+    op: ClassVar[str] = "workers"
+    workers: "tuple[WorkerRecord, ...]"
+
+
+@dataclass(frozen=True)
+class RegistryPongFrame:
+    op: ClassVar[str] = "pong"
+    protocol: int
+    role: str
+    pid: int
+    ttl: float
+    n_workers: int
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +244,7 @@ class FileRegistry(Registry):
     def register(self, record: WorkerRecord) -> None:
         doc = self._read()
         stamped = replace(record, last_seen=wall_clock())
-        entry = stamped.as_record()
+        entry = to_wire(stamped)
         # Liveness is judged by the monotonic stamp (same host, same
         # boot, so writer and reader share the clock); the wall-clock
         # ``last_seen`` stays purely a display field — an NTP step
@@ -239,7 +265,7 @@ class FileRegistry(Registry):
         for spec in self._read()["workers"].values():
             spec = dict(spec)
             stamp = spec.pop("last_seen_monotonic", None)
-            record = worker_record_from(spec)
+            record = from_wire(WorkerRecord, spec)
             if stamp is not None:
                 # A stamp from the future is impossible within this boot
                 # (a pre-reboot leftover) — treat it as stale, never
@@ -274,48 +300,33 @@ class TcpRegistry(Registry):
         return f"TcpRegistry({host}:{port})"
 
     # ------------------------------------------------------------------
-    def _call(self, request: dict, expect: str) -> dict:
+    def _call(self, request, reply_cls):
+        """One request frame, one decoded reply of ``reply_cls``."""
         host, port = self.address
+        peer = f"registry {host}:{port}"
         with connect_authenticated(
-            self.address, self.secret, self.timeout,
-            peer=f"registry {host}:{port}",
+            self.address, self.secret, self.timeout, peer=peer,
         ) as sock:
             send_frame(sock, request)
             reply = recv_frame(sock)
         if reply is None:
-            raise RemoteProtocolError(
-                f"registry {host}:{port} closed without answering"
-            )
+            raise RemoteProtocolError(f"{peer} closed without answering")
         if reply.get("op") == "error":
-            raise RemoteProtocolError(
-                f"registry {host}:{port}: {reply.get('error')}"
-            )
-        if reply.get("op") != expect:
-            raise RemoteProtocolError(
-                f"registry {host}:{port} answered op {reply.get('op')!r} "
-                f"to a {request.get('op')!r}"
-            )
-        return reply
+            refusal = decode_reply(ErrorFrame, reply, peer)
+            raise RemoteProtocolError(f"{peer}: {refusal.error}")
+        return decode_reply(reply_cls, reply, peer)
 
     def register(self, record: WorkerRecord) -> None:
-        self._call({
-            "op": "register",
-            "protocol": PROTOCOL_VERSION,
-            "worker": record.as_record(),
-        }, expect="registered")
+        self._call(
+            RegisterFrame(protocol=PROTOCOL_VERSION, worker=record),
+            RegisteredFrame,
+        )
 
     def deregister(self, key: str) -> None:
-        self._call({"op": "deregister", "key": str(key)}, expect="deregistered")
+        self._call(DeregisterFrame(key=str(key)), DeregisteredFrame)
 
     def live_workers(self) -> list:
-        reply = self._call({"op": "workers"}, expect="workers")
-        entries = reply.get("workers")
-        if not isinstance(entries, list):
-            raise RemoteProtocolError(
-                f"registry answered a workers op without a worker list "
-                f"({type(entries).__name__})"
-            )
-        return [worker_record_from(spec) for spec in entries]
+        return list(self._call(WorkersFrame(), WorkerListFrame).workers)
 
 
 class RegistryServer(FrameServer):
@@ -389,43 +400,37 @@ class RegistryServer(FrameServer):
     def handle_op(self, conn, frame: dict) -> bool:
         op = frame.get("op")
         if op == "ping":
-            send_frame(conn, {
-                "op": "pong",
-                "protocol": PROTOCOL_VERSION,
-                "role": "registry",
-                "pid": os.getpid(),
-                "ttl": self.ttl,
-                "n_workers": self.n_workers,
-            })
+            send_frame(conn, RegistryPongFrame(
+                protocol=PROTOCOL_VERSION,
+                role="registry",
+                pid=os.getpid(),
+                ttl=self.ttl,
+                n_workers=self.n_workers,
+            ))
             return True
         if op == "shutdown":
             send_frame(conn, {"op": "bye"})
             self.shutdown()
             return False
-        if op == "register":
-            try:
-                record = worker_record_from(frame.get("worker"))
-            except DataError as exc:
-                send_frame(conn, {"op": "error", "error": str(exc)})
-                return False
-            self.register_record(record)
-            send_frame(conn, {"op": "registered", "ttl": self.ttl})
-            return True
-        if op == "deregister":
-            key = str(frame.get("key"))
-            with self._lock:
-                self._workers.pop(key, None)
-            send_frame(conn, {"op": "deregistered"})
-            return True
-        if op == "workers":
-            workers = self.live_workers()
-            send_frame(conn, {
-                "op": "workers",
-                "workers": [record.as_record() for record in workers],
-            })
-            return True
-        send_frame(conn, {"op": "error", "error": f"unknown op {op!r}"})
-        return False
+        reply: object
+        try:
+            if op == "register":
+                self.register_record(from_wire(RegisterFrame, frame).worker)
+                reply = RegisteredFrame(ttl=self.ttl)
+            elif op == "deregister":
+                key = from_wire(DeregisterFrame, frame).key
+                with self._lock:
+                    self._workers.pop(key, None)
+                reply = DeregisteredFrame()
+            elif op == "workers":
+                from_wire(WorkersFrame, frame)
+                reply = WorkerListFrame(workers=tuple(self.live_workers()))
+            else:
+                reply = ErrorFrame(error=f"unknown op {op!r}")
+        except DataError as exc:
+            reply = ErrorFrame(error=str(exc))
+        send_frame(conn, reply)
+        return not isinstance(reply, ErrorFrame)
 
 
 def serve_registry(

@@ -40,7 +40,7 @@ After ``welcome``, the conversation proper (client side first)::
     {"op": "run", "protocol": 2, "base_config": {...}|null,
      "scenarios": [{"index": 3, "scenario": <scenario_spec>}, ...]}
                                     -> {"op": "outcome", "index": 3,
-                                        "record": <outcome_wire_record>}
+                                        "record": <OutcomeRecord>}
                                        ... one frame per scenario,
                                        streamed as each finishes ...
                                     -> {"op": "done", "n_executed": N}
@@ -49,11 +49,15 @@ After ``welcome``, the conversation proper (client side first)::
 
 ``scenario`` payloads are :func:`~repro.sweep.scenario.scenario_spec`
 dicts (already *resolved* by the parent's :class:`SweepRunner` — seed
-policy and validation never run twice); ``record`` payloads are
-:func:`~repro.sweep.report.outcome_wire_record` dicts — the stream
-record schema plus a lossless ``results_wire`` twin. A server that
-cannot serve a request answers ``{"op": "error", "error": msg}`` and
-drops the connection.
+policy and validation never run twice); a ``record`` is an
+:class:`~repro.sweep.report.OutcomeRecord` — the stream record schema
+plus a lossless ``results_wire`` twin. A server that cannot serve a
+request answers ``{"op": "error", "error": msg}`` and drops the
+connection.
+
+Every frame is declared once below (:class:`ChallengeFrame`, ...) and
+:mod:`repro.utils.wire` derives both directions from the declaration;
+decoding is the validator.
 
 Worker topology
 ---------------
@@ -119,14 +123,15 @@ import threading
 import time
 import warnings
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.core.config import PlannerConfig
 from repro.sweep.backends import ExecutionBackend, failure_outcome, make_shards
-from repro.sweep.report import outcome_from_wire_record, outcome_wire_record
+from repro.sweep.report import OutcomeRecord
 from repro.sweep.runner import ScenarioOutcome, execute_scenario
 from repro.sweep.scenario import scenario_from_spec, scenario_spec
-from repro.utils.errors import PlanningError
+from repro.utils.errors import DataError, PlanningError
+from repro.utils.wire import from_wire, to_wire
 
 if TYPE_CHECKING:  # runtime import would cycle (registry imports us)
     from repro.sweep.registry import Registry
@@ -170,6 +175,93 @@ class RemoteAuthError(RemoteProtocolError):
 
 
 # ----------------------------------------------------------------------
+# Frames (see repro.utils.wire)
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ChallengeFrame:
+    op: ClassVar[str] = "challenge"
+    protocol: int
+    nonce: str
+    auth: bool
+
+
+@dataclass(frozen=True)
+class AuthFrame:
+    op: ClassVar[str] = "auth"
+    protocol: int
+    mac: "str | None"
+
+
+@dataclass(frozen=True)
+class WelcomeFrame:
+    op: ClassVar[str] = "welcome"
+    protocol: int
+
+
+@dataclass(frozen=True)
+class ErrorFrame:
+    op: ClassVar[str] = "error"
+    error: str
+
+
+@dataclass(frozen=True)
+class AuthErrorFrame:
+    """A rejection on the shared secret: clients branch on ``code``
+    (:class:`RemoteAuthError`); the text is free to change."""
+
+    op: ClassVar[str] = "error"
+    code: str
+    error: str
+
+
+@dataclass(frozen=True)
+class JobItem:
+    index: int
+    scenario: dict  # a scenario_spec; scenario_from_spec validates it
+
+
+@dataclass(frozen=True)
+class RunFrame:
+    op: ClassVar[str] = "run"
+    protocol: int
+    base_config: "dict | None" = None  # PlannerConfig(**...) validates it
+    scenarios: "tuple[JobItem, ...]" = ()
+
+
+@dataclass(frozen=True)
+class OutcomeFrame:
+    op: ClassVar[str] = "outcome"
+    index: int
+    record: OutcomeRecord
+
+
+@dataclass(frozen=True)
+class DoneFrame:
+    op: ClassVar[str] = "done"
+    n_executed: int
+
+
+@dataclass(frozen=True)
+class WorkerPongFrame:
+    op: ClassVar[str] = "pong"
+    protocol: int
+    pid: int
+    cache_dir: "str | None"
+    capacity: int
+    cache_fingerprint: "str | None"
+
+
+def decode_reply(cls, frame: dict, peer: str):
+    """``frame`` from ``peer`` as ``cls``; RemoteProtocolError if not."""
+    try:
+        return from_wire(cls, frame)
+    except DataError as exc:
+        raise RemoteProtocolError(
+            f"{peer} sent a bad {cls.op!r} frame: {exc}"
+        ) from None
+
+
+# ----------------------------------------------------------------------
 # Shared secrets
 # ----------------------------------------------------------------------
 def load_secret(path: str) -> bytes:
@@ -209,8 +301,10 @@ def auth_mac(secret: bytes, nonce: str) -> str:
 # ----------------------------------------------------------------------
 # Frames
 # ----------------------------------------------------------------------
-def send_frame(sock: socket.socket, obj: dict) -> None:
-    """Serialize ``obj`` and send it as one length-prefixed frame."""
+def send_frame(sock: socket.socket, obj) -> None:
+    """Send a dict or a declared frame as one length-prefixed frame."""
+    if not isinstance(obj, dict):
+        obj = to_wire(obj)
     payload = json.dumps(obj).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise RemoteProtocolError(
@@ -284,45 +378,41 @@ def server_handshake(conn: socket.socket, secret: "bytes | None") -> bool:
     ever parsed from an unauthenticated connection.
     """
     nonce = os.urandom(_NONCE_BYTES).hex()
-    send_frame(conn, {
-        "op": "challenge",
-        "protocol": PROTOCOL_VERSION,
-        "nonce": nonce,
-        "auth": secret is not None,
-    })
+    send_frame(conn, ChallengeFrame(
+        protocol=PROTOCOL_VERSION, nonce=nonce, auth=secret is not None,
+    ))
     frame = recv_frame(conn)
     if frame is None:
         return False  # mid-handshake disconnect: drop quietly
     op = frame.get("op")
     if op != "auth":
-        send_frame(conn, {
-            "op": "error",
-            "error": f"handshake expected an 'auth' frame, got op {op!r}",
-        })
+        send_frame(conn, ErrorFrame(
+            error=f"handshake expected an 'auth' frame, got op {op!r}",
+        ))
         return False
+    # The version comes first, so a peer on another protocol hears why
+    # even when the rest of its frame would not decode here.
     protocol = frame.get("protocol")
     if protocol != PROTOCOL_VERSION:
-        send_frame(conn, {
-            "op": "error",
-            "error": f"protocol {protocol!r} not supported; this daemon "
-                     f"speaks protocol {PROTOCOL_VERSION}",
-        })
+        send_frame(conn, ErrorFrame(
+            error=f"protocol {protocol!r} not supported; this daemon "
+                  f"speaks protocol {PROTOCOL_VERSION}",
+        ))
         return False
-    if secret is not None:
-        mac = frame.get("mac")
-        expected = auth_mac(secret, nonce)
-        if not isinstance(mac, str) or not hmac.compare_digest(mac, expected):
-            send_frame(conn, {
-                "op": "error",
-                # "code" is the machine-readable contract clients branch
-                # on (RemoteAuthError vs RemoteProtocolError); the text
-                # is free to change.
-                "code": "auth",
-                "error": "authentication failed: wrong or missing "
-                         "shared secret",
-            })
-            return False
-    send_frame(conn, {"op": "welcome", "protocol": PROTOCOL_VERSION})
+    try:
+        mac = from_wire(AuthFrame, frame).mac
+    except DataError as exc:
+        send_frame(conn, ErrorFrame(error=f"bad handshake: {exc}"))
+        return False
+    if secret is not None and (
+        mac is None or not hmac.compare_digest(mac, auth_mac(secret, nonce))
+    ):
+        send_frame(conn, AuthErrorFrame(
+            code="auth",
+            error="authentication failed: wrong or missing shared secret",
+        ))
+        return False
+    send_frame(conn, WelcomeFrame(protocol=PROTOCOL_VERSION))
     return True
 
 
@@ -336,51 +426,54 @@ def client_handshake(
     :class:`RemoteProtocolError` for version mismatches and everything
     else that is not this protocol.
     """
-    challenge = recv_frame(sock)
-    if challenge is None:
+    frame = recv_frame(sock)
+    if frame is None:
         raise RemoteProtocolError(
             f"{peer} closed the connection before the handshake challenge"
         )
-    op = challenge.get("op")
+    op = frame.get("op")
     if op == "error":
-        raise RemoteProtocolError(f"{peer} refused: {challenge.get('error')}")
+        refusal = decode_reply(ErrorFrame, frame, peer)
+        raise RemoteProtocolError(f"{peer} refused: {refusal.error}")
     if op != "challenge":
         raise RemoteProtocolError(
             f"{peer} opened with op {op!r} instead of a handshake "
             f"challenge (protocol {PROTOCOL_VERSION})"
         )
-    protocol = challenge.get("protocol")
+    protocol = frame.get("protocol")
     if protocol != PROTOCOL_VERSION:
         raise RemoteProtocolError(
             f"protocol version mismatch: {peer} speaks {protocol!r}, "
             f"this build speaks {PROTOCOL_VERSION}"
         )
-    nonce = challenge.get("nonce")
-    if not isinstance(nonce, str) or not nonce:
+    challenge = decode_reply(ChallengeFrame, frame, peer)
+    if not challenge.nonce:
         raise RemoteProtocolError(f"{peer} sent a challenge without a nonce")
-    if challenge.get("auth") and secret is None:
+    if challenge.auth and secret is None:
         raise RemoteAuthError(
             f"{peer} requires authentication; supply the shared secret "
             f"(--secret-file)"
         )
-    mac = auth_mac(secret, nonce) if secret is not None else None
-    send_frame(sock, {"op": "auth", "protocol": PROTOCOL_VERSION, "mac": mac})
+    mac = auth_mac(secret, challenge.nonce) if secret is not None else None
+    send_frame(sock, AuthFrame(protocol=PROTOCOL_VERSION, mac=mac))
     reply = recv_frame(sock)
     if reply is None:
         raise RemoteAuthError(
             f"{peer} dropped the connection during authentication"
         )
     if reply.get("op") == "error":
-        error = str(reply.get("error"))
-        # The "code" field is the stable discriminator; the substring
-        # check keeps auth errors typed against daemons that predate it.
-        if reply.get("code") == "auth" or "authentication" in error:
-            raise RemoteAuthError(f"{peer}: {error}")
-        raise RemoteProtocolError(f"{peer}: {error}")
-    if reply.get("op") != "welcome":
-        raise RemoteProtocolError(
-            f"{peer} answered the handshake with op {reply.get('op')!r}"
+        rejection = decode_reply(
+            AuthErrorFrame if "code" in reply else ErrorFrame, reply, peer
         )
+        # "code" is the stable discriminator; the substring check keeps
+        # auth errors typed against daemons that predate it.
+        if (
+            getattr(rejection, "code", None) == "auth"
+            or "authentication" in rejection.error
+        ):
+            raise RemoteAuthError(f"{peer}: {rejection.error}")
+        raise RemoteProtocolError(f"{peer}: {rejection.error}")
+    decode_reply(WelcomeFrame, reply, peer)
     return reply
 
 
@@ -701,14 +794,13 @@ class WorkerServer(FrameServer):
     def handle_op(self, conn: socket.socket, frame: dict) -> bool:
         op = frame.get("op")
         if op == "ping":
-            send_frame(conn, {
-                "op": "pong",
-                "protocol": PROTOCOL_VERSION,
-                "pid": os.getpid(),
-                "cache_dir": self.cache_dir,
-                "capacity": self.capacity,
-                "cache_fingerprint": self.cache_fingerprint(),
-            })
+            send_frame(conn, WorkerPongFrame(
+                protocol=PROTOCOL_VERSION,
+                pid=os.getpid(),
+                cache_dir=self.cache_dir,
+                capacity=self.capacity,
+                cache_fingerprint=self.cache_fingerprint(),
+            ))
             return True
         if op == "shutdown":
             send_frame(conn, {"op": "bye"})
@@ -716,30 +808,31 @@ class WorkerServer(FrameServer):
             return False
         if op == "run":
             return self._run_job(conn, frame)
-        send_frame(conn, {"op": "error", "error": f"unknown op {op!r}"})
+        send_frame(conn, ErrorFrame(error=f"unknown op {op!r}"))
         return False
 
     def _run_job(self, conn: socket.socket, frame: dict) -> bool:
         """Execute one job, streaming outcome frames; False = close."""
         protocol = frame.get("protocol")
         if protocol != PROTOCOL_VERSION:
-            send_frame(conn, {
-                "op": "error",
-                "error": f"protocol {protocol!r} not supported; "
-                         f"this worker speaks {PROTOCOL_VERSION}",
-            })
+            send_frame(conn, ErrorFrame(
+                error=f"protocol {protocol!r} not supported; "
+                      f"this worker speaks {PROTOCOL_VERSION}",
+            ))
             return False
         try:
-            raw_config = frame.get("base_config")
+            job = from_wire(RunFrame, frame)
             base_config = (
-                PlannerConfig(**raw_config) if raw_config is not None else None
+                PlannerConfig(**job.base_config)
+                if job.base_config is not None
+                else None
             )
             jobs = [
-                (int(item["index"]), scenario_from_spec(item["scenario"]))
-                for item in frame.get("scenarios", ())
+                (item.index, scenario_from_spec(item.scenario))
+                for item in job.scenarios
             ]
         except Exception as exc:  # noqa: BLE001 — anything bad in the job
-            send_frame(conn, {"op": "error", "error": f"bad job: {exc}"})
+            send_frame(conn, ErrorFrame(error=f"bad job: {exc}"))
             return False
         n_sent = 0
         for index, scenario in jobs:
@@ -747,11 +840,9 @@ class WorkerServer(FrameServer):
                 outcome = execute_scenario(scenario, base_config, self.cache_dir)
             except Exception as exc:  # noqa: BLE001 — isolation is the point
                 outcome = failure_outcome(scenario, exc)
-            send_frame(conn, {
-                "op": "outcome",
-                "index": index,
-                "record": outcome_wire_record(outcome),
-            })
+            send_frame(conn, OutcomeFrame(
+                index=index, record=OutcomeRecord.of(outcome)
+            ))
             n_sent += 1
             if (
                 self.fail_after_frames is not None
@@ -760,7 +851,7 @@ class WorkerServer(FrameServer):
                 # Failure injection: vanish mid-shard, like a kill -9.
                 conn.close()
                 return False
-        send_frame(conn, {"op": "done", "n_executed": n_sent})
+        send_frame(conn, DoneFrame(n_executed=n_sent))
         return True
 
 
@@ -1229,20 +1320,19 @@ class RemoteBackend(ExecutionBackend):
 
     def _run_shard(self, address, shard, config_doc):
         """Send one job; yield ``(index, outcome)`` as frames arrive."""
+        peer = f"worker {format_address(address)}"
         with connect_authenticated(
-            address, self.secret, self.connect_timeout,
-            peer=f"worker {format_address(address)}",
+            address, self.secret, self.connect_timeout, peer=peer,
         ) as sock:
             sock.settimeout(None)  # scenarios may run long; EOF still breaks
-            send_frame(sock, {
-                "op": "run",
-                "protocol": PROTOCOL_VERSION,
-                "base_config": config_doc,
-                "scenarios": [
-                    {"index": index, "scenario": scenario_spec(scenario)}
+            send_frame(sock, RunFrame(
+                protocol=PROTOCOL_VERSION,
+                base_config=config_doc,
+                scenarios=tuple(
+                    JobItem(index=index, scenario=scenario_spec(scenario))
                     for index, scenario in shard
-                ],
-            })
+                ),
+            ))
             by_index = {index: scenario for index, scenario in shard}
             delivered: set = set()
             while True:
@@ -1253,17 +1343,18 @@ class RemoteBackend(ExecutionBackend):
                     )
                 op = frame.get("op")
                 if op == "outcome":
-                    index = int(frame["index"])
-                    if index not in by_index:
+                    answer = decode_reply(OutcomeFrame, frame, peer)
+                    if answer.index not in by_index:
                         raise RemoteProtocolError(
                             f"worker answered for unknown scenario "
-                            f"index {index}"
+                            f"index {answer.index}"
                         )
-                    delivered.add(index)
-                    yield index, outcome_from_wire_record(
-                        frame["record"], by_index[index]
+                    delivered.add(answer.index)
+                    yield answer.index, answer.record.outcome(
+                        by_index[answer.index]
                     )
                 elif op == "done":
+                    decode_reply(DoneFrame, frame, peer)
                     if delivered != set(by_index):
                         # A clean-looking finish that skipped scenarios
                         # is a faulty worker, not a finished shard —
@@ -1276,8 +1367,7 @@ class RemoteBackend(ExecutionBackend):
                         )
                     return
                 elif op == "error":
-                    raise RemoteProtocolError(
-                        f"worker error: {frame.get('error')}"
-                    )
+                    refusal = decode_reply(ErrorFrame, frame, peer)
+                    raise RemoteProtocolError(f"worker error: {refusal.error}")
                 else:
                     raise RemoteProtocolError(f"unexpected frame op {op!r}")

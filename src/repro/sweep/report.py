@@ -28,7 +28,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from repro.core.result import PlannedRoute, PlanResult
+from repro.core.result import PlanResult
 from repro.sweep.scenario import constraints_record as _constraints_record
 from repro.utils.errors import DataError
 from repro.utils.fsio import atomic_write_text
@@ -238,119 +238,84 @@ def summary_record(
 
 
 # ----------------------------------------------------------------------
-# Wire (de)serialization: lossless ScenarioOutcome round-trips
+# The outcome payload: a lossless ScenarioOutcome on the wire
 # ----------------------------------------------------------------------
-def result_wire_record(result) -> dict:
-    """One :class:`PlanResult` as a *lossless* JSON-safe dict.
+@dataclass(frozen=True)
+class OutcomeRecord:
+    """A :class:`ScenarioOutcome` as one wire payload.
 
-    Unlike :func:`_result_record` (the human/report schema, which rounds
-    floats and flattens the route), this keeps every field at full
-    precision — JSON floats round-trip exactly — so a result rebuilt by
-    :func:`result_from_wire` is bit-identical to the original. This is
-    the payload remote workers stream back to the parent.
+    Encoded and decoded by :mod:`repro.utils.wire`. The payload is a
+    :func:`scenario_record` (so transports and humans read it like any
+    stream line) plus ``schema`` and ``results_wire``, the lossless twin
+    of ``results``: every :class:`PlanResult` field at full precision —
+    JSON floats round-trip exactly — so a rebuilt result is
+    bit-identical to the original. ``precomputation`` never travels
+    (same rule as worker processes in the pool backends).
+
+    Write-only fields travel for whoever reads the payload as a stream
+    record; :meth:`outcome` does not use them. Each is marked below with
+    its reason.
     """
-    route = result.route
-    return {
-        "method": result.method,
-        "route": None if route is None else {
-            "stops": list(route.stops),
-            "edge_indices": list(route.edge_indices),
-            "new_pairs": [list(p) for p in route.new_pairs],
-            "length_km": route.length_km,
-            "turns": route.turns,
-        },
-        "objective": result.objective,
-        "o_d": result.o_d,
-        "o_lambda": result.o_lambda,
-        "o_d_normalized": result.o_d_normalized,
-        "o_lambda_normalized": result.o_lambda_normalized,
-        "search_score": result.search_score,
-        "iterations": result.iterations,
-        "runtime_s": result.runtime_s,
-        "connectivity_evaluations": result.connectivity_evaluations,
-        "trace": [list(p) for p in result.trace],
-        "queue_pushes": result.queue_pushes,
-        "pruned_by_bound": result.pruned_by_bound,
-        "pruned_by_domination": result.pruned_by_domination,
-    }
 
+    # Write-only: the scenario's identity. The parent rebuilds
+    # ``outcome.scenario`` from its own resolved Scenario.
+    name: str
+    city: str
+    profile: str
+    method: str
+    route_count: int
+    seed: "int | None"
+    overrides: dict
+    constraints: "dict | None"
+    # Write-only: ``ok`` is ``error is None``.
+    ok: bool
+    error: "str | None"
+    cache_hit: "bool | None"
+    worker: "str | None"
+    precompute_s: float
+    total_s: float
+    # Write-only: the rounded report form of ``results_wire``.
+    results: "tuple[dict, ...]"
+    schema: int
+    results_wire: "tuple[PlanResult, ...]"
 
-def result_from_wire(record) -> PlanResult:
-    """Rebuild the :class:`PlanResult` behind :func:`result_wire_record`."""
-    route = record["route"]
-    if route is not None:
-        route = PlannedRoute(
-            stops=tuple(int(s) for s in route["stops"]),
-            edge_indices=tuple(int(e) for e in route["edge_indices"]),
-            new_pairs=tuple(
-                (int(u), int(v)) for u, v in route["new_pairs"]
-            ),
-            length_km=float(route["length_km"]),
-            turns=int(route["turns"]),
+    def __post_init__(self) -> None:
+        if self.schema != SCHEMA_VERSION:
+            raise DataError(
+                f"wire outcome record has schema {self.schema!r}; "
+                f"this build speaks schema {SCHEMA_VERSION}"
+            )
+
+    @classmethod
+    def of(cls, outcome) -> "OutcomeRecord":
+        return cls(
+            **scenario_record(outcome),
+            schema=SCHEMA_VERSION,
+            results_wire=tuple(outcome.results),
         )
-    return PlanResult(
-        method=record["method"],
-        route=route,
-        objective=record["objective"],
-        o_d=record["o_d"],
-        o_lambda=record["o_lambda"],
-        o_d_normalized=record["o_d_normalized"],
-        o_lambda_normalized=record["o_lambda_normalized"],
-        search_score=record["search_score"],
-        iterations=int(record["iterations"]),
-        runtime_s=record["runtime_s"],
-        connectivity_evaluations=int(record["connectivity_evaluations"]),
-        trace=[(int(i), float(v)) for i, v in record["trace"]],
-        queue_pushes=int(record["queue_pushes"]),
-        pruned_by_bound=int(record["pruned_by_bound"]),
-        pruned_by_domination=int(record["pruned_by_domination"]),
-    )
 
+    def outcome(self, scenario):
+        """The live :class:`ScenarioOutcome` this payload describes.
 
-def outcome_wire_record(outcome) -> dict:
-    """A :class:`ScenarioOutcome` as one wire frame payload.
+        ``scenario`` is the parent's own resolved :class:`Scenario` for
+        this grid position — the wire carries only its spec, and reusing
+        the parent's instance keeps ``outcome.scenario`` identity stable
+        for downstream consumers (stream keying, tables).
+        """
+        from repro.sweep.runner import ScenarioOutcome
 
-    Reuses the stream record schema — the dict *is* a valid
-    :func:`scenario_record` (plus ``schema``), so transports and humans
-    read it like any stream line — extended with ``results_wire``, the
-    lossless twin of ``results`` that :func:`outcome_from_wire_record`
-    rebuilds :class:`PlanResult` objects from. ``precomputation`` never
-    travels (same rule as worker processes in the pool backends).
-    """
-    record = scenario_record(outcome)
-    record["schema"] = SCHEMA_VERSION
-    record["results_wire"] = [result_wire_record(r) for r in outcome.results]
-    return record
-
-
-def outcome_from_wire_record(record, scenario):
-    """Rebuild a live :class:`ScenarioOutcome` from a wire frame payload.
-
-    ``scenario`` is the parent's own resolved :class:`Scenario` object
-    for this grid position — the wire carries only its spec, and reusing
-    the parent's instance keeps ``outcome.scenario`` identity stable for
-    downstream consumers (stream keying, tables).
-    """
-    from repro.sweep.runner import ScenarioOutcome
-
-    schema = record.get("schema")
-    if schema != SCHEMA_VERSION:
-        raise DataError(
-            f"wire outcome record has schema {schema!r}; "
-            f"this build speaks schema {SCHEMA_VERSION}"
+        return ScenarioOutcome(
+            scenario=scenario,
+            results=self.results_wire,
+            cache_hit=self.cache_hit,
+            precompute_s=self.precompute_s,
+            total_s=self.total_s,
+            error=self.error,
+            # Workers do not know the address they serve on as the
+            # parent sees it; the remote backend's driver stamps the
+            # authoritative value right after this rebuild.
+            worker=self.worker,
         )
-    return ScenarioOutcome(
-        scenario=scenario,
-        results=tuple(result_from_wire(r) for r in record["results_wire"]),
-        cache_hit=record.get("cache_hit"),
-        precompute_s=float(record.get("precompute_s", 0.0)),
-        total_s=float(record.get("total_s", 0.0)),
-        error=record.get("error"),
-        # Workers do not know the address they serve on as the parent
-        # sees it; the remote backend's driver stamps the authoritative
-        # value right after this rebuild.
-        worker=record.get("worker"),
-    )
 
 
 class StreamWriter:

@@ -23,13 +23,7 @@ from repro.analysis import (
     register_rule,
     run_check,
 )
-from repro.analysis.astutil import (
-    import_aliases,
-    read_keys,
-    resolve_call,
-    walk_calls,
-    written_keys,
-)
+from repro.analysis.astutil import import_aliases, resolve_call, walk_calls
 from repro.analysis.base import Rule
 from repro.analysis.engine import render_text, select_rules
 from repro.analysis.suppressions import scan_suppressions
@@ -54,7 +48,7 @@ class TestRegistry:
     def test_all_rules_catalog(self):
         codes = [rule.code for rule in all_rules()]
         assert codes == sorted(codes)
-        for expected in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005"):
+        for expected in ("RPR001", "RPR002", "RPR004", "RPR005"):
             assert expected in codes
 
     def test_rules_carry_metadata(self):
@@ -120,8 +114,8 @@ class TestSelectRules:
         assert [r.code for r in select_rules(select=["rpr004"])] == ["RPR004"]
 
     def test_ignore_removes(self):
-        codes = [r.code for r in select_rules(ignore=["RPR001", "rpr003"])]
-        assert "RPR001" not in codes and "RPR003" not in codes
+        codes = [r.code for r in select_rules(ignore=["RPR001", "rpr004"])]
+        assert "RPR001" not in codes and "RPR004" not in codes
         assert "RPR002" in codes
 
     def test_unknown_code_raises(self):
@@ -167,28 +161,6 @@ class TestRPR002CacheKey:
         # config.k (rebind) on line 9; only n_probes is undeclared.
         run = check("rpr002_violation", select=["RPR002"])
         assert len(run.findings) == 1
-
-
-class TestRPR003WireSchema:
-    def test_drift_both_directions(self):
-        run = check("rpr003_violation", select=["RPR003"])
-        assert locations(run) == [
-            ("RPR003", "sweep/report.py", 6),
-            ("RPR003", "sweep/report.py", 14),
-        ]
-        assert "'runtime'" in run.findings[0].message
-        assert "written but never consumed" in run.findings[0].message
-        assert "'elapsed'" in run.findings[1].message
-        assert "no writer" in run.findings[1].message
-
-    def test_symmetric_pair_is_clean(self):
-        assert check("rpr003_clean").findings == []
-
-    def test_version_pin_mismatch_forces_reaudit(self):
-        run = check("rpr003_version", select=["RPR003"])
-        assert locations(run) == [("RPR003", "sweep/report.py", 1)]
-        assert "re-audit" in run.findings[0].message
-        assert "SCHEMA_VERSION" in run.findings[0].message
 
 
 class TestRPR004ResourceSafety:
@@ -310,24 +282,6 @@ class TestAstHelpers:
         assert "numpy.random.rand" in resolved
         assert "datetime.datetime.now" in resolved
         assert "time.monotonic" in resolved
-
-    def test_written_and_read_keys(self):
-        tree = ast.parse(
-            textwrap.dedent(
-                """
-                def write(x):
-                    rec = {"a": 1}
-                    rec["b"] = 2
-                    return rec
-
-                def read(rec):
-                    return rec["a"], rec.get("b"), rec.pop("c")
-                """
-            )
-        )
-        write_fn, read_fn = tree.body
-        assert written_keys(write_fn) == {"a", "b"}
-        assert read_keys(read_fn) == {"a", "b", "c"}
 
 
 class TestRepoIsClean:

@@ -612,7 +612,6 @@ class TestCheckCli:
     @pytest.mark.parametrize("name, anchor", [
         ("rpr001_violation", "core/seeding_bad.py:10"),
         ("rpr002_violation", "core/precompute.py:8"),
-        ("rpr003_violation", "sweep/report.py:6"),
         ("rpr004_violation", "sweep/leaky.py:12"),
         ("rpr005_violation", "sweep/writer_bad.py:7"),
     ])
@@ -671,7 +670,7 @@ class TestCheckCli:
     def test_list_rules_catalog(self, capsys):
         assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005"):
+        for code in ("RPR001", "RPR002", "RPR004", "RPR005"):
             assert code in out
 
     def test_suppressed_fixture_is_clean(self, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import PlannerConfig
 from repro.core.precompute import (
+    PRECOMPUTE_CONFIG_FIELDS,
     compute_edge_increments,
     precompute,
     rebind,
@@ -167,6 +168,21 @@ class TestRebind:
     def test_tau_change_rejected(self, small_pre):
         with pytest.raises(ValueError):
             rebind(small_pre, small_pre.config.variant(tau_km=1.0))
+
+    @pytest.mark.parametrize("name", PRECOMPUTE_CONFIG_FIELDS)
+    def test_every_precompute_field_change_rejected(self, small_pre, name):
+        # Rebinding n_probes (say) used to return a Precomputation whose
+        # config claimed the new value while its estimator, Delta(e) and
+        # lambda_base were built with the old one.
+        value = getattr(small_pre.config, name)
+        if isinstance(value, bool):
+            changed = not value
+        elif isinstance(value, (int, float)):
+            changed = value + 1
+        else:
+            changed = {"exact": "sketch", "sketch": "exact"}[value]
+        with pytest.raises(ValueError, match=name):
+            rebind(small_pre, small_pre.config.variant(**{name: changed}))
 
     def test_road_preserved(self, small_pre):
         re = rebind(small_pre, small_pre.config.variant(w=0.0))

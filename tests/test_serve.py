@@ -39,9 +39,9 @@ from repro.sweep.remote import (
     recv_frame,
     send_frame,
 )
-from repro.sweep.report import result_wire_record
 from repro.sweep.scenario import Scenario, scenario_spec
 from repro.utils.errors import PlanningError
+from repro.utils.wire import to_wire
 
 SECRET = b"serve-suite-secret"
 
@@ -299,7 +299,7 @@ class TestPlanServer:
             served = plan_once(sock, scenario)
 
         direct = CTBusPlanner(tiny_dataset, CONFIG).plan("eta-pre")
-        want = result_wire_record(direct)
+        want = to_wire(direct)
         got = served["record"]["results_wire"]
         assert len(got) == 1
         got = dict(got[0])
@@ -394,6 +394,18 @@ class TestPlanServer:
         # A fresh session still works: the daemon survived the garbage.
         with served_connection(server) as sock:
             assert plan_once(sock, make_scenario())["op"] == "plan_result"
+
+    def test_misspelled_key_answers_error_naming_it(self, server):
+        # A typo'd base_config must not quietly plan the default config.
+        with served_connection(server) as sock:
+            send_frame(sock, {
+                "op": "plan", "protocol": PROTOCOL_VERSION,
+                "scenario": scenario_spec(make_scenario()),
+                "base_confg": {"k": 3},
+            })
+            error = recv_frame(sock)
+        assert error["op"] == "error"
+        assert "base_confg" in error["error"]
 
     def test_wrong_protocol_is_rejected(self, server):
         with served_connection(server) as sock:
@@ -501,6 +513,17 @@ class TestHTTPDoor:
             http_json(f"{http_door}/plan", body={"scenario": None},
                       token=http_token(SECRET))
         assert err.value.code == 400
+
+    def test_misspelled_plan_key_is_400_naming_it(self, http_door):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            http_json(
+                f"{http_door}/plan",
+                body={"scenario": scenario_spec(make_scenario()),
+                      "base_confg": {"k": 3}},
+                token=http_token(SECRET),
+            )
+        assert err.value.code == 400
+        assert "base_confg" in json.loads(err.value.read())["error"]
 
     def test_unknown_endpoint_is_404(self, http_door):
         with pytest.raises(urllib.error.HTTPError) as err:

@@ -34,12 +34,9 @@ from repro.sweep import (
     expand_grid,
     resolve_registry,
 )
-from repro.sweep.registry import (
-    DEFAULT_TTL,
-    REGISTRY_SCHEMA_VERSION,
-    worker_record_from,
-)
+from repro.sweep.registry import DEFAULT_TTL, REGISTRY_SCHEMA_VERSION
 from repro.utils.errors import DataError, PlanningError
+from repro.utils.wire import from_wire, to_wire
 
 BASE = PlannerConfig(k=6, max_iterations=120, seed_count=80)
 
@@ -98,7 +95,7 @@ class TestWorkerRecord:
             host="10.0.0.7", port=7401, capacity=4, protocol=2,
             cache_fingerprint="abc123", last_seen=12.5,
         )
-        rebuilt = worker_record_from(json.loads(json.dumps(record.as_record())))
+        rebuilt = from_wire(WorkerRecord, json.loads(json.dumps(to_wire(record))))
         assert rebuilt == record
         assert rebuilt.key == "10.0.0.7:7401"
 
@@ -111,14 +108,27 @@ class TestWorkerRecord:
         ({"surprise": 1}, "unknown keys"),
     ])
     def test_bad_records_rejected(self, mutation, match):
-        spec = WorkerRecord(host="h", port=1).as_record()
+        spec = to_wire(WorkerRecord(host="h", port=1))
         spec.update(mutation)
         with pytest.raises(DataError, match=match):
-            worker_record_from(spec)
+            from_wire(WorkerRecord, spec)
 
     def test_non_mapping_rejected(self):
         with pytest.raises(DataError, match="mapping"):
-            worker_record_from([1, 2])
+            from_wire(WorkerRecord, [1, 2])
+
+    @pytest.mark.parametrize("field, value", [
+        ("port", "7401"),
+        ("capacity", 2.9),
+        ("protocol", True),
+    ])
+    def test_mistyped_fields_rejected_not_coerced(self, field, value):
+        # A string port, a fractional capacity or a boolean protocol is
+        # a broken peer, not a value to round into shape.
+        spec = to_wire(WorkerRecord(host="h", port=1))
+        spec[field] = value
+        with pytest.raises(DataError, match=f"'{field}'"):
+            from_wire(WorkerRecord, spec)
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +260,7 @@ class TestLivenessSurvivesWallClockSteps:
         stale = WorkerRecord(host="h", port=2, last_seen=time.time() - 1e6)
         path.write_text(json.dumps({
             "schema": REGISTRY_SCHEMA_VERSION,
-            "workers": {r.key: r.as_record() for r in (fresh, stale)},
+            "workers": {r.key: to_wire(r) for r in (fresh, stale)},
         }))
         live = FileRegistry(str(path), ttl=30.0).live_workers()
         assert [r.key for r in live] == ["h:1"]
@@ -352,6 +362,25 @@ class TestTcpRegistry:
             reply = recv_frame(sock)
         assert reply["op"] == "error"
         assert "empty host" in reply["error"]
+
+    def test_deregister_without_key_answers_error_frame(
+        self, registry_server
+    ):
+        from repro.sweep.remote import (
+            connect_authenticated,
+            recv_frame,
+            send_frame,
+        )
+
+        registry_server.register_record(WorkerRecord(host="h", port=1))
+        with connect_authenticated(
+            registry_server.address, SECRET, timeout=5.0
+        ) as sock:
+            send_frame(sock, {"op": "deregister"})
+            reply = recv_frame(sock)
+        assert reply["op"] == "error"
+        assert "'key'" in reply["error"]
+        assert [r.key for r in registry_server.live_workers()] == ["h:1"]
 
     def test_ping_reports_role_and_count(self, registry_server):
         from repro.sweep import ping
