@@ -1051,7 +1051,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser(
         "check",
         help="invariant-aware static analysis (determinism, cache keys, "
-             "wire schemas, resource safety, atomic writes)",
+             "resource safety, atomic writes, locks, wire taint)",
     )
     p_check.add_argument("root", nargs="?", default="",
                          help="directory or file to check (default: this "

@@ -85,9 +85,7 @@ REGISTRY_SCHEMA_VERSION = 1
 class WorkerRecord:
     """One worker's registration: address, capacity, and provenance.
 
-    The registry record on the wire and in the file registry; decoded by
-    :func:`~repro.utils.wire.from_wire`, which also runs the checks
-    below.
+    The registry record on the wire and in the file registry.
     """
 
     host: str

@@ -171,9 +171,9 @@ class TestRebind:
 
     @pytest.mark.parametrize("name", PRECOMPUTE_CONFIG_FIELDS)
     def test_every_precompute_field_change_rejected(self, small_pre, name):
-        # Rebinding n_probes (say) used to return a Precomputation whose
-        # config claimed the new value while its estimator, Delta(e) and
-        # lambda_base were built with the old one.
+        # These fields built the estimator, Delta(e) and lambda_base: a
+        # rebound config naming other values would describe numbers it
+        # never produced.
         value = getattr(small_pre.config, name)
         if isinstance(value, bool):
             changed = not value
