@@ -175,7 +175,7 @@ class RemoteAuthError(RemoteProtocolError):
 
 
 # ----------------------------------------------------------------------
-# Frames (see repro.utils.wire)
+# Frame declarations (encoded and decoded by repro.utils.wire)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ChallengeFrame:
@@ -249,16 +249,6 @@ class WorkerPongFrame:
     cache_dir: "str | None"
     capacity: int
     cache_fingerprint: "str | None"
-
-
-def decode_reply(cls, frame: dict, peer: str):
-    """``frame`` from ``peer`` as ``cls``; RemoteProtocolError if not."""
-    try:
-        return from_wire(cls, frame)
-    except DataError as exc:
-        raise RemoteProtocolError(
-            f"{peer} sent a bad {cls.op!r} frame: {exc}"
-        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -363,6 +353,16 @@ def recv_frame(sock: socket.socket) -> "dict | None":
     except (ValueError, UnicodeDecodeError) as exc:
         raise RemoteProtocolError(f"bad frame payload: {exc}") from None
     return frame
+
+
+def decode_reply(cls, frame: dict, peer: str):
+    """``frame`` from ``peer`` as ``cls``; RemoteProtocolError if not."""
+    try:
+        return from_wire(cls, frame)
+    except DataError as exc:
+        raise RemoteProtocolError(
+            f"{peer} sent a bad {cls.op!r} frame: {exc}"
+        ) from None
 
 
 # ----------------------------------------------------------------------
