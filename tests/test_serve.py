@@ -395,18 +395,6 @@ class TestPlanServer:
         with served_connection(server) as sock:
             assert plan_once(sock, make_scenario())["op"] == "plan_result"
 
-    def test_misspelled_key_answers_error_naming_it(self, server):
-        # A typo'd base_config must not quietly plan the default config.
-        with served_connection(server) as sock:
-            send_frame(sock, {
-                "op": "plan", "protocol": PROTOCOL_VERSION,
-                "scenario": scenario_spec(make_scenario()),
-                "base_confg": {"k": 3},
-            })
-            error = recv_frame(sock)
-        assert error["op"] == "error"
-        assert "base_confg" in error["error"]
-
     def test_wrong_protocol_is_rejected(self, server):
         with served_connection(server) as sock:
             send_frame(sock, {
@@ -513,17 +501,6 @@ class TestHTTPDoor:
             http_json(f"{http_door}/plan", body={"scenario": None},
                       token=http_token(SECRET))
         assert err.value.code == 400
-
-    def test_misspelled_plan_key_is_400_naming_it(self, http_door):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            http_json(
-                f"{http_door}/plan",
-                body={"scenario": scenario_spec(make_scenario()),
-                      "base_confg": {"k": 3}},
-                token=http_token(SECRET),
-            )
-        assert err.value.code == 400
-        assert "base_confg" in json.loads(err.value.read())["error"]
 
     def test_unknown_endpoint_is_404(self, http_door):
         with pytest.raises(urllib.error.HTTPError) as err:

@@ -20,12 +20,12 @@ from repro.core.constraints import PlanningConstraints
 from repro.cli import main
 from repro.sweep import (
     PROTOCOL_VERSION,
+    OutcomeRecord,
     RemoteBackend,
     Scenario,
     SweepRunner,
     WorkerServer,
     execute_scenario,
-    OutcomeRecord,
     expand_grid,
     parse_worker_addresses,
     ping,
@@ -242,7 +242,8 @@ class TestOutcomeWireRoundTrip:
 
     def test_schema_mismatch_rejected(self, cache_dir):
         scenario = Scenario(name="w=0.3", overrides={"w": 0.3})
-        wire = to_wire(OutcomeRecord.of(execute_scenario(scenario, BASE, cache_dir)))
+        outcome = execute_scenario(scenario, BASE, cache_dir)
+        wire = to_wire(OutcomeRecord.of(outcome))
         wire["schema"] = 999
         with pytest.raises(DataError, match="schema 999"):
             from_wire(OutcomeRecord, wire).outcome(scenario)
@@ -559,52 +560,6 @@ class TestFailover:
             assert_results_identical(outcomes, serial_outcomes)
         finally:
             faulty.close()
-
-    def test_fractional_outcome_index_marks_worker_faulty(self):
-        # A worker answering "index": 0.7 is broken; truncating it to 0
-        # would commit its outcome to the wrong grid position.
-        from repro.sweep.backends import failure_outcome
-
-        fake = socket.socket()
-        fake.bind(("127.0.0.1", 0))
-        fake.listen()
-
-        def _serve_fractional():
-            conn, _ = fake.accept()
-            with conn:
-                try:
-                    if not server_handshake(conn, None):
-                        return
-                    job = recv_frame(conn)
-                    for item in job["scenarios"]:
-                        scenario = scenario_from_spec(item["scenario"])
-                        record = OutcomeRecord.of(
-                            failure_outcome(scenario, ValueError("x"))
-                        )
-                        send_frame(conn, {
-                            "op": "outcome",
-                            "index": item["index"] + 0.7,
-                            "record": to_wire(record),
-                        })
-                    send_frame(conn, {
-                        "op": "done", "n_executed": len(job["scenarios"]),
-                    })
-                except (OSError, RemoteProtocolError):
-                    pass
-
-        import threading
-
-        thread = threading.Thread(target=_serve_fractional, daemon=True)
-        thread.start()
-        try:
-            backend = RemoteBackend(
-                addresses=["127.0.0.1:{}".format(fake.getsockname()[1])]
-            )
-            with pytest.raises(PlanningError, match="'index'"):
-                backend.run([Scenario(name="a")])
-        finally:
-            fake.close()
-            thread.join(timeout=5.0)
 
     def test_kill_mid_sweep_then_resume_completes(
         self, grid_scenarios, cache_dir, tmp_path, serial_outcomes

@@ -1,0 +1,209 @@
+"""Decode is the validator: the wire codec and the doors that use it.
+
+:func:`repro.utils.wire.from_wire` rejects a missing, unknown or
+mistyped field with a :class:`DataError` naming it, and never coerces a
+value into shape. The daemons and clients built on it turn such a
+rejection into a typed refusal — never into a plausible-looking answer
+computed from the wrong input.
+"""
+
+from __future__ import annotations
+
+import json
+import socket
+import threading
+import urllib.error
+import urllib.request
+from dataclasses import dataclass
+from typing import ClassVar
+
+import pytest
+
+from repro.core.result import PlannedRoute, PlanResult
+from repro.serve import PlanServer, build_http_server, http_token
+from repro.sweep import OutcomeRecord, RemoteBackend, Scenario
+from repro.sweep.backends import failure_outcome
+from repro.sweep.remote import (
+    PROTOCOL_VERSION,
+    RemoteProtocolError,
+    connect_authenticated,
+    recv_frame,
+    send_frame,
+    server_handshake,
+)
+from repro.sweep.scenario import scenario_from_spec, scenario_spec
+from repro.utils.errors import DataError, PlanningError
+from repro.utils.wire import from_wire, to_wire
+
+SECRET = b"wire-decode-secret"
+
+
+@dataclass(frozen=True)
+class Pair:
+    op: ClassVar[str] = "pair"
+    index: int
+    weight: float
+    points: "tuple[tuple[int, float], ...]" = ()
+    note: "str | None" = None
+
+
+def plan_result() -> PlanResult:
+    return PlanResult(
+        method="eta",
+        route=PlannedRoute(
+            stops=(3, 1, 4), edge_indices=(10, 11), new_pairs=((1, 4),),
+            length_km=2.5, turns=1,
+        ),
+        objective=0.4375, o_d=12.0, o_lambda=0.125, o_d_normalized=0.5,
+        o_lambda_normalized=0.25, search_score=0.375, iterations=7,
+        runtime_s=0.0625, connectivity_evaluations=9,
+        trace=[(1, 0.25), (5, 0.375)],
+    )
+
+
+# ----------------------------------------------------------------------
+# The codec
+# ----------------------------------------------------------------------
+class TestCodec:
+    def test_round_trip_through_json_is_lossless(self):
+        result = plan_result()
+        doc = json.loads(json.dumps(to_wire(result)))
+        assert from_wire(PlanResult, doc) == result
+
+    def test_frame_op_leads_and_defaults_fill_in(self):
+        assert list(to_wire(Pair(index=1, weight=0.5))) == [
+            "op", "index", "weight", "points", "note",
+        ]
+        decoded = from_wire(Pair, {"op": "pair", "index": 1, "weight": 2})
+        assert decoded == Pair(index=1, weight=2)
+        assert type(decoded.weight) is int  # an int is a float, kept as is
+
+    @pytest.mark.parametrize("doc, match", [
+        ({"op": "pair", "weight": 0.5}, "missing field 'index'"),
+        ({"op": "pair", "index": 1, "weight": 0.5, "extra": 1},
+         r"unknown keys \['extra'\]"),
+        ({"op": "other", "index": 1, "weight": 0.5}, "expects op 'pair'"),
+        ({"index": 1, "weight": 0.5}, "expects op 'pair'"),
+        ({"op": "pair", "index": True, "weight": 0.5},
+         "'index' must be int"),
+        ({"op": "pair", "index": 1.0, "weight": 0.5},
+         "'index' must be int"),
+        ({"op": "pair", "index": 1, "weight": "0.5"},
+         "'weight' must be float"),
+        ({"op": "pair", "index": 1, "weight": False},
+         "'weight' must be float"),
+        ({"op": "pair", "index": 1, "weight": 0.5, "points": [[1]]},
+         r"'points\[\]' must have 2 items"),
+        ({"op": "pair", "index": 1, "weight": 0.5, "points": [[1, "x"]]},
+         r"'points\[\]\[\]' must be float"),
+        ({"op": "pair", "index": 1, "weight": 0.5, "note": 3},
+         "'note' must be str"),
+        ([1, 2], "must be a mapping"),
+    ])
+    def test_rejections_name_the_field(self, doc, match):
+        with pytest.raises(DataError, match=match):
+            from_wire(Pair, doc)
+
+    def test_nested_field_is_named_by_its_path(self):
+        doc = to_wire(plan_result())
+        doc["route"]["stops"][1] = 1.5
+        match = r"'route\.stops\[\]' must be int"
+        with pytest.raises(DataError, match=match):
+            from_wire(PlanResult, doc)
+
+
+# ----------------------------------------------------------------------
+# The doors
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def plan_server():
+    server = PlanServer(secret=SECRET)
+    server.start_in_thread()
+    yield server
+    server.shutdown()
+
+
+PLAN_WITH_TYPO = {
+    "scenario": scenario_spec(Scenario(name="typo", method="eta-pre")),
+    "base_confg": {"k": 3},
+}
+
+
+class TestStrictDoors:
+    """A misspelled key is refused by name, not planned with defaults."""
+
+    def test_frame_door_refuses_unknown_plan_key(self, plan_server):
+        with connect_authenticated(plan_server.address, SECRET) as sock:
+            send_frame(sock, {
+                "op": "plan", "protocol": PROTOCOL_VERSION, **PLAN_WITH_TYPO,
+            })
+            error = recv_frame(sock)
+        assert error["op"] == "error"
+        assert "base_confg" in error["error"]
+
+    def test_http_door_answers_400_naming_the_key(self, plan_server):
+        http_server = build_http_server(plan_server, "127.0.0.1", 0)
+        thread = threading.Thread(
+            target=http_server.serve_forever, daemon=True
+        )
+        thread.start()
+        try:
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{http_server.server_address[1]}/plan",
+                data=json.dumps(PLAN_WITH_TYPO).encode(),
+                headers={"Authorization": f"Bearer {http_token(SECRET)}"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(request, timeout=30)
+            assert err.value.code == 400
+            assert "base_confg" in json.loads(err.value.read())["error"]
+        finally:
+            http_server.shutdown()
+            http_server.server_close()
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
+    def test_fractional_outcome_index_marks_worker_faulty(self):
+        # Truncating "index": 0.7 to 0 would commit the outcome to a grid
+        # position the worker never named.
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+
+        def fractional_worker():
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return  # the test ended without connecting
+            with conn:
+                try:
+                    if not server_handshake(conn, None):
+                        return
+                    job = recv_frame(conn)
+                    for item in job["scenarios"]:
+                        scenario = scenario_from_spec(item["scenario"])
+                        record = OutcomeRecord.of(
+                            failure_outcome(scenario, ValueError("x"))
+                        )
+                        send_frame(conn, {
+                            "op": "outcome",
+                            "index": item["index"] + 0.7,
+                            "record": to_wire(record),
+                        })
+                    send_frame(conn, {
+                        "op": "done", "n_executed": len(job["scenarios"]),
+                    })
+                except (OSError, RemoteProtocolError):
+                    pass
+
+        thread = threading.Thread(target=fractional_worker, daemon=True)
+        thread.start()
+        try:
+            host, port = listener.getsockname()[:2]
+            backend = RemoteBackend(addresses=[f"{host}:{port}"])
+            with pytest.raises(PlanningError, match="'index' must be int"):
+                backend.run([Scenario(name="a")])
+        finally:
+            listener.close()
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()
