@@ -10,7 +10,6 @@ from repro.analysis.rules import (  # noqa: F401  (imported to register)
     atomic_writes,
     blocking_locks,
     cache_key,
-    callback_thread,
     determinism,
     lock_discipline,
     lock_ordering,

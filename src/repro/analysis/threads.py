@@ -1,6 +1,6 @@
 """Thread-entry map: which functions run on which thread.
 
-The concurrency rules (RPR006/RPR009) need to know, for every function
+The lock-discipline rule (RPR006) needs to know, for every function
 in the project, the set of *entry identities* it may execute under. An
 entry is either ``("main", "")`` — reachable by calling public API from
 the importing thread — or ``("thread"|"pool", "<relpath>:<qualname>")``
@@ -18,7 +18,8 @@ unannotated receivers stay unresolved — silence, not guessing, keeps
 the map free of false edges.
 
 The model is computed once per :class:`AnalysisContext` and memoised on
-it, since every rule in the concurrency pack consumes it.
+it, since every flow rule consumes it: RPR006 for the runs-on sets,
+RPR007, RPR008 and RPR010 for its call resolution and class relations.
 """
 
 from __future__ import annotations
@@ -144,13 +145,6 @@ class ThreadModel:
         self, key: "tuple[str, str]"
     ) -> "frozenset[tuple[str, str]]":
         return self.runs_on.get(key, frozenset())
-
-    def threaded_entries(
-        self, key: "tuple[str, str]"
-    ) -> "frozenset[tuple[str, str]]":
-        return frozenset(
-            e for e in self.entries_for(key) if e[0] in ("thread", "pool")
-        )
 
 
 def thread_model(ctx: AnalysisContext) -> ThreadModel:

@@ -11,23 +11,26 @@ invocations.
 Execution backends
 ------------------
 Execution strategy is pluggable (``SweepRunner(backend=...)``, CLI
-``--backend``). A backend is any object with ``name``,
-``effective_workers(n_scenarios)``, and
-``run(scenarios, base_config, cache_dir)`` returning one
-:class:`ScenarioOutcome` per scenario in input order; every backend
+``--backend``). A backend is an :class:`ExecutionBackend` with
+``name``, ``effective_workers(n_scenarios)``, and a generator
+``outcomes(scenarios, base_config, cache_dir)`` that yields one
+``(index, outcome)`` pair per scenario as each finishes. Callers use
+the inherited ``run(scenarios, base_config, cache_dir, on_outcome)``,
+the one consumer of that generator: it returns one
+:class:`ScenarioOutcome` per scenario in input order. Every backend
 plans through :func:`execute_scenario`, so results are bit-identical
 across backends (the oracle contract). Four ship today:
 
 * ``serial`` — in-process loop; fail-fast; the reference semantics.
-* ``process`` — one task per scenario on a ``ProcessPoolExecutor``;
-  fail-fast (the PR 1 path, still the default). A fail-fast abort
-  cancels still-queued scenarios (``cancel_futures``) instead of
-  letting them run to completion behind the caller's back.
 * ``sharded`` — the grid is chunked into per-worker shards (one task
   per shard amortizes dataset construction and pickling), submitted
-  asynchronously, with per-scenario failure isolation: a raising
-  scenario becomes a failure outcome (``outcome.error`` set) instead of
-  killing the sweep.
+  asynchronously to a process pool, with per-scenario failure
+  isolation: a raising scenario becomes a failure outcome
+  (``outcome.error`` set) instead of killing the sweep.
+* ``process`` — the sharded pool loop with one-scenario shards and no
+  failure isolation: one task per scenario, fail-fast (the default). A
+  fail-fast abort cancels still-queued scenarios (``cancel_futures``)
+  instead of letting them run to completion behind the caller's back.
 * ``remote`` — the same contract over TCP worker daemons
   (``repro worker serve``): the grid is sharded across workers, outcome
   frames stream back as scenarios finish (so ``--stream``/``--resume``
@@ -67,13 +70,14 @@ streaming records below share one :data:`SCHEMA_VERSION` constant
 
 Streaming results and resumable sweeps
 --------------------------------------
-Backends expose an event channel: ``run(..., on_outcome=...)`` invokes
-the callback in the parent as each scenario finishes, and
-:meth:`SweepRunner.run_stream` turns that into an append-only JSONL
-stream (:class:`StreamWriter`) — one flushed ``scenario`` record per
-completed scenario, then a terminal ``summary`` record with the
-:class:`SweepReport` header fields. Each record carries a
-``(scenario-key, cache-key)`` identity pair
+``run(..., on_outcome=...)`` is the event channel: it invokes the
+callback on the calling thread as each pair comes out of the backend's
+generator (and closes the generator, cancelling queued work, if the
+callback raises). :meth:`SweepRunner.run_stream` turns that into an
+append-only JSONL stream (:class:`StreamWriter`) — one flushed
+``scenario`` record per completed scenario, then a terminal
+``summary`` record with the :class:`SweepReport` header fields. Each
+record carries a ``(scenario-key, cache-key)`` identity pair
 (:func:`~repro.sweep.scenario.scenario_key` over the resolved spec +
 config; the content-addressed precompute key), which makes interrupted
 sweeps **resumable**: ``run_stream(..., resume=True)`` reloads the
@@ -103,12 +107,11 @@ config)``:
   stop coordinates / road affiliations / edges / lengths / road paths,
   and route stop sequences. Any demand, edge, or weight perturbation
   changes the key; dataset *names* do not participate.
-* **precompute-relevant config** — exactly
-  :data:`repro.core.precompute.PRECOMPUTE_CONFIG_FIELDS`
-  (``tau_km``, ``increment_mode``, ``n_probes``, ``lanczos_steps``,
-  ``seed``). Search knobs such as ``k``, ``w``, and ``seed_count`` are
-  *excluded by design*: a whole parameter sweep shares one warm entry,
-  with the cheap derived state re-derived per scenario (the
+* **precompute-relevant config** — exactly the fields named in
+  :data:`repro.core.precompute.PRECOMPUTE_CONFIG_FIELDS`. Search knobs
+  such as ``k``, ``w``, and ``seed_count`` are *excluded by design*: a
+  whole parameter sweep shares one warm entry, with the cheap derived
+  state re-derived per scenario (the
   :func:`repro.core.precompute.rebind` contract).
 
 Artifact layout

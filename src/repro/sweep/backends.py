@@ -9,63 +9,72 @@ is registered by name in :func:`resolve_backend`.
 
 Backend contract
 ----------------
-A backend is any object with:
+A backend is an :class:`ExecutionBackend` subclass with:
 
 ``name``
     Short identifier used in reports and the CLI (``--backend <name>``).
 ``effective_workers(n_scenarios)``
     The worker-process count the backend would use for a grid of that
     size (``1`` means fully in-process).
-``run(scenarios, base_config, cache_dir, on_outcome=None)``
-    Execute already-*resolved* scenarios and return one
-    :class:`~repro.sweep.runner.ScenarioOutcome` per scenario **in input
-    order**. Workers must plan through
-    :func:`~repro.sweep.runner.execute_scenario` so results stay
-    bit-identical to serial planner-facade calls (the oracle contract).
+``outcomes(scenarios, base_config, cache_dir)``
+    A generator that executes already-*resolved* scenarios and yields
+    one ``(index, outcome)`` pair per scenario as each finishes, where
+    ``index`` is the scenario's position in the input list. Workers
+    must plan through :func:`~repro.sweep.runner.execute_scenario` so
+    results stay bit-identical to serial planner-facade calls (the
+    oracle contract). Cancellation is the generator's own cleanup:
+    closed mid-iteration, a backend cancels its queued work.
+
+Callers use the inherited :meth:`ExecutionBackend.run`, the single
+consumer of ``outcomes()``: it returns one
+:class:`~repro.sweep.runner.ScenarioOutcome` per scenario **in input
+order**.
 
 Streaming event channel
 -----------------------
-``on_outcome`` is the streaming side-channel: when given, the backend
-calls ``on_outcome(index, outcome)`` in the *parent* process as each
-scenario finishes, where ``index`` is the scenario's position in the
-input list. Callbacks fire in completion order (which is input order
-only for :class:`SerialBackend`); each index fires exactly once. The
-sharded backend reports per scenario but with per-shard granularity —
-a shard's outcomes are delivered together when the shard returns. The
-returned list is unchanged by streaming, so callers that ignore
-``on_outcome`` see the PR 2 contract verbatim. A callback that raises
-aborts the sweep (it is the caller's transport, e.g. a
+``run(..., on_outcome=...)`` calls ``on_outcome(index, outcome)`` as
+each pair arrives — on the caller's thread, because that is where
+``run`` iterates the generator. Callbacks fire in completion order
+(which is input order only for :class:`SerialBackend`); each index
+fires once, with the object the returned list holds. The pool backends
+deliver with per-shard granularity — a shard's outcomes arrive
+together when its task returns. A callback that raises aborts the
+sweep (it is the caller's transport, e.g. a
 :class:`~repro.sweep.report.StreamWriter`, and a broken transport is a
-real error).
+real error): ``run`` closes the generator, which cancels the backend's
+queued work, and re-raises.
 
 Failure semantics
 -----------------
 :class:`SerialBackend` and :class:`ProcessBackend` are fail-fast: a
-scenario that raises mid-sweep propagates and aborts the run (the PR 1
-behavior). :class:`ShardedBackend` isolates failures per scenario: a
-raising scenario yields a failure outcome (``outcome.error`` set, empty
-``results``) and the rest of its shard — and every other shard — still
-completes. Grid-level validation errors are raised by
-:meth:`SweepRunner.resolve` before any backend runs, so backend-level
-failures are genuine runtime errors (infeasible constraints, corrupt
-datasets, worker crashes).
+scenario that raises mid-sweep propagates and aborts the run, and the
+pool cancels its still-queued scenarios. :class:`ShardedBackend`
+isolates failures per scenario: a raising scenario yields a failure
+outcome (``outcome.error`` set, empty ``results``) and the rest of its
+shard — and every other shard — still completes. Grid-level validation
+errors are raised by :meth:`SweepRunner.resolve` before any backend
+runs, so backend-level failures are genuine runtime errors (infeasible
+constraints, corrupt datasets, worker crashes).
 
 Sharding
 --------
-:class:`ShardedBackend` chunks the grid into per-worker shards and
-submits **one task per shard** instead of one per scenario: dataset
-construction and argument pickling are amortized per shard (scenarios
-are grouped by ``(city, profile)`` first so a shard shares its worker's
-dataset cache), and the asynchronous ``submit``/``as_completed`` path
-lets fast shards return while slow ones still run. Outcomes are
-re-assembled into input order by scenario index.
+The two pool backends share one loop. :class:`ShardedBackend` chunks
+the grid into per-worker shards and submits **one task per shard**:
+dataset construction and argument pickling are amortized per shard
+(scenarios are grouped by ``(city, profile)`` first so a shard shares
+its worker's dataset cache), and the asynchronous
+``submit``/``as_completed`` path lets fast shards return while slow
+ones still run. :class:`ProcessBackend` is the same loop declared with
+one-scenario shards and a shard task that does not isolate failures.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from contextlib import closing
+from dataclasses import dataclass, field
+from typing import Generator
 
 from repro.core.config import PlannerConfig
 from repro.sweep.runner import ScenarioOutcome, execute_scenario
@@ -103,18 +112,23 @@ def execute_shard(
     indexed_scenarios,
     base_config: "PlannerConfig | None" = None,
     cache_dir: "str | None" = None,
+    isolate: bool = True,
 ):
     """Run one shard of ``(index, scenario)`` pairs (worker entry point).
 
-    Each scenario is isolated: an exception becomes a failure outcome
-    instead of killing the shard. Returns ``(index, outcome)`` pairs in
-    shard order; the backend re-assembles global order from the indices.
+    With ``isolate`` each scenario is isolated: an exception becomes a
+    failure outcome instead of killing the shard. Without it the first
+    raising scenario propagates (the fail-fast ``process`` task).
+    Returns ``(index, outcome)`` pairs in shard order; the caller
+    re-assembles global order from the indices.
     """
     pairs = []
     for index, scenario in indexed_scenarios:
         try:
             outcome = execute_scenario(scenario, base_config, cache_dir)
         except Exception as exc:  # noqa: BLE001 — isolation is the point
+            if not isolate:
+                raise
             outcome = failure_outcome(scenario, exc)
         pairs.append((index, outcome))
     return pairs
@@ -222,6 +236,18 @@ class ExecutionBackend:
     def effective_workers(self, n_scenarios: int) -> int:
         raise NotImplementedError
 
+    def outcomes(
+        self,
+        scenarios,
+        base_config: "PlannerConfig | None" = None,
+        cache_dir: "str | None" = None,
+    ) -> Generator[tuple[int, ScenarioOutcome], None, None]:
+        """Yield ``(index, outcome)`` once per scenario as each finishes.
+
+        Closing the generator early must cancel the work still queued.
+        """
+        raise NotImplementedError
+
     def run(
         self,
         scenarios,
@@ -229,7 +255,20 @@ class ExecutionBackend:
         cache_dir: "str | None" = None,
         on_outcome=None,
     ) -> list[ScenarioOutcome]:
-        raise NotImplementedError
+        """Execute ``scenarios``; one outcome each, in input order.
+
+        ``on_outcome(index, outcome)`` fires on this thread as each
+        scenario finishes. If it (or the backend) raises, the
+        :meth:`outcomes` generator is closed — cancelling the queued
+        work — before the error propagates.
+        """
+        outcomes: list = [None] * len(scenarios)
+        with closing(self.outcomes(scenarios, base_config, cache_dir)) as pairs:
+            for index, outcome in pairs:
+                if on_outcome is not None:
+                    on_outcome(index, outcome)
+                outcomes[index] = outcome
+        return outcomes
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -241,7 +280,7 @@ class SerialBackend(ExecutionBackend):
 
     The reference semantics every other backend must match — and the
     cheapest choice for single-scenario grids or debugging (no pool, no
-    pickling, real tracebacks). Streaming callbacks fire in input order.
+    pickling, real tracebacks). Outcomes arrive in input order.
     """
 
     name = "serial"
@@ -249,64 +288,9 @@ class SerialBackend(ExecutionBackend):
     def effective_workers(self, n_scenarios: int) -> int:
         return 1
 
-    def run(self, scenarios, base_config=None, cache_dir=None, on_outcome=None):
-        outcomes = []
+    def outcomes(self, scenarios, base_config=None, cache_dir=None):
         for index, scenario in enumerate(scenarios):
-            outcome = execute_scenario(scenario, base_config, cache_dir)
-            if on_outcome is not None:
-                on_outcome(index, outcome)
-            outcomes.append(outcome)
-        return outcomes
-
-
-@dataclass(repr=False)
-class ProcessBackend(ExecutionBackend):
-    """One task per scenario over a ``ProcessPoolExecutor``; fail-fast.
-
-    The PR 1 execution path. Falls back to the serial loop when one
-    worker (or one scenario) makes a pool pointless. Tasks are submitted
-    individually and gathered with ``as_completed``, so streaming
-    callbacks fire as soon as each scenario's worker returns.
-    """
-
-    name = "process"
-    workers: "int | None" = None
-
-    def effective_workers(self, n_scenarios: int) -> int:
-        if n_scenarios <= 1:
-            return 1
-        return _auto_workers(n_scenarios, self.workers)
-
-    def run(self, scenarios, base_config=None, cache_dir=None, on_outcome=None):
-        n_workers = self.effective_workers(len(scenarios))
-        if n_workers <= 1:
-            return SerialBackend().run(
-                scenarios, base_config, cache_dir, on_outcome
-            )
-        outcomes: list["ScenarioOutcome | None"] = [None] * len(scenarios)
-        pool = ProcessPoolExecutor(max_workers=n_workers)
-        try:
-            futures = {
-                pool.submit(execute_scenario, scenario, base_config, cache_dir): i
-                for i, scenario in enumerate(scenarios)
-            }
-            for fut in as_completed(futures):
-                index = futures[fut]
-                outcome = fut.result()  # fail-fast: a raise aborts the sweep
-                if on_outcome is not None:
-                    on_outcome(index, outcome)
-                outcomes[index] = outcome
-        except BaseException:
-            # A fail-fast abort must not let already-queued scenarios run
-            # to completion behind the caller's back: cancel everything
-            # still pending, wait out the few tasks already executing,
-            # and only then propagate. (A stream transported through
-            # ``on_outcome`` is left summary-less — exactly the prefix
-            # ``read_stream``/``--resume`` are specified to consume.)
-            pool.shutdown(wait=True, cancel_futures=True)
-            raise
-        pool.shutdown(wait=True)
-        return outcomes
+            yield index, execute_scenario(scenario, base_config, cache_dir)
 
 
 @dataclass(repr=False)
@@ -317,59 +301,65 @@ class ShardedBackend(ExecutionBackend):
     shard — so dataset construction and pickling are paid per shard, not
     per scenario. Shards are submitted asynchronously and gathered with
     ``as_completed``; a scenario that raises becomes a failure outcome
-    (``error`` set) without killing its shard or the sweep.
+    (``error`` set) without killing its shard or the sweep. One worker
+    (or one shard) runs the shards in-process instead of starting a
+    pool.
 
     ``shard_size`` fixes the scenarios-per-shard (default:
-    ``ceil(n / workers)``, i.e. exactly one shard per worker).
-    Streaming callbacks fire with per-shard granularity: a shard's
-    outcomes are delivered (per scenario, in shard order) when the
-    shard's task completes.
+    ``ceil(n / workers)``, i.e. exactly one shard per worker). A
+    shard's outcomes arrive together, in shard order, when its task
+    completes.
     """
 
     name = "sharded"
     workers: "int | None" = None
     shard_size: "int | None" = None
+    isolate_failures = True
+    """Whether a raising scenario becomes a failure outcome, or aborts
+    the sweep (the ``process`` declaration)."""
 
     def effective_workers(self, n_scenarios: int) -> int:
         if n_scenarios <= 1:
             return 1
         return _auto_workers(n_scenarios, self.workers)
 
-    def run(self, scenarios, base_config=None, cache_dir=None, on_outcome=None):
-        n = len(scenarios)
-        n_workers = self.effective_workers(n)
+    def outcomes(self, scenarios, base_config=None, cache_dir=None):
+        n_workers = self.effective_workers(len(scenarios))
         shards = make_shards(scenarios, n_workers, self.shard_size)
-        pairs = []
+        args = (base_config, cache_dir, self.isolate_failures)
         if n_workers <= 1 or len(shards) <= 1:
             for shard in shards:
-                for pair in execute_shard(shard, base_config, cache_dir):
-                    if on_outcome is not None:
-                        on_outcome(*pair)
-                    pairs.append(pair)
-        else:
-            pool = ProcessPoolExecutor(max_workers=n_workers)
-            try:
-                futures = [
-                    pool.submit(execute_shard, shard, base_config, cache_dir)
-                    for shard in shards
-                ]
-                for fut in as_completed(futures):
-                    for pair in fut.result():
-                        if on_outcome is not None:
-                            on_outcome(*pair)
-                        pairs.append(pair)
-            except BaseException:
-                # Scenario failures are isolated worker-side, so reaching
-                # here means the transport (an ``on_outcome`` callback)
-                # or the pool itself broke: cancel the undispatched
-                # shards instead of letting them run on.
-                pool.shutdown(wait=True, cancel_futures=True)
-                raise
-            pool.shutdown(wait=True)
-        outcomes: list["ScenarioOutcome | None"] = [None] * n
-        for index, outcome in pairs:
-            outcomes[index] = outcome
-        return outcomes
+                yield from execute_shard(shard, *args)
+            return
+        pool = ProcessPoolExecutor(max_workers=n_workers)
+        try:
+            futures = [
+                pool.submit(execute_shard, shard, *args) for shard in shards
+            ]
+            for future in as_completed(futures):
+                yield from future.result()
+        finally:
+            # Nothing is queued after a clean finish. After an abort — a
+            # fail-fast scenario, a broken pool, or the consumer closing
+            # this generator — cancel the undispatched shards instead of
+            # letting them run on behind the caller's back, and wait out
+            # the ones already executing.
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+@dataclass(repr=False)
+class ProcessBackend(ShardedBackend):
+    """One task per scenario over a process pool; fail-fast; the default.
+
+    A declaration over the :class:`ShardedBackend` loop: every shard is
+    a single scenario, and the shard task lets a raising scenario
+    propagate, so the sweep aborts and the still-queued scenarios are
+    cancelled. ``workers`` is its only setting.
+    """
+
+    name = "process"
+    shard_size: "int | None" = field(default=1, init=False)
+    isolate_failures = False
 
 
 BACKENDS = {

@@ -9,11 +9,10 @@ The cache key is ``sha256(dataset fingerprint || config fingerprint)``:
   perturbation of demand, graph structure, or edge weights therefore
   changes the key. Dataset *names* are deliberately excluded: two
   builds with identical content share artifacts.
-* the **config fingerprint** hashes only
-  :data:`repro.core.precompute.PRECOMPUTE_CONFIG_FIELDS`
-  (``tau_km``, ``increment_mode``, ``n_probes``, ``lanczos_steps``,
-  ``seed``). Search-side knobs (``k``, ``w``, ``seed_count``, ...) are
-  excluded so a whole parameter sweep hits one warm entry.
+* the **config fingerprint** hashes only the fields named in
+  :data:`repro.core.precompute.PRECOMPUTE_CONFIG_FIELDS`. Search-side
+  knobs (``k``, ``w``, ``seed_count``, ...) are excluded so a whole
+  parameter sweep hits one warm entry.
 
 Artifacts live flat in the cache directory as ``<key>.npz`` +
 ``<key>.json`` (see :meth:`repro.core.precompute.Precomputation.save`).

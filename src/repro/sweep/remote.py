@@ -100,10 +100,12 @@ Two distinct failure domains:
   scenarios are requeued and picked up by the surviving workers, and
   the dead worker is not retried within the run. Only when every
   worker is dead with scenarios still unfinished (and, with a
-  registry, no replacement joins within the grace window) does ``run``
-  raise — and since streamed outcomes were already delivered to
-  ``on_outcome``, a ``--stream`` file keeps its committed prefix and
-  ``--resume`` finishes the sweep once workers are back.
+  registry, no replacement joins within the grace window) does the
+  sweep raise — and since streamed outcomes were already yielded, a
+  ``--stream`` file keeps its committed prefix and ``--resume``
+  finishes the sweep once workers are back. A worker that answers an
+  index twice, or one outside its shard, is a faulty worker like any
+  other protocol violation.
 
 Cache locality: each daemon uses its **own** ``--cache-dir`` (the
 parent's is not shipped); daemons on one machine may share a directory
@@ -128,7 +130,7 @@ from typing import TYPE_CHECKING, ClassVar
 from repro.core.config import PlannerConfig
 from repro.sweep.backends import ExecutionBackend, failure_outcome, make_shards
 from repro.sweep.report import OutcomeRecord
-from repro.sweep.runner import ScenarioOutcome, execute_scenario
+from repro.sweep.runner import execute_scenario
 from repro.sweep.scenario import scenario_from_spec, scenario_spec
 from repro.utils.errors import DataError, PlanningError
 from repro.utils.wire import from_wire, to_wire
@@ -969,12 +971,13 @@ class RemoteBackend(ExecutionBackend):
     with the executing worker (``ScenarioOutcome.worker``).
     ``shard_size`` switches to uniform queue-pulled chunks (tighter
     rebalancing at the cost of more round-trips, no weighted split).
-    ``on_outcome`` fires in the parent — from the caller's thread,
-    serialized — so ``--stream``/``--resume`` work unchanged. Scenario
-    failures are isolated worker-side; a worker that dies mid-shard
-    has its unfinished scenarios rebalanced onto the survivors
-    proportionally to the surviving weights (see the module docstring
-    for the full rules).
+    Driver threads hand outcomes to :meth:`outcomes` through a queue,
+    and it yields them on the consumer's thread, so
+    ``--stream``/``--resume`` work unchanged. Scenario failures are
+    isolated worker-side; a worker that dies mid-shard has its
+    unfinished scenarios rebalanced onto the survivors proportionally
+    to the surviving weights (see the module docstring for the full
+    rules).
 
     ``connect_timeout`` bounds connection establishment and the
     handshake only; once a job is streaming there is no read deadline
@@ -1144,11 +1147,11 @@ class RemoteBackend(ExecutionBackend):
         return max(min(len(self._resolve_roster()), max(n_scenarios, 1)), 1)
 
     # ------------------------------------------------------------------
-    def run(self, scenarios, base_config=None, cache_dir=None, on_outcome=None):
+    def outcomes(self, scenarios, base_config=None, cache_dir=None):
         roster = self._resolve_roster()
         n = len(scenarios)
         if n == 0:
-            return []
+            return
         config_doc = None if base_config is None else asdict(base_config)
         if self.shard_size is None:
             # Capacity-weighted initial distribution: one contiguous
@@ -1193,7 +1196,6 @@ class RemoteBackend(ExecutionBackend):
         for (address, weight), shard in zip(roster, initial):
             spawn(address, weight, shard)
 
-        outcomes: list["ScenarioOutcome | None"] = [None] * n
         n_done = 0
         dead: dict = {}
         poll_at = time.monotonic() + self.registry_poll
@@ -1228,41 +1230,37 @@ class RemoteBackend(ExecutionBackend):
                         break
                 kind = event[0]
                 if kind == "outcome":
+                    # Each index arrives once: _run_shard refuses a
+                    # repeat, and a dead worker's requeue leaves out
+                    # what it already delivered.
                     _, index, outcome = event
-                    if outcomes[index] is None:
-                        n_done += 1
-                    outcomes[index] = outcome
-                    if on_outcome is not None:
-                        # Fired from this (the caller's) thread:
-                        # transports like StreamWriter need no locking
-                        # of their own.
-                        on_outcome(index, outcome)
+                    n_done += 1
+                    yield index, outcome
                 else:  # ("dead", address, error)
                     _, address, error = event
                     dead[format_address(address)] = error
         except BaseException:
-            # Abort (typically a broken on_outcome transport): empty the
-            # work queue so driver threads stop after their in-flight
-            # shard instead of executing the rest of the grid on workers
-            # behind the caller's back — the same queued-work
-            # cancellation the pool backends apply on abort.
+            # Abort (typically the consumer closing this generator after
+            # a broken on_outcome transport): empty the work queue so
+            # driver threads stop after their in-flight shard instead of
+            # executing the rest of the grid on workers behind the
+            # caller's back — the queued-work cancellation the pool
+            # backends apply on abort.
             work.drain()
             raise
         for thread in threads:
             thread.join()
         if n_done < n:
             unfinished = work.drain()
-            missing = [i for i, o in enumerate(outcomes) if o is None]
             failures = "; ".join(
                 f"{addr}: {err}" for addr, err in dead.items()
             )
             raise PlanningError(
                 f"remote sweep failed: all {len(threads)} workers "
-                f"died with {len(missing)} of {n} scenarios unfinished "
+                f"died with {n - n_done} of {n} scenarios unfinished "
                 f"({len(unfinished)} still queued). Worker errors: "
                 f"{failures or 'none recorded'}"
             )
-        return outcomes
 
     def _backfill(self, spawn, known: set) -> None:
         """Spawn drivers for registry workers we have not seen yet."""
@@ -1333,8 +1331,7 @@ class RemoteBackend(ExecutionBackend):
                     for index, scenario in shard
                 ),
             ))
-            by_index = {index: scenario for index, scenario in shard}
-            delivered: set = set()
+            undelivered = dict(shard)
             while True:
                 frame = recv_frame(sock)
                 if frame is None:
@@ -1344,26 +1341,28 @@ class RemoteBackend(ExecutionBackend):
                 op = frame.get("op")
                 if op == "outcome":
                     answer = decode_reply(OutcomeFrame, frame, peer)
-                    if answer.index not in by_index:
+                    # An index outside the shard, or one already
+                    # answered, is a faulty worker: a repeat would stream
+                    # a second record for one scenario.
+                    scenario = undelivered.pop(answer.index, None)
+                    if scenario is None:
                         raise RemoteProtocolError(
-                            f"worker answered for unknown scenario "
-                            f"index {answer.index}"
+                            f"worker answered for scenario index "
+                            f"{answer.index}, which is not an undelivered "
+                            f"index of its shard"
                         )
-                    delivered.add(answer.index)
-                    yield answer.index, answer.record.outcome(
-                        by_index[answer.index]
-                    )
+                    yield answer.index, answer.record.outcome(scenario)
                 elif op == "done":
                     decode_reply(DoneFrame, frame, peer)
-                    if delivered != set(by_index):
+                    if undelivered:
                         # A clean-looking finish that skipped scenarios
                         # is a faulty worker, not a finished shard —
                         # raising here requeues the leftovers onto the
                         # survivors instead of silently losing them.
                         raise RemoteProtocolError(
-                            f"worker finished a shard of {len(by_index)} "
+                            f"worker finished a shard of {len(shard)} "
                             f"scenarios but delivered only "
-                            f"{len(delivered)}"
+                            f"{len(shard) - len(undelivered)}"
                         )
                     return
                 elif op == "error":

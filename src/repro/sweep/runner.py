@@ -3,8 +3,8 @@
 :class:`SweepRunner` resolves a scenario grid (validation + seed
 policy), prewarms the shared cache, and hands execution to an
 :mod:`execution backend <repro.sweep.backends>` — serial, process-pool,
-or sharded. Each worker rebuilds its (deterministic) dataset, resolves
-the scenario's planner config, and plans through the regular
+sharded, or remote. Each worker rebuilds its (deterministic) dataset,
+resolves the scenario's planner config, and plans through the regular
 :class:`~repro.core.planner.CTBusPlanner` facade — so sweep results are
 *definitionally* the same as serial planner calls, which the oracle
 tests pin across every backend. A shared :class:`PrecomputationCache`
@@ -342,9 +342,9 @@ class SweepRunner:
         """Execute every scenario; outcomes keep the input order.
 
         ``on_outcome(index, outcome)`` — the streaming event channel —
-        is invoked in-process as each scenario completes (see the
-        :mod:`backend contract <repro.sweep.backends>` for ordering and
-        granularity); the prewarm cache-hit correction below is applied
+        is invoked on the calling thread as each scenario completes (see
+        the :mod:`backend contract <repro.sweep.backends>` for ordering
+        and granularity); the prewarm cache-hit correction is applied
         *before* the callback fires, so streamed records match the
         returned outcomes exactly.
 
@@ -377,22 +377,19 @@ class SweepRunner:
             else set()
         )
 
-        def _correct(index: int, outcome: ScenarioOutcome) -> ScenarioOutcome:
+        def _deliver(index: int, outcome: ScenarioOutcome) -> None:
             # The worker saw a warm entry only because the parent just
-            # computed it; report the scenario as the miss it was.
+            # computed it; report the scenario as the miss it was. This
+            # is the object backend.run returns, so the correction
+            # reaches the stream and the result list alike.
             if index in prewarmed and outcome.ok:
                 outcome.cache_hit = False
-            return outcome
+            if on_outcome is not None:
+                on_outcome(index, outcome)
 
-        callback = None
-        if on_outcome is not None:
-            callback = lambda i, o: on_outcome(i, _correct(i, o))  # noqa: E731
-        outcomes = backend.run(
-            resolved, self.base_config, self.cache_dir, callback
+        return backend.run(
+            resolved, self.base_config, self.cache_dir, _deliver
         )
-        for i in prewarmed:
-            _correct(i, outcomes[i])
-        return outcomes
 
     def run_stream(
         self,

@@ -484,21 +484,6 @@ class TestRPR008WireTaint:
         assert check("rpr008_clean").findings == []
 
 
-class TestRPR009CallbackThread:
-    def test_pool_thread_callback_pinned(self):
-        run = check("rpr009_violation", select=["RPR009"])
-        assert locations(run) == [
-            ("RPR009", "fabric/backend_bad.py", 10),
-        ]
-        message = run.findings[0].message
-        assert "'on_outcome' is invoked from" in message
-        assert "worker" in message
-        assert "queue" in message
-
-    def test_queue_drain_twin_is_clean(self):
-        assert check("rpr009_clean").findings == []
-
-
 class TestRPR010BlockingLocks:
     def test_blocking_under_lock_pinned(self):
         run = check("rpr010_violation", select=["RPR010"])

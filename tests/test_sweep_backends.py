@@ -7,6 +7,7 @@ per-scenario failures instead of killing the sweep.
 """
 
 import os
+import threading
 import time
 
 import pytest
@@ -15,6 +16,7 @@ from repro.core.config import PlannerConfig
 from repro.core.constraints import PlanningConstraints
 from repro.sweep import (
     BACKEND_NAMES,
+    ExecutionBackend,
     ProcessBackend,
     Scenario,
     SerialBackend,
@@ -118,6 +120,12 @@ class TestResolveBackend:
     def test_single_scenario_is_serial(self):
         for name in ("process", "sharded"):
             assert resolve_backend(name, workers=4).effective_workers(1) == 1
+
+    def test_process_shard_size_is_not_an_option(self):
+        # process runs the sharded loop with one-scenario shards; the
+        # size is part of what "process" means, not a constructor knob.
+        with pytest.raises(TypeError):
+            ProcessBackend(workers=2, shard_size=3)
 
 
 class TestWorkerValidation:
@@ -423,25 +431,75 @@ class TestFailFastAbort:
         assert executed < len(scenarios)
 
 
+class ScriptedBackend(ExecutionBackend):
+    """Yields a fixed script of ``(index, outcome)`` pairs and records
+    whether its consumer closed it early."""
+
+    name = "scripted"
+
+    def __init__(self, script):
+        self.script = script
+        self.cancelled = False
+
+    def effective_workers(self, n_scenarios):
+        return 1
+
+    def outcomes(self, scenarios, base_config=None, cache_dir=None):
+        try:
+            yield from self.script
+        except GeneratorExit:
+            self.cancelled = True
+            raise
+
+
+class TestRunConsumer:
+    """ExecutionBackend.run is the one consumer of outcomes(): it puts
+    them in input order and closes the generator when delivery fails."""
+
+    def test_returns_input_order(self):
+        backend = ScriptedBackend([(2, "c"), (0, "a"), (1, "b")])
+        assert backend.run(["x", "y", "z"]) == ["a", "b", "c"]
+        assert not backend.cancelled
+
+    def test_broken_callback_closes_the_generator(self):
+        backend = ScriptedBackend([(1, "b"), (0, "a")])
+
+        def broken_transport(index, outcome):
+            raise OSError("stream transport gone")
+
+        with pytest.raises(OSError, match="transport") as excinfo:
+            backend.run(["x", "y"], on_outcome=broken_transport)
+        # excinfo keeps run's frame, and so the generator, alive: only an
+        # explicit close can have run the backend's cancellation by now.
+        assert backend.cancelled
+
+
 class TestStreamingCallbacks:
-    """The on_outcome event channel: every index fires exactly once, in
-    the parent process, with the same object the result list returns."""
+    """The on_outcome event channel: every index fires exactly once, on
+    the calling thread, with the same object the result list returns."""
 
     @pytest.mark.parametrize("backend", LOCAL_BACKEND_NAMES)
     def test_each_index_fires_once_with_returned_outcome(
         self, backend, grid_scenarios, tmp_path
     ):
         events = []
+        callback_threads = set()
+
+        def on_outcome(index, outcome):
+            events.append((index, outcome))
+            callback_threads.add(threading.get_ident())
+
         runner = SweepRunner(
             base_config=BASE, cache_dir=str(tmp_path), workers=2,
             backend=backend,
         )
-        outcomes = runner.run(
-            grid_scenarios, on_outcome=lambda i, o: events.append((i, o))
-        )
+        outcomes = runner.run(grid_scenarios, on_outcome=on_outcome)
         assert sorted(i for i, _ in events) == list(range(len(grid_scenarios)))
         for index, outcome in events:
             assert outcome is outcomes[index]
+        # Consumers such as StreamWriter are single-threaded: the pool's
+        # own threads must never run the callback.
+        assert callback_threads == {threading.get_ident()}
 
     def test_serial_callbacks_in_input_order(self, grid_scenarios, tmp_path):
         order = []

@@ -12,6 +12,7 @@ workers return.
 
 import json
 import socket
+import threading
 
 import pytest
 
@@ -379,6 +380,22 @@ class TestRemoteOracle:
         assert sorted(i for i, _ in events) == list(range(len(grid_scenarios)))
         for index, outcome in events:
             assert outcome is outcomes[index]
+
+    def test_on_outcome_runs_on_the_calling_thread(
+        self, grid_scenarios, cache_dir, workers
+    ):
+        """Driver threads read the frames, but the callback must run on
+        the thread that called run: stream writers are single-threaded."""
+        callback_threads = set()
+        runner = SweepRunner(
+            base_config=BASE, cache_dir=cache_dir, backend="remote",
+            addresses=addresses_of(workers),
+        )
+        runner.run(
+            grid_scenarios,
+            on_outcome=lambda i, o: callback_threads.add(threading.get_ident()),
+        )
+        assert callback_threads == {threading.get_ident()}
 
     def test_parent_cache_is_not_prewarmed(
         self, grid_scenarios, tmp_path, workers

@@ -25,6 +25,7 @@ from repro.sweep import OutcomeRecord, RemoteBackend, Scenario
 from repro.sweep.backends import failure_outcome
 from repro.sweep.remote import (
     PROTOCOL_VERSION,
+    FrameServer,
     RemoteProtocolError,
     connect_authenticated,
     recv_frame,
@@ -123,6 +124,27 @@ def plan_server():
     server.shutdown()
 
 
+class CopyingWorker(FrameServer):
+    """Answers every job with failure outcomes, ``copies`` frames each."""
+
+    def __init__(self, copies: int):
+        super().__init__()
+        self.copies = copies
+
+    def handle_op(self, conn, frame) -> bool:
+        for item in frame["scenarios"]:
+            record = OutcomeRecord.of(failure_outcome(
+                scenario_from_spec(item["scenario"]), ValueError("x")
+            ))
+            for _ in range(self.copies):
+                send_frame(conn, {
+                    "op": "outcome", "index": item["index"],
+                    "record": to_wire(record),
+                })
+        send_frame(conn, {"op": "done", "n_executed": len(frame["scenarios"])})
+        return True
+
+
 PLAN_WITH_TYPO = {
     "scenario": scenario_spec(Scenario(name="typo", method="eta-pre")),
     "base_confg": {"k": 3},
@@ -207,3 +229,29 @@ class TestStrictDoors:
             listener.close()
             thread.join(timeout=5.0)
         assert not thread.is_alive()
+
+    def test_repeated_outcome_index_marks_worker_faulty(self):
+        # A second frame for one index would stream a second record for
+        # one scenario. The repeating worker is retired instead, and the
+        # scenario it never answered moves to the healthy worker.
+        repeater, healthy = CopyingWorker(copies=2), CopyingWorker(copies=1)
+        for server in (repeater, healthy):
+            server.start_in_thread()
+        delivered = []
+        try:
+            # Weights 1:1 over three scenarios: the repeater's initial
+            # shard is indices 0 and 1, the healthy worker's is 2.
+            backend = RemoteBackend(addresses=[
+                f"{server.host}:{server.port}" for server in (repeater, healthy)
+            ])
+            outcomes = backend.run(
+                [Scenario(name=name) for name in ("a", "b", "c")],
+                on_outcome=lambda i, o: delivered.append(i),
+            )
+        finally:
+            repeater.shutdown()
+            healthy.shutdown()
+        assert sorted(delivered) == [0, 1, 2]
+        assert [o.scenario.name for o in outcomes] == ["a", "b", "c"]
+        assert outcomes[0].worker == f"{repeater.host}:{repeater.port}"
+        assert outcomes[1].worker == f"{healthy.host}:{healthy.port}"
