@@ -370,31 +370,22 @@ class TestRemoteOracle:
         self, grid_scenarios, cache_dir, workers
     ):
         events = []
+        callback_threads = set()
+
+        def on_outcome(index, outcome):
+            events.append((index, outcome))
+            callback_threads.add(threading.get_ident())
+
         runner = SweepRunner(
             base_config=BASE, cache_dir=cache_dir, backend="remote",
             addresses=addresses_of(workers),
         )
-        outcomes = runner.run(
-            grid_scenarios, on_outcome=lambda i, o: events.append((i, o))
-        )
+        outcomes = runner.run(grid_scenarios, on_outcome=on_outcome)
         assert sorted(i for i, _ in events) == list(range(len(grid_scenarios)))
         for index, outcome in events:
             assert outcome is outcomes[index]
-
-    def test_on_outcome_runs_on_the_calling_thread(
-        self, grid_scenarios, cache_dir, workers
-    ):
-        """Driver threads read the frames, but the callback must run on
-        the thread that called run: stream writers are single-threaded."""
-        callback_threads = set()
-        runner = SweepRunner(
-            base_config=BASE, cache_dir=cache_dir, backend="remote",
-            addresses=addresses_of(workers),
-        )
-        runner.run(
-            grid_scenarios,
-            on_outcome=lambda i, o: callback_threads.add(threading.get_ident()),
-        )
+        # Driver threads read the frames, but stream writers are
+        # single-threaded: the callback must run on the calling thread.
         assert callback_threads == {threading.get_ident()}
 
     def test_parent_cache_is_not_prewarmed(
