@@ -19,13 +19,20 @@ a seed:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.network.geometry import euclidean, nearest_vertices
 from repro.network.road import RoadNetwork
-from repro.network.shortest_path import dijkstra, reconstruct_vertex_path
+from repro.network.shortest_path import (
+    dijkstra,
+    path_weight,
+    reconstruct_edge_path,
+    reconstruct_vertex_path,
+    shortest_path_forest,
+)
 from repro.network.transit import TransitNetwork
 from repro.trajectory.trips import TripRecord
 from repro.utils.errors import DataError
@@ -86,10 +93,9 @@ class Hotspots:
     centers: np.ndarray  # (h, 2)
     weights: np.ndarray  # (h,)
     n_transit: int = 0
-    _trip_dists: dict = field(default_factory=dict, repr=False, compare=False)
-    """Normalized skewed distributions keyed by concentration — computing
-    ``w**c / sum`` once per exponent instead of once per sampled trip
-    (the probabilities are identical, so the rng draws are unchanged)."""
+    _trip_cdfs: dict = field(default_factory=dict, repr=False, compare=False)
+    """Cumulative skewed distributions keyed by concentration, computed
+    once per exponent instead of once per sampled trip."""
 
     def __post_init__(self) -> None:
         if self.n_transit <= 0 or self.n_transit > len(self.weights):
@@ -102,14 +108,21 @@ class Hotspots:
         return int(rng.choice(len(self.weights), p=self.weights))
 
     def sample_trip_center(self, rng: np.random.Generator, concentration: float) -> int:
-        """Sample with weights raised to ``concentration`` (taxi skew)."""
+        """Sample with weights raised to ``concentration`` (taxi skew).
+
+        The draw is ``rng.choice(len(p), p=p)`` without its per-call
+        validation: the same normalized CDF, one ``rng.random()`` and a
+        right bisection, so it returns the same index and consumes the
+        same stream.
+        """
         key = float(concentration)
-        p = self._trip_dists.get(key)
-        if p is None:
+        cdf = self._trip_cdfs.get(key)
+        if cdf is None:
             w = self.weights ** max(key, 0.0)
-            p = w / w.sum()
-            self._trip_dists[key] = p
-        return int(rng.choice(len(p), p=p))
+            acc = np.cumsum(w / w.sum())
+            acc /= acc[-1]
+            cdf = self._trip_cdfs[key] = acc.tolist()
+        return bisect_right(cdf, rng.random())
 
 
 def generate_road_network(cfg: SynthConfig) -> RoadNetwork:
@@ -296,18 +309,16 @@ def generate_trips(
     coords = road.coords
 
     # Sample all endpoints first (the rng call order per trip is part of
-    # the dataset contract), then snap them to road vertices in one
-    # vectorized pass — snapping consumes no randomness.
-    points = np.empty((2 * cfg.n_trips, 2))
+    # the dataset contract), then place and snap them to road vertices in
+    # one vectorized pass — neither consumes randomness. One size-4 normal
+    # draw is the pickup's and the dropoff's size-2 draws in a row.
+    centers: list[int] = []
+    offsets = np.empty((cfg.n_trips, 4))
     for i in range(cfg.n_trips):
-        ha = hotspots.sample_trip_center(rng, cfg.trip_concentration)
-        hb = hotspots.sample_trip_center(rng, cfg.trip_concentration)
-        points[2 * i] = hotspots.centers[ha] + rng.normal(
-            0.0, cfg.hotspot_sigma_km, 2
-        )
-        points[2 * i + 1] = hotspots.centers[hb] + rng.normal(
-            0.0, cfg.hotspot_sigma_km, 2
-        )
+        centers.append(hotspots.sample_trip_center(rng, cfg.trip_concentration))
+        centers.append(hotspots.sample_trip_center(rng, cfg.trip_concentration))
+        offsets[i] = rng.normal(0.0, cfg.hotspot_sigma_km, 4)
+    points = hotspots.centers[centers] + offsets.reshape(-1, 2)
     snapped = nearest_vertices(coords, points)
     od_pairs = [
         (int(va), int(vb))
@@ -315,25 +326,25 @@ def generate_trips(
         if va != vb
     ]
 
-    # Group by origin: one Dijkstra per distinct pickup vertex.
+    # Group by origin: one shortest-path tree per distinct pickup vertex.
     by_origin: dict[int, list[int]] = {}
     for va, vb in od_pairs:
         by_origin.setdefault(va, []).append(vb)
 
-    adj = road.adjacency_lists("length")
+    times = road.edge_travel_times().tolist()
+    forest = shortest_path_forest(
+        road.n_vertices, road.edge_list(), road.edge_lengths(), list(by_origin)
+    )
     trips: list[TripRecord] = []
-    for origin, dests in by_origin.items():
-        dist, pred_v, pred_e = dijkstra(adj, origin, targets=set(dests))
-        for dest in dests:
+    for origin, dist, pred_v, pred_e in forest:
+        for dest in by_origin[origin]:
             d = dist[dest]
             if math.isinf(d) or d <= 0:
                 continue
-            edges = _walk_edges(pred_v, pred_e, origin, dest)
-            if edges is None:
-                continue
-            t = sum(road.edge_travel_time(e) for e in edges)
+            t = path_weight(times, reconstruct_edge_path(pred_v, pred_e, origin, dest))
             if rng.random() < cfg.trip_reject_fraction:
-                eps = rng.uniform(0.15, 0.5) * rng.choice([-1.0, 1.0])
+                # The draw rng.choice([-1.0, 1.0]) makes, without its overhead.
+                eps = rng.uniform(0.15, 0.5) * (-1.0, 1.0)[rng.integers(0, 2)]
             else:
                 eps = rng.normal(0.0, cfg.trip_noise)
             trips.append(
@@ -346,17 +357,3 @@ def generate_trips(
             )
     return trips
 
-
-def _walk_edges(
-    pred_v: list[int], pred_e: list[int], origin: int, dest: int
-) -> "list[int] | None":
-    edges: list[int] = []
-    v = dest
-    while v != origin:
-        eid = pred_e[v]
-        if eid == -1:
-            return None
-        edges.append(eid)
-        v = pred_v[v]
-    edges.reverse()
-    return edges

@@ -149,6 +149,10 @@ class RoadNetwork:
         self._check_edge(eid)
         return self._times[eid]
 
+    def edge_list(self) -> list[tuple[int, int]]:
+        """Endpoints ``(u, v)`` with ``u < v`` of every edge, by edge id."""
+        return list(self._edges)
+
     def edge_lengths(self) -> np.ndarray:
         return np.asarray(self._lengths, dtype=float)
 

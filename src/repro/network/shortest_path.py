@@ -1,20 +1,33 @@
-"""Shortest-path engines over adjacency lists.
+"""Shortest-path engines over adjacency lists and edge lists.
 
-All functions operate on the ``adjacency_lists`` representation produced
-by :meth:`repro.network.road.RoadNetwork.adjacency_lists` (and the
+The single-source and point-to-point engines operate on the
+``adjacency_lists`` representation produced by
+:meth:`repro.network.road.RoadNetwork.adjacency_lists` (and the
 transit-network equivalent): ``adj[v]`` is a list of
 ``(neighbor, edge_id, weight)`` triples. Keeping this flat structure lets
-one adjacency build serve thousands of Dijkstra runs during demand
-aggregation and candidate-edge pre-computation.
+one adjacency build serve the many searches of route growth and
+candidate-edge pre-computation.
+
+:func:`shortest_path_forest` is the many-origin engine behind the dataset
+layer: one ``scipy.sparse.csgraph`` run per block of origins, with rows
+that :func:`reconstruct_edge_path` walks like a :func:`dijkstra` result.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
+
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from repro.utils.errors import GraphError
+
+FOREST_BLOCK = 64
+"""Origins per ``csgraph.dijkstra`` call in :func:`shortest_path_forest`;
+bounds the distance and predecessor rows held at once."""
 
 Adjacency = "list[list[tuple[int, int, float]]]"
 
@@ -174,26 +187,61 @@ def bidirectional_dijkstra(adj, source: int, target: int) -> tuple[float, list[i
     return best, forward
 
 
-def shortest_path_tree_demand(
-    adj, source: int, destination_counts: dict[int, float]
-) -> dict[int, float]:
-    """Accumulate per-edge trip counts along one shortest-path tree.
+def shortest_path_forest(
+    n: int,
+    edges: Sequence[tuple[int, int]],
+    weights: "Sequence[float] | np.ndarray",
+    origins: Sequence[int],
+) -> Iterator[tuple[int, list[float], list[int], list[int]]]:
+    """Full shortest-path trees from many origins over one undirected graph.
 
-    ``destination_counts`` maps destination vertices to trip multiplicity.
-    Returns ``{edge_id: count}`` for every edge on a used tree path —
-    the workhorse of trajectory demand aggregation, grouping trips by
-    origin so each unique origin costs one Dijkstra.
+    ``edges`` are ``(u, v)`` pairs over ``n`` vertices, at most one per
+    pair; an edge's id is its position and ``weights[id]`` its weight.
+    Runs ``scipy.sparse.csgraph.dijkstra`` on blocks of
+    :data:`FOREST_BLOCK` origins and yields, per origin and in the given
+    order, ``(origin, dist, pred_vertex, pred_edge)`` lists shaped like a
+    full-tree :func:`dijkstra` result (``inf`` and ``-1`` where
+    unreachable), so :func:`reconstruct_edge_path` walks them.
+
+    A distance is summed edge by edge from the origin, as :func:`dijkstra`
+    sums it, so both engines report the same float. Where two paths tie
+    exactly, the trees may pick different ones.
     """
-    dist, pred_v, pred_e = dijkstra(adj, source, targets=list(destination_counts))
-    counts: dict[int, float] = {}
-    for dest, mult in destination_counts.items():
-        if math.isinf(dist[dest]):
-            continue
-        v = dest
-        while v != source:
-            eid = pred_e[v]
-            if eid == -1:
-                break
-            counts[eid] = counts.get(eid, 0.0) + mult
-            v = pred_v[v]
-    return counts
+    for origin in origins:
+        if not 0 <= origin < n:
+            raise GraphError(f"origin {origin} out of range for {n} vertices")
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    rows = np.concatenate([ends[:, 0], ends[:, 1]])
+    cols = np.concatenate([ends[:, 1], ends[:, 0]])
+    w = np.asarray(weights, dtype=float)
+    # No eliminate_zeros: csgraph reads a stored zero as a zero-length edge.
+    graph = sp.csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(n, n))
+    # The edge id of entry (u, v), found by binary search on u * n + v.
+    keys = rows * n + cols
+    order = np.argsort(keys)
+    keys = keys[order]
+    entry_edge = np.tile(np.arange(len(ends)), 2)[order]
+    for start in range(0, len(origins), FOREST_BLOCK):
+        block = list(origins[start : start + FOREST_BLOCK])
+        dist, pred = csgraph.dijkstra(graph, indices=block, return_predecessors=True)
+        reached = pred >= 0
+        pred_edge = np.full(pred.shape, -1, dtype=np.int64)
+        pred_edge[reached] = entry_edge[
+            np.searchsorted(keys, pred[reached].astype(np.int64) * n + np.nonzero(reached)[1])
+        ]
+        pred[~reached] = -1
+        for i, origin in enumerate(block):
+            yield origin, dist[i].tolist(), pred[i].tolist(), pred_edge[i].tolist()
+
+
+def path_weight(weights: Sequence[float], edge_path: Iterable[int]) -> float:
+    """``weights`` summed along an edge path, in path order.
+
+    A plain left fold, the way Dijkstra accumulates a distance. The
+    builtin ``sum`` compensates float sums from Python 3.12 on, so its
+    last bit depends on the interpreter; this fold does not.
+    """
+    total = 0.0
+    for eid in edge_path:
+        total += weights[eid]
+    return total

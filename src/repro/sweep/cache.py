@@ -91,9 +91,8 @@ def dataset_fingerprint(dataset: Dataset) -> str:
     h = hashlib.sha256()
     road = dataset.road
     _update_with_array(h, "road.coords", road.coords)
-    road_edges = [road.edge_endpoints(e) for e in range(road.n_edges)]
     _update_with_array(
-        h, "road.edges", np.asarray(road_edges, dtype=np.int64).reshape(-1, 2)
+        h, "road.edges", np.asarray(road.edge_list(), dtype=np.int64).reshape(-1, 2)
     )
     _update_with_array(h, "road.lengths", road.edge_lengths())
     _update_with_array(h, "road.times", road.edge_travel_times())

@@ -7,13 +7,11 @@ network so every later demand lookup is an O(1) array access.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 
 from repro.network.road import RoadNetwork
-from repro.network.shortest_path import dijkstra
 from repro.trajectory.trajectory import Trajectory
-from repro.trajectory.trips import DEFAULT_TOLERANCE, TripRecord
+from repro.trajectory.trips import DEFAULT_TOLERANCE, TripRecord, accepted_trip_paths
 
 
 def aggregate_trajectory_demand(
@@ -43,67 +41,23 @@ def aggregate_trip_demand(
 
     Equivalent to :func:`~repro.trajectory.trips.trips_to_trajectories`
     followed by :func:`aggregate_trajectory_demand`, but without
-    materializing the trajectories: trips are grouped by pickup vertex,
-    one shortest-path tree is built per distinct origin, and each
-    tolerance-accepted trip pushes one count down its tree path. The
-    travel-time check prices the time *along the length-shortest path*,
-    exactly as the trajectory conversion does. Returns the number of
-    accepted trips.
+    materializing the trajectories: both walk
+    :func:`~repro.trajectory.trips.accepted_trip_paths`, and each accepted
+    trip adds one count along its edge path. Returns the number of
+    accepted trips; the road is left unchanged if the trips are invalid.
     """
+    counts = [0] * road.n_edges
+    accepted = 0
+    for _trip, edges in accepted_trip_paths(road, trips, tolerance):
+        for eid in edges:
+            counts[eid] += 1
+        accepted += 1
     if reset:
         road.reset_demand()
-    by_origin: dict[int, list[TripRecord]] = {}
-    for trip in trips:
-        by_origin.setdefault(trip.pickup_vertex, []).append(trip)
-
-    adj_len = road.adjacency_lists("length")
-    accepted = 0
-    for origin, group in by_origin.items():
-        targets = {t.dropoff_vertex for t in group}
-        dist, pred_v, pred_e = dijkstra(adj_len, origin, targets=targets)
-        # Walk each destination's tree path once, caching edge lists for
-        # destinations shared by several trips.
-        path_cache: dict[int, tuple[list[int], float] | None] = {}
-        for trip in group:
-            dest = trip.dropoff_vertex
-            if dest not in path_cache:
-                path_cache[dest] = _tree_path(road, pred_v, pred_e, origin, dest, dist)
-            entry = path_cache[dest]
-            if entry is None:
-                continue
-            edges, travel_time = entry
-            d = dist[dest]
-            if trip.distance_km > 0 and abs(d - trip.distance_km) > tolerance * trip.distance_km:
-                continue
-            if trip.duration_min > 0 and abs(travel_time - trip.duration_min) > tolerance * trip.duration_min:
-                continue
-            for eid in edges:
-                road.add_demand(eid, 1.0)
-            accepted += 1
+    for eid, count in enumerate(counts):
+        if count:
+            road.add_demand(eid, float(count))
     return accepted
-
-
-def _tree_path(
-    road: RoadNetwork,
-    pred_v: list[int],
-    pred_e: list[int],
-    origin: int,
-    dest: int,
-    dist: list[float],
-) -> "tuple[list[int], float] | None":
-    """Edge list + travel time from ``origin`` to ``dest`` along the tree."""
-    if math.isinf(dist[dest]):
-        return None
-    edges: list[int] = []
-    v = dest
-    while v != origin:
-        eid = pred_e[v]
-        if eid == -1:
-            return None
-        edges.append(eid)
-        v = pred_v[v]
-    travel_time = sum(road.edge_travel_time(e) for e in edges)
-    return edges, travel_time
 
 
 def demand_of_road_edges(road: RoadNetwork, edge_ids: Iterable[int]) -> float:

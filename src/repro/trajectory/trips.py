@@ -11,16 +11,17 @@ poor proxy for the route actually driven and the trip is discarded.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.network.road import RoadNetwork
 from repro.network.shortest_path import (
-    dijkstra,
+    path_weight,
     reconstruct_edge_path,
-    reconstruct_vertex_path,
+    shortest_path_forest,
 )
 from repro.trajectory.trajectory import Trajectory
-from repro.utils.errors import ValidationError
+from repro.utils.errors import GraphError, ValidationError
 
 DEFAULT_TOLERANCE = 0.05
 """Paper: accept a shortest path within 5% of the recorded trip."""
@@ -36,6 +37,10 @@ class TripRecord:
     duration_min: float
 
     def __post_init__(self) -> None:
+        if self.pickup_vertex < 0 or self.dropoff_vertex < 0:
+            raise ValidationError(
+                f"trip vertices must be >= 0, got {self.pickup_vertex} -> {self.dropoff_vertex}"
+            )
         if self.distance_km < 0:
             raise ValidationError(f"distance must be >= 0, got {self.distance_km}")
         if self.duration_min < 0:
@@ -48,6 +53,49 @@ def _within(measured: float, recorded: float, tolerance: float) -> bool:
     return abs(measured - recorded) <= tolerance * recorded
 
 
+def accepted_trip_paths(
+    road: RoadNetwork,
+    trips: list[TripRecord],
+    tolerance: float = DEFAULT_TOLERANCE,
+    check_time: bool = True,
+) -> Iterator[tuple[TripRecord, list[int]]]:
+    """Each trip the tolerance filter accepts, with its road edge path.
+
+    Trips are grouped by pickup vertex and walked on one shortest-path
+    forest (:func:`~repro.network.shortest_path.shortest_path_forest`),
+    so every consumer of this generator sees the same path for the same
+    trip. A trip is accepted when its path's length and, with
+    ``check_time``, its travel time along that path are both within
+    ``tolerance`` of the recorded values. Unreachable trips are skipped.
+    Yields ``(trip, edges)`` with edges from pickup to dropoff.
+    """
+    if not 0 <= tolerance:
+        raise ValidationError(f"tolerance must be >= 0, got {tolerance}")
+    n = road.n_vertices
+    by_origin: dict[int, list[TripRecord]] = {}
+    for i, trip in enumerate(trips):
+        if not (0 <= trip.pickup_vertex < n and 0 <= trip.dropoff_vertex < n):
+            raise GraphError(
+                f"trip {i} ({trip.pickup_vertex} -> {trip.dropoff_vertex}) has a "
+                f"vertex outside the road's {n} vertices"
+            )
+        by_origin.setdefault(trip.pickup_vertex, []).append(trip)
+
+    times = road.edge_travel_times().tolist()
+    forest = shortest_path_forest(n, road.edge_list(), road.edge_lengths(), list(by_origin))
+    for origin, dist, pred_v, pred_e in forest:
+        for trip in by_origin[origin]:
+            d = dist[trip.dropoff_vertex]
+            if math.isinf(d) or not _within(d, trip.distance_km, tolerance):
+                continue
+            edges = reconstruct_edge_path(pred_v, pred_e, origin, trip.dropoff_vertex)
+            if check_time and not _within(
+                path_weight(times, edges), trip.duration_min, tolerance
+            ):
+                continue
+            yield trip, edges
+
+
 def trips_to_trajectories(
     road: RoadNetwork,
     trips: list[TripRecord],
@@ -57,35 +105,15 @@ def trips_to_trajectories(
     """Convert trips to trajectories via tolerance-checked shortest paths.
 
     Trips are grouped by pickup vertex so each distinct origin costs one
-    Dijkstra run. Unreachable or out-of-tolerance trips are skipped.
+    shortest-path tree. Unreachable or out-of-tolerance trips are skipped.
     """
-    if not 0 <= tolerance:
-        raise ValidationError(f"tolerance must be >= 0, got {tolerance}")
-    by_origin: dict[int, list[TripRecord]] = {}
-    for trip in trips:
-        by_origin.setdefault(trip.pickup_vertex, []).append(trip)
-
-    adj_len = road.adjacency_lists("length")
     out: list[Trajectory] = []
-    for origin, group in by_origin.items():
-        targets = {t.dropoff_vertex for t in group}
-        dist, pred_v, pred_e = dijkstra(adj_len, origin, targets=targets)
-        for trip in group:
-            d = dist[trip.dropoff_vertex]
-            if math.isinf(d):
-                continue
-            if not _within(d, trip.distance_km, tolerance):
-                continue
-            vertices = reconstruct_vertex_path(pred_v, origin, trip.dropoff_vertex)
-            edges = reconstruct_edge_path(pred_v, pred_e, origin, trip.dropoff_vertex)
-            if not vertices:
-                continue
-            if check_time:
-                travel_time = sum(road.edge_travel_time(e) for e in edges)
-                if not _within(travel_time, trip.duration_min, tolerance):
-                    continue
-            times = [0.0]
-            for e in edges:
-                times.append(times[-1] + road.edge_travel_time(e))
-            out.append(Trajectory(tuple(vertices), tuple(edges), tuple(times)))
+    for trip, edges in accepted_trip_paths(road, trips, tolerance, check_time):
+        vertices = [trip.pickup_vertex]
+        times = [0.0]
+        for e in edges:
+            u, v = road.edge_endpoints(e)
+            vertices.append(v if u == vertices[-1] else u)
+            times.append(times[-1] + road.edge_travel_time(e))
+        out.append(Trajectory(tuple(vertices), tuple(edges), tuple(times)))
     return out

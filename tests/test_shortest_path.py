@@ -1,21 +1,29 @@
 """Unit tests for the Dijkstra engines, cross-checked against networkx."""
 
+import importlib
 import math
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.synth import SynthConfig, generate_road_network
 from repro.network.shortest_path import (
     bidirectional_dijkstra,
     dijkstra,
+    path_weight,
     reconstruct_edge_path,
     reconstruct_vertex_path,
     shortest_path,
-    shortest_path_tree_demand,
+    shortest_path_forest,
 )
 from repro.utils.errors import GraphError
+
+# The package re-exports a function named shortest_path, which shadows the
+# submodule as an attribute of repro.network.
+sp_mod = importlib.import_module("repro.network.shortest_path")
 
 
 @pytest.fixture(scope="module")
@@ -110,19 +118,77 @@ class TestPointToPoint:
         assert d == 0.0 and path == [3]
 
 
-class TestTreeDemand:
-    def test_counts_sum_to_path_lengths(self, road, adj):
-        dests = {5: 2.0, 11: 1.0}
-        counts = shortest_path_tree_demand(adj, 0, dests)
-        # Total accumulated count equals sum over trips of path edge count.
-        total = sum(counts.values())
-        expected = 0.0
-        for dest, mult in dests.items():
-            _, vpath, epath = shortest_path(adj, 0, dest)
-            expected += mult * len(epath)
-        assert total == pytest.approx(expected)
+def adjacency_of(n, edges, weights):
+    adj = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(edges):
+        adj[u].append((v, eid, weights[eid]))
+        adj[v].append((u, eid, weights[eid]))
+    return adj
 
-    def test_unreachable_destination_skipped(self):
-        adj2 = [[(1, 0, 1.0)], [(0, 0, 1.0)], []]
-        counts = shortest_path_tree_demand(adj2, 0, {2: 5.0, 1: 1.0})
-        assert counts == {0: 1.0}
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree plus extra edges, with float weights."""
+    n = draw(st.integers(1, 12))
+    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if n > 1:
+        extra = draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n
+        ))
+        pairs |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
+    edges = sorted(pairs)
+    weights = draw(st.lists(
+        st.floats(0.0, 10.0, allow_nan=False), min_size=len(edges), max_size=len(edges)
+    ))
+    origins = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return n, edges, weights, origins
+
+
+class TestShortestPathForest:
+    @settings(max_examples=150, deadline=None)
+    @given(connected_graphs())
+    def test_matches_dijkstra_and_walks_real_paths(self, graph):
+        n, edges, weights, origins = graph
+        adj = adjacency_of(n, edges, weights)
+        rows = list(shortest_path_forest(n, edges, weights, origins))
+        assert [row[0] for row in rows] == origins
+        for origin, dist, pred_v, pred_e in rows:
+            assert dist == dijkstra(adj, origin)[0]
+            for v in range(n):
+                vertices = reconstruct_vertex_path(pred_v, origin, v)
+                edge_path = reconstruct_edge_path(pred_v, pred_e, origin, v)
+                assert vertices[0] == origin and vertices[-1] == v
+                assert len(edge_path) == len(vertices) - 1
+                for a, b, eid in zip(vertices, vertices[1:], edge_path):
+                    assert edges[eid] == (min(a, b), max(a, b))
+                assert path_weight(weights, edge_path) == dist[v]
+
+    def test_rows_do_not_depend_on_block_size(self, road, monkeypatch):
+        origins = list(range(road.n_vertices))[::-1]
+        args = (road.n_vertices, road.edge_list(), road.edge_lengths(), origins)
+        whole = list(shortest_path_forest(*args))
+        monkeypatch.setattr(sp_mod, "FOREST_BLOCK", 5)
+        assert list(shortest_path_forest(*args)) == whole
+
+    def test_unreachable_vertex(self):
+        (row,) = shortest_path_forest(3, [(0, 1)], [1.0], [0])
+        _, dist, pred_v, pred_e = row
+        assert dist == [0.0, 1.0, math.inf]
+        assert pred_v == [-1, 0, -1] and pred_e == [-1, 0, -1]
+        assert reconstruct_edge_path(pred_v, pred_e, 0, 2) == []
+        assert reconstruct_vertex_path(pred_v, 0, 2) == []
+
+    def test_zero_length_edge_stays_an_edge(self):
+        (row,) = shortest_path_forest(3, [(0, 1), (1, 2)], [0.0, 1.5], [0])
+        _, dist, pred_v, pred_e = row
+        assert dist == [0.0, 0.0, 1.5]
+        assert pred_v == [-1, 0, 1] and pred_e == [-1, 0, 1]
+        assert reconstruct_edge_path(pred_v, pred_e, 0, 2) == [0, 1]
+
+    def test_empty_origin_list(self):
+        assert list(shortest_path_forest(3, [(0, 1)], [1.0], [])) == []
+
+    @pytest.mark.parametrize("origin", [-1, 3])
+    def test_bad_origin_rejected(self, origin):
+        with pytest.raises(GraphError):
+            list(shortest_path_forest(3, [(0, 1)], [1.0], [0, origin]))

@@ -101,6 +101,18 @@ class TestHotspots:
         skew = sum(h.sample_trip_center(rng_b, 4.0) == top for _ in range(500))
         assert skew > flat
 
+    def test_trip_center_draw_is_rng_choice(self, cfg, road):
+        # Same index and same stream as rng.choice(p=): the draw order of
+        # trip synthesis is the dataset contract.
+        h = generate_hotspots(cfg, road)
+        w = h.weights ** 3.0
+        p = w / w.sum()
+        rng_a = np.random.default_rng(5)
+        rng_b = np.random.default_rng(5)
+        drawn = [h.sample_trip_center(rng_a, 3.0) for _ in range(20000)]
+        assert drawn == [int(rng_b.choice(len(p), p=p)) for _ in range(20000)]
+        assert rng_a.random() == rng_b.random()
+
     def test_centers_in_bbox(self, cfg, road):
         h = generate_hotspots(cfg, road)
         lo = road.coords.min(axis=0)

@@ -10,7 +10,7 @@ from repro.trajectory.demand import (
 )
 from repro.trajectory.trajectory import Trajectory
 from repro.trajectory.trips import TripRecord, trips_to_trajectories
-from repro.utils.errors import ValidationError
+from repro.utils.errors import GraphError, ValidationError
 
 
 @pytest.fixture
@@ -40,12 +40,24 @@ def exact_trip(road: RoadNetwork, a: int, b: int, scale: float = 1.0) -> TripRec
     return TripRecord(a, b, d * scale, t * scale)
 
 
+def both_conversions(road: RoadNetwork, trips: list[TripRecord]):
+    """(accepted count and demand, trajectories) from the two conversions."""
+    direct = road.copy()
+    accepted = aggregate_trip_demand(direct, trips)
+    return (accepted, direct.demand_counts()), trips_to_trajectories(road, trips)
+
+
 class TestTripRecord:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             TripRecord(0, 1, -1.0, 5.0)
         with pytest.raises(ValidationError):
             TripRecord(0, 1, 1.0, -5.0)
+
+    @pytest.mark.parametrize("pickup, dropoff", [(-1, 2), (0, -1)])
+    def test_negative_vertex_rejected(self, pickup, dropoff):
+        with pytest.raises(ValidationError):
+            TripRecord(pickup, dropoff, 1.0, 1.0)
 
 
 class TestTripsToTrajectories:
@@ -92,13 +104,56 @@ class TestDemandAggregation:
         assert grid_road.edge_demand(grid_road.edge_between(0, 1)) == 2.0
 
     def test_trip_aggregation_matches_trajectory_path(self, grid_road):
+        # Every ordered pair of the unit grid: most have several tied
+        # shortest paths, and both conversions must pick the same one.
         road_a, road_b = grid_road.copy(), grid_road.copy()
-        trips = [exact_trip(grid_road, 0, 8), exact_trip(grid_road, 2, 6)]
+        trips = [
+            exact_trip(grid_road, a, b)
+            for a in range(grid_road.n_vertices)
+            for b in range(grid_road.n_vertices)
+            if a != b
+        ]
+        assert len(trips) == 72
         accepted = aggregate_trip_demand(road_a, trips)
         trajs = trips_to_trajectories(road_b, trips)
         aggregate_trajectory_demand(road_b, trajs)
-        assert accepted == len(trajs) == 2
-        assert road_a.demand_counts() == pytest.approx(road_b.demand_counts())
+        assert accepted == len(trajs) == 72
+        assert road_a.demand_counts().tolist() == road_b.demand_counts().tolist()
+
+    @pytest.mark.parametrize("distance, duration", [(0.0, 0.0), (0.0, 4.0), (2.0, 0.0)])
+    def test_zero_records_rejected_like_the_reference(self, grid_road, distance, duration):
+        # 0 -> 2 is a two-edge path of length 2 and time 4: a recorded 0
+        # is out of tolerance, exactly as in trips_to_trajectories.
+        (accepted, demand), trajs = both_conversions(
+            grid_road, [TripRecord(0, 2, distance, duration)]
+        )
+        assert accepted == len(trajs) == 0
+        assert demand.sum() == 0.0
+
+    def test_negative_tolerance_rejected(self, grid_road):
+        road = grid_road.copy()
+        road.add_demand(0, 3.0)
+        with pytest.raises(ValidationError):
+            aggregate_trip_demand(road, [exact_trip(grid_road, 0, 2)], tolerance=-0.1)
+        assert road.edge_demand(0) == 3.0
+
+    @pytest.mark.parametrize("pickup, dropoff", [(0, 9), (9, 0), (10**6, 3)])
+    def test_out_of_range_vertex_raises_naming_the_trip(self, grid_road, pickup, dropoff):
+        trips = [exact_trip(grid_road, 0, 2), TripRecord(pickup, dropoff, 1.0, 1.0)]
+        road = grid_road.copy()
+        with pytest.raises(GraphError, match=f"trip 1 \\({pickup} -> {dropoff}\\)"):
+            aggregate_trip_demand(road, trips)
+        assert road.demand_counts().sum() == 0.0
+        with pytest.raises(GraphError, match=f"trip 1 \\({pickup} -> {dropoff}\\)"):
+            trips_to_trajectories(grid_road, trips)
+
+    def test_unreachable_trip_skipped(self, grid_road):
+        road = grid_road.copy()
+        island = road.add_vertex(5.0, 5.0)
+        trips = [exact_trip(grid_road, 0, 2), TripRecord(0, island, 5.0, 10.0)]
+        (accepted, demand), trajs = both_conversions(road, trips)
+        assert accepted == len(trajs) == 1
+        assert demand.sum() == 2.0
 
     def test_rejected_trips_add_nothing(self, grid_road):
         road = grid_road.copy()
