@@ -3,13 +3,16 @@
 A candidate is an ordered edge sequence over the universe with its stop
 chain, turn count, the Algorithm 2 bound cursor, and its current
 objective value. Extension produces a *new* candidate (paths are short,
-at most ``k`` edges, so copying is cheap and keeps the queue entries
-immutable).
+at most ``k`` edges, so copying is cheap and a queue entry is never
+changed after it is pushed).
+
+:func:`extension_is_valid` and :func:`turn_delta` are the reference
+feasibility test; the engine reads the same rules from the universe's
+turn table, and the engine oracle and the property tests check the two
+against each other.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 from repro.core.edges import EdgeUniverse
 from repro.network.geometry import SHARP_ANGLE, TURN_ANGLE, turn_angle
@@ -19,23 +22,39 @@ AT_END = "end"
 AT_BEGIN = "begin"
 
 
-@dataclass(frozen=True)
 class Candidate:
     """One path in the priority queue.
 
     ``bound`` and ``cursor`` track the Algorithm 2 demand bound on the
     strategy's ranked list; ``score`` is the evaluated objective
     (strategy-dependent); ``upper`` the objective-scale upper bound used
-    as the queue priority.
+    as the queue priority. A plain ``__slots__`` class: the search
+    creates several per iteration.
     """
 
-    edge_ids: tuple[int, ...]
-    stops: tuple[int, ...]
-    turns: int
-    score: float
-    bound: float
-    cursor: int
-    upper: float
+    __slots__ = ("edge_ids", "stops", "turns", "score", "bound", "cursor", "upper")
+
+    def __init__(
+        self,
+        edge_ids: tuple[int, ...],
+        stops: tuple[int, ...],
+        turns: int,
+        score: float,
+        bound: float,
+        cursor: int,
+        upper: float,
+    ):
+        self.edge_ids = edge_ids
+        self.stops = stops
+        self.turns = turns
+        self.score = score
+        self.bound = bound
+        self.cursor = cursor
+        self.upper = upper
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"Candidate({fields})"
 
     @property
     def n_edges(self) -> int:
@@ -66,12 +85,9 @@ class Candidate:
         a, b = self.edge_ids[0], self.edge_ids[-1]
         return (a, b) if a <= b else (b, a)
 
-    def stop_set(self) -> frozenset[int]:
-        return frozenset(self.stops)
-
     def with_scores(self, score: float, bound: float, cursor: int, upper: float) -> "Candidate":
         """Copy with evaluation results attached."""
-        return replace(self, score=score, bound=bound, cursor=cursor, upper=upper)
+        return Candidate(self.edge_ids, self.stops, self.turns, score, bound, cursor, upper)
 
 
 def seed_candidate(universe: EdgeUniverse, edge_index: int) -> Candidate:

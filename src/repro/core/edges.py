@@ -4,7 +4,9 @@ ETA searches over a unified edge set (Section 4.2.1): every existing
 transit edge plus every *potential* edge joining two stops within
 ``tau``. :class:`EdgeUniverse` gives each a dense index carrying demand,
 length, geometry, and (after pre-computation) the connectivity increment
-``Delta(e)``.
+``Delta(e)``. It also holds Algorithm 2's turn model as a table: which
+edges a path may continue along after arriving at a stop, and whether
+that junction costs a turn.
 """
 
 from __future__ import annotations
@@ -13,8 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.network.geometry import (
+    SHARP_ANGLE,
+    TURN_ANGLE,
+    angle_between_bearings,
+    bearing,
+)
 from repro.network.transit import TransitNetwork
 from repro.utils.errors import GraphError
+
+Continuations = tuple[tuple[int, int, int], ...]
+"""``(edge, stop it leads to, turn increment)`` for each allowed next edge."""
 
 
 @dataclass(frozen=True)
@@ -48,7 +59,20 @@ class PlanEdge:
 
 
 class EdgeUniverse:
-    """Dense-indexed edge set with per-stop incidence lists."""
+    """Dense-indexed edge set with per-stop incidence lists.
+
+    ``continuations[e][s]`` is the static half of Algorithm 2's
+    feasibility test for a path that arrived at stop ``s`` along edge
+    ``e``: every edge ``f`` of ``by_stop[s]`` (in that order, ``e``
+    itself left out) whose junction with ``e`` turns by at most pi/2, as
+    ``(f, stop f leads to, turn increment)``; a junction over pi/4 costs
+    one turn. Built once from each edge's two bearings, with the same
+    :func:`bearing` / :func:`angle_between_bearings` calls that
+    :func:`~repro.core.candidate.turn_delta` makes, so every entry
+    classifies its junction bit-identically. The rules that depend on the
+    path or the run (stops already visited, the turn budget, loops,
+    constraints) are not in the table.
+    """
 
     def __init__(self, transit: TransitNetwork, edges: list[PlanEdge]):
         self.transit = transit
@@ -64,6 +88,34 @@ class EdgeUniverse:
         #: Connectivity increments Delta(e); zero until pre-computation
         #: fills the new-edge entries (existing edges stay zero, Sec. 6.2).
         self.delta = np.zeros(len(edges), dtype=float)
+        self.continuations = self._turn_table()
+
+    def _turn_table(self) -> list[dict[int, Continuations]]:
+        coords = self.transit.stop_coords.tolist()
+        # Travel bearing of each edge leaving each of its endpoints.
+        leaving = [
+            {
+                e.u: bearing(coords[e.u], coords[e.v]),
+                e.v: bearing(coords[e.v], coords[e.u]),
+            }
+            for e in self.edges
+        ]
+        table: list[dict[int, Continuations]] = []
+        for e in self.edges:
+            ends: dict[int, Continuations] = {}
+            for stop, prev in ((e.v, e.u), (e.u, e.v)):
+                arriving = leaving[e.index][prev]
+                allowed = []
+                for f in self.by_stop[stop]:
+                    angle = angle_between_bearings(arriving, leaving[f][stop])
+                    if f == e.index or angle > SHARP_ANGLE:
+                        continue
+                    allowed.append(
+                        (f, self.edges[f].other(stop), int(angle > TURN_ANGLE))
+                    )
+                ends[stop] = tuple(allowed)
+            table.append(ends)
+        return table
 
     def __len__(self) -> int:
         return len(self.edges)

@@ -12,10 +12,11 @@ follows:
   ``expansion="best"`` the best begin/end neighbors are composed as
   ``be + cp + ee`` (Alg. 1 lines 8-13); with ``"all"`` every neighbor
   extension is enqueued (ETA-AN).
-* **Verification** — feasibility (turns via Alg. 2's angle rules,
-  circle-freeness, length <= k), the Algorithm 2 incremental demand
-  bound, the domination table keyed by (first, last) edge, and the
-  global bound-vs-best termination test (Alg. 1 line 5).
+* **Verification** — feasibility (turns via Alg. 2's angle rules, read
+  from the universe's static turn table; circle-freeness; length <= k),
+  the Algorithm 2 incremental demand bound, the domination table keyed
+  by (first, last) edge, and the global bound-vs-best termination test
+  (Alg. 1 line 5).
 
 The difference between ETA and ETA-Pre is entirely in the injected
 :mod:`~repro.core.objective` strategy.
@@ -28,15 +29,7 @@ import itertools
 from collections import deque
 
 from repro.core.bounds import initial_bound, update_bound
-from repro.core.candidate import (
-    AT_BEGIN,
-    AT_END,
-    Candidate,
-    extend,
-    extension_is_valid,
-    seed_candidate,
-    turn_delta,
-)
+from repro.core.candidate import AT_BEGIN, AT_END, Candidate, extend, seed_candidate
 from repro.core.config import EXPANSION_ALL, PlannerConfig
 from repro.core.objective import OnlineStrategy, _StrategyBase
 from repro.core.precompute import Precomputation
@@ -185,6 +178,48 @@ class ExpansionEngine:
                 break
         return eligible
 
+    def feasible_extensions(
+        self, cand: Candidate, sides: tuple[str, ...] = (AT_END, AT_BEGIN)
+    ) -> list[tuple[str, int, int, int]]:
+        """Every feasible one-edge extension of ``cand`` on ``sides``.
+
+        Returns ``(side, edge_index, new_stop, turn_increment)`` tuples,
+        each side's in ``universe.by_stop`` order. The junction geometry
+        (which next edges are not sharp, and which cost a turn) comes from
+        the universe's turn table; only the rules of this path and run are
+        applied here: edge or stop already on the path, loop closure
+        (``allow_loop``, at least 2 edges), the length and turn budgets,
+        ``new_edges_only`` and the constraints. Nothing run-specific is
+        stored on the universe, which a server reuses across requests.
+        """
+        cfg = self.config
+        edge_ids, stops = cand.edge_ids, cand.stops
+        if len(edge_ids) >= cfg.k or cand.is_loop:
+            return []
+        turns_left = cfg.max_turns - cand.turns
+        closable = cfg.allow_loop and len(edge_ids) >= 2
+        is_new = self.universe.is_new if cfg.new_edges_only else None
+        constraints = self.constraints
+        feasible: list[tuple[str, int, int, int]] = []
+        for side in sides:
+            if side == AT_END:
+                arrived, terminal, opposite = edge_ids[-1], stops[-1], stops[0]
+            else:
+                arrived, terminal, opposite = edge_ids[0], stops[0], stops[-1]
+            for edge_index, new_stop, tinc in self.universe.continuations[arrived][terminal]:
+                if tinc > turns_left or edge_index in edge_ids:
+                    continue
+                if new_stop in stops and not (closable and new_stop == opposite):
+                    continue
+                if is_new is not None and not is_new[edge_index]:
+                    continue
+                if constraints is not None and not constraints.allows_edge(
+                    self.universe, edge_index
+                ):
+                    continue
+                feasible.append((side, edge_index, new_stop, tinc))
+        return feasible
+
     def _valid_extensions(
         self, cand: Candidate
     ) -> list[tuple[str, int, int, int, float]]:
@@ -192,34 +227,14 @@ class ExpansionEngine:
 
         Returns ``(side, edge_index, new_stop, turn_increment, score)``
         tuples; this evaluation (one connectivity estimate per neighbor
-        for ETA) is exactly the paper's Bottleneck 1. Feasibility is
-        checked first, then the surviving extensions of *both* sides are
-        scored in one ``extension_scores`` batch (``batch_eval=True``) or
-        through the sequential reference loop (``batch_eval=False``, the
-        differential oracle's ground truth).
+        for ETA) is exactly the paper's Bottleneck 1. The extensions of
+        *both* sides (:meth:`feasible_extensions`) are scored in one
+        ``extension_scores`` batch (``batch_eval=True``) or through the
+        sequential reference loop (``batch_eval=False``, the differential
+        oracle's ground truth).
         """
         cfg = self.config
-        feasible: list[tuple[str, int, int, int]] = []
-        if cand.n_edges >= cfg.k:
-            return []
-        for side in (AT_END, AT_BEGIN):
-            terminal = cand.end_stop if side == AT_END else cand.begin_stop
-            for edge_index in self.universe.incident(terminal):
-                if cfg.new_edges_only and not self.universe.is_new[edge_index]:
-                    continue
-                if self.constraints is not None and not self.constraints.allows_edge(
-                    self.universe, edge_index
-                ):
-                    continue
-                new_stop = extension_is_valid(
-                    self.universe, cand, edge_index, side, cfg.allow_loop
-                )
-                if new_stop is None:
-                    continue
-                tinc, sharp = turn_delta(self.universe, cand, new_stop, side)
-                if sharp or cand.turns + tinc > cfg.max_turns:
-                    continue
-                feasible.append((side, edge_index, new_stop, tinc))
+        feasible = self.feasible_extensions(cand)
         if not feasible:
             return []
         if cfg.batch_eval:
@@ -259,17 +274,11 @@ class ExpansionEngine:
         for side, edge_index, new_stop, tinc, _score in ordered:
             if current.n_edges >= self.config.k:
                 break
-            if current is not cand:
-                # Re-validate on the extended path.
-                new_stop2 = extension_is_valid(
-                    self.universe, current, edge_index, side, self.config.allow_loop
-                )
-                if new_stop2 is None:
-                    continue
-                tinc2, sharp = turn_delta(self.universe, current, new_stop2, side)
-                if sharp or current.turns + tinc2 > self.config.max_turns:
-                    continue
-                new_stop, tinc = new_stop2, tinc2
+            if current is not cand and not any(
+                ext[1] == edge_index for ext in self.feasible_extensions(current, (side,))
+            ):
+                # No longer feasible on the extended path.
+                continue
             extended = extend(self.universe, current, edge_index, new_stop, side, tinc)
             b, cur = update_bound(
                 self.strategy.bound_list, current.bound, current.cursor, edge_index
