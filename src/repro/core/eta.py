@@ -153,7 +153,8 @@ class ExpansionEngine:
                 if iterations % cfg.record_every == 0:
                     trace.append((iterations, best_score))
 
-            trace.append((iterations, best_score))
+            if not trace or trace[-1][0] != iterations:
+                trace.append((iterations, best_score))
 
         return self._build_result(
             best, best_score, iterations, timer.elapsed, trace,

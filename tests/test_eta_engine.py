@@ -76,6 +76,21 @@ class TestEtaPre:
         result = run_eta_pre(pre)
         assert result.connectivity_evaluations <= 2
 
+    @pytest.mark.parametrize(
+        "max_iterations, record_every, recorded",
+        [(30, 10, [10, 20, 30]), (5, 5, [5]), (25, 10, [10, 20, 25])],
+    )
+    def test_trace_ends_once_at_the_last_iteration(
+        self, pre, max_iterations, record_every, recorded
+    ):
+        """A run ending on a recording iteration does not repeat it."""
+        capped = rebind(pre, pre.config.variant(
+            max_iterations=max_iterations, record_every=record_every))
+        result = run_eta_pre(capped)
+        assert result.iterations == max_iterations
+        assert [it for it, _ in result.trace] == recorded
+        assert result.trace[-1][1] == result.search_score
+
 
 @pytest.mark.slow
 class TestEtaOnline:
