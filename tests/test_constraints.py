@@ -8,6 +8,7 @@ from repro.core.objective import PrecomputedStrategy
 from repro.core.planner import CTBusPlanner
 from repro.core.config import PlannerConfig
 from repro.utils.errors import PlanningError, ValidationError
+from route_checks import assert_route_geometry
 
 
 @pytest.fixture(scope="module")
@@ -17,6 +18,14 @@ def planner():
     return CTBusPlanner(
         chicago_like("small"),
         PlannerConfig(k=10, max_iterations=400, seed_count=150),
+    )
+
+
+def check_geometry(planner, result):
+    """The replanned route is feasible by stop geometry, not only by its counters."""
+    cfg = planner.config
+    assert_route_geometry(
+        planner.precomputation.universe, result.route, cfg.k, cfg.max_turns, cfg.allow_loop
     )
 
 
@@ -58,6 +67,7 @@ class TestConstrainedPlanning:
         anchor = free.route.stops[len(free.route.stops) // 2]
         result = planner.plan_constrained(PlanningConstraints(anchor_stop=anchor))
         assert result.route is not None
+        check_geometry(planner, result)
         assert anchor in result.route.stops
 
     def test_anchor_elsewhere_changes_route(self, planner):
@@ -77,6 +87,7 @@ class TestConstrainedPlanning:
                 break
         assert anchored is not None
         anchor, result = anchored
+        check_geometry(planner, result)
         assert anchor in result.route.stops
 
     def test_forbid_stops_respected(self, planner):
@@ -84,6 +95,7 @@ class TestConstrainedPlanning:
         banned = {free.route.stops[0], free.route.stops[-1]}
         result = planner.plan_constrained(PlanningConstraints(forbid_stops=banned))
         if result.route is not None:
+            check_geometry(planner, result)
             assert not banned & set(result.route.stops)
 
     def test_forbid_edges_respected(self, planner):
@@ -91,6 +103,7 @@ class TestConstrainedPlanning:
         banned = frozenset(free.route.edge_indices[:2])
         result = planner.plan_constrained(PlanningConstraints(forbid_edges=banned))
         if result.route is not None:
+            check_geometry(planner, result)
             assert not banned & set(result.route.edge_indices)
 
     def test_constrained_score_never_beats_free(self, planner):
@@ -98,6 +111,7 @@ class TestConstrainedPlanning:
         free = planner.plan("eta-pre")
         banned = frozenset(free.route.edge_indices)
         result = planner.plan_constrained(PlanningConstraints(forbid_edges=banned))
+        check_geometry(planner, result)
         assert result.search_score <= free.search_score + 1e-9
 
     def test_replan_reuses_precomputation(self, planner):
