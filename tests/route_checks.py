@@ -1,14 +1,15 @@
 """Route validity checked from geometry, not from the engine's counters.
 
 :func:`assert_route_geometry` re-derives every feasibility rule of a
-planned route from the transit stop coordinates with
-:func:`~repro.network.geometry.turn_angle`, so a search that miscounts
-its own turns (or skips a sharp-angle check) cannot vouch for itself.
+planned route from the transit stop coordinates (turns through
+:func:`~repro.network.paths.count_turns`, i.e. ``turn_angle`` at every
+interior junction), so a search that miscounts its own turns or skips a
+sharp-angle check cannot vouch for itself.
 """
 
 from __future__ import annotations
 
-from repro.network.geometry import SHARP_ANGLE, TURN_ANGLE, turn_angle
+from repro.network.paths import count_turns, is_simple_stop_sequence
 
 
 def assert_route_geometry(
@@ -16,7 +17,7 @@ def assert_route_geometry(
 ) -> None:
     """Assert that ``route`` is a feasible Algorithm 2 path over ``universe``.
 
-    * its edges chain its listed stops;
+    * its edges chain its listed stops, and no edge repeats;
     * it has at most ``k`` edges;
     * no interior junction turns by more than pi/2;
     * the interior junctions above pi/4 number exactly ``route.turns``,
@@ -33,18 +34,13 @@ def assert_route_geometry(
             f"edge {edge_index} ({e.u}, {e.v}) does not join stops "
             f"{stops[i]} and {stops[i + 1]}"
         )
+    assert len(set(edges)) == len(edges), f"edge repeats in {edges}"
     assert len(edges) <= k, f"{len(edges)} edges > k={k}"
 
     coords = universe.transit.stop_coords
-    turns = 0
-    for i in range(1, len(stops) - 1):
-        angle = turn_angle(coords[stops[i - 1]], coords[stops[i]], coords[stops[i + 1]])
-        assert angle <= SHARP_ANGLE, f"sharp junction {angle!r} at stop {stops[i]}"
-        if angle > TURN_ANGLE:
-            turns += 1
+    turns, sharp = count_turns([coords[s] for s in stops])
+    assert not sharp, f"a junction of {stops} turns by more than pi/2"
     assert turns == route.turns, f"geometry counts {turns} turns, route claims {route.turns}"
     assert route.turns <= max_turns, f"{route.turns} turns > max_turns={max_turns}"
 
-    closes = allow_loop and len(stops) >= 3 and stops[0] == stops[-1]
-    body = stops[:-1] if closes else stops
-    assert len(set(body)) == len(body), f"stop repeats in {stops}"
+    assert is_simple_stop_sequence(stops, allow_loop=allow_loop), f"stop repeats in {stops}"

@@ -7,7 +7,7 @@ from repro.core.eta import ExpansionEngine, run_eta, run_eta_all
 from repro.core.eta_pre import run_eta_pre
 from repro.core.objective import OnlineStrategy, PrecomputedStrategy
 from repro.core.precompute import precompute, rebind
-from repro.network.paths import count_turns, is_simple_stop_sequence
+from route_checks import assert_route_geometry
 
 
 @pytest.fixture(scope="module")
@@ -24,26 +24,10 @@ def small_dataset_module():
 
 
 def check_route_invariants(pre, result):
-    """Invariants every planned route must satisfy."""
-    route = result.route
-    assert route is not None
+    """Invariants every planned route must satisfy, from stop geometry."""
+    assert result.route is not None
     cfg = pre.config
-    # Budget.
-    assert 1 <= route.n_edges <= cfg.k
-    # Connected chain: consecutive stops joined by the claimed edges.
-    for i, idx in enumerate(route.edge_indices):
-        e = pre.universe.edge(idx)
-        assert {route.stops[i], route.stops[i + 1]} == {e.u, e.v}
-    # Circle-free (loop closure allowed).
-    assert is_simple_stop_sequence(list(route.stops), allow_loop=cfg.allow_loop)
-    # No repeated edges.
-    assert len(set(route.edge_indices)) == route.n_edges
-    # Turn budget, recomputed from geometry.
-    coords = [pre.universe.transit.stop_xy(s) for s in route.stops]
-    turns, sharp = count_turns(coords)
-    assert not sharp
-    assert turns <= cfg.max_turns
-    assert route.turns == turns
+    assert_route_geometry(pre.universe, result.route, cfg.k, cfg.max_turns, cfg.allow_loop)
 
 
 class TestEtaPre:
