@@ -10,9 +10,11 @@ reference builds the same list the way ``brute_force_best`` in
 Stops sit on integer grid points and most edges are axis-aligned or
 diagonal, so many junctions turn by exactly 45° or 90°: the two
 thresholds of Algorithm 2 (a turn above pi/4, infeasible above pi/2).
-The plan goldens cannot guard those thresholds, because no canned
-junction sits on one; this test does. Universes include parallel edges
-and new edges.
+A stop or two is nudged off its grid point by 1e-12, so other junctions
+miss a threshold by a hair on either side. The plan goldens cannot
+guard the thresholds, because no canned junction sits on one (moving
+either threshold by 1e-9 changes none of them); this test does.
+Universes include parallel edges and new edges.
 """
 
 from hypothesis import given, settings
@@ -60,9 +62,18 @@ def grid_universes(draw):
     # A parallel edge: the first pair again, as a new edge.
     drawn.append((drawn[0][0], True, not drawn[0][2]))
 
+    # Nudge up to two stops off the grid by 1e-12, so that some junctions
+    # turn by a hair more or less than a threshold.
+    coords = [[float(x), float(y)] for x, y in points]
+    for stop, axis, nudge in draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 1),
+                           st.sampled_from((1e-12, -1e-12))), max_size=2)
+    ):
+        coords[stop][axis] += nudge
+
     transit = TransitNetwork()
-    for x, y in points:
-        transit.add_stop(float(x), float(y), road_vertex=0)
+    for x, y in coords:
+        transit.add_stop(x, y, road_vertex=0)
     edges = []
     for index, ((i, j), is_new, flip) in enumerate(drawn):
         u, v = (j, i) if flip else (i, j)
@@ -142,8 +153,8 @@ def test_table_extensions_match_reference(
         cand = extend(universe, cand, edge_index, new_stop, side, tinc)
 
 
-def test_closed_loop_has_no_extensions():
-    """A closed loop ends the path even where a straight edge leads on.
+def test_loop_rules_on_a_square():
+    """Closing needs ``allow_loop``; a closed loop ends the path.
 
     The square A-B-C-D-A closes at A after three right-angle turns; the
     tail A-E continues its last edge straight ahead, so only the loop
@@ -162,9 +173,17 @@ def test_closed_loop_has_no_extensions():
     pre = make_pre(universe, cfg)
     engine = ExpansionEngine(pre, PrecomputedStrategy(pre))
 
+    no_loops = PlannerConfig(k=8, max_turns=3, seed_count=None, allow_loop=False)
+    no_loop_pre = make_pre(universe, no_loops)
+    no_loop_engine = ExpansionEngine(no_loop_pre, PrecomputedStrategy(no_loop_pre))
+
     cand = seed_candidate(universe, 0)
     for edge_index, new_stop in [(1, 2), (2, 3), (3, 0)]:
         assert (AT_END, edge_index, new_stop, 1) in engine.feasible_extensions(cand)
+        if new_stop == cand.begin_stop:
+            closing = no_loop_engine.feasible_extensions(cand)
+            assert closing == reference_extensions(universe, cand, no_loops, NO_CONSTRAINTS)
+            assert all(ext[2] != new_stop for ext in closing)
         cand = extend(universe, cand, edge_index, new_stop, AT_END, 1)
     assert cand.is_loop and cand.turns == 3
     assert turn_delta(universe, cand, 4, AT_END) == (0, False)
