@@ -14,6 +14,8 @@ against each other.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.core.edges import EdgeUniverse
 from repro.network.geometry import SHARP_ANGLE, TURN_ANGLE, turn_angle
 from repro.utils.errors import ValidationError
@@ -22,39 +24,25 @@ AT_END = "end"
 AT_BEGIN = "begin"
 
 
+@dataclass(slots=True)
 class Candidate:
     """One path in the priority queue.
 
     ``bound`` and ``cursor`` track the Algorithm 2 demand bound on the
     strategy's ranked list; ``score`` is the evaluated objective
     (strategy-dependent); ``upper`` the objective-scale upper bound used
-    as the queue priority. A plain ``__slots__`` class: the search
-    creates several per iteration.
+    as the queue priority. Slotted and not frozen: the search creates
+    several per iteration, and a frozen dataclass's ``__init__`` costs
+    about 4× as much.
     """
 
-    __slots__ = ("edge_ids", "stops", "turns", "score", "bound", "cursor", "upper")
-
-    def __init__(
-        self,
-        edge_ids: tuple[int, ...],
-        stops: tuple[int, ...],
-        turns: int,
-        score: float,
-        bound: float,
-        cursor: int,
-        upper: float,
-    ):
-        self.edge_ids = edge_ids
-        self.stops = stops
-        self.turns = turns
-        self.score = score
-        self.bound = bound
-        self.cursor = cursor
-        self.upper = upper
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"Candidate({fields})"
+    edge_ids: tuple[int, ...]
+    stops: tuple[int, ...]
+    turns: int
+    score: float
+    bound: float
+    cursor: int
+    upper: float
 
     @property
     def n_edges(self) -> int:
