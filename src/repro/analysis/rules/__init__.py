@@ -14,5 +14,4 @@ from repro.analysis.rules import (  # noqa: F401  (imported to register)
     lock_discipline,
     lock_ordering,
     resource_safety,
-    wire_taint,
 )

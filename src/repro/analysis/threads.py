@@ -10,7 +10,7 @@ callable.
 
 Resolution is deliberately name-and-annotation based, not a real type
 system: ``self.m()`` resolves through the class hierarchy (bases *and*
-subclasses, so ``FrameServer._handle → handle_op`` finds every
+subclasses, so ``FrameServer._handle → handle`` finds every
 override), ``x.m()`` resolves only when ``x`` is a parameter annotated
 with a project class, a local constructed from one, or a ``self``
 attribute assigned from an annotated ``__init__`` parameter. Calls on
@@ -19,7 +19,7 @@ the map free of false edges.
 
 The model is computed once per :class:`AnalysisContext` and memoised on
 it, since every flow rule consumes it: RPR006 for the runs-on sets,
-RPR007, RPR008 and RPR010 for its call resolution and class relations.
+RPR007 and RPR010 for its call resolution and class relations.
 """
 
 from __future__ import annotations

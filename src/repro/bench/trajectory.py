@@ -258,9 +258,7 @@ def _probe_serve_latency(dataset_profile: str) -> dict:
     between the two). The pinned non-timing metrics hold the pool
     honest: hit rate 0.75 and one entry, exactly, every run.
     """
-    from dataclasses import asdict
-
-    from repro.serve.server import PlanServer
+    from repro.serve.server import PlanFrame, PlanServer
     from repro.sweep.remote import (
         PROTOCOL_VERSION,
         connect_authenticated,
@@ -274,12 +272,11 @@ def _probe_serve_latency(dataset_profile: str) -> dict:
         name="bench-serve", city=_CITY, profile=dataset_profile,
         method="eta-pre", seed=config.seed,
     )
-    request = {
-        "op": "plan",
-        "protocol": PROTOCOL_VERSION,
-        "scenario": scenario_spec(scenario),
-        "base_config": asdict(config),
-    }
+    request = PlanFrame(
+        protocol=PROTOCOL_VERSION,
+        scenario=scenario_spec(scenario),
+        base_config=config,
+    )
     server = PlanServer(port=0)
     server.start_in_thread()
     timings: list[float] = []

@@ -28,10 +28,9 @@ Commands
 ``bounds``   evaluate the three upper bounds on a city (Table 3 style).
 ``check``    run the invariant-aware static analysis suite (rules
              RPR001-RPR010: determinism, cache-key coverage, resource
-             safety, atomic writes, lock discipline and ordering, wire
-             taint, callback threading, blocking under a lock) over the
-             source tree; ``--strict`` also fails on warnings (the CI
-             mode).
+             safety, atomic writes, lock discipline and ordering,
+             blocking under a lock) over the source tree; ``--strict``
+             also fails on warnings (the CI mode).
 
 The full flag-by-flag reference, including exit-code semantics, lives
 in ``docs/cli.md``.
@@ -62,7 +61,7 @@ Examples::
     python -m repro removal --city nyc --profile small
     python -m repro bounds --city chicago --k 15
     python -m repro check --strict
-    python -m repro check src/repro --select RPR002,RPR008 --format json
+    python -m repro check src/repro --select RPR002,RPR006 --format json
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ Hutchinson ``s = 50`` probes with ``t = 10`` Lanczos steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 from repro.utils.validation import require, require_in_range, require_positive
 
@@ -16,6 +17,13 @@ EXPANSION_BEST = "best"
 
 EXPANSION_ALL = "all"
 """Enqueue every neighbor extension (the ETA-AN variant)."""
+
+_INT_FIELDS = (
+    "k", "max_turns", "seed_count", "max_iterations", "n_probes",
+    "lanczos_steps", "record_every", "seed",
+)
+_NUMBER_FIELDS = ("w", "tau_km")
+_BOOL_FIELDS = ("use_domination", "new_edges_only", "batch_eval", "allow_loop")
 
 
 @dataclass(frozen=True)
@@ -87,6 +95,28 @@ class PlannerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Types before ranges, and nothing is coerced: a bool is not a
+        # count, and 12.5 is not an edge budget. numpy scalars pass,
+        # since sweeps build their axes with numpy.
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "seed_count":
+                continue  # seed from every edge (ETA-ALL)
+            require(
+                isinstance(value, Integral) and not isinstance(value, bool),
+                f"{name} must be an integer, got {value!r}",
+            )
+        for name in _NUMBER_FIELDS:
+            value = getattr(self, name)
+            require(
+                isinstance(value, Real) and not isinstance(value, bool),
+                f"{name} must be a number, got {value!r}",
+            )
+        for name in _BOOL_FIELDS:
+            value = getattr(self, name)
+            require(
+                isinstance(value, bool), f"{name} must be a bool, got {value!r}"
+            )
         require(self.k >= 1, f"k must be >= 1, got {self.k}")
         require_in_range(self.w, 0.0, 1.0, "w")
         require_positive(self.tau_km, "tau_km")

@@ -12,6 +12,8 @@ HTTP (curl, a notebook, a dashboard) can plan and read stats:
 * ``GET  /stats`` — :meth:`PlanServer.stats` as JSON.
 * ``POST /shutdown`` — acknowledge, then stop the plan server.
 
+Every reply other than a 200 closes the connection.
+
 Auth: when the daemon has a shared secret, HTTP callers must send
 ``Authorization: Bearer <token>`` where the token is
 :func:`http_token`\\ (secret) — an HMAC of a fixed label, so the secret
@@ -62,6 +64,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if status != 200:
+            # A refused request may leave its body unread in the stream;
+            # the next request on this connection would be parsed from
+            # it. Close, as the frame door drops a peer after an error.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 

@@ -54,7 +54,7 @@ from repro.sweep.remote import (
 from repro.sweep.report import OutcomeRecord
 from repro.sweep.runner import execute_scenario
 from repro.sweep.scenario import scenario_from_spec, scenario_spec
-from repro.utils.errors import PlanningError
+from repro.utils.errors import DataError, PlanningError, ValidationError
 from repro.utils.wire import from_wire, to_wire
 
 SERVE_SCHEMA_VERSION = 1
@@ -66,7 +66,7 @@ class PlanRequest:
     """The body of ``POST /plan``."""
 
     scenario: dict  # a scenario_spec; scenario_from_spec validates it
-    base_config: "dict | None" = None  # PlannerConfig(**...) validates it
+    base_config: "PlannerConfig | None" = None
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,12 @@ class PlanFrame:
     op: ClassVar[str] = "plan"
     protocol: int
     scenario: dict
-    base_config: "dict | None" = None
+    base_config: "PlannerConfig | None" = None
+
+
+@dataclass(frozen=True)
+class StatsFrame:
+    op: ClassVar[str] = "stats"
 
 
 @dataclass(frozen=True)
@@ -126,6 +131,10 @@ class PlanServer(FrameServer):
     handshake, secret, and idle-timeout semantics are inherited from
     :class:`FrameServer` unchanged.
     """
+
+    frames: ClassVar["dict[str, type]"] = {
+        **FrameServer.frames, "plan": PlanFrame, "stats": StatsFrame,
+    }
 
     def __init__(
         self,
@@ -232,28 +241,27 @@ class PlanServer(FrameServer):
         (a :func:`scenario_spec`-shaped mapping) and an optional
         ``"base_config"`` (a full :class:`PlannerConfig` field mapping).
         Any other key, and every validation failure, raises
-        :class:`PlanningError`; the request latency is recorded either
-        way, so ``/stats`` reflects what clients actually experienced.
+        :class:`PlanningError`. A request that decodes has its latency
+        recorded whether it plans or not, so ``/stats`` reflects what
+        clients actually experienced.
         """
-        return to_wire(self._plan(doc, PlanRequest, PlanReply))
+        try:
+            request = from_wire(PlanRequest, doc)
+        except DataError as exc:
+            raise PlanningError(f"bad plan request: {exc}") from None
+        return to_wire(self._plan(request, PlanReply))
 
-    def _plan(self, doc, request_cls, reply_cls):
-        """Decode ``doc`` as ``request_cls``, plan it, answer ``reply_cls``."""
+    def _plan(self, request, reply_cls):
+        """Plan a decoded :class:`PlanRequest` or :class:`PlanFrame`,
+        answering ``reply_cls``."""
         started = time.perf_counter()
         try:
             try:
-                request = from_wire(request_cls, doc)
                 scenario = scenario_from_spec(request.scenario)
-                base_config = (
-                    PlannerConfig(**request.base_config)
-                    if request.base_config is not None
-                    else None
-                )
-            except PlanningError:
-                raise
-            except Exception as exc:  # noqa: BLE001 — anything malformed
+                scenario.validate(request.base_config)
+            except (DataError, ValidationError) as exc:
                 raise PlanningError(f"bad plan request: {exc}") from None
-            outcome, tier = self._submit(scenario, base_config)
+            outcome, tier = self._submit(scenario, request.base_config)
         finally:
             self.latency.record(time.perf_counter() - started)
         return reply_cls(
@@ -275,38 +283,22 @@ class PlanServer(FrameServer):
         }
 
     # ------------------------------------------------------------------
-    def handle_op(self, conn: socket.socket, frame: dict) -> bool:
-        op = frame.get("op")
-        if op == "ping":
-            send_frame(conn, ServePongFrame(
-                protocol=PROTOCOL_VERSION,
-                pid=os.getpid(),
-                role="serve",
-                cache_dir=self.cache_dir,
-            ))
-            return True
-        if op == "stats":
+    def pong(self) -> ServePongFrame:
+        return ServePongFrame(
+            protocol=PROTOCOL_VERSION,
+            pid=os.getpid(),
+            role="serve",
+            cache_dir=self.cache_dir,
+        )
+
+    def handle(self, conn: socket.socket, frame) -> bool:
+        if isinstance(frame, StatsFrame):
             send_frame(conn, {"op": "stats", **self.stats()})
             return True
-        if op == "shutdown":
-            send_frame(conn, {"op": "bye"})
-            self.shutdown()
-            return False
-        if op == "plan":
-            return self._plan_op(conn, frame)
-        send_frame(conn, ErrorFrame(error=f"unknown op {op!r}"))
-        return False
-
-    def _plan_op(self, conn: socket.socket, frame: dict) -> bool:
-        protocol = frame.get("protocol")
-        if protocol != PROTOCOL_VERSION:
-            send_frame(conn, ErrorFrame(
-                error=f"protocol {protocol!r} not supported; "
-                      f"this server speaks {PROTOCOL_VERSION}",
-            ))
-            return False
+        if not isinstance(frame, PlanFrame):
+            return super().handle(conn, frame)
         try:
-            reply = self._plan(frame, PlanFrame, PlanResultFrame)
+            reply = self._plan(frame, PlanResultFrame)
         except Exception as exc:  # noqa: BLE001 — report, close, survive
             send_frame(conn, ErrorFrame(error=str(exc)))
             return False

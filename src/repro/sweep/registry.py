@@ -117,7 +117,8 @@ class WorkerRecord:
 class RegisterFrame:
     op: ClassVar[str] = "register"
     # Redundant with the handshake, which already rejects other
-    # versions; kept so op frames are self-describing in captures.
+    # versions; kept so op frames are self-describing in captures, and
+    # checked first like every request frame's (decode_frame).
     protocol: int
     worker: WorkerRecord
 
@@ -340,6 +341,13 @@ class RegistryServer(FrameServer):
     any explicit deregistration.
     """
 
+    frames: ClassVar["dict[str, type]"] = {
+        **FrameServer.frames,
+        "register": RegisterFrame,
+        "deregister": DeregisterFrame,
+        "workers": WorkersFrame,
+    }
+
     def __init__(
         self,
         host: str = DEFAULT_HOST,
@@ -395,40 +403,30 @@ class RegistryServer(FrameServer):
         return len(self.live_workers())
 
     # ------------------------------------------------------------------
-    def handle_op(self, conn, frame: dict) -> bool:
-        op = frame.get("op")
-        if op == "ping":
-            send_frame(conn, RegistryPongFrame(
-                protocol=PROTOCOL_VERSION,
-                role="registry",
-                pid=os.getpid(),
-                ttl=self.ttl,
-                n_workers=self.n_workers,
+    def pong(self) -> RegistryPongFrame:
+        return RegistryPongFrame(
+            protocol=PROTOCOL_VERSION,
+            role="registry",
+            pid=os.getpid(),
+            ttl=self.ttl,
+            n_workers=self.n_workers,
+        )
+
+    def handle(self, conn, frame) -> bool:
+        if isinstance(frame, RegisterFrame):
+            self.register_record(frame.worker)
+            send_frame(conn, RegisteredFrame(ttl=self.ttl))
+        elif isinstance(frame, DeregisterFrame):
+            with self._lock:
+                self._workers.pop(frame.key, None)
+            send_frame(conn, DeregisteredFrame())
+        elif isinstance(frame, WorkersFrame):
+            send_frame(conn, WorkerListFrame(
+                workers=tuple(self.live_workers())
             ))
-            return True
-        if op == "shutdown":
-            send_frame(conn, {"op": "bye"})
-            self.shutdown()
-            return False
-        reply: object
-        try:
-            if op == "register":
-                self.register_record(from_wire(RegisterFrame, frame).worker)
-                reply = RegisteredFrame(ttl=self.ttl)
-            elif op == "deregister":
-                key = from_wire(DeregisterFrame, frame).key
-                with self._lock:
-                    self._workers.pop(key, None)
-                reply = DeregisteredFrame()
-            elif op == "workers":
-                from_wire(WorkersFrame, frame)
-                reply = WorkerListFrame(workers=tuple(self.live_workers()))
-            else:
-                reply = ErrorFrame(error=f"unknown op {op!r}")
-        except DataError as exc:
-            reply = ErrorFrame(error=str(exc))
-        send_frame(conn, reply)
-        return not isinstance(reply, ErrorFrame)
+        else:
+            return super().handle(conn, frame)
+        return True
 
 
 def serve_registry(

@@ -49,7 +49,8 @@ After ``welcome``, the conversation proper (client side first)::
 
 ``scenario`` payloads are :func:`~repro.sweep.scenario.scenario_spec`
 dicts (already *resolved* by the parent's :class:`SweepRunner` — seed
-policy and validation never run twice); a ``record`` is an
+policy and validation never run twice); a ``base_config`` is a
+:class:`~repro.core.config.PlannerConfig`; a ``record`` is an
 :class:`~repro.sweep.report.OutcomeRecord` — the stream record schema
 plus a lossless ``results_wire`` twin. A server that cannot serve a
 request answers ``{"op": "error", "error": msg}`` and drops the
@@ -57,7 +58,9 @@ connection.
 
 Every frame is declared once below (:class:`ChallengeFrame`, ...) and
 :mod:`repro.utils.wire` derives both directions from the declaration;
-decoding is the validator.
+decoding is the validator. A daemon decodes each request through its
+op table (:attr:`FrameServer.frames`, :func:`decode_frame`) before any
+handler sees it.
 
 Worker topology
 ---------------
@@ -124,7 +127,7 @@ import struct
 import threading
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, ClassVar
 
 from repro.core.config import PlannerConfig
@@ -217,6 +220,16 @@ class AuthErrorFrame:
 
 
 @dataclass(frozen=True)
+class PingFrame:
+    op: ClassVar[str] = "ping"
+
+
+@dataclass(frozen=True)
+class ShutdownFrame:
+    op: ClassVar[str] = "shutdown"
+
+
+@dataclass(frozen=True)
 class JobItem:
     index: int
     scenario: dict  # a scenario_spec; scenario_from_spec validates it
@@ -226,7 +239,7 @@ class JobItem:
 class RunFrame:
     op: ClassVar[str] = "run"
     protocol: int
-    base_config: "dict | None" = None  # PlannerConfig(**...) validates it
+    base_config: "PlannerConfig | None" = None
     scenarios: "tuple[JobItem, ...]" = ()
 
 
@@ -367,6 +380,31 @@ def decode_reply(cls, frame: dict, peer: str):
         ) from None
 
 
+def decode_frame(doc: dict, frames: "dict[str, type]"):
+    """``doc`` as the record its op names in ``frames``; DataError if not.
+
+    The protocol of a record that carries one is checked before the
+    rest of the frame, so a peer on another version hears "not
+    supported" rather than a field error.
+    """
+    op = doc.get("op")
+    cls = frames.get(op) if isinstance(op, str) else None
+    if cls is None:
+        raise DataError(f"unknown op {op!r}")
+    if any(f.name == "protocol" for f in fields(cls)):
+        protocol = doc.get("protocol")
+        if protocol != PROTOCOL_VERSION:
+            raise DataError(_unsupported(protocol))
+    return from_wire(cls, doc)
+
+
+def _unsupported(protocol) -> str:
+    return (
+        f"protocol {protocol!r} not supported; this daemon speaks "
+        f"protocol {PROTOCOL_VERSION}"
+    )
+
+
 # ----------------------------------------------------------------------
 # Handshake
 # ----------------------------------------------------------------------
@@ -396,10 +434,7 @@ def server_handshake(conn: socket.socket, secret: "bytes | None") -> bool:
     # even when the rest of its frame would not decode here.
     protocol = frame.get("protocol")
     if protocol != PROTOCOL_VERSION:
-        send_frame(conn, ErrorFrame(
-            error=f"protocol {protocol!r} not supported; this daemon "
-                  f"speaks protocol {PROTOCOL_VERSION}",
-        ))
+        send_frame(conn, ErrorFrame(error=_unsupported(protocol)))
         return False
     try:
         mac = from_wire(AuthFrame, frame).mac
@@ -560,7 +595,7 @@ def ping(address, timeout: float = 5.0, secret=None) -> dict:
         (host, port), _as_secret(secret), timeout,
         peer=f"daemon {host}:{port}",
     ) as sock:
-        send_frame(sock, {"op": "ping"})
+        send_frame(sock, PingFrame())
         frame = recv_frame(sock)
     if frame is None or frame.get("op") != "pong":
         raise RemoteProtocolError(
@@ -577,10 +612,12 @@ class FrameServer:
 
     One listening socket, one handler thread per connection; every
     connection runs :func:`server_handshake` first (version check +
-    shared-secret HMAC when ``secret`` is set), so subclasses only see
-    authenticated frames in :meth:`handle_op`. Protocol violations and
-    vanished peers drop the connection; the accept loop never dies
-    with them.
+    shared-secret HMAC when ``secret`` is set). Each frame after it is
+    decoded through the subclass's :attr:`frames` table, op to record
+    class, so :meth:`handle` only sees authenticated, decoded records.
+    A frame that does not decode is answered with one ``error`` frame
+    and the peer is dropped. Protocol violations and vanished peers drop
+    the connection; the accept loop never dies with them.
 
     ``idle_timeout`` bounds every blocking socket operation on a
     handler connection (handshake reads included): a peer that stalls
@@ -596,6 +633,13 @@ class FrameServer:
     :attr:`host` / :attr:`port` before :meth:`serve_forever` is called,
     so tests and scripts can start daemons without picking ports.
     """
+
+    #: The requests this daemon serves, op to record class. Every
+    #: daemon answers ``ping`` (with :meth:`pong`) and ``shutdown``.
+    frames: ClassVar["dict[str, type]"] = {
+        "ping": PingFrame,
+        "shutdown": ShutdownFrame,
+    }
 
     def __init__(
         self,
@@ -703,10 +747,15 @@ class FrameServer:
                     if not server_handshake(conn, self.secret):
                         return
                     while True:
-                        frame = recv_frame(conn)
-                        if frame is None:
+                        doc = recv_frame(conn)
+                        if doc is None:
                             return
-                        if not self.handle_op(conn, frame):
+                        try:
+                            frame = decode_frame(doc, self.frames)
+                        except DataError as exc:
+                            send_frame(conn, ErrorFrame(error=str(exc)))
+                            return
+                        if not self.handle(conn, frame):
                             return
                 except (OSError, RemoteProtocolError):
                     # Client went away, stalled past the idle timeout,
@@ -717,8 +766,22 @@ class FrameServer:
                 self._conns.discard(conn)
                 self._handlers.discard(threading.current_thread())
 
-    def handle_op(self, conn: socket.socket, frame: dict) -> bool:
-        """Serve one authenticated frame; ``False`` closes the peer."""
+    def handle(self, conn: socket.socket, frame) -> bool:
+        """Serve one decoded frame; ``False`` closes the peer.
+
+        Subclasses serve their own records and pass the rest up here.
+        """
+        if isinstance(frame, PingFrame):
+            send_frame(conn, self.pong())
+            return True
+        if isinstance(frame, ShutdownFrame):
+            send_frame(conn, {"op": "bye"})
+            self.shutdown()
+            return False
+        raise NotImplementedError(f"no handler for {type(frame).__name__}")
+
+    def pong(self):
+        """This daemon's answer to ``ping``."""
         raise NotImplementedError
 
 
@@ -742,6 +805,10 @@ class WorkerServer(FrameServer):
     frame) after streaming that many outcome frames, which looks to the
     client exactly like a worker killed mid-shard.
     """
+
+    frames: ClassVar["dict[str, type]"] = {
+        **FrameServer.frames, "run": RunFrame,
+    }
 
     def __init__(
         self,
@@ -793,42 +860,23 @@ class WorkerServer(FrameServer):
         )
 
     # ------------------------------------------------------------------
-    def handle_op(self, conn: socket.socket, frame: dict) -> bool:
-        op = frame.get("op")
-        if op == "ping":
-            send_frame(conn, WorkerPongFrame(
-                protocol=PROTOCOL_VERSION,
-                pid=os.getpid(),
-                cache_dir=self.cache_dir,
-                capacity=self.capacity,
-                cache_fingerprint=self.cache_fingerprint(),
-            ))
-            return True
-        if op == "shutdown":
-            send_frame(conn, {"op": "bye"})
-            self.shutdown()
-            return False
-        if op == "run":
-            return self._run_job(conn, frame)
-        send_frame(conn, ErrorFrame(error=f"unknown op {op!r}"))
-        return False
+    def pong(self) -> WorkerPongFrame:
+        return WorkerPongFrame(
+            protocol=PROTOCOL_VERSION,
+            pid=os.getpid(),
+            cache_dir=self.cache_dir,
+            capacity=self.capacity,
+            cache_fingerprint=self.cache_fingerprint(),
+        )
 
-    def _run_job(self, conn: socket.socket, frame: dict) -> bool:
+    def handle(self, conn: socket.socket, frame) -> bool:
+        if isinstance(frame, RunFrame):
+            return self._run_job(conn, frame)
+        return super().handle(conn, frame)
+
+    def _run_job(self, conn: socket.socket, job: RunFrame) -> bool:
         """Execute one job, streaming outcome frames; False = close."""
-        protocol = frame.get("protocol")
-        if protocol != PROTOCOL_VERSION:
-            send_frame(conn, ErrorFrame(
-                error=f"protocol {protocol!r} not supported; "
-                      f"this worker speaks {PROTOCOL_VERSION}",
-            ))
-            return False
         try:
-            job = from_wire(RunFrame, frame)
-            base_config = (
-                PlannerConfig(**job.base_config)
-                if job.base_config is not None
-                else None
-            )
             jobs = [
                 (item.index, scenario_from_spec(item.scenario))
                 for item in job.scenarios
@@ -839,7 +887,9 @@ class WorkerServer(FrameServer):
         n_sent = 0
         for index, scenario in jobs:
             try:
-                outcome = execute_scenario(scenario, base_config, self.cache_dir)
+                outcome = execute_scenario(
+                    scenario, job.base_config, self.cache_dir
+                )
             except Exception as exc:  # noqa: BLE001 — isolation is the point
                 outcome = failure_outcome(scenario, exc)
             send_frame(conn, OutcomeFrame(
@@ -1152,7 +1202,6 @@ class RemoteBackend(ExecutionBackend):
         n = len(scenarios)
         if n == 0:
             return
-        config_doc = None if base_config is None else asdict(base_config)
         if self.shard_size is None:
             # Capacity-weighted initial distribution: one contiguous
             # shard per worker, sized by weight (may be empty for tiny
@@ -1184,7 +1233,7 @@ class RemoteBackend(ExecutionBackend):
             work.add_worker(driver_id, weight)
             thread = threading.Thread(
                 target=self._drive_worker,
-                args=(driver_id, address, work, events, config_doc,
+                args=(driver_id, address, work, events, base_config,
                       initial_shard),
                 daemon=True,
                 name=f"remote-{format_address(address)}",
@@ -1282,7 +1331,7 @@ class RemoteBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------
     def _drive_worker(
-        self, driver_id, address, work: _WorkQueue, events, config_doc,
+        self, driver_id, address, work: _WorkQueue, events, base_config,
         initial_shard,
     ):
         """One worker's driver thread: pull shards until none can come."""
@@ -1295,7 +1344,7 @@ class RemoteBackend(ExecutionBackend):
             done: set = set()
             try:
                 for index, outcome in self._run_shard(
-                    address, shard, config_doc
+                    address, shard, base_config
                 ):
                     outcome.worker = format_address(address)
                     done.add(index)
@@ -1316,7 +1365,7 @@ class RemoteBackend(ExecutionBackend):
             work.task_done()
             shard = []
 
-    def _run_shard(self, address, shard, config_doc):
+    def _run_shard(self, address, shard, base_config):
         """Send one job; yield ``(index, outcome)`` as frames arrive."""
         peer = f"worker {format_address(address)}"
         with connect_authenticated(
@@ -1325,7 +1374,7 @@ class RemoteBackend(ExecutionBackend):
             sock.settimeout(None)  # scenarios may run long; EOF still breaks
             send_frame(sock, RunFrame(
                 protocol=PROTOCOL_VERSION,
-                base_config=config_doc,
+                base_config=base_config,
                 scenarios=tuple(
                     JobItem(index=index, scenario=scenario_spec(scenario))
                     for index, scenario in shard

@@ -22,6 +22,7 @@ import json
 import os
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, replace
+from numbers import Integral
 
 from repro.core.config import PlannerConfig
 from repro.core.constraints import PlanningConstraints
@@ -154,7 +155,11 @@ def scenario_spec(scenario: Scenario) -> dict:
 
 
 def scenario_from_spec(spec) -> Scenario:
-    """Rebuild a :class:`Scenario` from a :func:`scenario_spec` dict."""
+    """Rebuild a :class:`Scenario` from a :func:`scenario_spec` dict.
+
+    The one validator of scenario specs from outside: nothing is
+    coerced, so a ``route_count`` of ``2.9`` is refused, not rounded.
+    """
     if not isinstance(spec, Mapping):
         raise DataError(
             f"scenario spec must be a mapping, got {type(spec).__name__}"
@@ -163,17 +168,24 @@ def scenario_from_spec(spec) -> Scenario:
     name = spec.pop("name", None)
     if not name:
         raise DataError("scenario spec has no name")
+    overrides = spec.pop("overrides", None) or {}
+    if not isinstance(overrides, Mapping):
+        raise DataError(
+            f"scenario {name!r} overrides must be a mapping, got "
+            f"{type(overrides).__name__}"
+        )
+    seed = spec.pop("seed", None)
     scenario = Scenario(
         name=str(name),
         city=spec.pop("city", "chicago"),
         profile=spec.pop("profile", "tiny"),
         method=spec.pop("method", "eta-pre"),
-        overrides=dict(spec.pop("overrides", {}) or {}),
+        overrides=dict(overrides),
         constraints=constraints_from_record(spec.pop("constraints", None)),
-        route_count=_as_count(
+        route_count=_as_int(
             spec.pop("route_count", 1), f"scenario {name!r} route_count"
         ),
-        seed=spec.pop("seed", None),
+        seed=None if seed is None else _as_int(seed, f"scenario {name!r} seed"),
     )
     if spec:
         raise DataError(f"scenario spec {name!r}: unknown keys {sorted(spec)}")
@@ -260,11 +272,12 @@ def expand_grid(
 # ----------------------------------------------------------------------
 # Grid files (YAML / JSON)
 # ----------------------------------------------------------------------
-def _as_count(value, label: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise DataError(f"{label} must be an integer, got {value!r}") from None
+def _as_int(value, label: str) -> int:
+    """``value`` if it is an integer; never coerced (``2.9``, ``"2"`` and
+    ``true`` are refused)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise DataError(f"{label} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _parse_constraints(spec) -> "PlanningConstraints | None":
@@ -275,14 +288,21 @@ def _parse_constraints(spec) -> "PlanningConstraints | None":
     unknown = set(spec) - {"anchor_stop", "forbid_stops", "forbid_edges"}
     if unknown:
         raise DataError(f"unknown constraint keys {sorted(unknown)}")
-    try:
-        return PlanningConstraints(
-            anchor_stop=spec.get("anchor_stop"),
-            forbid_stops=frozenset(spec.get("forbid_stops", ())),
-            forbid_edges=frozenset(spec.get("forbid_edges", ())),
-        )
-    except TypeError as exc:
-        raise DataError(f"bad constraints {dict(spec)!r}: {exc}") from None
+    anchor = spec.get("anchor_stop")
+    return PlanningConstraints(
+        anchor_stop=(
+            None if anchor is None else _as_int(anchor, "constraint anchor_stop")
+        ),
+        forbid_stops=_as_ids(spec.get("forbid_stops", ()), "forbid_stops"),
+        forbid_edges=_as_ids(spec.get("forbid_edges", ()), "forbid_edges"),
+    )
+
+
+def _as_ids(ids, key: str) -> frozenset:
+    """A constraint's list of integer stop or edge ids."""
+    if not isinstance(ids, (list, tuple, set, frozenset)):
+        raise DataError(f"constraint {key} must be a list, got {ids!r}")
+    return frozenset(_as_int(i, f"constraint {key}[]") for i in ids)
 
 
 def _check_dataset_spec(name: str, city: str, profile: str) -> None:
@@ -353,7 +373,7 @@ def load_grid(path: str) -> tuple[list[Scenario], PlannerConfig]:
     city = base_spec.pop("city", "chicago")
     profile = base_spec.pop("profile", "tiny")
     method = base_spec.pop("method", "eta-pre")
-    route_count = _as_count(base_spec.pop("route_count", 1), "base route_count")
+    route_count = _as_int(base_spec.pop("route_count", 1), "base route_count")
     if base_spec:
         raise DataError(f"unknown base keys {sorted(base_spec)}")
 
@@ -377,7 +397,7 @@ def load_grid(path: str) -> tuple[list[Scenario], PlannerConfig]:
                 method=entry.pop("method", method),
                 overrides=dict(entry.pop("config", {}) or {}),
                 constraints=_parse_constraints(entry.pop("constraints", None)),
-                route_count=_as_count(
+                route_count=_as_int(
                     entry.pop("route_count", route_count),
                     f"scenario {name!r} route_count",
                 ),

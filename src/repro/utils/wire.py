@@ -8,13 +8,14 @@ their defaults. A frame also names its op as a class attribute
 consumes every declared field, so writer and reader cannot drift.
 
 Decoding is the validator: a missing field (one without a default), an
-unknown key, a mistyped value or another op raises :class:`DataError`
+unknown key, a mistyped value, another op, or a value the record's own
+constructor refuses with a ``ValueError`` raises :class:`DataError`
 naming the field. Values are never coerced; a ``bool`` is not an
 ``int``, but an ``int`` is a ``float``. The shapes understood are the
 ones on the wire: ``int``, ``float``, ``str``, ``bool``, ``None``,
 ``X | None``, nested records, ``list[X]``, ``tuple[X, ...]``,
 fixed-length tuples, and ``dict`` — a JSON object whose validator lives
-with its consumer (a scenario spec, a planner config).
+with its consumer (a scenario spec).
 """
 
 from __future__ import annotations
@@ -89,7 +90,10 @@ def _decode(tp: Any, value: Any, top: str, path: str) -> Any:
                 values[name] = _decode(field_tp, value[name], top, sub)
             elif required:
                 raise DataError(f"{top} is missing field {sub!r}")
-        return tp(**values)
+        try:
+            return tp(**values)
+        except ValueError as exc:  # the record's own validation
+            raise _error(top, path, f"is invalid: {exc}") from None
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is typing.Union or origin is types.UnionType:
         if value is None and _NONE in args:

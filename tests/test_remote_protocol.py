@@ -17,12 +17,20 @@ import time
 
 import pytest
 
-from repro.sweep import PROTOCOL_VERSION, RemoteAuthError, WorkerServer, ping
+from repro.serve import PlanServer
+from repro.sweep import (
+    PROTOCOL_VERSION,
+    RegistryServer,
+    RemoteAuthError,
+    WorkerServer,
+    ping,
+)
 from repro.sweep.remote import (
     MAX_FRAME_BYTES,
     RemoteProtocolError,
     auth_mac,
     client_handshake,
+    connect_authenticated,
     recv_frame,
     send_frame,
     server_handshake,
@@ -283,6 +291,82 @@ class TestHandshakeChaos:
         for t in threads:
             t.join()
         assert_daemon_healthy(daemon)
+        assert execute_counter == []
+
+
+# ----------------------------------------------------------------------
+# Strict decoding: every daemon decodes a frame before it acts on it
+# ----------------------------------------------------------------------
+DAEMONS = {
+    # kind: (daemon factory, a well-formed request frame it serves)
+    "worker": (WorkerServer, {
+        "op": "run", "protocol": PROTOCOL_VERSION, "scenarios": [],
+    }),
+    "registry": (RegistryServer, {
+        "op": "register", "protocol": PROTOCOL_VERSION,
+        "worker": {"host": "10.0.0.7", "port": 7401},
+    }),
+    "serve": (PlanServer, {
+        "op": "plan", "protocol": PROTOCOL_VERSION,
+        "scenario": {"name": "strict"},
+    }),
+}
+
+
+@pytest.fixture(params=sorted(DAEMONS))
+def any_daemon(request, execute_counter):
+    """Each frame daemon in turn, authenticated, with its request frame."""
+    factory, frame = DAEMONS[request.param]
+    server = factory(secret=SECRET)
+    server.start_in_thread()
+    yield server, frame
+    server.shutdown()
+
+
+def refusal(server, frame) -> str:
+    """Send ``frame`` in a fresh session; the error text, once dropped."""
+    with connect_authenticated(server.address, SECRET) as sock:
+        send_frame(sock, frame)
+        error = recv_frame(sock)
+        assert error is not None and error["op"] == "error", error
+        assert recv_eof(sock)  # one error frame, then the peer is dropped
+    return error["error"]
+
+
+class TestStrictDecoding:
+    @pytest.mark.parametrize("frame, key", [
+        ({"op": "ping", "extra": 1}, "extra"),
+        # Undecoded, this frame shut every daemon down.
+        ({"op": "shutdown", "now": True}, "now"),
+    ])
+    def test_unknown_key_is_refused_by_name(
+        self, any_daemon, execute_counter, frame, key
+    ):
+        server, _ = any_daemon
+        assert key in refusal(server, frame)
+        assert_daemon_healthy(server)
+        assert execute_counter == []
+
+    def test_unhashable_op_is_an_unknown_op(self, any_daemon):
+        server, _ = any_daemon
+        assert "unknown op ['x']" in refusal(server, {"op": ["x"]})
+        assert_daemon_healthy(server)
+
+    def test_request_on_another_protocol_is_not_supported(self, any_daemon):
+        server, frame = any_daemon
+        error = refusal(server, {**frame, "protocol": 1})
+        assert "protocol 1 not supported" in error
+        assert_daemon_healthy(server)
+
+    @pytest.mark.parametrize(
+        "any_daemon", ["worker", "serve"], indirect=True
+    )
+    def test_base_config_decodes_strictly(self, any_daemon, execute_counter):
+        server, frame = any_daemon
+        error = refusal(server, {**frame, "base_config": {"k": 3.0}})
+        assert "base_config.k" in error
+        assert "must be int" in error
+        assert_daemon_healthy(server)
         assert execute_counter == []
 
 

@@ -31,11 +31,13 @@ from repro.serve import (
     http_token,
     precomputation_nbytes,
 )
+from repro.serve.http import MAX_BODY_BYTES
 from repro.serve.pool import TIER_COMPUTED, TIER_DISK, TIER_POOL
 from repro.sweep.cache import PrecomputationCache
 from repro.sweep.remote import (
     PROTOCOL_VERSION,
     connect_authenticated,
+    ping,
     recv_frame,
     send_frame,
 )
@@ -534,8 +536,87 @@ class TestHTTPDoor:
             conn.close()
         assert elapsed < 0.4
 
+    @pytest.mark.parametrize("path, headers, status", [
+        ("/plan", {}, 401),
+        ("/nope", {"Authorization": f"Bearer {http_token(SECRET)}"}, 404),
+        ("/plan", {"Authorization": f"Bearer {http_token(SECRET)}",
+                   "Content-Length": "many"}, 400),
+        ("/plan", {"Authorization": f"Bearer {http_token(SECRET)}",
+                   "Content-Length": str(MAX_BODY_BYTES + 1)}, 400),
+    ])
+    def test_refused_request_does_not_poison_the_connection(
+        self, http_door, path, headers, status
+    ):
+        # The refusal leaves the POST body unread. Kept alive, the next
+        # request on the connection was parsed from those bytes (a 400).
+        port = urllib.parse.urlsplit(http_door).port
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        body = json.dumps({"scenario": scenario_spec(make_scenario())})
+        try:
+            conn.request("POST", path, body=body, headers=headers)
+            response = conn.getresponse()
+            response.read()
+            assert response.status == status
+            assert response.getheader("Connection") == "close"
+            conn.request("GET", "/stats", headers={
+                "Authorization": f"Bearer {http_token(SECRET)}",
+            })
+            response = conn.getresponse()
+            assert response.status == 200
+            assert "latency" in json.loads(response.read())
+        finally:
+            conn.close()
+
     def test_token_is_not_the_secret(self):
         token = http_token(SECRET)
         assert token is not None
         assert SECRET.hex() not in token
         assert http_token(None) is None
+
+
+# ----------------------------------------------------------------------
+# Both doors refuse a value they would otherwise coerce
+# ----------------------------------------------------------------------
+BAD_VALUES = pytest.mark.parametrize("field, value, named", [
+    ("overrides", {"k": 0}, "k must be >= 1"),
+    ("overrides", {"k": 12.5}, "k must be an integer"),
+    ("overrides", {"max_turns": 1.5}, "max_turns must be an integer"),
+    ("overrides", {"batch_eval": 1}, "batch_eval must be a bool"),
+    ("route_count", 2.9, "route_count must be an integer"),
+    ("route_count", "2", "route_count must be an integer"),
+    ("route_count", True, "route_count must be an integer"),
+    ("seed", True, "seed must be an integer"),
+    ("constraints", {"anchor_stop": "3"}, "anchor_stop must be an integer"),
+])
+
+
+def bad_spec(field, value) -> dict:
+    return {**scenario_spec(make_scenario()), field: value}
+
+
+class TestStrictRequests:
+    @BAD_VALUES
+    def test_frame_door_refuses_naming_the_field(
+        self, server, field, value, named
+    ):
+        with served_connection(server) as sock:
+            send_frame(sock, {
+                "op": "plan", "protocol": PROTOCOL_VERSION,
+                "scenario": bad_spec(field, value),
+            })
+            error = recv_frame(sock)
+        assert error["op"] == "error"
+        assert named in error["error"]
+        assert ping(server.address, secret=SECRET)["role"] == "serve"
+
+    @BAD_VALUES
+    def test_http_door_refuses_naming_the_field(
+        self, server, http_door, field, value, named
+    ):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            http_json(f"{http_door}/plan", body={
+                "scenario": bad_spec(field, value),
+            }, token=http_token(SECRET))
+        assert err.value.code == 400
+        assert named in json.loads(err.value.read())["error"]
+        assert ping(server.address, secret=SECRET)["role"] == "serve"

@@ -17,8 +17,10 @@ import urllib.request
 from dataclasses import dataclass
 from typing import ClassVar
 
+import numpy as np
 import pytest
 
+from repro.core.config import PlannerConfig
 from repro.core.result import PlannedRoute, PlanResult
 from repro.serve import PlanServer, build_http_server, http_token
 from repro.sweep import OutcomeRecord, RemoteBackend, Scenario
@@ -27,13 +29,14 @@ from repro.sweep.remote import (
     PROTOCOL_VERSION,
     FrameServer,
     RemoteProtocolError,
+    RunFrame,
     connect_authenticated,
     recv_frame,
     send_frame,
     server_handshake,
 )
 from repro.sweep.scenario import scenario_from_spec, scenario_spec
-from repro.utils.errors import DataError, PlanningError
+from repro.utils.errors import DataError, PlanningError, ValidationError
 from repro.utils.wire import from_wire, to_wire
 
 SECRET = b"wire-decode-secret"
@@ -112,6 +115,53 @@ class TestCodec:
         with pytest.raises(DataError, match=match):
             from_wire(PlanResult, doc)
 
+    def test_a_record_refusing_its_values_is_a_data_error(self):
+        doc = {"op": "run", "protocol": PROTOCOL_VERSION,
+               "base_config": {"k": 0}}
+        match = r"'base_config' is invalid: k must be >= 1"
+        with pytest.raises(DataError, match=match):
+            from_wire(RunFrame, doc)
+
+
+# ----------------------------------------------------------------------
+# Planner knobs and scenario counts are never coerced
+# ----------------------------------------------------------------------
+class TestNoCoercion:
+    @pytest.mark.parametrize("field, value", [
+        ("k", 12.5), ("k", 3.0), ("k", True), ("max_turns", 1.5),
+        ("seed_count", 2.0), ("max_iterations", "100"), ("n_probes", False),
+        ("lanczos_steps", 6.5), ("record_every", None), ("seed", True),
+        ("w", True), ("w", "0.5"), ("tau_km", None),
+        ("use_domination", 1), ("new_edges_only", "no"),
+        ("batch_eval", None), ("allow_loop", 0),
+    ])
+    def test_planner_config_refuses_a_wrong_type_by_name(self, field, value):
+        with pytest.raises(ValidationError, match=rf"^{field} must be an?"):
+            PlannerConfig(**{field: value})
+
+    def test_planner_config_accepts_numpy_scalars(self):
+        # Sweeps and figures build their axes with numpy.
+        config = PlannerConfig(
+            k=np.int64(5), w=np.float64(0.25), tau_km=np.float32(0.5),
+            seed=np.int32(3), seed_count=None,
+        )
+        assert (config.k, config.w, config.seed) == (5, 0.25, 3)
+
+    @pytest.mark.parametrize("field, value", [
+        ("route_count", 2.9), ("route_count", "2"), ("route_count", True),
+        ("seed", True), ("seed", 1.5), ("seed", "7"),
+        ("overrides", [["k", 3]]),
+        ("constraints", {"anchor_stop": True}),
+        ("constraints", {"anchor_stop": "3"}),
+        ("constraints", {"forbid_stops": [1.0]}),
+        ("constraints", {"forbid_edges": "12"}),
+    ])
+    def test_scenario_spec_refuses_a_coercible_value(self, field, value):
+        spec = {**scenario_spec(Scenario(name="s")), field: value}
+        named = field if field != "constraints" else next(iter(value))
+        with pytest.raises(DataError, match=f"{named}(\\[\\])? must be"):
+            scenario_from_spec(spec)
+
 
 # ----------------------------------------------------------------------
 # The doors
@@ -127,21 +177,23 @@ def plan_server():
 class CopyingWorker(FrameServer):
     """Answers every job with failure outcomes, ``copies`` frames each."""
 
+    frames = {"run": RunFrame}
+
     def __init__(self, copies: int):
         super().__init__()
         self.copies = copies
 
-    def handle_op(self, conn, frame) -> bool:
-        for item in frame["scenarios"]:
+    def handle(self, conn, frame) -> bool:
+        for item in frame.scenarios:
             record = OutcomeRecord.of(failure_outcome(
-                scenario_from_spec(item["scenario"]), ValueError("x")
+                scenario_from_spec(item.scenario), ValueError("x")
             ))
             for _ in range(self.copies):
                 send_frame(conn, {
-                    "op": "outcome", "index": item["index"],
+                    "op": "outcome", "index": item.index,
                     "record": to_wire(record),
                 })
-        send_frame(conn, {"op": "done", "n_executed": len(frame["scenarios"])})
+        send_frame(conn, {"op": "done", "n_executed": len(frame.scenarios)})
         return True
 
 
