@@ -1,15 +1,20 @@
 """Unit tests for the pre-computation stage (Section 6 / Table 4)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.config import PlannerConfig
+from repro.core.planner import run_method
 from repro.core.precompute import (
     PRECOMPUTE_CONFIG_FIELDS,
+    Precomputation,
     compute_edge_increments,
     precompute,
     rebind,
 )
+from repro.data.datasets import CITY_NAMES, canned_city
 
 
 class TestPrecompute:
@@ -187,3 +192,64 @@ class TestRebind:
     def test_road_preserved(self, small_pre):
         re = rebind(small_pre, small_pre.config.variant(w=0.0))
         assert re.road is small_pre.road
+
+
+# Cities up to 300 stops take the dense eigen path, so a spectrum of 2k
+# eigenvalues is a prefix of any longer one, bit for bit.
+PARITY_CITIES = [(city, "tiny") for city in CITY_NAMES] + [("chicago", "small")]
+PARITY_VARIANTS = [
+    {"k": 10, "w": 0.3},
+    {"k": 45, "w": 0.8},  # 2k = 90 > the 60 eigenvalues saved at k = 30
+    {"seed_count": 40, "max_turns": 1},
+]
+
+
+class TestRebindParity:
+    """A rebound or reloaded artifact plans exactly like a fresh one.
+
+    This is what sharing one artifact across every ``k`` and ``w`` rests
+    on: the expensive half of precompute must not read a field outside
+    the cache key.
+    """
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("parity")
+        out = {}
+        for city, profile in PARITY_CITIES:
+            ds = canned_city(city, profile)
+            pre = precompute(ds, PlannerConfig())
+            prefix = str(root / f"{city}-{profile}")
+            pre.save(prefix)
+            out[city, profile] = (ds, pre, prefix)
+        return out
+
+    @staticmethod
+    def _numbers(pre):
+        return (
+            pre.universe.delta,
+            pre.lambda_base,
+            pre.d_max,
+            pre.lambda_max,
+            pre.path_bound_increment,
+            np.array([pre.L_e.value(i) for i in range(len(pre.L_e))]),
+        )
+
+    @pytest.mark.parametrize("city, profile", PARITY_CITIES)
+    def test_rebind_and_load_equal_fresh(self, saved, city, profile):
+        ds, pre, prefix = saved[city, profile]
+        for overrides in PARITY_VARIANTS:
+            config = pre.config.variant(**overrides)
+            fresh = precompute(ds, config)
+            want = self._numbers(fresh)
+            plan = dataclasses.replace(run_method(fresh, "eta-pre"), runtime_s=0.0)
+            for got in (rebind(pre, config), Precomputation.load(prefix, ds, config)):
+                for a, b in zip(self._numbers(got), want):
+                    assert np.array_equal(a, b), overrides
+                n = min(len(got.top_eigenvalues), len(fresh.top_eigenvalues))
+                assert n >= min(2 * config.k, ds.transit.n_stops)
+                assert np.array_equal(
+                    got.top_eigenvalues[:n], fresh.top_eigenvalues[:n]
+                )
+                replan = run_method(got, "eta-pre")
+                assert dataclasses.replace(replan, runtime_s=0.0) == plan, overrides

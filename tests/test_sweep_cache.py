@@ -20,7 +20,7 @@ from repro.core.precompute import (
     Precomputation,
     precompute,
 )
-from repro.data.datasets import build_dataset
+from repro.data.datasets import build_dataset, canned_city
 from repro.data.synth import SynthConfig
 from repro.network.road import RoadNetwork
 from repro.sweep import (
@@ -157,6 +157,35 @@ class TestKeySensitivity:
         # The amortization contract: rebind-able knobs hit the same entry.
         changed = micro_config.variant(**overrides)
         assert cache_key(micro, micro_config) == cache_key(micro, changed)
+
+
+class TestGoldenKey:
+    """Pinned keys: existing cache directories stay warm across releases.
+
+    A change to how the key is computed orphans every stored artifact;
+    one that means to do so re-records these values and says why.
+    """
+
+    @pytest.fixture(scope="class")
+    def chicago(self):
+        return canned_city("chicago", "tiny")
+
+    def test_default_config_key(self, chicago):
+        assert cache_key(chicago, PlannerConfig()) == (
+            "ed55d01e0dc1d8e67e85506734ff6dd7"
+        )
+
+    def test_every_keyed_field_changed(self, chicago):
+        config = PlannerConfig(
+            seed=3, tau_km=0.4, n_probes=20, lanczos_steps=6,
+            increment_mode="sketch", batch_eval=False,
+        )
+        assert cache_key(chicago, config) == "b37ecac32410ee9e466f751d9d3ec768"
+
+    def test_search_knobs_keep_default_key(self, chicago):
+        assert cache_key(chicago, PlannerConfig(k=7, w=0.2)) == (
+            "ed55d01e0dc1d8e67e85506734ff6dd7"
+        )
 
 
 class TestRoundTrip:
