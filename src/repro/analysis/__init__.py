@@ -6,7 +6,10 @@ documented invariants:
 
 * PR 2's cache-key mismatch — ``precompute()`` started honoring
   ``config.n_probes`` without ``n_probes`` being part of the cache key,
-  so stale artifacts served wrong numbers (now rule **RPR002**);
+  so stale artifacts served wrong numbers. Rule RPR002 guarded it by
+  field name until the precompute's expensive half came to take only a
+  typed ``PrecomputeSpec``, the cache key itself, which retired the
+  rule;
 * PR 6's never-entered ``Timer`` — a resource acquired outside the
   ownership pattern that was supposed to guard it (the class of bug
   rules **RPR004**/**RPR005** pin for file and socket handles).

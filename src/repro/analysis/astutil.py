@@ -6,8 +6,7 @@ Capabilities every rule needs and :mod:`ast` does not provide:
   ``datetime.now()`` through the module's import aliases to
   ``time.time`` / ``numpy.random.rand`` / ``datetime.datetime.now``;
 * **parent links and enclosing scopes** — which function/class a node
-  sits in, and which statements follow it in source order;
-* **module constants** — the literal value of a module-level assign.
+  sits in, and which statements follow it in source order.
 """
 
 from __future__ import annotations
@@ -164,43 +163,3 @@ def walk_calls(tree: ast.AST) -> Iterator[ast.Call]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             yield node
-
-
-# ----------------------------------------------------------------------
-# Module constants
-# ----------------------------------------------------------------------
-
-def module_constant(tree: ast.Module, name: str) -> object:
-    """The literal value of a module-level ``NAME = <const>`` assign.
-
-    Returns ``None`` when the name is absent or not a literal. Handles
-    plain and annotated assigns; tuples of constants evaluate to tuples.
-    """
-    for stmt in tree.body:
-        target = None
-        value = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target, value = stmt.targets[0], stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            target, value = stmt.target, stmt.value
-        if not (isinstance(target, ast.Name) and target.id == name):
-            continue
-        try:
-            return ast.literal_eval(value)
-        except (ValueError, TypeError, SyntaxError):
-            return None
-    return None
-
-
-def node_for_constant(tree: ast.Module, name: str) -> "ast.stmt | None":
-    """The assign statement defining module-level ``name`` (for lines)."""
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-        elif isinstance(stmt, ast.AnnAssign):
-            target = stmt.target
-        else:
-            continue
-        if isinstance(target, ast.Name) and target.id == name:
-            return stmt
-    return None

@@ -3,9 +3,9 @@
 Rules never touch the filesystem themselves — they read parsed
 :class:`Module` objects out of an :class:`AnalysisContext`, keyed by
 POSIX relpath (``"sweep/report.py"``). That keeps cross-module rules
-(RPR002 reads ``core/config.py`` *and* ``core/precompute.py``) cheap,
-and lets the test suite point the whole engine at a fixture tree that
-mimics the package layout.
+(the thread model behind RPR006, RPR007 and RPR010 spans every module)
+cheap, and lets the test suite point the whole engine at a fixture tree
+that mimics the package layout.
 """
 
 from __future__ import annotations
@@ -47,11 +47,9 @@ class AnalysisContext:
     def get(self, relpath: str) -> "Module | None":
         """The module at ``relpath``, or ``None`` when absent.
 
-        Rules that pin invariants of *specific* modules (RPR002)
-        skip silently when the module is absent from the scanned tree —
-        that is what lets fixture trees exercise one rule at a time —
-        and report drift when the module exists but its expected
-        structure does not.
+        Rules that look a module up by path skip it silently when it
+        is absent from the scanned tree — that is what lets fixture
+        trees exercise one rule at a time.
         """
         return self.modules.get(relpath)
 

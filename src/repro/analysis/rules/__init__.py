@@ -9,7 +9,6 @@ One module per rule, named after what it protects — see
 from repro.analysis.rules import (  # noqa: F401  (imported to register)
     atomic_writes,
     blocking_locks,
-    cache_key,
     determinism,
     lock_discipline,
     lock_ordering,

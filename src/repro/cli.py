@@ -61,7 +61,7 @@ Examples::
     python -m repro removal --city nyc --profile small
     python -m repro bounds --city chicago --k 15
     python -m repro check --strict
-    python -m repro check src/repro --select RPR002,RPR006 --format json
+    python -m repro check src/repro --select RPR001,RPR006 --format json
 """
 
 from __future__ import annotations

@@ -27,6 +27,30 @@ _BOOL_FIELDS = ("use_domination", "new_edges_only", "batch_eval", "allow_loop")
 
 
 @dataclass(frozen=True)
+class PrecomputeSpec:
+    """The config fields that determine the expensive precompute artifacts.
+
+    The edge universe, the estimator, ``lambda(G_r)`` and ``Delta(e)``
+    are computed from a dataset and this spec alone, and the cache key
+    hashes exactly these fields. Everything else in
+    :class:`PlannerConfig` (``k``, ``w``, ``seed_count``, traversal
+    knobs, ...) only shapes the cheap derived state that
+    :func:`~repro.core.precompute.rebind` re-creates, so one artifact
+    serves a whole ``k``/``w`` sweep. ``batch_eval`` is keyed because
+    the batched and sequential increment paths agree only to
+    floating-point roundoff, not bitwise: sharing artifacts across the
+    switch would make the differential oracle compare a mixture.
+    """
+
+    tau_km: float
+    increment_mode: str
+    batch_eval: bool
+    n_probes: int
+    lanczos_steps: int
+    seed: int
+
+
+@dataclass(frozen=True)
 class PlannerConfig:
     """All knobs of the CT-Bus planners.
 
@@ -139,6 +163,18 @@ class PlannerConfig:
         require_positive(self.n_probes, "n_probes")
         require_positive(self.lanczos_steps, "lanczos_steps")
         require_positive(self.record_every, "record_every")
+
+    @property
+    def spec(self) -> PrecomputeSpec:
+        """The fields of this config that key the expensive precompute."""
+        return PrecomputeSpec(
+            tau_km=self.tau_km,
+            increment_mode=self.increment_mode,
+            batch_eval=self.batch_eval,
+            n_probes=self.n_probes,
+            lanczos_steps=self.lanczos_steps,
+            seed=self.seed,
+        )
 
     def variant(self, **overrides) -> "PlannerConfig":
         """A copy with the given fields replaced."""

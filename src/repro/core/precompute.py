@@ -12,21 +12,26 @@ One pass over the dataset produces everything the planners share:
 * the Lemma 4 path-bound increment used as ETA's constant
   ``O^_lambda`` upper bound.
 
-:func:`rebind` re-derives the cheap artifacts (ranked lists,
-normalizers, bounds) for a tweaked config — e.g. a ``w`` or ``k`` sweep —
-without repeating the expensive per-edge increment estimation.
+The work splits in two halves. The expensive one (universe,
+estimator, ``lambda(G_r)``, ``Delta(e)``) sees only the dataset and a
+:class:`~repro.core.config.PrecomputeSpec`, the fields the cache key
+hashes. The cheap one, :func:`_finalize`, is the only code here that
+reads ``k`` or ``w``: it sizes the top spectrum and derives the ranked
+lists, normalizers and bounds. :func:`rebind` and
+:meth:`Precomputation.load` re-run only the cheap half for a tweaked
+config — e.g. a ``w`` or ``k`` sweep.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from repro.core.bounds import RankedList
-from repro.core.config import PlannerConfig
+from repro.core.config import PlannerConfig, PrecomputeSpec
 from repro.core.edges import EdgeUniverse, PlanEdge
 from repro.core.seeding import build_edge_universe
 from repro.data.datasets import Dataset
@@ -43,31 +48,6 @@ ARTIFACT_FORMAT = 2
 """On-disk artifact version (bump on incompatible layout *or semantics*
 changes; v2: sketch-mode deltas honor ``config.n_probes``, so v1 sketch
 artifacts no longer match what ``precompute()`` would produce)."""
-
-PRECOMPUTE_CONFIG_FIELDS = (
-    "tau_km", "increment_mode", "batch_eval", "n_probes", "lanczos_steps",
-    "seed",
-)
-"""Config fields that determine the expensive artifacts.
-
-Everything else (``k``, ``w``, ``seed_count``, traversal knobs, ...)
-only affects the cheap derived state that :func:`rebind` re-creates, so
-saved artifacts are shared across those sweeps. ``batch_eval`` is keyed
-because the batched and sequential increment paths agree only to
-floating-point roundoff, not bitwise — sharing artifacts across the
-switch would make the differential oracle compare a mixture.
-"""
-
-REBIND_CONFIG_FIELDS = ("k", "w")
-"""Config fields this module reads that are *deliberately* outside the
-cache key: they only shape the cheap derived state (ranked lists,
-normalizers, bounds) that :func:`rebind`/:meth:`Precomputation.load`
-re-derive per config, so cached artifacts stay valid across ``k``/``w``
-sweeps. ``repro check`` (rule RPR002) audits that every config field
-read here is declared either precompute-relevant (above, cache-keyed)
-or rebind-healed (this tuple) — an undeclared read is the PR 2
-``n_probes`` bug class."""
-
 
 @dataclass
 class Precomputation:
@@ -89,8 +69,10 @@ class Precomputation:
     road: object = None
     """The dataset's road network (used by baselines for stitching)."""
     spectrum_widened: bool = False
-    """Set by :meth:`load` when the saved spectrum was too short for the
-    requested ``k`` and had to be recomputed — a signal to re-persist."""
+    """Set when the spectrum this object was derived from was too short
+    for its ``k`` and had to be recomputed: always for a fresh
+    :func:`precompute`, and for a :meth:`load` or :func:`rebind` at a
+    larger ``k`` — a loaded artifact with it set is worth re-persisting."""
 
     @property
     def n_candidate_edges(self) -> int:
@@ -161,9 +143,9 @@ class Precomputation:
         """Rebuild a precomputation from :meth:`save` artifacts.
 
         ``config`` may differ from the saved config in any field outside
-        :data:`PRECOMPUTE_CONFIG_FIELDS` — the cheap derived artifacts are
-        re-derived for it, exactly like :func:`rebind`. A mismatch in a
-        precompute-relevant field (or a dataset of the wrong shape) raises
+        its :class:`~repro.core.config.PrecomputeSpec` — the cheap derived
+        artifacts are re-derived for it, exactly like :func:`rebind`. A
+        different spec (or a dataset of the wrong shape) raises
         :class:`DataError`: the artifacts would be silently wrong.
         """
         json_path = f"{prefix}.json"
@@ -176,14 +158,16 @@ class Precomputation:
             raise DataError(
                 f"artifact format {meta.get('format')!r} != {ARTIFACT_FORMAT}"
             )
-        saved_cfg = meta["config"]
-        for name in PRECOMPUTE_CONFIG_FIELDS:
-            if saved_cfg.get(name) != getattr(config, name):
-                raise DataError(
-                    f"saved artifacts used {name}={saved_cfg.get(name)!r} but the "
-                    f"requested config has {name}={getattr(config, name)!r}; "
-                    f"run precompute()"
-                )
+        saved = PrecomputeSpec(
+            **{f.name: meta["config"].get(f.name) for f in fields(PrecomputeSpec)}
+        )
+        if saved != config.spec:
+            name = _first_difference(saved, config.spec)
+            raise DataError(
+                f"saved artifacts used {name}={getattr(saved, name)!r} but the "
+                f"requested config has {name}={getattr(config, name)!r}; "
+                f"run precompute()"
+            )
         transit = dataset.transit
         if transit.n_stops != meta["n_stops"]:
             raise DataError(
@@ -242,23 +226,16 @@ class Precomputation:
         universe.set_deltas(delta)
 
         builder = AdjacencyBuilder(transit.n_stops, transit.edge_list())
-        estimator = NaturalConnectivityEstimator(
-            transit.n_stops,
-            n_probes=config.n_probes,
-            lanczos_steps=config.lanczos_steps,
-            seed=config.seed,
-        )
-        n_eigs = max(2 * config.k, (config.k + 1) // 2, 1)
-        widened = False
-        if len(top_eigs) < min(n_eigs, universe.n_stops):
-            top_eigs = top_k_eigenvalues(builder.base(), n_eigs)
-            widened = True
-        timings = dict(meta.get("timings", {}))
         pre = _finalize(
-            universe, builder, estimator, lambda_base, top_eigs, config, timings
+            universe,
+            builder,
+            _estimator(transit.n_stops, config.spec),
+            lambda_base,
+            top_eigs,
+            config,
+            dict(meta.get("timings", {})),
         )
         pre.road = dataset.road
-        pre.spectrum_widened = widened
         return pre
 
 
@@ -308,6 +285,57 @@ def compute_edge_increments(
     return deltas
 
 
+def _first_difference(a: PrecomputeSpec, b: PrecomputeSpec) -> str:
+    """The first field in which two unequal specs differ (for errors)."""
+    return next(f.name for f in fields(a) if getattr(a, f.name) != getattr(b, f.name))
+
+
+def _estimator(n_stops: int, spec: PrecomputeSpec) -> NaturalConnectivityEstimator:
+    return NaturalConnectivityEstimator(
+        n_stops,
+        n_probes=spec.n_probes,
+        lanczos_steps=spec.lanczos_steps,
+        seed=spec.seed,
+    )
+
+
+def _compute_artifacts(dataset: Dataset, spec: PrecomputeSpec) -> tuple:
+    """The expensive half: universe, estimator, ``lambda(G_r)``, ``Delta(e)``.
+
+    Reads nothing but ``dataset`` and ``spec``, the fields the cache key
+    hashes, so its output is valid for every config with this spec.
+    Returns ``(universe, builder, estimator, lambda_base, timings)``.
+    """
+    timings: dict[str, float] = {}
+
+    with Timer() as t:
+        universe = build_edge_universe(dataset, spec.tau_km)
+    timings["candidate_edges_s"] = t.elapsed
+
+    transit = dataset.transit
+    builder = AdjacencyBuilder(transit.n_stops, transit.edge_list())
+    estimator = _estimator(transit.n_stops, spec)
+
+    with Timer() as t:
+        lambda_base = estimator.estimate(builder.base())
+    timings["base_spectrum_s"] = t.elapsed
+
+    with Timer() as t:
+        deltas = compute_edge_increments(
+            universe,
+            builder,
+            estimator,
+            lambda_base,
+            mode=spec.increment_mode,
+            sketch_probes=spec.n_probes,
+            seed=spec.seed,
+            batch=spec.batch_eval,
+        )
+        universe.set_deltas(deltas)
+    timings["increments_s"] = t.elapsed
+    return universe, builder, estimator, lambda_base, timings
+
+
 def _finalize(
     universe: EdgeUniverse,
     builder: AdjacencyBuilder,
@@ -317,7 +345,18 @@ def _finalize(
     config: PlannerConfig,
     timings: dict[str, float],
 ) -> Precomputation:
-    """Derive ranked lists, normalizers, and bounds from computed state."""
+    """The cheap half: the spectrum, ranked lists, normalizers and bounds.
+
+    The only code in this module that reads ``k`` and ``w``. Lemma 3
+    needs the top ``2k`` eigenvalues (Lemma 4's ``ceil(k/2)`` is a
+    prefix of them); ``top_eigs`` is recomputed, and the result marked
+    :attr:`~Precomputation.spectrum_widened`, when it holds fewer than
+    that and fewer than the whole spectrum.
+    """
+    n_eigs = 2 * config.k
+    widened = len(top_eigs) < min(n_eigs, universe.n_stops)
+    if widened:
+        top_eigs = top_k_eigenvalues(builder.base(), n_eigs)
     L_d = RankedList(universe.demand)
     L_lambda = RankedList(universe.delta)
     d_max = L_d.top_sum(config.k)
@@ -352,47 +391,22 @@ def _finalize(
         path_bound_increment=path_bound_inc,
         config=config,
         timings=timings,
+        spectrum_widened=widened,
     )
 
 
 def precompute(dataset: Dataset, config: PlannerConfig) -> Precomputation:
     """Run the full pre-computation for ``dataset`` under ``config``."""
-    timings: dict[str, float] = {}
-
-    with Timer() as t:
-        universe = build_edge_universe(dataset, config.tau_km)
-    timings["candidate_edges_s"] = t.elapsed
-
-    transit = dataset.transit
-    builder = AdjacencyBuilder(transit.n_stops, transit.edge_list())
-    estimator = NaturalConnectivityEstimator(
-        transit.n_stops,
-        n_probes=config.n_probes,
-        lanczos_steps=config.lanczos_steps,
-        seed=config.seed,
+    universe, builder, estimator, lambda_base, timings = _compute_artifacts(
+        dataset, config.spec
     )
-
+    # The first spectrum is computed by the cheap half; it is timed with
+    # lambda_base, as it always was.
     with Timer() as t:
-        lambda_base = estimator.estimate(builder.base())
-        n_eigs = max(2 * config.k, (config.k + 1) // 2, 1)
-        top_eigs = top_k_eigenvalues(builder.base(), n_eigs)
-    timings["base_spectrum_s"] = t.elapsed
-
-    with Timer() as t:
-        deltas = compute_edge_increments(
-            universe,
-            builder,
-            estimator,
-            lambda_base,
-            mode=config.increment_mode,
-            sketch_probes=config.n_probes,
-            seed=config.seed,
-            batch=config.batch_eval,
+        pre = _finalize(
+            universe, builder, estimator, lambda_base, np.empty(0), config, timings
         )
-        universe.set_deltas(deltas)
-    timings["increments_s"] = t.elapsed
-
-    pre = _finalize(universe, builder, estimator, lambda_base, top_eigs, config, timings)
+    timings["base_spectrum_s"] += t.elapsed
     pre.road = dataset.road
     return pre
 
@@ -400,33 +414,29 @@ def precompute(dataset: Dataset, config: PlannerConfig) -> Precomputation:
 def rebind(pre: Precomputation, config: PlannerConfig) -> Precomputation:
     """Re-derive a precomputation for a tweaked config, reusing increments.
 
-    Valid for changes to any field outside
-    :data:`PRECOMPUTE_CONFIG_FIELDS`: ``k``, ``w``, ``seed_count``,
-    ``max_iterations``, ``expansion``, ``use_domination``,
-    ``new_edges_only``, ``max_turns``, and trace granularity. A change to
-    a field in that tuple (``tau_km``, ``increment_mode``,
-    ``batch_eval``, ``n_probes``, ``lanczos_steps``, ``seed``) changes
-    the expensive artifacts themselves — the universe, the estimator,
-    ``Delta(e)``, ``lambda_base`` — so it raises :class:`ValueError`
-    naming the field: run :func:`precompute` instead.
+    Valid for any config with the same
+    :class:`~repro.core.config.PrecomputeSpec`: a change to ``k``,
+    ``w``, ``seed_count``, ``max_iterations``, ``expansion``,
+    ``use_domination``, ``new_edges_only``, ``max_turns`` or trace
+    granularity. A change to a spec field (``tau_km``,
+    ``increment_mode``, ``batch_eval``, ``n_probes``, ``lanczos_steps``,
+    ``seed``) changes the expensive artifacts themselves — the universe,
+    the estimator, ``Delta(e)``, ``lambda_base`` — so it raises
+    :class:`ValueError` naming the field: run :func:`precompute` instead.
     """
-    for name in PRECOMPUTE_CONFIG_FIELDS:
-        if getattr(config, name) != getattr(pre.config, name):
-            raise ValueError(
-                f"rebind cannot change {name} "
-                f"({getattr(pre.config, name)!r} -> "
-                f"{getattr(config, name)!r}); run precompute()"
-            )
-    top_eigs = pre.top_eigenvalues
-    n_eigs = max(2 * config.k, (config.k + 1) // 2, 1)
-    if len(top_eigs) < min(n_eigs, pre.universe.n_stops):
-        top_eigs = top_k_eigenvalues(pre.builder.base(), n_eigs)
+    if config.spec != pre.config.spec:
+        name = _first_difference(pre.config.spec, config.spec)
+        raise ValueError(
+            f"rebind cannot change {name} "
+            f"({getattr(pre.config, name)!r} -> {getattr(config, name)!r}); "
+            f"run precompute()"
+        )
     rebound = _finalize(
         pre.universe,
         pre.builder,
         pre.estimator,
         pre.lambda_base,
-        top_eigs,
+        pre.top_eigenvalues,
         config,
         dict(pre.timings),
     )

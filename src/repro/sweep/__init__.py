@@ -107,12 +107,12 @@ config)``:
   stop coordinates / road affiliations / edges / lengths / road paths,
   and route stop sequences. Any demand, edge, or weight perturbation
   changes the key; dataset *names* do not participate.
-* **precompute-relevant config** — exactly the fields named in
-  :data:`repro.core.precompute.PRECOMPUTE_CONFIG_FIELDS`. Search knobs
-  such as ``k``, ``w``, and ``seed_count`` are *excluded by design*: a
-  whole parameter sweep shares one warm entry, with the cheap derived
-  state re-derived per scenario (the
-  :func:`repro.core.precompute.rebind` contract).
+* **precompute-relevant config** — exactly the config's
+  :class:`repro.core.config.PrecomputeSpec`, the only config input of
+  precompute's expensive half. Search knobs such as ``k``, ``w``, and
+  ``seed_count`` are *excluded by design*: a whole parameter sweep
+  shares one warm entry, with the cheap derived state re-derived per
+  scenario (the :func:`repro.core.precompute.rebind` contract).
 
 Artifact layout
 ---------------

@@ -9,10 +9,11 @@ The cache key is ``sha256(dataset fingerprint || config fingerprint)``:
   perturbation of demand, graph structure, or edge weights therefore
   changes the key. Dataset *names* are deliberately excluded: two
   builds with identical content share artifacts.
-* the **config fingerprint** hashes only the fields named in
-  :data:`repro.core.precompute.PRECOMPUTE_CONFIG_FIELDS`. Search-side
-  knobs (``k``, ``w``, ``seed_count``, ...) are excluded so a whole
-  parameter sweep hits one warm entry.
+* the **config fingerprint** hashes the wire form of the config's
+  :class:`~repro.core.config.PrecomputeSpec`, the only config input of
+  precompute's expensive half. Search-side knobs (``k``, ``w``,
+  ``seed_count``, ...) are not in it, so a whole parameter sweep hits
+  one warm entry.
 
 Artifacts live flat in the cache directory as ``<key>.npz`` +
 ``<key>.json`` (see :meth:`repro.core.precompute.Precomputation.save`).
@@ -44,12 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import PlannerConfig
-from repro.core.precompute import (
-    PRECOMPUTE_CONFIG_FIELDS,
-    Precomputation,
-    precompute,
-)
+from repro.core.precompute import Precomputation, precompute
 from repro.data.datasets import Dataset
+from repro.utils.wire import to_wire
 
 KEY_LENGTH = 32
 """Hex characters kept from the sha256 digest (128 bits)."""
@@ -128,9 +126,8 @@ def dataset_fingerprint(dataset: Dataset) -> str:
 
 
 def config_fingerprint(config: PlannerConfig) -> str:
-    """Content hash of the precompute-relevant config fields only."""
-    relevant = {name: getattr(config, name) for name in PRECOMPUTE_CONFIG_FIELDS}
-    blob = json.dumps(relevant, sort_keys=True)
+    """Content hash of the config's precompute spec alone."""
+    blob = json.dumps(to_wire(config.spec), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

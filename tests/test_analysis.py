@@ -48,7 +48,7 @@ class TestRegistry:
     def test_all_rules_catalog(self):
         codes = [rule.code for rule in all_rules()]
         assert codes == sorted(codes)
-        for expected in ("RPR001", "RPR002", "RPR004", "RPR005"):
+        for expected in ("RPR001", "RPR004", "RPR005", "RPR006"):
             assert expected in codes
 
     def test_rules_carry_metadata(self):
@@ -116,7 +116,7 @@ class TestSelectRules:
     def test_ignore_removes(self):
         codes = [r.code for r in select_rules(ignore=["RPR001", "rpr004"])]
         assert "RPR001" not in codes and "RPR004" not in codes
-        assert "RPR002" in codes
+        assert "RPR005" in codes
 
     def test_unknown_code_raises(self):
         with pytest.raises(ValidationError):
@@ -144,23 +144,6 @@ class TestRPR001Determinism:
     def test_errors_fail_without_strict(self):
         run = check("rpr001_violation", select=["RPR001"])
         assert run.failed(strict=False)
-
-
-class TestRPR002CacheKey:
-    def test_undeclared_read_pinned(self):
-        run = check("rpr002_violation", select=["RPR002"])
-        assert locations(run) == [("RPR002", "core/precompute.py", 8)]
-        assert "n_probes" in run.findings[0].message
-        assert "PRECOMPUTE_CONFIG_FIELDS" in run.findings[0].message
-
-    def test_covered_reads_are_clean(self):
-        assert check("rpr002_guard").findings == []
-
-    def test_declared_reads_not_flagged(self):
-        # The violation fixture also reads config.seed (keyed) and
-        # config.k (rebind) on line 9; only n_probes is undeclared.
-        run = check("rpr002_violation", select=["RPR002"])
-        assert len(run.findings) == 1
 
 
 class TestRPR004ResourceSafety:
@@ -255,10 +238,10 @@ class TestEngine:
         assert "do not fail" not in render_text(run, strict=True)
 
     def test_finding_render_format(self):
-        run = check("rpr002_violation", select=["RPR002"])
+        run = check("rpr001_violation", select=["RPR001"])
         line = run.findings[0].render()
-        assert line.startswith("core/precompute.py:8:")
-        assert "RPR002 error:" in line
+        assert line.startswith("core/seeding_bad.py:10:")
+        assert "RPR001 error:" in line
 
 
 class TestAstHelpers:

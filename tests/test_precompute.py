@@ -5,10 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.config import PlannerConfig
+from repro.core.config import PlannerConfig, PrecomputeSpec
 from repro.core.planner import run_method
 from repro.core.precompute import (
-    PRECOMPUTE_CONFIG_FIELDS,
     Precomputation,
     compute_edge_increments,
     precompute,
@@ -66,32 +65,7 @@ class TestPrecompute:
 
 
 class TestConfigFieldAudit:
-    """The RPR002 audit constants stay honest.
-
-    ``repro check`` validates these structurally on every run; pinning
-    them here too means a bad edit fails the unit suite even on a
-    machine that never runs the checker.
-    """
-
-    def test_declared_tuples_are_disjoint(self):
-        from repro.core.precompute import (
-            PRECOMPUTE_CONFIG_FIELDS,
-            REBIND_CONFIG_FIELDS,
-        )
-
-        assert not set(PRECOMPUTE_CONFIG_FIELDS) & set(REBIND_CONFIG_FIELDS)
-
-    def test_declared_names_are_real_config_fields(self):
-        import dataclasses
-
-        from repro.core.precompute import (
-            PRECOMPUTE_CONFIG_FIELDS,
-            REBIND_CONFIG_FIELDS,
-        )
-
-        fields = {f.name for f in dataclasses.fields(PlannerConfig)}
-        declared = set(PRECOMPUTE_CONFIG_FIELDS) | set(REBIND_CONFIG_FIELDS)
-        assert declared <= fields
+    """What a saved artifact leaves on disk."""
 
     def test_save_leaves_no_staging_litter(self, small_pre, tmp_path):
         import os
@@ -174,7 +148,9 @@ class TestRebind:
         with pytest.raises(ValueError):
             rebind(small_pre, small_pre.config.variant(tau_km=1.0))
 
-    @pytest.mark.parametrize("name", PRECOMPUTE_CONFIG_FIELDS)
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(PrecomputeSpec)]
+    )
     def test_every_precompute_field_change_rejected(self, small_pre, name):
         # These fields built the estimator, Delta(e) and lambda_base: a
         # rebound config naming other values would describe numbers it

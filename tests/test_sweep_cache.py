@@ -14,12 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import PlannerConfig
-from repro.core.precompute import (
-    PRECOMPUTE_CONFIG_FIELDS,
-    Precomputation,
-    precompute,
-)
+from repro.core.config import PlannerConfig, PrecomputeSpec
+from repro.core.precompute import Precomputation, precompute
 from repro.data.datasets import build_dataset, canned_city
 from repro.data.synth import SynthConfig
 from repro.network.road import RoadNetwork
@@ -144,7 +140,9 @@ class TestKeySensitivity:
     def test_precompute_relevant_config_changes_key(
         self, micro, micro_config, overrides
     ):
-        assert set(overrides) <= set(PRECOMPUTE_CONFIG_FIELDS)
+        assert set(overrides) <= {
+            f.name for f in dataclasses.fields(PrecomputeSpec)
+        }
         changed = micro_config.variant(**overrides)
         assert cache_key(micro, micro_config) != cache_key(micro, changed)
 
