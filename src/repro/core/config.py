@@ -121,7 +121,9 @@ class PlannerConfig:
     def __post_init__(self) -> None:
         # Types before ranges, and nothing is coerced: a bool is not a
         # count, and 12.5 is not an edge budget. numpy scalars pass,
-        # since sweeps build their axes with numpy.
+        # since sweeps build their axes with numpy, and are stored as
+        # the Python number they hold, so cache keys, artifacts and
+        # frames encode them like their plain twins.
         for name in _INT_FIELDS:
             value = getattr(self, name)
             if value is None and name == "seed_count":
@@ -130,12 +132,16 @@ class PlannerConfig:
                 isinstance(value, Integral) and not isinstance(value, bool),
                 f"{name} must be an integer, got {value!r}",
             )
+            if type(value) is not int:
+                object.__setattr__(self, name, int(value))
         for name in _NUMBER_FIELDS:
             value = getattr(self, name)
             require(
                 isinstance(value, Real) and not isinstance(value, bool),
                 f"{name} must be a number, got {value!r}",
             )
+            if type(value) not in (int, float):
+                object.__setattr__(self, name, float(value))
         for name in _BOOL_FIELDS:
             value = getattr(self, name)
             require(

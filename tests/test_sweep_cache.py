@@ -246,6 +246,18 @@ class TestCacheStore:
         assert cache.n_entries == 1
         assert np.array_equal(pre1.universe.delta, pre2.universe.delta)
 
+    def test_numpy_scalar_config_round_trip(self, micro, micro_config, tmp_path):
+        # Sweep axes are numpy values; such a config must key and save.
+        config = micro_config.variant(
+            k=np.int64(5), seed=np.int64(0), tau_km=np.float32(0.5)
+        )
+        cache = PrecomputationCache(str(tmp_path))
+        assert cache.key_for(micro, config) == cache.key_for(micro, micro_config)
+        _, hit = cache.fetch_or_compute(micro, config)
+        assert hit is False and cache.n_entries == 1
+        _, hit = cache.fetch_or_compute(micro, config)
+        assert hit is True and cache.n_entries == 1
+
     def test_widened_spectrum_is_persisted(self, micro, micro_config, tmp_path):
         cache = PrecomputationCache(str(tmp_path))
         cache.fetch_or_compute(micro, micro_config)  # saves k=5's spectrum

@@ -23,7 +23,7 @@ import pytest
 from repro.core.config import PlannerConfig
 from repro.core.result import PlannedRoute, PlanResult
 from repro.serve import PlanServer, build_http_server, http_token
-from repro.sweep import OutcomeRecord, RemoteBackend, Scenario
+from repro.sweep import OutcomeRecord, RemoteBackend, Scenario, config_fingerprint
 from repro.sweep.backends import failure_outcome
 from repro.sweep.remote import (
     PROTOCOL_VERSION,
@@ -146,6 +146,18 @@ class TestNoCoercion:
             seed=np.int32(3), seed_count=None,
         )
         assert (config.k, config.w, config.seed) == (5, 0.25, 3)
+        # Stored as plain numbers: the config keys, saves and travels
+        # exactly like its plain twin.
+        plain = PlannerConfig(k=5, w=0.25, tau_km=0.5, seed=3, seed_count=None)
+        assert [type(getattr(config, n)) for n in ("k", "seed", "w", "tau_km")] == [
+            int, int, float, float,
+        ]
+        assert config_fingerprint(config) == config_fingerprint(plain)
+        frames = [
+            json.dumps(to_wire(RunFrame(protocol=2, base_config=c, scenarios=[])))
+            for c in (config, plain)
+        ]
+        assert frames[0] == frames[1]
 
     @pytest.mark.parametrize("field, value", [
         ("route_count", 2.9), ("route_count", "2"), ("route_count", True),
