@@ -13,6 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.utils.errors import ValidationError
+from repro.utils.prng import ensure_rng
 
 _DENSE_CUTOFF = 300
 """Below this size a dense solve is both faster and more robust."""
@@ -32,8 +33,14 @@ def top_k_eigenvalues(A, k: int) -> np.ndarray:
         evals = np.linalg.eigvalsh(dense)
         return evals[::-1][:k]
     mat = A if sp.issparse(A) else sp.csr_matrix(A)
+    # A fixed start vector: left to itself ARPACK draws one from a stream
+    # that advances with every call, so repeated calls would differ in
+    # the last bits and a precompute would depend on its call history.
+    v0 = ensure_rng(0).uniform(-1.0, 1.0, n)
     try:
-        evals = spla.eigsh(mat, k=k, which="LA", return_eigenvectors=False)
+        evals = spla.eigsh(
+            mat, k=k, which="LA", v0=v0, return_eigenvectors=False
+        )
     except spla.ArpackNoConvergence as exc:  # pragma: no cover - rare
         evals = exc.eigenvalues
         if evals is None or len(evals) < k:

@@ -29,6 +29,8 @@ class TestTopK:
         full = np.sort(np.linalg.eigvalsh(A.toarray()))[::-1]
         got = top_k_eigenvalues(A, 10)
         assert got == pytest.approx(full[:10], abs=1e-6)
+        # Repeatable: ARPACK starts from a fixed vector, not its own stream.
+        assert np.array_equal(top_k_eigenvalues(A, 10), got)
 
     def test_k_exceeding_n_returns_full_spectrum(self):
         A = random_adjacency(12, 0.3, 2)
