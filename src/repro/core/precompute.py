@@ -400,8 +400,8 @@ def precompute(dataset: Dataset, config: PlannerConfig) -> Precomputation:
     universe, builder, estimator, lambda_base, timings = _compute_artifacts(
         dataset, config.spec
     )
-    # The first spectrum is computed by the cheap half; it is timed with
-    # lambda_base, as it always was.
+    # base_spectrum_s covers lambda_base and the first spectrum, which
+    # the cheap half computes.
     with Timer() as t:
         pre = _finalize(
             universe, builder, estimator, lambda_base, np.empty(0), config, timings
