@@ -27,9 +27,9 @@ Commands
 ``removal``  the Figure 1 analysis: connectivity under route removal.
 ``bounds``   evaluate the three upper bounds on a city (Table 3 style).
 ``check``    run the invariant-aware static analysis suite (rules
-             RPR001-RPR010: determinism, cache-key coverage, resource
-             safety, atomic writes, lock discipline and ordering,
-             blocking under a lock) over the source tree; ``--strict``
+             RPR001-RPR010: determinism, resource safety, atomic
+             writes, lock discipline and ordering, blocking under a
+             lock) over the source tree; ``--strict``
              also fails on warnings (the CI mode).
 
 The full flag-by-flag reference, including exit-code semantics, lives
@@ -1049,8 +1049,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser(
         "check",
-        help="invariant-aware static analysis (determinism, cache keys, "
-             "resource safety, atomic writes, locks, wire taint)",
+        help="invariant-aware static analysis (determinism, "
+             "resource safety, atomic writes, locks)",
     )
     p_check.add_argument("root", nargs="?", default="",
                          help="directory or file to check (default: this "
