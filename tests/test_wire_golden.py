@@ -22,6 +22,7 @@ import repro.serve.server as serve_mod
 import repro.sweep.registry as registry_mod
 import repro.sweep.remote as remote_mod
 from repro.core.config import PlannerConfig
+from repro.core.constraints import PlanningConstraints
 from repro.core.result import PlannedRoute, PlanResult
 from repro.serve.server import SERVE_SCHEMA_VERSION, PlanServer
 from repro.sweep import (
@@ -41,6 +42,7 @@ from repro.sweep import (
 )
 from repro.sweep.registry import REGISTRY_SCHEMA_VERSION
 from repro.sweep.remote import connect_authenticated, recv_frame, send_frame
+from repro.sweep.scenario import scenario_key
 from repro.sweep.scenario import scenario_spec
 
 SECRET = b"golden-secret"
@@ -51,6 +53,13 @@ MONOTONIC = 1234.25
 SCENARIO = Scenario(
     name="golden", city="chicago", profile="tiny", method="eta",
     overrides={"w": 0.25}, seed=7,
+)
+ANCHORED = Scenario(
+    name="anchored", city="nyc", profile="small", method="eta-pre",
+    overrides={"w": 0.4, "k": 12},
+    constraints=PlanningConstraints(
+        anchor_stop=5, forbid_stops={9, 3}, forbid_edges={40, 2},
+    ),
 )
 
 
@@ -117,6 +126,16 @@ BASE_CONFIG = (
 RUN = (
     '{"op": "run", "protocol": 2, "base_config": ' + BASE_CONFIG + ', '
     '"scenarios": [{"index": 0, "scenario": ' + SCENARIO_SPEC + '}]}'
+)
+ANCHORED_SPEC = (
+    '{"name": "anchored", "city": "nyc", "profile": "small", '
+    '"method": "eta-pre", "overrides": {"k": 12, "w": 0.4}, '
+    '"constraints": {"anchor_stop": 5, "forbid_stops": [3, 9], '
+    '"forbid_edges": [2, 40]}, "route_count": 1, "seed": null}'
+)
+ANCHORED_RUN = (
+    '{"op": "run", "protocol": 2, "base_config": ' + BASE_CONFIG + ', '
+    '"scenarios": [{"index": 0, "scenario": ' + ANCHORED_SPEC + '}]}'
 )
 RESULT = (
     '{"method": "eta", "route": {"stops": [3, 1, 4], "edge_indices": '
@@ -433,3 +452,45 @@ class TestServeFrames:
         assert stats["schema"] == SERVE_SCHEMA_VERSION
         assert stats["protocol"] == PROTOCOL_VERSION
         assert payloads(pinged.received) == handshake_received(SERVE_PONG)
+
+
+# ----------------------------------------------------------------------
+# A constrained scenario, and the stream resume keys
+# ----------------------------------------------------------------------
+class TestScenarioSpec:
+    """Sorted overrides and id sets on the wire; the keys streams resume on."""
+
+    def test_constrained_job(self, taps, monkeypatch):
+        monkeypatch.setattr(remote_mod, "execute_scenario", hand_outcome)
+        server = WorkerServer(secret=SECRET)
+        server.start_in_thread()
+        try:
+            backend = RemoteBackend(addresses=[server.address], secret=SECRET)
+            [outcome] = backend.run([ANCHORED], base_config=PlannerConfig())
+        finally:
+            server.shutdown()
+        [job] = taps
+        assert payloads(job.sent) == handshake_sent(ANCHORED_RUN)
+        assert outcome.scenario is ANCHORED
+
+    def test_constrained_plan_reply_echoes_the_spec(self, monkeypatch):
+        monkeypatch.setattr(serve_mod, "execute_scenario", hand_outcome)
+        server = PlanServer()
+        try:
+            reply = server.plan_request({"scenario": json.loads(ANCHORED_SPEC)})
+        finally:
+            server.shutdown()
+        assert json.dumps(reply["scenario"]) == ANCHORED_SPEC
+
+    def test_scenario_keys(self):
+        assert scenario_key(SCENARIO, PlannerConfig()) == (
+            "879d4530ae7ec79f468a38ffc2c961ed"
+        )
+        assert scenario_key(SCENARIO, PlannerConfig(k=10)) == (
+            "c96542f54671426b51df6ddee20db1c5"
+        )
+        # ANCHORED overrides k, so the base config's k does not reach it.
+        for base in (PlannerConfig(), PlannerConfig(k=10)):
+            assert scenario_key(ANCHORED, base) == (
+                "fe2092a341de7920d922d065134e6cbe"
+            )
