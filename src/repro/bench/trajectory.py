@@ -265,7 +265,7 @@ def _probe_serve_latency(dataset_profile: str) -> dict:
         recv_frame,
         send_frame,
     )
-    from repro.sweep.scenario import Scenario, scenario_spec
+    from repro.sweep.scenario import Scenario
 
     config = _probe_config(dataset_profile)
     scenario = Scenario(
@@ -274,7 +274,7 @@ def _probe_serve_latency(dataset_profile: str) -> dict:
     )
     request = PlanFrame(
         protocol=PROTOCOL_VERSION,
-        scenario=scenario_spec(scenario),
+        scenario=scenario,
         base_config=config,
     )
     server = PlanServer(port=0)

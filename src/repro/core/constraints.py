@@ -24,11 +24,15 @@ from repro.utils.errors import ValidationError
 
 @dataclass(frozen=True)
 class PlanningConstraints:
-    """Hard constraints applied during seeding and expansion."""
+    """Hard constraints applied during seeding and expansion.
+
+    A wire record (:mod:`repro.utils.wire`): the id sets travel as sorted
+    lists, and an anchor that is also forbidden is refused at decode.
+    """
 
     anchor_stop: "int | None" = None
-    forbid_stops: frozenset = field(default_factory=frozenset)
-    forbid_edges: frozenset = field(default_factory=frozenset)
+    forbid_stops: "frozenset[int]" = field(default_factory=frozenset)
+    forbid_edges: "frozenset[int]" = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "forbid_stops", frozenset(self.forbid_stops))

@@ -53,7 +53,7 @@ from repro.sweep.remote import (
 )
 from repro.sweep.report import OutcomeRecord
 from repro.sweep.runner import execute_scenario
-from repro.sweep.scenario import scenario_from_spec, scenario_spec
+from repro.sweep.scenario import Scenario
 from repro.utils.errors import DataError, PlanningError, ValidationError
 from repro.utils.wire import from_wire, to_wire
 
@@ -65,7 +65,7 @@ SERVE_SCHEMA_VERSION = 1
 class PlanRequest:
     """The body of ``POST /plan``."""
 
-    scenario: dict  # a scenario_spec; scenario_from_spec validates it
+    scenario: Scenario
     base_config: "PlannerConfig | None" = None
 
 
@@ -76,7 +76,7 @@ class PlanFrame:
 
     op: ClassVar[str] = "plan"
     protocol: int
-    scenario: dict
+    scenario: Scenario
     base_config: "PlannerConfig | None" = None
 
 
@@ -90,7 +90,7 @@ class PlanReply:
     """The body of the answer to ``POST /plan``."""
 
     schema: int
-    scenario: dict
+    scenario: Scenario
     tier: str
     record: OutcomeRecord
 
@@ -238,12 +238,11 @@ class PlanServer(FrameServer):
         """Serve one ``POST /plan`` body; returns the reply body.
 
         ``doc`` decodes as a :class:`PlanRequest`: a ``"scenario"``
-        (a :func:`scenario_spec`-shaped mapping) and an optional
-        ``"base_config"`` (a full :class:`PlannerConfig` field mapping).
-        Any other key, and every validation failure, raises
-        :class:`PlanningError`. A request that decodes has its latency
-        recorded whether it plans or not, so ``/stats`` reflects what
-        clients actually experienced.
+        (a :class:`Scenario`) and an optional ``"base_config"`` (a full
+        :class:`PlannerConfig` field mapping). Any other key, and every
+        validation failure, raises :class:`PlanningError`. A request
+        that decodes has its latency recorded whether it plans or not,
+        so ``/stats`` reflects what clients actually experienced.
         """
         try:
             request = from_wire(PlanRequest, doc)
@@ -257,16 +256,17 @@ class PlanServer(FrameServer):
         started = time.perf_counter()
         try:
             try:
-                scenario = scenario_from_spec(request.scenario)
-                scenario.validate(request.base_config)
-            except (DataError, ValidationError) as exc:
+                request.scenario.validate(request.base_config)
+            except ValidationError as exc:
                 raise PlanningError(f"bad plan request: {exc}") from None
-            outcome, tier = self._submit(scenario, request.base_config)
+            outcome, tier = self._submit(
+                request.scenario, request.base_config
+            )
         finally:
             self.latency.record(time.perf_counter() - started)
         return reply_cls(
             schema=SERVE_SCHEMA_VERSION,
-            scenario=scenario_spec(scenario),
+            scenario=request.scenario,
             tier=tier,
             record=OutcomeRecord.of(outcome),
         )

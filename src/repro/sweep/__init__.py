@@ -188,9 +188,7 @@ from repro.sweep.scenario import (
     Scenario,
     expand_grid,
     load_grid,
-    scenario_from_spec,
     scenario_key,
-    scenario_spec,
 )
 from repro.sweep.remote import (
     PROTOCOL_VERSION,
@@ -262,10 +260,8 @@ __all__ = [
     "resolve_backend",
     "resolve_registry",
     "scenario_cache_key",
-    "scenario_from_spec",
     "scenario_key",
     "scenario_record",
-    "scenario_spec",
     "serve_registry",
     "stream_scenario_record",
     "summary_record",

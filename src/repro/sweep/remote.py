@@ -38,7 +38,7 @@ runs (it carries the version check) but ``mac`` may be ``null``.
 After ``welcome``, the conversation proper (client side first)::
 
     {"op": "run", "protocol": 2, "base_config": {...}|null,
-     "scenarios": [{"index": 3, "scenario": <scenario_spec>}, ...]}
+     "scenarios": [{"index": 3, "scenario": <Scenario>}, ...]}
                                     -> {"op": "outcome", "index": 3,
                                         "record": <OutcomeRecord>}
                                        ... one frame per scenario,
@@ -47,9 +47,9 @@ After ``welcome``, the conversation proper (client side first)::
     {"op": "ping"}                  -> {"op": "pong", "protocol": 2, ...}
     {"op": "shutdown"}              -> {"op": "bye"}   (daemon exits)
 
-``scenario`` payloads are :func:`~repro.sweep.scenario.scenario_spec`
-dicts (already *resolved* by the parent's :class:`SweepRunner` — seed
-policy and validation never run twice); a ``base_config`` is a
+A ``scenario`` is a :class:`~repro.sweep.scenario.Scenario` (already
+*resolved* by the parent's :class:`SweepRunner` — seed policy and
+validation never run twice); a ``base_config`` is a
 :class:`~repro.core.config.PlannerConfig`; a ``record`` is an
 :class:`~repro.sweep.report.OutcomeRecord` — the stream record schema
 plus a lossless ``results_wire`` twin. A server that cannot serve a
@@ -134,7 +134,7 @@ from repro.core.config import PlannerConfig
 from repro.sweep.backends import ExecutionBackend, failure_outcome, make_shards
 from repro.sweep.report import OutcomeRecord
 from repro.sweep.runner import execute_scenario
-from repro.sweep.scenario import scenario_from_spec, scenario_spec
+from repro.sweep.scenario import Scenario
 from repro.utils.errors import DataError, PlanningError
 from repro.utils.wire import from_wire, to_wire
 
@@ -232,7 +232,7 @@ class ShutdownFrame:
 @dataclass(frozen=True)
 class JobItem:
     index: int
-    scenario: dict  # a scenario_spec; scenario_from_spec validates it
+    scenario: Scenario
 
 
 @dataclass(frozen=True)
@@ -876,24 +876,16 @@ class WorkerServer(FrameServer):
 
     def _run_job(self, conn: socket.socket, job: RunFrame) -> bool:
         """Execute one job, streaming outcome frames; False = close."""
-        try:
-            jobs = [
-                (item.index, scenario_from_spec(item.scenario))
-                for item in job.scenarios
-            ]
-        except Exception as exc:  # noqa: BLE001 — anything bad in the job
-            send_frame(conn, ErrorFrame(error=f"bad job: {exc}"))
-            return False
         n_sent = 0
-        for index, scenario in jobs:
+        for item in job.scenarios:
             try:
                 outcome = execute_scenario(
-                    scenario, job.base_config, self.cache_dir
+                    item.scenario, job.base_config, self.cache_dir
                 )
             except Exception as exc:  # noqa: BLE001 — isolation is the point
-                outcome = failure_outcome(scenario, exc)
+                outcome = failure_outcome(item.scenario, exc)
             send_frame(conn, OutcomeFrame(
-                index=index, record=OutcomeRecord.of(outcome)
+                index=item.index, record=OutcomeRecord.of(outcome)
             ))
             n_sent += 1
             if (
@@ -1376,7 +1368,7 @@ class RemoteBackend(ExecutionBackend):
                 protocol=PROTOCOL_VERSION,
                 base_config=base_config,
                 scenarios=tuple(
-                    JobItem(index=index, scenario=scenario_spec(scenario))
+                    JobItem(index=index, scenario=scenario)
                     for index, scenario in shard
                 ),
             ))

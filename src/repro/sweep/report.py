@@ -29,9 +29,9 @@ import sys
 from dataclasses import dataclass, field
 
 from repro.core.result import PlanResult
-from repro.sweep.scenario import constraints_record as _constraints_record
 from repro.utils.errors import DataError
 from repro.utils.fsio import atomic_write_text
+from repro.utils.wire import to_wire
 
 SCHEMA_VERSION = 1
 """Bump on backwards-incompatible changes to the report/stream layout.
@@ -76,7 +76,10 @@ def scenario_record(outcome) -> dict:
         "route_count": scenario.route_count,
         "seed": scenario.seed,
         "overrides": dict(scenario.overrides),
-        "constraints": _constraints_record(scenario.constraints),
+        "constraints": (
+            None if scenario.constraints is None
+            else to_wire(scenario.constraints)
+        ),
         "ok": outcome.ok,
         "error": outcome.error,
         "cache_hit": outcome.cache_hit,

@@ -8,6 +8,10 @@ field overrides, optional :class:`PlanningConstraints`, and a
 :func:`load_grid` (a YAML/JSON file with ``base`` / ``axes`` /
 ``scenarios`` sections).
 
+Sweep jobs, plan requests and grid-file entries all decode a scenario
+with :func:`~repro.utils.wire.from_wire`, which refuses a mistyped
+field by its name.
+
 :func:`scenario_key` gives a resolved scenario a stable 32-hex identity
 (spec + fully-resolved config) — the unit of committed work in stream
 files, which is what makes sweeps resumable (see
@@ -28,7 +32,8 @@ from repro.core.config import PlannerConfig
 from repro.core.constraints import PlanningConstraints
 from repro.core.planner import METHODS
 from repro.data.datasets import CITY_NAMES, list_profiles
-from repro.utils.errors import DataError, PlanningError
+from repro.utils.errors import DataError, PlanningError, ValidationError
+from repro.utils.wire import from_wire, to_wire
 
 CONSTRAINED_METHODS = ("eta-pre", "eta")
 
@@ -40,34 +45,33 @@ _SCENARIO_AXES = ("method", "city", "profile", "route_count")
 class Scenario:
     """One declarative planning request within a sweep.
 
-    ``overrides`` maps :class:`PlannerConfig` field names to values; it
-    is normalized to a sorted item tuple so scenarios stay hashable and
-    picklable. ``seed=None`` lets the runner derive a deterministic
-    per-scenario seed from its base seed and the scenario name.
+    A wire record (:mod:`repro.utils.wire`). ``overrides`` maps
+    :class:`PlannerConfig` field names to values; it is stored
+    key-sorted, so a scenario encodes the same whatever order its
+    overrides were given in. ``seed=None`` lets the runner derive a
+    deterministic per-scenario seed from its base seed and the scenario
+    name. An empty name, an unknown city and an unknown profile are
+    refused on construction, and so on decode.
     """
 
     name: str
     city: str = "chicago"
     profile: str = "tiny"
     method: str = "eta-pre"
-    overrides: tuple = ()
+    overrides: dict = field(default_factory=dict)
     constraints: "PlanningConstraints | None" = None
     route_count: int = 1
     seed: "int | None" = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.overrides, Mapping):
-            object.__setattr__(
-                self, "overrides", tuple(sorted(self.overrides.items()))
-            )
-        else:
-            object.__setattr__(self, "overrides", tuple(self.overrides))
+        if not self.name:
+            raise ValidationError("a scenario needs a non-empty name")
+        _check_dataset_spec(self.city, self.profile)
+        object.__setattr__(
+            self, "overrides", dict(sorted(self.overrides.items()))
+        )
 
     # ------------------------------------------------------------------
-    @property
-    def override_dict(self) -> dict:
-        return dict(self.overrides)
-
     def validate(self, base: "PlannerConfig | None" = None) -> None:
         """Fail fast on anything a worker would only discover mid-sweep."""
         if self.method not in METHODS:
@@ -101,7 +105,7 @@ class Scenario:
     def planner_config(self, base: "PlannerConfig | None" = None) -> PlannerConfig:
         """The resolved :class:`PlannerConfig` for this scenario."""
         config = base or PlannerConfig()
-        overrides = self.override_dict
+        overrides = dict(self.overrides)
         if self.seed is not None:
             overrides.setdefault("seed", self.seed)
         try:
@@ -113,84 +117,9 @@ class Scenario:
 
     def with_seed(self, seed: int) -> "Scenario":
         """A copy with an explicit seed (no-op if one is already set)."""
-        if self.seed is not None or "seed" in self.override_dict:
+        if self.seed is not None or "seed" in self.overrides:
             return self
         return replace(self, seed=int(seed))
-
-
-def constraints_record(constraints: "PlanningConstraints | None") -> "dict | None":
-    """Canonical JSON-safe form of planning constraints (``None`` passes)."""
-    if constraints is None:
-        return None
-    return {
-        "anchor_stop": constraints.anchor_stop,
-        "forbid_stops": sorted(constraints.forbid_stops),
-        "forbid_edges": sorted(constraints.forbid_edges),
-    }
-
-
-def constraints_from_record(record) -> "PlanningConstraints | None":
-    """Inverse of :func:`constraints_record` (shared with grid files)."""
-    return _parse_constraints(record)
-
-
-def scenario_spec(scenario: Scenario) -> dict:
-    """A :class:`Scenario` as a JSON-safe dict (the wire/job format).
-
-    Round-trips exactly through :func:`scenario_from_spec`:
-    ``scenario_from_spec(json.loads(json.dumps(scenario_spec(s)))) == s``
-    for any valid scenario, which is what lets the remote backend ship
-    already-resolved scenarios to worker daemons without re-resolution.
-    """
-    return {
-        "name": scenario.name,
-        "city": scenario.city,
-        "profile": scenario.profile,
-        "method": scenario.method,
-        "overrides": dict(scenario.overrides),
-        "constraints": constraints_record(scenario.constraints),
-        "route_count": scenario.route_count,
-        "seed": scenario.seed,
-    }
-
-
-def scenario_from_spec(spec) -> Scenario:
-    """Rebuild a :class:`Scenario` from a :func:`scenario_spec` dict.
-
-    The one validator of scenario specs from outside: nothing is
-    coerced, so a ``route_count`` of ``2.9`` is refused, not rounded.
-    """
-    if not isinstance(spec, Mapping):
-        raise DataError(
-            f"scenario spec must be a mapping, got {type(spec).__name__}"
-        )
-    spec = dict(spec)
-    name = spec.pop("name", None)
-    if not name:
-        raise DataError("scenario spec has no name")
-    overrides = spec.pop("overrides", None) or {}
-    if not isinstance(overrides, Mapping):
-        raise DataError(
-            f"scenario {name!r} overrides must be a mapping, got "
-            f"{type(overrides).__name__}"
-        )
-    seed = spec.pop("seed", None)
-    scenario = Scenario(
-        name=str(name),
-        city=spec.pop("city", "chicago"),
-        profile=spec.pop("profile", "tiny"),
-        method=spec.pop("method", "eta-pre"),
-        overrides=dict(overrides),
-        constraints=constraints_from_record(spec.pop("constraints", None)),
-        route_count=_as_int(
-            spec.pop("route_count", 1), f"scenario {name!r} route_count"
-        ),
-        seed=None if seed is None else _as_int(seed, f"scenario {name!r} seed"),
-    )
-    if spec:
-        raise DataError(f"scenario spec {name!r}: unknown keys {sorted(spec)}")
-    _check_dataset_spec(scenario.name, scenario.city, scenario.profile)
-    return scenario
 
 
 SCENARIO_KEY_LENGTH = 32
@@ -219,7 +148,10 @@ def scenario_key(
         "profile": scenario.profile,
         "method": scenario.method,
         "route_count": scenario.route_count,
-        "constraints": constraints_record(scenario.constraints),
+        "constraints": (
+            None if scenario.constraints is None
+            else to_wire(scenario.constraints)
+        ),
         "config": asdict(config),
     }
     blob = json.dumps(spec, sort_keys=True)
@@ -280,40 +212,14 @@ def _as_int(value, label: str) -> int:
     return int(value)
 
 
-def _parse_constraints(spec) -> "PlanningConstraints | None":
-    if spec is None:
-        return None
-    if not isinstance(spec, Mapping):
-        raise DataError(f"constraints must be a mapping, got {type(spec).__name__}")
-    unknown = set(spec) - {"anchor_stop", "forbid_stops", "forbid_edges"}
-    if unknown:
-        raise DataError(f"unknown constraint keys {sorted(unknown)}")
-    anchor = spec.get("anchor_stop")
-    return PlanningConstraints(
-        anchor_stop=(
-            None if anchor is None else _as_int(anchor, "constraint anchor_stop")
-        ),
-        forbid_stops=_as_ids(spec.get("forbid_stops", ()), "forbid_stops"),
-        forbid_edges=_as_ids(spec.get("forbid_edges", ()), "forbid_edges"),
-    )
-
-
-def _as_ids(ids, key: str) -> frozenset:
-    """A constraint's list of integer stop or edge ids."""
-    if not isinstance(ids, (list, tuple, set, frozenset)):
-        raise DataError(f"constraint {key} must be a list, got {ids!r}")
-    return frozenset(_as_int(i, f"constraint {key}[]") for i in ids)
-
-
-def _check_dataset_spec(name: str, city: str, profile: str) -> None:
+def _check_dataset_spec(city: str, profile: str) -> None:
     if city not in CITY_NAMES:
-        raise DataError(
-            f"scenario {name!r}: unknown city {city!r}; choose from {CITY_NAMES}"
+        raise ValidationError(
+            f"unknown city {city!r}; choose from {CITY_NAMES}"
         )
     if profile not in list_profiles():
-        raise DataError(
-            f"scenario {name!r}: unknown profile {profile!r}; "
-            f"choose from {list_profiles()}"
+        raise ValidationError(
+            f"unknown profile {profile!r}; choose from {list_profiles()}"
         )
 
 
@@ -387,28 +293,18 @@ def load_grid(path: str) -> tuple[list[Scenario], PlannerConfig]:
             )
         )
     for i, entry in enumerate(data.get("scenarios", ()) or ()):
-        entry = dict(entry)
-        name = entry.pop("name", f"scenario-{i}")
-        scenarios.append(
-            Scenario(
-                name=name,
-                city=entry.pop("city", city),
-                profile=entry.pop("profile", profile),
-                method=entry.pop("method", method),
-                overrides=dict(entry.pop("config", {}) or {}),
-                constraints=_parse_constraints(entry.pop("constraints", None)),
-                route_count=_as_int(
-                    entry.pop("route_count", route_count),
-                    f"scenario {name!r} route_count",
-                ),
-                seed=entry.pop("seed", None),
-            )
-        )
-        if entry:
-            raise DataError(f"scenario {name!r}: unknown keys {sorted(entry)}")
+        spec = {
+            "name": f"scenario-{i}", "city": city, "profile": profile,
+            "method": method, "route_count": route_count, **entry,
+        }
+        if "config" in spec:
+            spec["overrides"] = spec.pop("config")
+        try:
+            scenarios.append(from_wire(Scenario, spec))
+        except DataError as exc:
+            raise DataError(f"scenario {spec['name']!r}: {exc}") from None
     if not scenarios:
         raise DataError(f"grid file {path!r} defines no scenarios")
     for s in scenarios:
-        _check_dataset_spec(s.name, s.city, s.profile)
         s.validate(base_config)
     return scenarios, base_config

@@ -14,8 +14,11 @@ naming the field. Values are never coerced; a ``bool`` is not an
 ``int``, but an ``int`` is a ``float``. The shapes understood are the
 ones on the wire: ``int``, ``float``, ``str``, ``bool``, ``None``,
 ``X | None``, nested records, ``list[X]``, ``tuple[X, ...]``,
-fixed-length tuples, and ``dict`` — a JSON object whose validator lives
-with its consumer (a scenario spec).
+fixed-length tuples, ``frozenset[X]`` (a sorted list on the wire), and
+``dict``, a JSON object passed through whole: a scenario's config
+overrides, which :meth:`~repro.sweep.scenario.Scenario.planner_config`
+validates, and an outcome record's write-only copies of a scenario's
+overrides and constraints.
 """
 
 from __future__ import annotations
@@ -62,6 +65,8 @@ def _encode(value: Any) -> Any:
         return to_wire(value)
     if isinstance(value, (list, tuple)):
         return [_encode(item) for item in value]
+    if isinstance(value, frozenset):
+        return sorted(_encode(item) for item in value)
     return value
 
 
@@ -100,18 +105,17 @@ def _decode(tp: Any, value: Any, top: str, path: str) -> Any:
             return None
         (inner,) = [arg for arg in args if arg is not _NONE]
         return _decode(inner, value, top, path)
-    if origin is list or origin is tuple:
+    if origin in (list, tuple, frozenset):
         if not isinstance(value, (list, tuple)):
             raise _error(top, path, f"must be a list, got {_kind(value)}")
-        if origin is list or args[-1:] == (Ellipsis,):
+        if origin is not tuple or args[-1:] == (Ellipsis,):
             args = args[:1] * len(value)
         elif len(value) != len(args):
             raise _error(
                 top, path, f"must have {len(args)} items, got {len(value)}"
             )
         item = f"{path}[]"
-        items = [_decode(a, v, top, item) for a, v in zip(args, value)]
-        return tuple(items) if origin is tuple else items
+        return origin(_decode(a, v, top, item) for a, v in zip(args, value))
     if tp is float:
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     elif tp is int:

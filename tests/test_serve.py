@@ -41,7 +41,7 @@ from repro.sweep.remote import (
     recv_frame,
     send_frame,
 )
-from repro.sweep.scenario import Scenario, scenario_spec
+from repro.sweep.scenario import Scenario
 from repro.utils.errors import PlanningError
 from repro.utils.wire import to_wire
 
@@ -75,7 +75,7 @@ def plan_once(sock, scenario, config=CONFIG):
     send_frame(sock, {
         "op": "plan",
         "protocol": PROTOCOL_VERSION,
-        "scenario": scenario_spec(scenario),
+        "scenario": to_wire(scenario),
         "base_config": None if config is None else asdict(config),
     })
     reply = recv_frame(sock)
@@ -401,7 +401,7 @@ class TestPlanServer:
         with served_connection(server) as sock:
             send_frame(sock, {
                 "op": "plan", "protocol": 1,
-                "scenario": scenario_spec(make_scenario()),
+                "scenario": to_wire(make_scenario()),
             })
             error = recv_frame(sock)
         assert error["op"] == "error"
@@ -411,7 +411,7 @@ class TestPlanServer:
         with served_connection(server) as sock:
             send_frame(sock, {
                 "op": "plan", "protocol": PROTOCOL_VERSION,
-                "scenario": {"city": "atlantis"},
+                "scenario": {"name": "x", "method": "teleport"},
             })
             recv_frame(sock)
         assert server.latency.count == 1
@@ -426,7 +426,7 @@ class TestPlanServer:
         assert wait_until(daemon._shutdown.is_set)
         assert wait_until(lambda: daemon.n_live_connections == 0)
         with pytest.raises(PlanningError, match="shutting down"):
-            daemon.plan_request({"scenario": scenario_spec(make_scenario())})
+            daemon.plan_request({"scenario": to_wire(make_scenario())})
 
 
 # ----------------------------------------------------------------------
@@ -486,7 +486,7 @@ class TestHTTPDoor:
             framed = plan_once(sock, scenario)
         status, http_reply = http_json(
             f"{http_door}/plan",
-            body={"scenario": scenario_spec(scenario),
+            body={"scenario": to_wire(scenario),
                   "base_config": asdict(CONFIG)},
             token=http_token(SECRET),
         )
@@ -551,7 +551,7 @@ class TestHTTPDoor:
         # request on the connection was parsed from those bytes (a 400).
         port = urllib.parse.urlsplit(http_door).port
         conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
-        body = json.dumps({"scenario": scenario_spec(make_scenario())})
+        body = json.dumps({"scenario": to_wire(make_scenario())})
         try:
             conn.request("POST", path, body=body, headers=headers)
             response = conn.getresponse()
@@ -582,16 +582,17 @@ BAD_VALUES = pytest.mark.parametrize("field, value, named", [
     ("overrides", {"k": 12.5}, "k must be an integer"),
     ("overrides", {"max_turns": 1.5}, "max_turns must be an integer"),
     ("overrides", {"batch_eval": 1}, "batch_eval must be a bool"),
-    ("route_count", 2.9, "route_count must be an integer"),
-    ("route_count", "2", "route_count must be an integer"),
-    ("route_count", True, "route_count must be an integer"),
-    ("seed", True, "seed must be an integer"),
-    ("constraints", {"anchor_stop": "3"}, "anchor_stop must be an integer"),
+    ("route_count", 2.9, "'scenario.route_count' must be int"),
+    ("route_count", "2", "'scenario.route_count' must be int"),
+    ("route_count", True, "'scenario.route_count' must be int"),
+    ("seed", True, "'scenario.seed' must be int"),
+    ("constraints", {"anchor_stop": "3"},
+     "'scenario.constraints.anchor_stop' must be int"),
 ])
 
 
 def bad_spec(field, value) -> dict:
-    return {**scenario_spec(make_scenario()), field: value}
+    return {**to_wire(make_scenario()), field: value}
 
 
 class TestStrictRequests:

@@ -32,9 +32,7 @@ from repro.sweep import (
     ping,
     read_stream,
     resolve_backend,
-    scenario_from_spec,
     scenario_record,
-    scenario_spec,
 )
 from repro.sweep import RemoteAuthError, scenario_key
 from repro.sweep.remote import (
@@ -197,18 +195,18 @@ class TestScenarioSpecRoundTrip:
             Scenario(name="multi", route_count=2),
         ]
         for scenario in scenarios:
-            spec = json.loads(json.dumps(scenario_spec(scenario)))
-            assert scenario_from_spec(spec) == scenario
+            spec = json.loads(json.dumps(to_wire(scenario)))
+            assert from_wire(Scenario, spec) == scenario
 
     def test_unknown_keys_rejected(self):
-        spec = scenario_spec(Scenario(name="s"))
+        spec = to_wire(Scenario(name="s"))
         spec["surprise"] = 1
         with pytest.raises(DataError, match="unknown keys"):
-            scenario_from_spec(spec)
+            from_wire(Scenario, spec)
 
     def test_nameless_rejected(self):
-        with pytest.raises(DataError, match="no name"):
-            scenario_from_spec({"city": "chicago"})
+        with pytest.raises(DataError, match="missing field 'name'"):
+            from_wire(Scenario, {"city": "chicago"})
 
 
 class TestOutcomeWireRoundTrip:
@@ -324,7 +322,7 @@ class TestWorkerServer:
             })
             frame = recv_frame(sock)
         assert frame["op"] == "error"
-        assert "bad job" in frame["error"]
+        assert "atlantis" in frame["error"]
 
     def test_nonpositive_capacity_rejected(self, cache_dir):
         with pytest.raises(PlanningError, match="capacity"):
@@ -787,7 +785,7 @@ class TestKeyStabilityProperties:
 
         rng = random.Random(0xC0FFEE)
         for scenario in self._random_scenarios(1, n=25):
-            items = list(scenario.overrides)
+            items = list(scenario.overrides.items())
             rng.shuffle(items)
             shuffled = Scenario(
                 name=scenario.name, method=scenario.method,
@@ -810,8 +808,8 @@ class TestKeyStabilityProperties:
 
     def test_scenario_key_stable_across_spec_and_wire_round_trips(self):
         for scenario in self._random_scenarios(3, n=25):
-            spec = json.loads(json.dumps(scenario_spec(scenario)))
-            rebuilt = scenario_from_spec(spec)
+            spec = json.loads(json.dumps(to_wire(scenario)))
+            rebuilt = from_wire(Scenario, spec)
             assert rebuilt == scenario
             assert scenario_key(rebuilt, BASE) == scenario_key(scenario, BASE)
 

@@ -219,23 +219,20 @@ class TestCacheKeyProperties:
         import json
         import random
 
-        from repro.sweep import (
-            scenario_cache_key,
-            scenario_from_spec,
-            scenario_spec,
-        )
+        from repro.sweep import scenario_cache_key
+        from repro.utils.wire import from_wire, to_wire
 
         rng = random.Random(0xBEEF)
         for i in range(30):
             overrides = self._random_overrides(rng)
             scenario = Scenario(name=f"p{i}", overrides=overrides)
-            items = list(scenario.overrides)
+            items = list(scenario.overrides.items())
             rng.shuffle(items)
             shuffled = Scenario(name=f"p{i}-shuffled", overrides=dict(items))
             key = scenario_cache_key(scenario, BASE)
             assert scenario_cache_key(shuffled, BASE) == key
-            round_tripped = scenario_from_spec(
-                json.loads(json.dumps(scenario_spec(scenario)))
+            round_tripped = from_wire(
+                Scenario, json.loads(json.dumps(to_wire(scenario)))
             )
             assert scenario_cache_key(round_tripped, BASE) == key
 

@@ -35,7 +35,6 @@ from repro.sweep.remote import (
     send_frame,
     server_handshake,
 )
-from repro.sweep.scenario import scenario_from_spec, scenario_spec
 from repro.utils.errors import DataError, PlanningError, ValidationError
 from repro.utils.wire import from_wire, to_wire
 
@@ -169,10 +168,12 @@ class TestNoCoercion:
         ("constraints", {"forbid_edges": "12"}),
     ])
     def test_scenario_spec_refuses_a_coercible_value(self, field, value):
-        spec = {**scenario_spec(Scenario(name="s")), field: value}
+        spec = {**to_wire(Scenario(name="s")), field: value}
         named = field if field != "constraints" else next(iter(value))
-        with pytest.raises(DataError, match=f"{named}(\\[\\])? must be"):
-            scenario_from_spec(spec)
+        with pytest.raises(
+            DataError, match=f"'(constraints\\.)?{named}(\\[\\])?' must be"
+        ):
+            from_wire(Scenario, spec)
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +199,7 @@ class CopyingWorker(FrameServer):
     def handle(self, conn, frame) -> bool:
         for item in frame.scenarios:
             record = OutcomeRecord.of(failure_outcome(
-                scenario_from_spec(item.scenario), ValueError("x")
+                item.scenario, ValueError("x")
             ))
             for _ in range(self.copies):
                 send_frame(conn, {
@@ -210,7 +211,7 @@ class CopyingWorker(FrameServer):
 
 
 PLAN_WITH_TYPO = {
-    "scenario": scenario_spec(Scenario(name="typo", method="eta-pre")),
+    "scenario": to_wire(Scenario(name="typo", method="eta-pre")),
     "base_confg": {"k": 3},
 }
 
@@ -267,7 +268,7 @@ class TestStrictDoors:
                         return
                     job = recv_frame(conn)
                     for item in job["scenarios"]:
-                        scenario = scenario_from_spec(item["scenario"])
+                        scenario = from_wire(Scenario, item["scenario"])
                         record = OutcomeRecord.of(
                             failure_outcome(scenario, ValueError("x"))
                         )

@@ -43,7 +43,7 @@ from repro.sweep import (
 from repro.sweep.registry import REGISTRY_SCHEMA_VERSION
 from repro.sweep.remote import connect_authenticated, recv_frame, send_frame
 from repro.sweep.scenario import scenario_key
-from repro.sweep.scenario import scenario_spec
+from repro.utils.wire import to_wire
 
 SECRET = b"golden-secret"
 PID = 4242
@@ -429,7 +429,7 @@ class TestServeFrames:
         monkeypatch.setattr(serve_mod, "execute_scenario", hand_outcome)
         server = PlanServer(secret=SECRET)
         server.start_in_thread()
-        spec = scenario_spec(SCENARIO)
+        spec = to_wire(SCENARIO)
         try:
             reply = server.plan_request({"scenario": spec})
             with connect_authenticated(server.address, SECRET) as sock:
