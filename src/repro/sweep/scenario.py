@@ -28,6 +28,8 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, replace
 from numbers import Integral
 
+import numpy as np
+
 from repro.core.config import PlannerConfig
 from repro.core.constraints import PlanningConstraints
 from repro.core.planner import METHODS
@@ -48,7 +50,9 @@ class Scenario:
     A wire record (:mod:`repro.utils.wire`). ``overrides`` maps
     :class:`PlannerConfig` field names to values; it is stored
     key-sorted, so a scenario encodes the same whatever order its
-    overrides were given in. ``seed=None`` lets the runner derive a
+    overrides were given in, and a numpy scalar is stored as the Python
+    number it holds, so it encodes and keys like its plain twin.
+    ``seed=None`` lets the runner derive a
     deterministic per-scenario seed from its base seed and the scenario
     name. An empty name, an unknown city and an unknown profile are
     refused on construction, and so on decode.
@@ -67,9 +71,10 @@ class Scenario:
         if not self.name:
             raise ValidationError("a scenario needs a non-empty name")
         _check_dataset_spec(self.city, self.profile)
-        object.__setattr__(
-            self, "overrides", dict(sorted(self.overrides.items()))
-        )
+        object.__setattr__(self, "overrides", {
+            key: value.item() if isinstance(value, np.generic) else value
+            for key, value in sorted(self.overrides.items())
+        })
 
     # ------------------------------------------------------------------
     def validate(self, base: "PlannerConfig | None" = None) -> None:

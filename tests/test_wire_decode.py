@@ -23,7 +23,16 @@ import pytest
 from repro.core.config import PlannerConfig
 from repro.core.result import PlannedRoute, PlanResult
 from repro.serve import PlanServer, build_http_server, http_token
-from repro.sweep import OutcomeRecord, RemoteBackend, Scenario, config_fingerprint
+from repro.sweep import (
+    OutcomeRecord,
+    RemoteBackend,
+    Scenario,
+    SweepReport,
+    SweepRunner,
+    config_fingerprint,
+    expand_grid,
+    scenario_key,
+)
 from repro.sweep.backends import failure_outcome
 from repro.sweep.remote import (
     PROTOCOL_VERSION,
@@ -157,6 +166,29 @@ class TestNoCoercion:
             for c in (config, plain)
         ]
         assert frames[0] == frames[1]
+
+    def test_scenario_overrides_accept_numpy_scalars(self, tmp_path):
+        # The stream, the report and the wire each failed on an int64.
+        grid = expand_grid({"k": np.array([5, 6]), "w": np.array([0.3])})
+        base = PlannerConfig(max_iterations=20, seed_count=10)
+        runner = SweepRunner(base_config=base, backend="serial")
+        run = runner.run_stream(grid, str(tmp_path / "numpy.jsonl"))
+        assert [r["overrides"] for r in run.records] == [
+            {"k": 5, "w": 0.3}, {"k": 6, "w": 0.3},
+        ]
+        report = json.loads(SweepReport.from_outcomes(run.outcomes).to_json())
+        assert [s["overrides"] for s in report["scenarios"]] == [
+            {"k": 5, "w": 0.3}, {"k": 6, "w": 0.3},
+        ]
+        for scenario in grid:
+            json.dumps(to_wire(scenario))
+            assert [type(v) for v in scenario.overrides.values()] == [
+                int, float,
+            ]
+        plain = expand_grid({"k": [5, 6], "w": [0.3]})
+        assert [scenario_key(s, base) for s in grid] == [
+            scenario_key(s, base) for s in plain
+        ]
 
     @pytest.mark.parametrize("field, value", [
         ("route_count", 2.9), ("route_count", "2"), ("route_count", True),
