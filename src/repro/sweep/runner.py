@@ -467,7 +467,9 @@ class SweepRunner:
                     continue
                 if retry_failures and not record["ok"]:
                     continue
-                replay[i] = record
+                # Keys leave the name out, so two grid points with one
+                # spec share a record; each replay keeps its own name.
+                replay[i] = {**record, "name": resolved[i].name}
             resume_at = existing.valid_bytes
 
         pending = [i for i in range(len(resolved)) if i not in replay]

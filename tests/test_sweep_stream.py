@@ -21,6 +21,7 @@ from repro.sweep import (
     SCHEMA_VERSION,
     Scenario,
     StreamWriter,
+    SweepReport,
     SweepRunner,
     WorkerServer,
     expand_grid,
@@ -241,6 +242,25 @@ class TestResumeKeying:
         a = Scenario(name="w=0.3", overrides={"w": 0.3})
         b = Scenario(name="renamed", overrides={"w": 0.3})
         assert scenario_key(a, BASE) == scenario_key(b, BASE)
+
+    def test_resume_keeps_the_names_of_duplicate_points(
+        self, cache_dir, tmp_path
+    ):
+        scenarios = [
+            Scenario(name="first", overrides={"w": 0.4}),
+            Scenario(name="second", overrides={"w": 0.4}),
+            Scenario(name="third", overrides={"w": 0.6}),
+        ]
+        names = ["first", "second", "third"]
+        path = str(tmp_path / "duplicates.jsonl")
+        runner = make_runner(cache_dir)
+        first = runner.run_stream(scenarios, path)
+        assert [r["name"] for r in first.records] == names
+        resumed = runner.run_stream(scenarios, path, resume=True)
+        assert resumed.n_replayed == 3
+        assert [r["name"] for r in resumed.records] == names
+        report = SweepReport.from_records(resumed.records)
+        assert [s["name"] for s in report.scenarios] == names
 
     def test_config_change_invalidates(self):
         s = Scenario(name="s", overrides={"w": 0.3})
