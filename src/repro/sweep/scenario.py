@@ -276,10 +276,31 @@ def load_grid(path: str) -> tuple[list[Scenario], PlannerConfig]:
     if unknown:
         raise DataError(f"unknown grid sections {sorted(unknown)}")
 
-    base_spec = dict(data.get("base", {}) or {})
+    base_spec = data.get("base") or {}
+    axes = data.get("axes") or {}
+    entries = data.get("scenarios") or []
+    for section, value in (("base", base_spec), ("axes", axes)):
+        if not isinstance(value, Mapping):
+            raise DataError(
+                f"grid section {section!r} must be a mapping, "
+                f"got {type(value).__name__}"
+            )
+    for key, values in axes.items():
+        if not isinstance(values, list):
+            raise DataError(
+                f"grid axis {key!r} must be a list of values, got {values!r}"
+            )
+    for value in axes.get("route_count", ()):
+        _as_int(value, "grid axis 'route_count' value")
+    if not isinstance(entries, list) or not all(
+        isinstance(entry, Mapping) for entry in entries
+    ):
+        raise DataError("grid section 'scenarios' must be a list of mappings")
+
+    base_spec = dict(base_spec)
     try:
         base_config = PlannerConfig(**dict(base_spec.pop("config", {}) or {}))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise DataError(f"bad base config ({exc})") from None
     city = base_spec.pop("city", "chicago")
     profile = base_spec.pop("profile", "tiny")
@@ -289,7 +310,6 @@ def load_grid(path: str) -> tuple[list[Scenario], PlannerConfig]:
         raise DataError(f"unknown base keys {sorted(base_spec)}")
 
     scenarios = []
-    axes = data.get("axes", {}) or {}
     if axes:
         scenarios.extend(
             expand_grid(
@@ -297,13 +317,13 @@ def load_grid(path: str) -> tuple[list[Scenario], PlannerConfig]:
                 route_count=route_count,
             )
         )
-    for i, entry in enumerate(data.get("scenarios", ()) or ()):
+    for i, entry in enumerate(entries):
         spec = {
             "name": f"scenario-{i}", "city": city, "profile": profile,
             "method": method, "route_count": route_count, **entry,
         }
         if "config" in spec:
-            spec["overrides"] = spec.pop("config")
+            spec["overrides"] = spec.pop("config") or {}
         try:
             scenarios.append(from_wire(Scenario, spec))
         except DataError as exc:

@@ -137,6 +137,26 @@ class TestExitCodes:
         assert main(["sweep", "--grid", "/nonexistent/grid.json"]) == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, named", [
+        ({"base": [1, 2]}, "section 'base'"),
+        ({"axes": [["w", [0.5]]]}, "section 'axes'"),
+        ({"axes": {"w": 0.5}}, "axis 'w'"),
+        ({"axes": {"route_count": "2"}}, "axis 'route_count'"),
+        ({"scenarios": {"a": 1}}, "section 'scenarios'"),
+        ({"scenarios": [["name", "x"]]}, "section 'scenarios'"),
+        ({"axes": {"method": "vk-tsp"}}, "axis 'method'"),
+    ])
+    def test_sweep_malformed_grid_file_exits_2(
+        self, tmp_path, capsys, grid, named
+    ):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        assert main(["sweep", "--grid", str(path), "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert named in err
+
     def test_sweep_bad_axis_value_exits_2(self, capsys):
         assert main(["sweep", "--ks", "5,abc", "--no-cache"]) == 2
         assert "bad axis value list" in capsys.readouterr().err
