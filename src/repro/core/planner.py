@@ -22,7 +22,7 @@ from repro.core.eta_pre import run_eta_pre
 from repro.core.precompute import Precomputation, precompute
 from repro.core.result import PlannedRoute, PlanResult
 from repro.data.datasets import Dataset
-from repro.utils.errors import PlanningError
+from repro.utils.errors import PlanningError, ValidationError
 
 METHODS = ("eta-pre", "eta", "eta-all", "vk-tsp")
 
@@ -99,7 +99,8 @@ class CTBusPlanner:
         Reuses the cached pre-computation, so successive constrained
         replans cost only the (fast) search — the interactive-planning
         use case the paper cites to justify pre-computation (Sec. 7.3.2,
-        Insight 4).
+        Insight 4). A stop or edge id outside this city raises
+        :class:`PlanningError` naming the id.
         """
         if method not in ("eta-pre", "eta"):
             raise PlanningError(
@@ -117,7 +118,11 @@ class CTBusPlanner:
 
         pre = self.precomputation
         strategy = PrecomputedStrategy(pre) if method == "eta-pre" else OnlineStrategy(pre)
-        result = ExpansionEngine(pre, strategy, constraints=constraints).run()
+        try:
+            engine = ExpansionEngine(pre, strategy, constraints=constraints)
+        except ValidationError as exc:  # an id this city does not have
+            raise PlanningError(f"constraints do not fit this city: {exc}") from None
+        result = engine.run()
         result.method = f"{method}+constraints"
         return result
 

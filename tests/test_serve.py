@@ -621,3 +621,50 @@ class TestStrictRequests:
         assert err.value.code == 400
         assert named in json.loads(err.value.read())["error"]
         assert ping(server.address, secret=SECRET)["role"] == "serve"
+
+
+# ----------------------------------------------------------------------
+# Both doors refuse a constraint id the city does not have
+# ----------------------------------------------------------------------
+OUT_OF_RANGE = pytest.mark.parametrize("constraints, named", [
+    ({"anchor_stop": 99999}, "99999"),
+    ({"forbid_edges": [1000000]}, "1000000"),
+])
+
+
+def out_of_range_request(constraints) -> dict:
+    return {
+        "scenario": {**to_wire(make_scenario()), "constraints": constraints},
+        "base_config": asdict(CONFIG),
+    }
+
+
+class TestOutOfRangeConstraints:
+    """The id reaches the planner thread; the refusal is still the client's."""
+
+    @OUT_OF_RANGE
+    def test_frame_door_answers_an_error_naming_the_id(
+        self, server, constraints, named
+    ):
+        with served_connection(server) as sock:
+            send_frame(sock, {
+                "op": "plan", "protocol": PROTOCOL_VERSION,
+                **out_of_range_request(constraints),
+            })
+            error = recv_frame(sock)
+        assert error["op"] == "error"
+        assert named in error["error"]
+        assert ping(server.address, secret=SECRET)["role"] == "serve"
+
+    @OUT_OF_RANGE
+    def test_http_door_answers_400_naming_the_id(
+        self, server, http_door, constraints, named
+    ):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            http_json(
+                f"{http_door}/plan", body=out_of_range_request(constraints),
+                token=http_token(SECRET),
+            )
+        assert err.value.code == 400
+        assert named in json.loads(err.value.read())["error"]
+        assert ping(server.address, secret=SECRET)["role"] == "serve"
