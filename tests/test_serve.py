@@ -582,12 +582,13 @@ BAD_VALUES = pytest.mark.parametrize("field, value, named", [
     ("overrides", {"k": 12.5}, "k must be an integer"),
     ("overrides", {"max_turns": 1.5}, "max_turns must be an integer"),
     ("overrides", {"batch_eval": 1}, "batch_eval must be a bool"),
-    ("route_count", 2.9, "'scenario.route_count' must be int"),
-    ("route_count", "2", "'scenario.route_count' must be int"),
-    ("route_count", True, "'scenario.route_count' must be int"),
-    ("seed", True, "'scenario.seed' must be int"),
-    ("constraints", {"anchor_stop": "3"},
-     "'scenario.constraints.anchor_stop' must be int"),
+    # The codec names a scenario field by its quoted path, which ends in
+    # the field name: 'scenario.route_count'.
+    ("route_count", 2.9, "route_count' must be int"),
+    ("route_count", "2", "route_count' must be int"),
+    ("route_count", True, "route_count' must be int"),
+    ("seed", True, "seed' must be int"),
+    ("constraints", {"anchor_stop": "3"}, "anchor_stop' must be int"),
 ])
 
 
