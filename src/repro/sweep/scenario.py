@@ -48,14 +48,14 @@ class Scenario:
     """One declarative planning request within a sweep.
 
     A wire record (:mod:`repro.utils.wire`). ``overrides`` maps
-    :class:`PlannerConfig` field names to values; it is stored
+    :class:`PlannerConfig` field names to values. It is stored
     key-sorted, so a scenario encodes the same whatever order its
-    overrides were given in, and a numpy scalar is stored as the Python
-    number it holds, so it encodes and keys like its plain twin.
-    ``seed=None`` lets the runner derive a
-    deterministic per-scenario seed from its base seed and the scenario
-    name. An empty name, an unknown city and an unknown profile are
-    refused on construction, and so on decode.
+    overrides were given in, and a numpy scalar in it is stored as the
+    Python number it holds, so it encodes and keys like its plain twin.
+    ``seed=None`` lets the runner derive a deterministic per-scenario
+    seed from its base seed and the scenario name. An empty name, an
+    unknown city and an unknown profile are refused on construction,
+    and so on decode.
     """
 
     name: str
@@ -219,9 +219,7 @@ def _as_int(value, label: str) -> int:
 
 def _check_dataset_spec(city: str, profile: str) -> None:
     if city not in CITY_NAMES:
-        raise ValidationError(
-            f"unknown city {city!r}; choose from {CITY_NAMES}"
-        )
+        raise ValidationError(f"unknown city {city!r}; choose from {CITY_NAMES}")
     if profile not in list_profiles():
         raise ValidationError(
             f"unknown profile {profile!r}; choose from {list_profiles()}"
