@@ -115,7 +115,10 @@ def _decode(tp: Any, value: Any, top: str, path: str) -> Any:
                 top, path, f"must have {len(args)} items, got {len(value)}"
             )
         item = f"{path}[]"
-        return origin(_decode(a, v, top, item) for a, v in zip(args, value))
+        items = [_decode(a, v, top, item) for a, v in zip(args, value)]
+        if origin is list:
+            return items
+        return tuple(items) if origin is tuple else frozenset(items)
     if tp is float:
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     elif tp is int:
