@@ -147,18 +147,12 @@ def scenario_key(
     alongside the content-addressed precompute ``cache_key`` which
     additionally guards against dataset *content* drift.
     """
-    config = scenario.planner_config(base_config)
-    spec = {
-        "city": scenario.city,
-        "profile": scenario.profile,
-        "method": scenario.method,
-        "route_count": scenario.route_count,
-        "constraints": (
-            None if scenario.constraints is None
-            else to_wire(scenario.constraints)
-        ),
-        "config": asdict(config),
-    }
+    spec = to_wire(scenario)
+    # The name stays out (see above); overrides and seed are hashed as
+    # part of the resolved config.
+    for name in ("name", "overrides", "seed"):
+        del spec[name]
+    spec["config"] = asdict(scenario.planner_config(base_config))
     blob = json.dumps(spec, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:SCENARIO_KEY_LENGTH]
 
