@@ -289,7 +289,6 @@ def load_grid(path: str) -> tuple[list[Scenario], PlannerConfig]:
     ):
         raise DataError("grid section 'scenarios' must be a list of mappings")
 
-    base_spec = dict(base_spec)
     try:
         base_config = PlannerConfig(**dict(base_spec.pop("config", {}) or {}))
     except (TypeError, ValueError) as exc:
