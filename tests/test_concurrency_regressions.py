@@ -13,11 +13,19 @@ write it observes.
 """
 
 import threading
+import time
 
 import pytest
 
+from repro.core.config import PlannerConfig
+from repro.data.datasets import canned_city
+from repro.serve.pool import ArtifactPool, precomputation_nbytes
 from repro.sweep.registry import Heartbeat, RegistryServer, WorkerRecord
-from repro.sweep.remote import _WorkQueue
+from repro.sweep.remote import (
+    WorkerServer,
+    _WorkQueue,
+    connect_authenticated,
+)
 
 BARRIER_TIMEOUT = 10.0
 
@@ -206,3 +214,80 @@ class TestRegistryServerConcurrentRoster:
             for i in range(per_thread)
         }
         assert survivors == expected
+
+
+class TestArtifactPoolColdKeyRace:
+    def test_racing_cold_fetches_converge_on_one_artifact(self):
+        """Six threads miss one cold key at once: each computes, the
+        first insert wins, and every caller leaves with that object."""
+        n_threads = 6
+        dataset = canned_city("chicago", "tiny")
+        config = PlannerConfig(
+            k=6, max_iterations=40, seed_count=20, n_probes=8,
+            lanczos_steps=6, seed=0,
+        )
+        pool = ArtifactPool()
+        start = threading.Barrier(n_threads, timeout=BARRIER_TIMEOUT)
+        results = [None] * n_threads
+
+        def fetch(slot):
+            start.wait()
+            results[slot] = pool.fetch(dataset, config)[0]
+
+        threads = [
+            threading.Thread(target=fetch, args=(i,), daemon=True)
+            for i in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+
+        pre = results[0]
+        assert pre is not None
+        assert all(result is pre for result in results)
+        stats = pool.stats()
+        assert stats["entries"] == 1
+        assert stats["hits"] + stats["misses"] == n_threads
+        assert stats["bytes"] == precomputation_nbytes(pre)
+
+
+class TestFrameServerLiveConnections:
+    SECRET = b"concurrency-suite-secret"
+
+    def test_concurrent_clients_are_counted_then_released(self):
+        n_clients = 5
+        server = WorkerServer(secret=self.SECRET)
+        server.start_in_thread()
+        connected = threading.Barrier(n_clients + 1, timeout=BARRIER_TIMEOUT)
+        release = threading.Barrier(n_clients + 1, timeout=BARRIER_TIMEOUT)
+
+        def client():
+            with connect_authenticated(
+                server.address, self.SECRET, BARRIER_TIMEOUT
+            ):
+                # The server registers a connection before its handshake
+                # starts, so every client past the handshake is counted.
+                connected.wait()
+                release.wait()
+
+        threads = [
+            threading.Thread(target=client, daemon=True)
+            for _ in range(n_clients)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            connected.wait()
+            assert server.n_live_connections == n_clients
+            release.wait()
+            for thread in threads:
+                thread.join(timeout=BARRIER_TIMEOUT)
+                assert not thread.is_alive()
+            deadline = time.monotonic() + BARRIER_TIMEOUT
+            while server.n_live_connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.n_live_connections == 0
+        finally:
+            server.shutdown()
