@@ -607,6 +607,25 @@ def ping(address, timeout: float = 5.0, secret=None) -> dict:
 # ----------------------------------------------------------------------
 # Frame-protocol daemons
 # ----------------------------------------------------------------------
+def _hang_up(sock: socket.socket) -> None:
+    """Shut ``sock`` down, then close it; a closed socket is a no-op.
+
+    ``SHUT_RDWR`` wakes a thread parked on the socket at once. On a
+    listening socket it also stops the kernel accepting into the
+    backlog, which ``close()`` alone does not while another thread is
+    still polling ``accept()``. On a connection it unblocks a handler
+    parked in ``recv()`` instead of leaving it to the idle timeout.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 class FrameServer:
     """Shared skeleton of the frame-protocol daemons.
 
@@ -661,9 +680,14 @@ class FrameServer:
         self._conns: "set[socket.socket]" = set()
         self._handlers: "set[threading.Thread]" = set()
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, int(port)))
-        self._sock.listen()
+        try:
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._sock.bind((host, int(port)))
+            self._sock.listen()
+        except BaseException:
+            self._sock.close()  # a busy port must not leak the socket
+            raise
+        self._sock.settimeout(0.2)  # accept() polls the shutdown flag
         self.host, self.port = self._sock.getsockname()[:2]
 
     @property
@@ -679,7 +703,6 @@ class FrameServer:
     # ------------------------------------------------------------------
     def serve_forever(self) -> None:
         """Accept and serve connections until :meth:`shutdown`."""
-        self._sock.settimeout(0.2)  # poll the shutdown flag
         try:
             while not self._shutdown.is_set():
                 try:
@@ -709,24 +732,17 @@ class FrameServer:
         Idempotent and thread-safe; callable from a handler thread (the
         ``shutdown`` op does exactly that — the calling handler is
         skipped by the join and exits through its own return path).
-        After this returns, no handler thread started by this server is
-        still serving a peer.
+        After this returns, the listening socket is closed, so a new
+        connection is refused, and no handler thread started by this
+        server is still serving a peer.
         """
         self._shutdown.set()
+        _hang_up(self._sock)
         with self._conn_lock:
             conns = list(self._conns)
             handlers = list(self._handlers)
         for conn in conns:
-            # SHUT_RDWR unblocks a handler parked in recv() immediately;
-            # close() alone may leave it waiting for the idle timeout.
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
+            _hang_up(conn)
         current = threading.current_thread()
         for thread in handlers:
             if thread is not current:

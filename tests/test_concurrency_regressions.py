@@ -12,8 +12,11 @@ every assertion runs at a rendezvous point that happens-after the
 write it observes.
 """
 
+import gc
+import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -25,6 +28,7 @@ from repro.sweep.remote import (
     WorkerServer,
     _WorkQueue,
     connect_authenticated,
+    ping,
 )
 
 BARRIER_TIMEOUT = 10.0
@@ -291,3 +295,39 @@ class TestFrameServerLiveConnections:
             assert server.n_live_connections == 0
         finally:
             server.shutdown()
+
+
+class TestShutdownClosesListener:
+    """``shutdown()`` itself closes the listening socket: a daemon that
+    never served, or whose accept loop is mid-poll, refuses new peers
+    as soon as it returns instead of parking them in the backlog."""
+
+    def test_connect_refused_after_shutdown_without_serve_loop(self):
+        server = RegistryServer(port=0)
+        address = server.address
+        server.shutdown()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=BARRIER_TIMEOUT)
+
+    def test_connect_refused_after_shutdown_of_served_daemon(self):
+        server = WorkerServer()
+        server.start_in_thread()
+        assert ping(server.address)["op"] == "pong"
+        server.shutdown()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(server.address, timeout=BARRIER_TIMEOUT)
+
+    def test_failed_bind_leaves_no_unclosed_socket(self):
+        holder = WorkerServer()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                with pytest.raises(OSError):
+                    WorkerServer(port=holder.port)
+                gc.collect()
+            leaks = [
+                w for w in caught if issubclass(w.category, ResourceWarning)
+            ]
+            assert leaks == []
+        finally:
+            holder.shutdown()
