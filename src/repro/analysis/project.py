@@ -3,9 +3,9 @@
 Rules never touch the filesystem themselves — they read parsed
 :class:`Module` objects out of an :class:`AnalysisContext`, keyed by
 POSIX relpath (``"sweep/report.py"``). That keeps cross-module rules
-(the thread model behind RPR006, RPR007 and RPR010 spans every module)
-cheap, and lets the test suite point the whole engine at a fixture tree
-that mimics the package layout.
+cheap (RPR011 follows box declarations and owned classes across
+modules), and lets the test suite point the whole engine at a fixture
+tree that mimics the package layout.
 """
 
 from __future__ import annotations

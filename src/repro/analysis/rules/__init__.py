@@ -8,9 +8,7 @@ One module per rule, named after what it protects — see
 
 from repro.analysis.rules import (  # noqa: F401  (imported to register)
     atomic_writes,
-    blocking_locks,
+    boxed_state,
     determinism,
-    lock_discipline,
-    lock_ordering,
     resource_safety,
 )

@@ -27,10 +27,9 @@ Commands
 ``removal``  the Figure 1 analysis: connectivity under route removal.
 ``bounds``   evaluate the three upper bounds on a city (Table 3 style).
 ``check``    run the invariant-aware static analysis suite (rules
-             RPR001-RPR010: determinism, resource safety, atomic
-             writes, lock discipline and ordering, blocking under a
-             lock) over the source tree; ``--strict``
-             also fails on warnings (the CI mode).
+             RPR001-RPR011: determinism, resource safety, atomic
+             writes, boxed shared state) over the source tree;
+             ``--strict`` also fails on warnings (the CI mode).
 
 The full flag-by-flag reference, including exit-code semantics, lives
 in ``docs/cli.md``.
@@ -61,7 +60,7 @@ Examples::
     python -m repro removal --city nyc --profile small
     python -m repro bounds --city chicago --k 15
     python -m repro check --strict
-    python -m repro check src/repro --select RPR001,RPR006 --format json
+    python -m repro check src/repro --select RPR001,RPR011 --format json
 """
 
 from __future__ import annotations

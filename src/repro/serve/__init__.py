@@ -12,7 +12,7 @@ long-lived process for interactive what-if queries (ROADMAP item 3):
   ``repro plan`` is pinned by an oracle test);
 * :mod:`repro.serve.http` — stdlib HTTP/JSON facade (``POST /plan``,
   ``GET /stats``) with bearer-token auth derived from the frame secret;
-* :mod:`repro.serve.stats` — the lock-guarded latency reservoir behind
+* :mod:`repro.serve.stats` — the boxed latency reservoir behind
   the ``/stats`` quantiles.
 
 See ``docs/serving.md`` for the architecture tour.

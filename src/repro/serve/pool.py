@@ -26,16 +26,17 @@ the disk cache's policy; byte sizes come from
 :func:`precomputation_nbytes`, a deliberate estimate of the resident
 arrays rather than a deep ``sys.getsizeof`` walk.
 
-Thread-safety: all bookkeeping happens under one lock, but the slow
-work — dataset fingerprinting, npz loads, and ``precompute`` itself —
-runs outside it, so a cold request never blocks ``stats()`` or another
-key's pool hit (and the blocking-under-lock rule RPR010 stays clean).
+Thread-safety: all bookkeeping lives in one boxed record
+(:class:`~repro.utils.guarded.Guarded`), but the slow work — dataset
+fingerprinting, npz loads, and ``precompute`` itself — runs outside
+its regions, so a cold request never blocks ``stats()`` or another
+key's pool hit.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
+from dataclasses import dataclass, field
 
 from repro.core.config import PlannerConfig
 from repro.core.precompute import Precomputation, precompute, rebind
@@ -46,6 +47,7 @@ from repro.sweep.cache import (
     dataset_fingerprint,
 )
 from repro.utils.errors import PlanningError
+from repro.utils.guarded import Guarded
 
 DEFAULT_POOL_BYTES = 512 * 1024 * 1024
 """Default pool budget (512 MiB) — a handful of city-scale artifacts."""
@@ -92,6 +94,25 @@ class _PoolEntry:
         self.n_bytes = n_bytes
 
 
+@dataclass
+class _PoolState:
+    """Everything an :class:`ArtifactPool` changes after construction."""
+
+    entries: "OrderedDict[str, _PoolEntry]" = field(
+        default_factory=OrderedDict
+    )
+    n_bytes: int = 0
+    hits: int = 0
+    disk_hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+    # Dataset fingerprinting re-hashes every array the precompute
+    # reads — far too slow per request. Memoize by object identity,
+    # holding a strong reference so a recycled id() can never alias
+    # a different dataset (the stored object is compared with `is`).
+    fp_memo: "dict[int, tuple[Dataset, str]]" = field(default_factory=dict)
+
+
 class ArtifactPool:
     """Byte-budget LRU pool of in-memory precomputation artifacts.
 
@@ -111,30 +132,19 @@ class ArtifactPool:
             )
         self.disk_cache = disk_cache
         self.max_bytes = max_bytes
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, _PoolEntry]" = OrderedDict()
-        self._bytes = 0
-        self._hits = 0
-        self._disk_hits = 0
-        self._misses = 0
-        self._evictions = 0
-        # Dataset fingerprinting re-hashes every array the precompute
-        # reads — far too slow per request. Memoize by object identity,
-        # holding a strong reference so a recycled id() can never alias
-        # a different dataset (the stored object is compared with `is`).
-        self._fp_memo: "dict[int, tuple[Dataset, str]]" = {}
+        self._state: Guarded[_PoolState] = Guarded(_PoolState())
 
     # ------------------------------------------------------------------
     def _dataset_fp(self, dataset: Dataset) -> str:
-        with self._lock:
-            memo = self._fp_memo.get(id(dataset))
+        with self._state as state:
+            memo = state.fp_memo.get(id(dataset))
             if memo is not None and memo[0] is dataset:
                 return memo[1]
-        fp = dataset_fingerprint(dataset)  # slow: outside the lock
-        with self._lock:
-            if len(self._fp_memo) >= _FP_MEMO_MAX:
-                self._fp_memo.clear()
-            self._fp_memo[id(dataset)] = (dataset, fp)
+        fp = dataset_fingerprint(dataset)  # slow: outside the region
+        with self._state as state:
+            if len(state.fp_memo) >= _FP_MEMO_MAX:
+                state.fp_memo.clear()
+            state.fp_memo[id(dataset)] = (dataset, fp)
         return fp
 
     def key_for(self, dataset: Dataset, config: PlannerConfig) -> str:
@@ -163,19 +173,17 @@ class ArtifactPool:
         ``fetch_or_compute``'s own store).
         """
         key = self.key_for(dataset, config)
-        with self._lock:
-            entry = self._entries.get(key)
+        with self._state as state:
+            entry = state.entries.get(key)
             if entry is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                pre = entry.pre
+                state.entries.move_to_end(key)
+                state.hits += 1
             else:
-                self._misses += 1
-                pre = None
-        if pre is not None:
-            return self._for_config(pre, config), TIER_POOL
+                state.misses += 1
+        if entry is not None:
+            return self._for_config(entry.pre, config), TIER_POOL
 
-        # Slow path, outside the lock: disk load or full precompute.
+        # Slow path, outside the region: disk load or full precompute.
         if self.disk_cache is not None:
             pre, was_hit = self.disk_cache.fetch_or_compute(dataset, config)
             tier = TIER_DISK if was_hit else TIER_COMPUTED
@@ -194,43 +202,40 @@ class ArtifactPool:
         return pre, tier != TIER_COMPUTED
 
     def _insert(self, key: str, pre: Precomputation, tier: str) -> Precomputation:
-        n_bytes = precomputation_nbytes(pre)  # walks edges: outside lock
-        with self._lock:
+        # Sized (it walks the edges) and wrapped outside the region.
+        fresh = _PoolEntry(pre, precomputation_nbytes(pre))
+        with self._state as state:
             if tier == TIER_DISK:
-                self._disk_hits += 1
-            incumbent = self._entries.get(key)
+                state.disk_hits += 1
+            incumbent = state.entries.get(key)
             if incumbent is not None:
                 # Two cold requests raced on one key; keep the incumbent
                 # so concurrent callers converge on one shared object.
-                self._entries.move_to_end(key)
+                state.entries.move_to_end(key)
                 return incumbent.pre
-            self._entries[key] = _PoolEntry(pre, n_bytes)
-            self._bytes += n_bytes
-            self._evict_locked()
+            state.entries[key] = fresh
+            state.n_bytes += fresh.n_bytes
+            # Drop LRU entries until the budget holds. Always keep the
+            # newest entry: a single artifact larger than the budget
+            # stays resident (the hot city works; the budget just
+            # can't hold two).
+            while state.n_bytes > self.max_bytes and len(state.entries) > 1:
+                _, evicted = state.entries.popitem(last=False)
+                state.n_bytes -= evicted.n_bytes
+                state.evictions += 1
         return pre
-
-    def _evict_locked(self) -> None:
-        """Drop LRU entries until the budget holds. Always keeps the
-        newest entry: a single artifact larger than the budget stays
-        resident (the hot city works; the budget just can't hold two)."""
-        while self._bytes > self.max_bytes and len(self._entries) > 1:
-            _, entry = self._entries.popitem(last=False)
-            self._bytes -= entry.n_bytes
-            self._evictions += 1
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """JSON-ready pool counters for ``/stats``."""
-        with self._lock:
-            hits = self._hits
-            misses = self._misses
+        with self._state as state:
             return {
-                "entries": len(self._entries),
-                "bytes": self._bytes,
+                "entries": len(state.entries),
+                "bytes": state.n_bytes,
                 "max_bytes": self.max_bytes,
-                "hits": hits,
-                "misses": misses,
-                "disk_hits": self._disk_hits,
-                "evictions": self._evictions,
-                "hit_rate": hits / max(hits + misses, 1),
+                "hits": state.hits,
+                "misses": state.misses,
+                "disk_hits": state.disk_hits,
+                "evictions": state.evictions,
+                "hit_rate": state.hits / max(state.hits + state.misses, 1),
             }

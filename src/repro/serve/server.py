@@ -158,9 +158,11 @@ class PlanServer(FrameServer):
         self.pool = ArtifactPool(disk, max_bytes=pool_bytes)
         self.latency = LatencyReservoir()
         self._started = time.monotonic()
-        self._jobs = queue.Queue()  # thread-safe: handler -> planner
-        self._planner_lock = threading.Lock()
-        self._planner_thread: "threading.Thread | None" = None
+        # Handler threads hand jobs to the planner through this queue;
+        # the planner runs until shutdown() sends it the None sentinel.
+        self._jobs: "queue.Queue[_PlanJob | None]" = queue.Queue()
+        self._planner = threading.Thread(target=self._plan_loop, daemon=True)
+        self._planner.start()
 
     # ------------------------------------------------------------------
     # The single planner thread
@@ -168,18 +170,12 @@ class PlanServer(FrameServer):
     def _submit(self, scenario, base_config) -> tuple:
         """Queue one plan and wait for ``(outcome, tier)``.
 
-        Starts the planner thread lazily on first use, refuses once
-        shutdown has begun, and polls the reply queue so a handler never
-        blocks past shutdown on a plan that will not finish.
+        Refuses once shutdown has begun, and polls the reply queue so a
+        handler never blocks past shutdown on a plan that will not
+        finish.
         """
-        with self._planner_lock:
-            if self._shutdown.is_set():
-                raise PlanningError("server is shutting down")
-            if self._planner_thread is None or not self._planner_thread.is_alive():
-                self._planner_thread = threading.Thread(
-                    target=self._plan_loop, daemon=True
-                )
-                self._planner_thread.start()
+        if self._shutdown.is_set():
+            raise PlanningError("server is shutting down")
         job = _PlanJob(scenario, base_config)
         self._jobs.put(job)
         while True:
@@ -219,17 +215,11 @@ class PlanServer(FrameServer):
             except Exception as exc:  # noqa: BLE001 — reply, don't die
                 job.reply.put((None, None, exc))
 
-    def _stop_planner(self) -> None:
-        with self._planner_lock:
-            thread = self._planner_thread
-            self._planner_thread = None
-        if thread is not None and thread.is_alive():
-            self._jobs.put(None)
-            thread.join(timeout=5.0)
-
     def shutdown(self) -> None:
         super().shutdown()
-        self._stop_planner()
+        if self._planner.is_alive():
+            self._jobs.put(None)
+            self._planner.join(timeout=5.0)
 
     # ------------------------------------------------------------------
     # Request handling (shared by the frame and HTTP front doors)

@@ -1,4 +1,4 @@
-"""Lock-guarded latency reservoir behind the ``/stats`` endpoint.
+"""Latency reservoir behind the ``/stats`` endpoint.
 
 The serving layer records one wall-clock duration per ``plan`` request.
 Those samples land in a fixed-capacity ring (:class:`LatencyReservoir`)
@@ -12,18 +12,20 @@ Quantiles use the nearest-rank definition (``ceil(q * n)``-th smallest,
 empty case reports ``None`` rather than inventing a number.
 
 Thread-safety: ``record`` and ``snapshot`` may race freely across the
-handler threads of a :class:`~repro.serve.server.PlanServer`; both take
-``_lock`` only long enough to mutate or copy the ring, and the O(n log n)
-sort happens on the snapshot's private copy outside the lock.
+handler threads of a :class:`~repro.serve.server.PlanServer`; the ring
+lives in a :class:`~repro.utils.guarded.Guarded` box, each region only
+mutates or copies it, and the O(n log n) sort happens on the
+snapshot's private copy outside the region.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
+from dataclasses import dataclass, field
 
 from repro.utils.errors import PlanningError
+from repro.utils.guarded import Guarded
 
 DEFAULT_RESERVOIR_CAPACITY = 4096
 """Samples kept in the quantile window (~minutes of interactive load)."""
@@ -35,10 +37,19 @@ def _quantile(sorted_values: "list[float]", q: float) -> float:
     return sorted_values[rank - 1]
 
 
+@dataclass
+class _RingState:
+    """Everything a :class:`LatencyReservoir` changes after construction."""
+
+    samples: "list[float]" = field(default_factory=list)
+    next: int = 0  # ring cursor, meaningful once len == capacity
+    count: int = 0  # lifetime records, never decremented
+
+
 class LatencyReservoir:
     """Fixed-capacity ring of request durations with quantile snapshots.
 
-    ``record`` is O(1); ``snapshot`` copies the ring under the lock and
+    ``record`` is O(1); ``snapshot`` copies the ring in a region and
     sorts outside it. The lifetime request count and start time survive
     ring wrap-around, so RPS reflects the daemon's whole life even
     though quantiles cover only the last ``capacity`` samples.
@@ -52,10 +63,7 @@ class LatencyReservoir:
             )
         self.capacity = capacity
         self._clock = clock
-        self._lock = threading.Lock()
-        self._samples: list[float] = []
-        self._next = 0  # ring cursor, meaningful once len == capacity
-        self._count = 0  # lifetime records, never decremented
+        self._state: Guarded[_RingState] = Guarded(_RingState())
         self._started = clock()
 
     def record(self, seconds: float) -> None:
@@ -65,19 +73,19 @@ class LatencyReservoir:
             raise PlanningError(
                 f"latency sample must be finite and >= 0, got {seconds!r}"
             )
-        with self._lock:
-            if len(self._samples) < self.capacity:
-                self._samples.append(value)
+        with self._state as state:
+            if len(state.samples) < self.capacity:
+                state.samples.append(value)
             else:
-                self._samples[self._next] = value
-                self._next = (self._next + 1) % self.capacity
-            self._count += 1
+                state.samples[state.next] = value
+                state.next = (state.next + 1) % self.capacity
+            state.count += 1
 
     @property
     def count(self) -> int:
         """Lifetime number of recorded samples."""
-        with self._lock:
-            return self._count
+        with self._state as state:
+            return state.count
 
     def snapshot(self) -> dict:
         """Current latency statistics as a JSON-ready dict.
@@ -86,10 +94,10 @@ class LatencyReservoir:
         quantiles, ``rps`` is lifetime count over elapsed time, and the
         ``p*_ms`` quantiles are ``None`` until the first sample lands.
         """
-        with self._lock:
-            window = list(self._samples)
-            count = self._count
-            elapsed = self._clock() - self._started
+        elapsed = self._clock() - self._started
+        with self._state as state:
+            window = list(state.samples)
+            count = state.count
         window.sort()
         stats: dict = {
             "count": count,

@@ -50,7 +50,7 @@ import os
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 from repro.sweep.remote import (
@@ -65,6 +65,7 @@ from repro.sweep.remote import (
     send_frame,
 )
 from repro.utils.errors import DataError, PlanningError
+from repro.utils.guarded import Guarded
 from repro.utils.timing import wall_clock
 from repro.utils.wire import from_wire, to_wire
 
@@ -328,6 +329,17 @@ class TcpRegistry(Registry):
         return list(self._call(WorkersFrame(), WorkerListFrame).workers)
 
 
+@dataclass
+class _RosterState:
+    """A :class:`RegistryServer`'s in-memory roster."""
+
+    #: key -> (record with wall-clock ``last_seen`` for display,
+    #: monotonic registration stamp used for liveness).
+    workers: "dict[str, tuple[WorkerRecord, float]]" = field(
+        default_factory=dict
+    )
+
+
 class RegistryServer(FrameServer):
     """The ``repro registry serve`` daemon: an in-memory worker roster.
 
@@ -360,25 +372,13 @@ class RegistryServer(FrameServer):
             raise PlanningError(f"registry ttl must be > 0, got {ttl}")
         super().__init__(host=host, port=port, secret=secret)
         self.ttl = ttl
-        #: key -> (record with wall-clock ``last_seen`` for display,
-        #: monotonic registration stamp used for liveness).
-        self._workers: dict = {}
-        self._lock = threading.Lock()
+        self._roster: Guarded[_RosterState] = Guarded(_RosterState())
         #: Liveness clock — monotonic so a wall-clock (NTP) step can
         #: neither mass-expire live workers nor immortalize dead ones.
         #: Injectable for tests.
         self._clock = time.monotonic
 
     # ------------------------------------------------------------------
-    def _prune_locked(self, now: float) -> None:
-        """Drop aged-out workers. Caller must hold ``self._lock`` —
-        the ``_locked`` suffix is the contract RPR006 enforces."""
-        cutoff = now - self.ttl
-        for key in [
-            k for k, (_, stamp) in self._workers.items() if stamp < cutoff
-        ]:
-            del self._workers[key]
-
     def register_record(self, record: WorkerRecord) -> WorkerRecord:
         """Upsert ``record``, stamped with the server's clocks.
 
@@ -388,15 +388,23 @@ class RegistryServer(FrameServer):
         """
         stamped = replace(record, last_seen=wall_clock())
         now = self._clock()
-        with self._lock:
-            self._prune_locked(now)
-            self._workers[record.key] = (stamped, now)
+        cutoff = now - self.ttl
+        with self._roster as roster:
+            for key in [
+                k for k, (_, stamp) in roster.workers.items() if stamp < cutoff
+            ]:
+                del roster.workers[key]
+            roster.workers[record.key] = (stamped, now)
         return stamped
 
     def live_workers(self) -> list:
-        with self._lock:
-            self._prune_locked(self._clock())
-            return [record for record, _ in self._workers.values()]
+        cutoff = self._clock() - self.ttl
+        with self._roster as roster:
+            for key in [
+                k for k, (_, stamp) in roster.workers.items() if stamp < cutoff
+            ]:
+                del roster.workers[key]
+            return [record for record, _ in roster.workers.values()]
 
     @property
     def n_workers(self) -> int:
@@ -417,8 +425,8 @@ class RegistryServer(FrameServer):
             self.register_record(frame.worker)
             send_frame(conn, RegisteredFrame(ttl=self.ttl))
         elif isinstance(frame, DeregisterFrame):
-            with self._lock:
-                self._workers.pop(frame.key, None)
+            with self._roster as roster:
+                roster.workers.pop(frame.key, None)
             send_frame(conn, DeregisteredFrame())
         elif isinstance(frame, WorkersFrame):
             send_frame(conn, WorkerListFrame(
@@ -469,6 +477,13 @@ def resolve_registry(spec, secret=None, ttl: float = DEFAULT_TTL) -> Registry:
 # ----------------------------------------------------------------------
 # Worker-side registration loop
 # ----------------------------------------------------------------------
+@dataclass
+class _BeatState:
+    """What a :class:`Heartbeat` changes after construction."""
+
+    last_error: "str | None" = None
+
+
 class Heartbeat:
     """Keep one worker's registration fresh; deregister on stop.
 
@@ -499,11 +514,9 @@ class Heartbeat:
             record_source if callable(record_source) else lambda: record_source
         )
         self.interval = interval
-        #: ``_last_error`` is written by :meth:`beat` — which runs on
-        #: both the caller's thread and the heartbeat thread — so every
-        #: access goes through ``_lock`` (RPR006 lock discipline).
-        self._lock = threading.Lock()
-        self._last_error: "str | None" = None
+        # beat() runs on both the caller's thread and the heartbeat
+        # thread, so the error it records lives in a box.
+        self._state: Guarded[_BeatState] = Guarded(_BeatState())
         self._stop = threading.Event()
         self._thread: "threading.Thread | None" = None
 
@@ -511,22 +524,21 @@ class Heartbeat:
     def last_error(self) -> "str | None":
         """The latest swallowed beat failure (``None`` after a healthy
         beat). Readable from any thread."""
-        with self._lock:
-            return self._last_error
+        with self._state as state:
+            return state.last_error
 
     # ------------------------------------------------------------------
     def beat(self) -> bool:
         """One registration refresh; ``False`` (and ``last_error``) on failure."""
+        error: "str | None" = None
         try:
             self.registry.register(self._record_source())
         except Exception as exc:  # noqa: BLE001 — transient registry
             # outages must not kill the worker's heartbeat loop.
-            with self._lock:
-                self._last_error = f"{type(exc).__name__}: {exc}"
-            return False
-        with self._lock:
-            self._last_error = None
-        return True
+            error = f"{type(exc).__name__}: {exc}"
+        with self._state as state:
+            state.last_error = error
+        return error is None
 
     def start(self) -> threading.Thread:
         try:

@@ -127,7 +127,7 @@ import struct
 import threading
 import time
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, ClassVar
 
 from repro.core.config import PlannerConfig
@@ -136,6 +136,7 @@ from repro.sweep.report import OutcomeRecord
 from repro.sweep.runner import execute_scenario
 from repro.sweep.scenario import Scenario
 from repro.utils.errors import DataError, PlanningError
+from repro.utils.guarded import Guarded
 from repro.utils.wire import from_wire, to_wire
 
 if TYPE_CHECKING:  # runtime import would cycle (registry imports us)
@@ -626,6 +627,17 @@ def _hang_up(sock: socket.socket) -> None:
         pass
 
 
+@dataclass
+class _PeerState:
+    """The connections a :class:`FrameServer` is serving right now."""
+
+    conns: "set[socket.socket]" = field(default_factory=set)
+    handlers: "set[threading.Thread]" = field(default_factory=set)
+    swept: bool = False
+    """Set by ``shutdown()`` once it has taken its snapshot of the
+    sets: the accept loop then closes a new connection itself."""
+
+
 class FrameServer:
     """Shared skeleton of the frame-protocol daemons.
 
@@ -676,9 +688,7 @@ class FrameServer:
                 )
         self.idle_timeout = idle_timeout
         self._shutdown = threading.Event()
-        self._conn_lock = threading.Lock()
-        self._conns: "set[socket.socket]" = set()
-        self._handlers: "set[threading.Thread]" = set()
+        self._peers: Guarded[_PeerState] = Guarded(_PeerState())
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -697,8 +707,8 @@ class FrameServer:
     @property
     def n_live_connections(self) -> int:
         """Connections with a live handler thread right now."""
-        with self._conn_lock:
-            return len(self._conns)
+        with self._peers as peers:
+            return len(peers.conns)
 
     # ------------------------------------------------------------------
     def serve_forever(self) -> None:
@@ -714,14 +724,16 @@ class FrameServer:
                 thread = threading.Thread(
                     target=self._handle, args=(conn,), daemon=True
                 )
-                with self._conn_lock:
-                    if self._shutdown.is_set():
-                        # shutdown() already swept the connection set; a
-                        # connection registered now would never be closed.
-                        conn.close()
-                        continue
-                    self._conns.add(conn)
-                    self._handlers.add(thread)
+                with self._peers as peers:
+                    admitted = not peers.swept
+                    if admitted:
+                        peers.conns.add(conn)
+                        peers.handlers.add(thread)
+                if not admitted:
+                    # shutdown() already swept the connection set; a
+                    # connection registered now would never be closed.
+                    conn.close()
+                    continue
                 thread.start()
         finally:
             self._sock.close()
@@ -738,9 +750,10 @@ class FrameServer:
         """
         self._shutdown.set()
         _hang_up(self._sock)
-        with self._conn_lock:
-            conns = list(self._conns)
-            handlers = list(self._handlers)
+        with self._peers as peers:
+            peers.swept = True
+            conns = list(peers.conns)
+            handlers = list(peers.handlers)
         for conn in conns:
             _hang_up(conn)
         current = threading.current_thread()
@@ -778,9 +791,9 @@ class FrameServer:
                     # or spoke garbage; drop it.
                     return
         finally:
-            with self._conn_lock:
-                self._conns.discard(conn)
-                self._handlers.discard(threading.current_thread())
+            with self._peers as peers:
+                peers.conns.discard(conn)
+                peers.handlers.discard(threading.current_thread())
 
     def handle(self, conn: socket.socket, frame) -> bool:
         """Serve one decoded frame; ``False`` closes the peer.
@@ -938,6 +951,15 @@ def serve_worker(
 # ----------------------------------------------------------------------
 # The backend
 # ----------------------------------------------------------------------
+@dataclass
+class _QueueState:
+    """Everything a :class:`_WorkQueue` changes after construction."""
+
+    pending: list
+    active: int
+    weights: dict = field(default_factory=dict)
+
+
 class _WorkQueue:
     """Pending work + live-worker weights, safe for requeue on death.
 
@@ -954,59 +976,63 @@ class _WorkQueue:
     """
 
     def __init__(self, pending, chunk_size=None, initial_active=0):
-        self._pending = list(pending)
         self._chunk_size = None if chunk_size is None else int(chunk_size)
-        self._weights: dict = {}
-        self._active = int(initial_active)
-        self._cond = threading.Condition()
+        self._state: Guarded[_QueueState] = Guarded(
+            _QueueState(pending=list(pending), active=int(initial_active))
+        )
 
     def add_worker(self, worker_id, weight) -> None:
-        with self._cond:
-            self._weights[worker_id] = max(int(weight), 1)
-            self._cond.notify_all()
+        with self._state as state:
+            state.weights[worker_id] = max(int(weight), 1)
+            self._state.notify_all()
 
     def retire(self, worker_id) -> None:
         """Drop a dead worker's weight from future chunk sizing."""
-        with self._cond:
-            self._weights.pop(worker_id, None)
-            self._cond.notify_all()
-
-    def _chunk_for_locked(self, worker_id) -> int:
-        if self._chunk_size is not None:
-            return self._chunk_size
-        weight = self._weights.get(worker_id, 1)
-        total = sum(self._weights.values()) or weight
-        # Ceil of this worker's weighted share of what is pending: a
-        # capacity-4 survivor absorbs ~4x a capacity-1 survivor's part
-        # of a dead worker's requeued scenarios.
-        return max(1, -(-len(self._pending) * weight // total))
+        with self._state as state:
+            state.weights.pop(worker_id, None)
+            self._state.notify_all()
 
     def get(self, worker_id):
-        with self._cond:
+        with self._state as state:
             while True:
-                if self._pending:
-                    take = self._chunk_for_locked(worker_id)
-                    chunk = self._pending[:take]
-                    del self._pending[:take]
-                    self._active += 1
+                if state.pending:
+                    take = self._chunk_size
+                    if take is None:
+                        weight = state.weights.get(worker_id, 1)
+                        total = sum(state.weights.values()) or weight
+                        # Ceil of this worker's weighted share of what is
+                        # pending: a capacity-4 survivor absorbs ~4x a
+                        # capacity-1 survivor's part of a dead worker's
+                        # requeued scenarios.
+                        take = max(1, -(-len(state.pending) * weight // total))
+                    chunk = state.pending[:take]
+                    del state.pending[:take]
+                    state.active += 1
                     return chunk
-                if self._active == 0:
+                if state.active == 0:
                     return None
-                self._cond.wait(timeout=0.1)
+                self._state.wait(timeout=0.1)
 
     def task_done(self, requeue=None) -> None:
-        with self._cond:
-            self._active -= 1
+        with self._state as state:
+            state.active -= 1
             if requeue:
-                self._pending.extend(requeue)
-            self._cond.notify_all()
+                state.pending.extend(requeue)
+            self._state.notify_all()
 
     def drain(self):
         """Whatever never ran (after all workers died)."""
-        with self._cond:
-            leftovers = list(self._pending)
-            self._pending.clear()
+        with self._state as state:
+            leftovers = list(state.pending)
+            state.pending.clear()
             return leftovers
+
+
+@dataclass
+class _BackendRoster:
+    """A :class:`RemoteBackend`'s roster, resolved on first use."""
+
+    workers: "tuple[tuple[tuple[str, int], int], ...] | None" = None
 
 
 @dataclass(repr=False)
@@ -1083,23 +1109,24 @@ class RemoteBackend(ExecutionBackend):
                     f"worker weights must be >= 1, got {weights}"
                 )
             self.weights = weights
-        self._registry_client_cache: "Registry | None" = None
-        self._roster_cache: "list[tuple[str, int]] | None" = None
-
-    # ------------------------------------------------------------------
-    def _registry_client(self):
-        if self._registry_client_cache is None:
+        self._registry_client: "Registry | None" = None
+        if self.registry is not None:
             from repro.sweep.registry import resolve_registry
 
-            self._registry_client_cache = resolve_registry(
+            # Building a registry client does no I/O.
+            self._registry_client = resolve_registry(
                 self.registry, secret=self.secret
             )
-        return self._registry_client_cache
+        self._roster: Guarded[_BackendRoster] = Guarded(
+            _BackendRoster()
+        )
 
+    # ------------------------------------------------------------------
     def _live_registry_workers(self):
         """Current registry roster, protocol-filtered and sorted."""
+        assert self._registry_client is not None
         records = sorted(
-            self._registry_client().live_workers(),
+            self._registry_client.live_workers(),
             key=lambda record: (record.host, record.port),
         )
         usable = []
@@ -1181,25 +1208,30 @@ class RemoteBackend(ExecutionBackend):
         return roster
 
     def _resolve_roster(self):
-        """``[(address, weight), ...]`` — static list or discovery.
+        """``((address, weight), ...)`` — static list or discovery.
 
         Discovery is cached per backend instance: the runner asks for
         ``effective_workers`` and then runs, and both must see the same
         roster. Mid-sweep joins go through the registry re-query, not
         through this.
         """
-        if self._roster_cache is None:
-            if self.registry is not None:
-                self._roster_cache = self._discover()
-            else:
-                if not self.addresses:
-                    raise PlanningError(
-                        "RemoteBackend has no worker addresses; pass "
-                        "addresses=['host:port', ...] or registry=..."
-                    )
-                weights = self.weights or (1,) * len(self.addresses)
-                self._roster_cache = list(zip(self.addresses, weights))
-        return self._roster_cache
+        with self._roster as cached:
+            roster = cached.workers
+        if roster is not None:
+            return roster
+        if self.registry is not None:
+            roster = tuple(self._discover())
+        elif not self.addresses:
+            raise PlanningError(
+                "RemoteBackend has no worker addresses; pass "
+                "addresses=['host:port', ...] or registry=..."
+            )
+        else:
+            weights = self.weights or (1,) * len(self.addresses)
+            roster = tuple(zip(self.addresses, weights))
+        with self._roster as cached:
+            cached.workers = roster
+        return roster
 
     def effective_workers(self, n_scenarios: int) -> int:
         return max(min(len(self._resolve_roster()), max(n_scenarios, 1)), 1)

@@ -1,11 +1,13 @@
-"""Seeded RPR006 violation: a counter written from two threads, no lock."""
+"""Seeded RPR011 violation: a counter changed outside the constructor.
+
+``bump`` runs on the owner's thread *and* the worker thread; ``reset``
+and ``undo`` write the same field unguarded too.
+"""
 
 import threading
 
 
 class EventCounter:
-    """``bump`` runs on the owner's thread *and* the worker thread."""
-
     def __init__(self):
         self._count = 0
         self._thread = None
@@ -20,5 +22,8 @@ class EventCounter:
     def bump(self):
         self._count = self._count + 1
 
-    def snapshot(self):
-        return self._count
+    def reset(self):
+        self._count = 0
+
+    def undo(self):
+        self._count -= 1

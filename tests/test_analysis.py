@@ -9,6 +9,7 @@ produce none.
 
 import ast
 import os
+import shutil
 import textwrap
 import types
 
@@ -31,6 +32,11 @@ from repro.utils.errors import DataError, ValidationError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "analysis")
 
+#: Single files of the RPR011 violation tree: two findings with two
+#: keys, and three findings sharing one key.
+LOCKS_BAD = os.path.join("rpr011_violation", "fabric", "locks_bad.py")
+COUNTER_BAD = os.path.join("rpr011_violation", "fabric", "counter_bad.py")
+
 
 def fixture(name: str) -> str:
     return os.path.join(FIXTURES, name)
@@ -48,7 +54,7 @@ class TestRegistry:
     def test_all_rules_catalog(self):
         codes = [rule.code for rule in all_rules()]
         assert codes == sorted(codes)
-        for expected in ("RPR001", "RPR004", "RPR005", "RPR006"):
+        for expected in ("RPR001", "RPR004", "RPR005", "RPR011"):
             assert expected in codes
 
     def test_rules_carry_metadata(self):
@@ -286,121 +292,240 @@ class TestRepoIsClean:
         assert index.by_location == {}
 
 
-class TestRPR006LockDiscipline:
-    def test_unlocked_cross_thread_writes_pinned(self):
-        run = check("rpr006_violation", select=["RPR006"])
+class TestRPR011BoxedState:
+    def test_violations_pinned(self):
+        run = check("rpr011_violation", select=["RPR011"])
         assert locations(run) == [
-            ("RPR006", "fabric/counter_bad.py", 21),
-            ("RPR006", "fabric/counter_bad.py", 21),
-            ("RPR006", "fabric/counter_bad.py", 24),
+            ("RPR011", "fabric/client_bad.py", 21),
+            ("RPR011", "fabric/client_bad.py", 26),
+            ("RPR011", "fabric/counter_bad.py", 23),
+            ("RPR011", "fabric/counter_bad.py", 26),
+            ("RPR011", "fabric/counter_bad.py", 29),
+            ("RPR011", "fabric/locks_bad.py", 26),
+            ("RPR011", "fabric/locks_bad.py", 35),
+            ("RPR011", "fabric/roster_bad.py", 19),
+            ("RPR011", "fabric/roster_bad.py", 25),
+            ("RPR011", "fabric/roster_bad.py", 31),
+            ("RPR011", "fabric/roster_bad.py", 36),
         ]
-        for f in run.findings:
-            assert "EventCounter._count" in f.message
-            assert "no access holds a lock" in f.message
-            assert f.severity is Severity.ERROR
-
-    def test_locked_twin_is_clean(self):
-        assert check("rpr006_clean").findings == []
-
-
-class TestRPR007LockOrdering:
-    def test_cycle_pinned(self):
-        run = check("rpr007_violation", select=["RPR007"])
-        assert locations(run) == [
-            ("RPR007", "fabric/locks_bad.py", 17),
-            ("RPR007", "fabric/locks_bad.py", 25),
-        ]
-        call_edge, nested_edge = run.findings
-        assert "via call to 'Pair._grab_b'" in call_edge.message
-        assert "Pair._b is held while acquiring Pair._a" in (
-            nested_edge.message
+        messages = [f.message for f in run.findings]
+        assert "'recv', which blocks" in messages[0]
+        assert "'self._pull', which is project code" in messages[1]
+        assert all(
+            "'EventCounter._count' is written outside the constructor" in m
+            for m in messages[2:5]
         )
-        assert "deadlock risk" in nested_edge.message
+        assert "'self._grab_b', which is project code" in messages[5]
+        assert "enters another box" in messages[6]
+        assert "'threading.Lock()' builds a lock" in messages[7]
+        assert "'workers' shares the record" in messages[8]
+        assert "hands out its record" in messages[9]
+        assert "'roster' shares the record" in messages[10]
+        assert all(f.severity is Severity.ERROR for f in run.findings)
+        assert run.failed(strict=False)
 
-    def test_global_order_is_clean(self):
-        assert check("rpr007_clean").findings == []
-
-
-class TestRPR010BlockingLocks:
-    def test_blocking_under_lock_pinned(self):
-        run = check("rpr010_violation", select=["RPR010"])
-        assert locations(run) == [
-            ("RPR010", "fabric/client_bad.py", 15),
-            ("RPR010", "fabric/client_bad.py", 20),
-        ]
-        direct, transitive = run.findings
-        assert "'.recv()' blocks" in direct.message
-        assert "calls 'Client._pull'" in transitive.message
-        assert direct.severity is Severity.WARNING
-
-    def test_warnings_fail_only_under_strict(self):
-        run = check("rpr010_violation", select=["RPR010"])
-        assert not run.failed(strict=False)
-        assert run.failed(strict=True)
-
-    def test_condition_wait_twin_is_clean(self):
-        assert check("rpr010_clean").findings == []
+    def test_boxed_counter_twin_is_clean(self):
+        # A thread handle bound late, a condition wait on the held box,
+        # and scalars and copies taken out of a region.
+        assert check("rpr011_clean").findings == []
 
 
-class TestLockFixesAreLoadBearing:
-    """Deleting a landed lock fix must flip ``repro check`` to failing.
+class TestBoxedStateMutants:
+    """Each mutant edits a copy of one shipped module and must be
+    refused by RPR011; the unedited copy is clean.
 
-    This is the acceptance gate for the concurrency fixes: the guards
-    in ``sweep/registry.py`` are exactly what RPR006 demands, so
-    removing one re-introduces the finding.
+    Together they replace the lock-model rules: an unguarded write
+    (PR 9's defect), state used after its region, nested regions and
+    project calls in a region (the lock-order and blocking hazards),
+    a lock built outside ``utils/guarded.py``, and a class outside the
+    threaded modules that a threaded class owns.
     """
 
-    GUARDED_WRITES = (
-        (
-            "            with self._lock:\n"
-            "                self._last_error = "
-            'f"{type(exc).__name__}: {exc}"\n',
-            "            self._last_error = "
-            'f"{type(exc).__name__}: {exc}"\n',
+    PACKAGES = ("serve", "sweep", "utils")
+
+    MUTANTS = {
+        "heartbeat-unguarded-write": (
+            "sweep/registry.py",
+            [(
+                "        with self._state as state:\n"
+                "            state.last_error = error\n",
+                "        self._last_error = error\n",
+            )],
+            "'Heartbeat._last_error' is written outside the constructor",
         ),
-        (
-            "        with self._lock:\n"
-            "            self._last_error = None\n",
-            "        self._last_error = None\n",
+        "registry-prunes-after-region": (
+            "sweep/registry.py",
+            [(
+                "        with self._roster as roster:\n"
+                "            for key in [\n"
+                "                k for k, (_, stamp) in roster.workers.items()"
+                " if stamp < cutoff\n"
+                "            ]:\n"
+                "                del roster.workers[key]\n"
+                "            return [record for record, _ in"
+                " roster.workers.values()]\n",
+                "        with self._roster as roster:\n"
+                "            workers = roster.workers\n"
+                "        for key in [\n"
+                "            k for k, (_, stamp) in workers.items()"
+                " if stamp < cutoff\n"
+                "        ]:\n"
+                "            del workers[key]\n"
+                "        return [record for record, _ in"
+                " workers.values()]\n",
+            )],
+            "'workers' shares the record of 'self._roster'",
         ),
+        "work-queue-requeues-after-region": (
+            "sweep/remote.py",
+            [(
+                "            state.active -= 1\n"
+                "            if requeue:\n"
+                "                state.pending.extend(requeue)\n"
+                "            self._state.notify_all()\n",
+                "            state.active -= 1\n"
+                "            self._state.notify_all()\n"
+                "        if requeue:\n"
+                "            state.pending.extend(requeue)\n",
+            )],
+            "'state' shares the record of 'self._state'",
+        ),
+        "registry-nests-a-second-box": (
+            "sweep/registry.py",
+            [(
+                "            roster.workers[record.key] = (stamped, now)\n",
+                "            with self._peers as peers:\n"
+                "                roster.workers[record.key] = (stamped, now)\n"
+                "                peers.swept = False\n",
+            )],
+            "enters another box",
+        ),
+        "pool-calls-a-method-in-region": (
+            "serve/pool.py",
+            [(
+                "            entry = state.entries.get(key)\n"
+                "            if entry is not None:\n"
+                "                state.entries.move_to_end(key)\n",
+                "            entry = state.entries.get("
+                "self.key_for(dataset, config))\n"
+                "            if entry is not None:\n"
+                "                state.entries.move_to_end(key)\n",
+            )],
+            "calls 'self.key_for', which is project code",
+        ),
+        "registry-sends-in-region": (
+            "sweep/registry.py",
+            [(
+                "                roster.workers.pop(frame.key, None)\n"
+                "            send_frame(conn, DeregisteredFrame())\n",
+                "                roster.workers.pop(frame.key, None)\n"
+                "                send_frame(conn, DeregisteredFrame())\n",
+            )],
+            "send_frame', which blocks",
+        ),
+        "plan-server-reads-pool-in-region": (
+            "serve/server.py",
+            [(
+                "        \"\"\"The ``/stats`` document (frame ``stats`` op"
+                " returns it too).\"\"\"\n",
+                "        \"\"\"The ``/stats`` document (frame ``stats`` op"
+                " returns it too).\"\"\"\n"
+                "        with self.latency._state:\n"
+                "            self.pool.stats()\n",
+            )],
+            "calls 'self.pool.stats', which is project code",
+        ),
+        "stats-builds-its-own-lock": (
+            "serve/stats.py",
+            [
+                ("import math\n", "import math\nimport threading\n"),
+                (
+                    "        self._started = clock()\n",
+                    "        self._started = clock()\n"
+                    "        self._lock = threading.Lock()\n",
+                ),
+                (
+                    "        with self._state as state:\n"
+                    "            return state.count\n",
+                    "        with self._lock:\n"
+                    "            with self._state as state:\n"
+                    "                return state.count\n",
+                ),
+            ],
+            "'threading.Lock()' builds a lock outside utils/guarded.py",
+        ),
+        "plan-server-owns-a-threadless-counter": (
+            "serve/server.py",
+            [
+                (
+                    "from repro.serve.stats import LatencyReservoir\n",
+                    "from repro.serve.stats import LatencyReservoir\n"
+                    "from repro.serve.tally import Tally\n",
+                ),
+                (
+                    "        self.latency = LatencyReservoir()\n",
+                    "        self.latency = LatencyReservoir()\n"
+                    "        self.tally = Tally()\n",
+                ),
+            ],
+            "'Tally.n' is written outside the constructor",
+        ),
+    }
+
+    TALLY = (
+        "class Tally:\n"
+        "    def __init__(self):\n"
+        "        self.n = 0\n"
+        "\n"
+        "    def bump(self):\n"
+        "        self.n += 1\n"
     )
 
-    def _registry_source(self) -> str:
-        import repro.sweep.registry as mod
+    def _shipped_copy(self, tmp_path):
+        import repro
 
-        with open(mod.__file__, "r", encoding="utf-8") as fh:
-            return fh.read()
+        root = os.path.dirname(os.path.abspath(repro.__file__))
+        for name in self.PACKAGES:
+            shutil.copytree(
+                os.path.join(root, name), tmp_path / name,
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+        # Only reachable through PlanServer: no threading import.
+        (tmp_path / "serve" / "tally.py").write_text(self.TALLY)
+        return tmp_path
 
-    def test_shipped_guards_present(self, tmp_path):
-        source = self._registry_source()
-        for guarded, _ in self.GUARDED_WRITES:
-            assert guarded in source
-        (tmp_path / "registry.py").write_text(source)
-        run = run_check(str(tmp_path), select=["RPR006"])
-        assert run.findings == []
+    def test_unedited_copy_is_clean(self, tmp_path):
+        tree = self._shipped_copy(tmp_path)
+        assert run_check(str(tree), select=["RPR011"]).findings == []
 
-    def test_removing_guards_flips_check(self, tmp_path):
-        source = self._registry_source()
-        for guarded, bare in self.GUARDED_WRITES:
-            source = source.replace(guarded, bare)
-        (tmp_path / "registry.py").write_text(source)
-        run = run_check(str(tmp_path), select=["RPR006"])
-        assert run.findings, "unguarded _last_error must be a finding"
-        assert {f.code for f in run.findings} == {"RPR006"}
-        assert all("_last_error" in f.message for f in run.findings)
-        assert run.failed(strict=False)
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_mutant_is_refused(self, mutant, tmp_path, capsys):
+        from repro.cli import main
+
+        relpath, edits, expected = self.MUTANTS[mutant]
+        tree = self._shipped_copy(tmp_path)
+        path = tree / relpath
+        source = path.read_text()
+        for old, new in edits:
+            assert source.count(old) == 1, f"{relpath} lost: {old!r}"
+            source = source.replace(old, new)
+        path.write_text(source)
+        assert main(["check", str(tree), "--select", "RPR011"]) == 1
+        out = capsys.readouterr().out
+        assert "RPR011" in out
+        assert expected in out
 
 
 class TestSarif:
     def test_document_shape_and_levels(self):
         from repro.analysis.sarif import to_sarif
 
-        run = check("rpr010_violation", select=["RPR010"])
+        run = check("rpr004_violation", select=["RPR004"])
         doc = to_sarif(run)
         assert doc["version"] == "2.1.0"
         (sarif_run,) = doc["runs"]
         rules = sarif_run["tool"]["driver"]["rules"]
-        assert [r["id"] for r in rules] == ["RPR010"]
+        assert [r["id"] for r in rules] == ["RPR004"]
         assert rules[0]["defaultConfiguration"]["level"] == "warning"
         results = sarif_run["results"]
         assert len(results) == len(run.findings)
@@ -411,15 +536,18 @@ class TestSarif:
     def test_round_trip(self):
         from repro.analysis.sarif import findings_from_sarif, to_sarif
 
-        run = check("rpr006_violation", select=["RPR006"])
+        run = check("rpr011_violation", select=["RPR011"])
         assert findings_from_sarif(to_sarif(run)) == run.findings
 
     def test_deterministic(self):
         from repro.analysis.sarif import to_sarif
 
-        first = to_sarif(check("rpr006_violation"))
-        second = to_sarif(check("rpr006_violation"))
+        first = to_sarif(check("rpr011_violation"))
+        second = to_sarif(check("rpr011_violation"))
         assert first == second
+        rules = first["runs"][0]["tool"]["driver"]["rules"]
+        levels = {r["id"]: r["defaultConfiguration"]["level"] for r in rules}
+        assert levels["RPR011"] == "error"
 
     def test_stale_suppression_rule_appended(self):
         from repro.analysis.sarif import to_sarif
@@ -441,7 +569,7 @@ class TestBaseline:
             write_baseline,
         )
 
-        run = check("rpr007_violation", select=["RPR007"])
+        run = check(LOCKS_BAD, select=["RPR011"])
         path = str(tmp_path / "baseline.json")
         assert write_baseline(run.findings, path) == 2
         new, old = partition_findings(
@@ -457,7 +585,7 @@ class TestBaseline:
             write_baseline,
         )
 
-        run = check("rpr007_violation", select=["RPR007"])
+        run = check(LOCKS_BAD, select=["RPR011"])
         path = str(tmp_path / "baseline.json")
         write_baseline(run.findings[:1], path)
         new, old = partition_findings(
@@ -473,8 +601,8 @@ class TestBaseline:
             write_baseline,
         )
 
-        run = check("rpr006_violation", select=["RPR006"])
-        # Lines 21/21/24 share one (code, path, message) key — the
+        run = check(COUNTER_BAD, select=["RPR011"])
+        # Lines 23/26/29 share one (code, path, message) key — the
         # baseline stores count=3 and absorbs exactly three.
         path = str(tmp_path / "baseline.json")
         assert write_baseline(run.findings, path) == 3
@@ -498,7 +626,7 @@ class TestBaseline:
     def test_cli_baseline_flow(self, tmp_path, capsys):
         from repro.cli import main
 
-        root = fixture("rpr007_violation")
+        root = fixture(LOCKS_BAD)
         path = str(tmp_path / "baseline.json")
         assert main(["check", root, "--write-baseline", path]) == 0
         capsys.readouterr()

@@ -632,6 +632,7 @@ class TestCheckCli:
         ("rpr001_violation", "core/seeding_bad.py:10"),
         ("rpr004_violation", "sweep/leaky.py:12"),
         ("rpr005_violation", "sweep/writer_bad.py:7"),
+        ("rpr011_violation", "fabric/counter_bad.py:23"),
     ])
     def test_each_rule_fails_its_fixture(self, capsys, name, anchor):
         code = name.split("_")[0].upper()
@@ -688,7 +689,7 @@ class TestCheckCli:
     def test_list_rules_catalog(self, capsys):
         assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RPR001", "RPR004", "RPR005", "RPR006"):
+        for code in ("RPR001", "RPR004", "RPR005", "RPR011"):
             assert code in out
 
     def test_suppressed_fixture_is_clean(self, capsys):

@@ -1,11 +1,13 @@
-"""Threaded regression tests for the PR-9 concurrency fixes.
+"""Threaded regression tests for the classes that share boxed state.
 
-These pin the cross-thread behavior that ``repro check`` (RPR006)
-now enforces statically: ``Heartbeat.last_error`` is readable from any
-thread while the beat loop writes it, ``_WorkQueue`` survives a
-worker death without losing or duplicating scenarios, and
-``RegistryServer``'s roster stays consistent under concurrent
-register/deregister traffic.
+These pin the cross-thread behavior that ``repro check`` (RPR011)
+enforces statically by keeping shared state in ``Guarded`` boxes:
+``Heartbeat.last_error`` is readable from any thread while the beat
+loop writes it, ``_WorkQueue`` survives a worker death without losing
+or duplicating scenarios, ``RegistryServer``'s roster stays consistent
+under concurrent register/deregister traffic, racing cold
+``ArtifactPool`` fetches converge on one artifact, and a
+``FrameServer`` counts and releases concurrent peers.
 
 All synchronization is barrier-driven — no ``time.sleep`` voodoo:
 every assertion runs at a rendezvous point that happens-after the
@@ -198,8 +200,8 @@ class TestRegistryServerConcurrentRoster:
                     key = WorkerRecord(
                         host=f"t{thread_index}", port=1000 + i
                     ).key
-                    with server._lock:
-                        server._workers.pop(key, None)
+                    with server._roster as roster:
+                        roster.workers.pop(key, None)
 
         threads = [
             threading.Thread(target=storm, args=(t,), daemon=True)

@@ -455,8 +455,8 @@ class TestStalledPeers:
         with raw_connect(server.address) as sock:
             authenticate(sock)
             assert wait_until(lambda: server.n_live_connections == 1)
-            with server._conn_lock:
-                handlers = list(server._handlers)
+            with server._peers as peers:
+                handlers = list(peers.handlers)
             assert handlers
             server.shutdown()
             # The daemon hung up on us, not the other way around.
@@ -475,8 +475,8 @@ class TestStalledPeers:
             send_frame(sock, {"op": "shutdown"})
             assert recv_frame(sock)["op"] == "bye"
         assert wait_until(lambda: server.n_live_connections == 0)
-        with server._conn_lock:
-            leftover = [t for t in server._handlers if t.is_alive()]
+        with server._peers as peers:
+            leftover = [t for t in peers.handlers if t.is_alive()]
         assert wait_until(lambda: not any(t.is_alive() for t in leftover))
 
 

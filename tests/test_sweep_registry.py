@@ -279,9 +279,9 @@ class TestLivenessSurvivesWallClockSteps:
             server.register_record(
                 WorkerRecord(host="h", port=1, last_seen=0.0)
             )
-            with server._lock:
-                record, stamp = server._workers["h:1"]
-                server._workers["h:1"] = (
+            with server._roster as roster:
+                record, stamp = roster.workers["h:1"]
+                roster.workers["h:1"] = (
                     replace(record, last_seen=time.time() - 1e9), stamp
                 )
             assert len(server.live_workers()) == 1
