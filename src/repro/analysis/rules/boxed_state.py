@@ -4,15 +4,16 @@ A class that threads share keeps what it changes after construction in
 one :class:`~repro.utils.guarded.Guarded` record, reached only inside
 ``with self._box as state:`` (a *region*). Outside its constructor, a
 class in a module that imports ``threading``, ``socket``, ``queue``,
-``http.server`` or ``repro.utils.guarded`` (or one such a class
-constructs onto an attribute) writes nothing through ``self`` but a
-thread handle: PR 9's defect was ``Heartbeat._last_error`` assigned
-unguarded from the beat thread. No lock is built outside
-``utils/guarded.py``. A region enters no other ``with``, calls no
-project code but its box's ``wait``/``notify_all``, makes no blocking
-call, and lets neither its record nor a container field of it outlive
-it. A leaf region never holds its lock while other code runs, so no
-lock-order cycle or blocking under a lock can arise, with no call graph.
+``http.server`` or ``repro.utils.guarded``, or a class that such a
+class constructs onto an attribute, writes nothing through ``self``
+but a thread handle: the defect this catches is a field like
+``Heartbeat._last_error`` assigned unguarded from a second thread. No
+lock is built outside ``utils/guarded.py``. A region enters no other
+``with``, calls no project code but its box's ``wait``/``notify_all``,
+makes no blocking call, and lets neither its record nor a container
+field of it outlive it. A leaf region never holds its lock while other
+code runs, so no lock-order cycle or blocking under a lock can arise,
+with no call graph.
 """
 
 from __future__ import annotations

@@ -335,10 +335,10 @@ class TestBoxedStateMutants:
     refused by RPR011; the unedited copy is clean.
 
     Together they replace the lock-model rules: an unguarded write
-    (PR 9's defect), state used after its region, nested regions and
-    project calls in a region (the lock-order and blocking hazards),
-    a lock built outside ``utils/guarded.py``, and a class outside the
-    threaded modules that a threaded class owns.
+    from the heartbeat thread, state used after its region, nested
+    regions and project calls in a region (the lock-order and blocking
+    hazards), a lock built outside ``utils/guarded.py``, and a class
+    outside the threaded modules that a threaded class owns.
     """
 
     PACKAGES = ("serve", "sweep", "utils")
