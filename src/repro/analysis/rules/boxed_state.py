@@ -128,12 +128,12 @@ def _constructor_binds(
         if not (isinstance(method, _DEFS) and method.name in CONSTRUCTORS):
             continue
         for node in _own_nodes(method.body):
-            if isinstance(node, ast.Assign):
-                targets, ann = node.targets, None
-            elif isinstance(node, ast.AnnAssign):
-                targets, ann = [node.target], node.annotation
-            else:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
                 continue
+            targets = (
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
+            ann = node.annotation if isinstance(node, ast.AnnAssign) else None
             for target in targets:
                 direct = isinstance(target, ast.Attribute) and (
                     _self_attr(target) == target.attr
@@ -323,7 +323,7 @@ class BoxedStateRule(Rule):
             (a.name for a in ancestors(region) if isinstance(a, ast.ClassDef)),
             "",
         )
-        fields = None
+        fields: "dict[str, bool] | None" = None
         if isinstance(box.value, ast.Name) and box.value.id == "self":
             fields = project.boxes.get((owner, box.attr))
 
