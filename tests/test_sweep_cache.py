@@ -7,6 +7,7 @@ restores every array bit-exactly.
 """
 
 import dataclasses
+import json
 import os
 
 import numpy as np
@@ -234,6 +235,39 @@ class TestRoundTrip:
     def test_load_missing_artifacts(self, micro, micro_config, tmp_path):
         with pytest.raises(DataError):
             Precomputation.load(str(tmp_path / "nope"), micro, micro_config)
+
+
+MISSING = object()
+
+
+class TestSavedSpec:
+    """A saved spec that is missing or mistyped never loads as a match."""
+
+    @pytest.fixture(scope="class")
+    def chicago_pre(self):
+        chicago = canned_city("chicago", "tiny")
+        return chicago, precompute(chicago, PlannerConfig())
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", MISSING),
+        ("seed", "0"),
+    ])
+    def test_load_refuses_the_saved_field(
+        self, chicago_pre, tmp_path, name, value
+    ):
+        chicago, pre = chicago_pre
+        prefix = str(tmp_path / "artifact")
+        _, json_path = pre.save(prefix)
+        with open(json_path) as f:
+            meta = json.load(f)
+        if value is MISSING:
+            del meta["config"][name]
+        else:
+            meta["config"][name] = value
+        with open(json_path, "w") as f:
+            json.dump(meta, f)
+        with pytest.raises(DataError, match=name):
+            Precomputation.load(prefix, chicago, pre.config)
 
 
 class TestCacheStore:

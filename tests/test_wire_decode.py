@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import PlannerConfig
+from repro.core.constraints import PlanningConstraints
 from repro.core.result import PlannedRoute, PlanResult
 from repro.serve import PlanServer, build_http_server, http_token
 from repro.sweep import (
@@ -206,6 +207,17 @@ class TestNoCoercion:
             DataError, match=f"'(constraints\\.)?{named}(\\[\\])?' must be"
         ):
             from_wire(Scenario, spec)
+
+    @pytest.mark.parametrize("doc", [
+        {"forbid_stops": [1, 1.0]},
+        {"forbid_stops": [1, True]},
+        {"forbid_edges": [2, 2.0]},
+    ])
+    def test_id_sets_are_checked_item_by_item(self, doc):
+        # frozenset([1, 1.0]) == {1}: checking the built set would pass.
+        (name,) = doc
+        with pytest.raises(DataError, match=rf"'{name}\[\]' must be int"):
+            from_wire(PlanningConstraints, doc)
 
 
 # ----------------------------------------------------------------------
