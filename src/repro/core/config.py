@@ -7,10 +7,10 @@ Hutchinson ``s = 50`` probes with ``t = 10`` Lanczos steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from numbers import Integral, Real
+from dataclasses import dataclass, fields, replace
 
 from repro.utils.validation import require, require_in_range, require_positive
+from repro.utils.wire import Record
 
 EXPANSION_BEST = "best"
 """Expand with the best begin/end neighbor only (Alg. 1 as written)."""
@@ -18,16 +18,9 @@ EXPANSION_BEST = "best"
 EXPANSION_ALL = "all"
 """Enqueue every neighbor extension (the ETA-AN variant)."""
 
-_INT_FIELDS = (
-    "k", "max_turns", "seed_count", "max_iterations", "n_probes",
-    "lanczos_steps", "record_every", "seed",
-)
-_NUMBER_FIELDS = ("w", "tau_km")
-_BOOL_FIELDS = ("use_domination", "new_edges_only", "batch_eval", "allow_loop")
-
 
 @dataclass(frozen=True)
-class PrecomputeSpec:
+class PrecomputeSpec(Record):
     """The config fields that determine the expensive precompute artifacts.
 
     The edge universe, the estimator, ``lambda(G_r)`` and ``Delta(e)``
@@ -51,7 +44,7 @@ class PrecomputeSpec:
 
 
 @dataclass(frozen=True)
-class PlannerConfig:
+class PlannerConfig(Record):
     """All knobs of the CT-Bus planners.
 
     Attributes
@@ -119,34 +112,7 @@ class PlannerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Types before ranges, and nothing is coerced: a bool is not a
-        # count, and 12.5 is not an edge budget. numpy scalars pass,
-        # since sweeps build their axes with numpy, and are stored as
-        # the Python number they hold, so cache keys, artifacts and
-        # frames encode them like their plain twins.
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if value is None and name == "seed_count":
-                continue  # seed from every edge (ETA-ALL)
-            require(
-                isinstance(value, Integral) and not isinstance(value, bool),
-                f"{name} must be an integer, got {value!r}",
-            )
-            if type(value) is not int:
-                object.__setattr__(self, name, int(value))
-        for name in _NUMBER_FIELDS:
-            value = getattr(self, name)
-            require(
-                isinstance(value, Real) and not isinstance(value, bool),
-                f"{name} must be a number, got {value!r}",
-            )
-            if type(value) not in (int, float):
-                object.__setattr__(self, name, float(value))
-        for name in _BOOL_FIELDS:
-            value = getattr(self, name)
-            require(
-                isinstance(value, bool), f"{name} must be a bool, got {value!r}"
-            )
+        super().__post_init__()
         require(self.k >= 1, f"k must be >= 1, got {self.k}")
         require_in_range(self.w, 0.0, 1.0, "w")
         require_positive(self.tau_km, "tau_km")
@@ -174,12 +140,7 @@ class PlannerConfig:
     def spec(self) -> PrecomputeSpec:
         """The fields of this config that key the expensive precompute."""
         return PrecomputeSpec(
-            tau_km=self.tau_km,
-            increment_mode=self.increment_mode,
-            batch_eval=self.batch_eval,
-            n_probes=self.n_probes,
-            lanczos_steps=self.lanczos_steps,
-            seed=self.seed,
+            **{f.name: getattr(self, f.name) for f in fields(PrecomputeSpec)}
         )
 
     def variant(self, **overrides) -> "PlannerConfig":

@@ -20,14 +20,15 @@ from dataclasses import dataclass, field
 
 from repro.core.edges import EdgeUniverse
 from repro.utils.errors import ValidationError
+from repro.utils.wire import Record
 
 
 @dataclass(frozen=True)
-class PlanningConstraints:
+class PlanningConstraints(Record):
     """Hard constraints applied during seeding and expansion.
 
     A wire record (:mod:`repro.utils.wire`): the id sets travel as sorted
-    lists, and an anchor that is also forbidden is refused at decode.
+    lists, and an anchor that is also forbidden is refused when built.
     """
 
     anchor_stop: "int | None" = None
@@ -35,8 +36,7 @@ class PlanningConstraints:
     forbid_edges: "frozenset[int]" = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "forbid_stops", frozenset(self.forbid_stops))
-        object.__setattr__(self, "forbid_edges", frozenset(self.forbid_edges))
+        super().__post_init__()
         if self.anchor_stop is not None and self.anchor_stop in self.forbid_stops:
             raise ValidationError(
                 f"anchor stop {self.anchor_stop} is also forbidden"

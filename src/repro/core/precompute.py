@@ -43,6 +43,7 @@ from repro.spectral.sketch import ExpmSketch
 from repro.utils.errors import DataError
 from repro.utils.fsio import atomic_write_text
 from repro.utils.timing import Timer
+from repro.utils.wire import from_wire
 
 ARTIFACT_FORMAT = 2
 """On-disk artifact version (bump on incompatible layout *or semantics*
@@ -145,7 +146,8 @@ class Precomputation:
         ``config`` may differ from the saved config in any field outside
         its :class:`~repro.core.config.PrecomputeSpec` — the cheap derived
         artifacts are re-derived for it, exactly like :func:`rebind`. A
-        different spec (or a dataset of the wrong shape) raises
+        different or mistyped saved spec (``batch_eval: 1`` is not
+        ``True``), or a dataset of the wrong shape, raises
         :class:`DataError`: the artifacts would be silently wrong.
         """
         json_path = f"{prefix}.json"
@@ -158,9 +160,10 @@ class Precomputation:
             raise DataError(
                 f"artifact format {meta.get('format')!r} != {ARTIFACT_FORMAT}"
             )
-        saved = PrecomputeSpec(
-            **{f.name: meta["config"].get(f.name) for f in fields(PrecomputeSpec)}
-        )
+        saved = from_wire(PrecomputeSpec, {
+            f.name: meta["config"][f.name]
+            for f in fields(PrecomputeSpec) if f.name in meta["config"]
+        })
         if saved != config.spec:
             name = _first_difference(saved, config.spec)
             raise DataError(

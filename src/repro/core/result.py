@@ -5,10 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.edges import EdgeUniverse
+from repro.utils.wire import Record
 
 
 @dataclass(frozen=True)
-class PlannedRoute:
+class PlannedRoute(Record):
     """A concrete planned bus route.
 
     ``edge_indices`` reference the planning universe; ``new_pairs`` are
@@ -42,13 +43,13 @@ class PlannedRoute:
             stops=stops,
             edge_indices=edge_ids,
             new_pairs=tuple(universe.new_pairs(edge_ids)),
-            length_km=float(universe.length[list(edge_ids)].sum()),
+            length_km=universe.length[list(edge_ids)].sum(),
             turns=turns,
         )
 
 
 @dataclass
-class PlanResult:
+class PlanResult(Record):
     """Outcome of one planner run.
 
     ``objective``/``o_d``/``o_lambda`` are the *exact-evaluated* values

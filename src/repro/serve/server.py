@@ -55,14 +55,14 @@ from repro.sweep.report import OutcomeRecord
 from repro.sweep.runner import execute_scenario
 from repro.sweep.scenario import Scenario
 from repro.utils.errors import DataError, PlanningError, ValidationError
-from repro.utils.wire import from_wire, to_wire
+from repro.utils.wire import Record, from_wire, to_wire
 
 SERVE_SCHEMA_VERSION = 1
 """Version of the ``plan_result`` / ``stats`` response documents."""
 
 
 @dataclass(frozen=True)
-class PlanRequest:
+class PlanRequest(Record):
     """The body of ``POST /plan``."""
 
     scenario: Scenario
@@ -70,7 +70,7 @@ class PlanRequest:
 
 
 @dataclass(frozen=True)
-class PlanFrame:
+class PlanFrame(Record):
     """The frame door's plan request: a :class:`PlanRequest` plus op and
     protocol."""
 
@@ -81,12 +81,12 @@ class PlanFrame:
 
 
 @dataclass(frozen=True)
-class StatsFrame:
+class StatsFrame(Record):
     op: ClassVar[str] = "stats"
 
 
 @dataclass(frozen=True)
-class PlanReply:
+class PlanReply(Record):
     """The body of the answer to ``POST /plan``."""
 
     schema: int
@@ -102,7 +102,7 @@ class PlanResultFrame(PlanReply):
 
 
 @dataclass(frozen=True)
-class ServePongFrame:
+class ServePongFrame(Record):
     op: ClassVar[str] = "pong"
     protocol: int
     pid: int

@@ -67,7 +67,7 @@ from repro.sweep.remote import (
 from repro.utils.errors import DataError, PlanningError
 from repro.utils.guarded import Guarded
 from repro.utils.timing import wall_clock
-from repro.utils.wire import from_wire, to_wire
+from repro.utils.wire import Record, from_wire, to_wire
 
 DEFAULT_TTL = 30.0
 """Seconds a registration stays live without a fresh heartbeat."""
@@ -83,7 +83,7 @@ REGISTRY_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
-class WorkerRecord:
+class WorkerRecord(Record):
     """One worker's registration: address, capacity, and provenance.
 
     The registry record on the wire and in the file registry.
@@ -97,6 +97,7 @@ class WorkerRecord:
     last_seen: float = 0.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.host:
             raise DataError("worker record has an empty host")
         if not 0 < self.port < 65536:
@@ -115,7 +116,7 @@ class WorkerRecord:
 
 
 @dataclass(frozen=True)
-class RegisterFrame:
+class RegisterFrame(Record):
     op: ClassVar[str] = "register"
     # Redundant with the handshake, which already rejects other
     # versions; kept so op frames are self-describing in captures, and
@@ -125,35 +126,35 @@ class RegisterFrame:
 
 
 @dataclass(frozen=True)
-class RegisteredFrame:
+class RegisteredFrame(Record):
     op: ClassVar[str] = "registered"
     ttl: float
 
 
 @dataclass(frozen=True)
-class DeregisterFrame:
+class DeregisterFrame(Record):
     op: ClassVar[str] = "deregister"
     key: str
 
 
 @dataclass(frozen=True)
-class DeregisteredFrame:
+class DeregisteredFrame(Record):
     op: ClassVar[str] = "deregistered"
 
 
 @dataclass(frozen=True)
-class WorkersFrame:
+class WorkersFrame(Record):
     op: ClassVar[str] = "workers"
 
 
 @dataclass(frozen=True)
-class WorkerListFrame:
+class WorkerListFrame(Record):
     op: ClassVar[str] = "workers"
     workers: "tuple[WorkerRecord, ...]"
 
 
 @dataclass(frozen=True)
-class RegistryPongFrame:
+class RegistryPongFrame(Record):
     op: ClassVar[str] = "pong"
     protocol: int
     role: str

@@ -57,10 +57,11 @@ request answers ``{"op": "error", "error": msg}`` and drops the
 connection.
 
 Every frame is declared once below (:class:`ChallengeFrame`, ...) and
-:mod:`repro.utils.wire` derives both directions from the declaration;
-decoding is the validator. A daemon decodes each request through its
-op table (:attr:`FrameServer.frames`, :func:`decode_frame`) before any
-handler sees it.
+:mod:`repro.utils.wire` derives both directions from the declaration.
+Construction is the validator, so a frame built here is checked like
+one decoded, and decoding adds the wire's own refusals. A daemon
+decodes each request through its op table (:attr:`FrameServer.frames`,
+:func:`decode_frame`) before any handler sees it.
 
 Worker topology
 ---------------
@@ -137,7 +138,7 @@ from repro.sweep.runner import execute_scenario
 from repro.sweep.scenario import Scenario
 from repro.utils.errors import DataError, PlanningError
 from repro.utils.guarded import Guarded
-from repro.utils.wire import from_wire, to_wire
+from repro.utils.wire import Record, from_wire, to_wire
 
 if TYPE_CHECKING:  # runtime import would cycle (registry imports us)
     from repro.sweep.registry import Registry
@@ -184,7 +185,7 @@ class RemoteAuthError(RemoteProtocolError):
 # Frame declarations (encoded and decoded by repro.utils.wire)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ChallengeFrame:
+class ChallengeFrame(Record):
     op: ClassVar[str] = "challenge"
     protocol: int
     nonce: str
@@ -192,26 +193,26 @@ class ChallengeFrame:
 
 
 @dataclass(frozen=True)
-class AuthFrame:
+class AuthFrame(Record):
     op: ClassVar[str] = "auth"
     protocol: int
     mac: "str | None"
 
 
 @dataclass(frozen=True)
-class WelcomeFrame:
+class WelcomeFrame(Record):
     op: ClassVar[str] = "welcome"
     protocol: int
 
 
 @dataclass(frozen=True)
-class ErrorFrame:
+class ErrorFrame(Record):
     op: ClassVar[str] = "error"
     error: str
 
 
 @dataclass(frozen=True)
-class AuthErrorFrame:
+class AuthErrorFrame(Record):
     """A rejection on the shared secret: clients branch on ``code``
     (:class:`RemoteAuthError`); the text is free to change."""
 
@@ -221,23 +222,23 @@ class AuthErrorFrame:
 
 
 @dataclass(frozen=True)
-class PingFrame:
+class PingFrame(Record):
     op: ClassVar[str] = "ping"
 
 
 @dataclass(frozen=True)
-class ShutdownFrame:
+class ShutdownFrame(Record):
     op: ClassVar[str] = "shutdown"
 
 
 @dataclass(frozen=True)
-class JobItem:
+class JobItem(Record):
     index: int
     scenario: Scenario
 
 
 @dataclass(frozen=True)
-class RunFrame:
+class RunFrame(Record):
     op: ClassVar[str] = "run"
     protocol: int
     base_config: "PlannerConfig | None" = None
@@ -245,20 +246,20 @@ class RunFrame:
 
 
 @dataclass(frozen=True)
-class OutcomeFrame:
+class OutcomeFrame(Record):
     op: ClassVar[str] = "outcome"
     index: int
     record: OutcomeRecord
 
 
 @dataclass(frozen=True)
-class DoneFrame:
+class DoneFrame(Record):
     op: ClassVar[str] = "done"
     n_executed: int
 
 
 @dataclass(frozen=True)
-class WorkerPongFrame:
+class WorkerPongFrame(Record):
     op: ClassVar[str] = "pong"
     protocol: int
     pid: int

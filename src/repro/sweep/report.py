@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from repro.core.result import PlanResult
 from repro.utils.errors import DataError
 from repro.utils.fsio import atomic_write_text
-from repro.utils.wire import to_wire
+from repro.utils.wire import Record, to_wire
 
 SCHEMA_VERSION = 1
 """Bump on backwards-incompatible changes to the report/stream layout.
@@ -54,9 +54,9 @@ def _result_record(result) -> dict:
     route = result.route
     record["found"] = route is not None
     if route is not None:
-        record["stops"] = [int(s) for s in route.stops]
-        record["length_km"] = round(float(route.length_km), 6)
-        record["turns"] = int(route.turns)
+        record["stops"] = list(route.stops)
+        record["length_km"] = round(route.length_km, 6)
+        record["turns"] = route.turns
     return record
 
 
@@ -244,7 +244,7 @@ def summary_record(
 # The outcome payload: a lossless ScenarioOutcome on the wire
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class OutcomeRecord:
+class OutcomeRecord(Record):
     """A :class:`ScenarioOutcome` as one wire payload.
 
     Encoded and decoded by :mod:`repro.utils.wire`. The payload is a
@@ -283,6 +283,7 @@ class OutcomeRecord:
     results_wire: "tuple[PlanResult, ...]"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.schema != SCHEMA_VERSION:
             raise DataError(
                 f"wire outcome record has schema {self.schema!r}; "
@@ -294,7 +295,7 @@ class OutcomeRecord:
         return cls(
             **scenario_record(outcome),
             schema=SCHEMA_VERSION,
-            results_wire=tuple(outcome.results),
+            results_wire=outcome.results,
         )
 
     def outcome(self, scenario):

@@ -8,9 +8,9 @@ field overrides, optional :class:`PlanningConstraints`, and a
 :func:`load_grid` (a YAML/JSON file with ``base`` / ``axes`` /
 ``scenarios`` sections).
 
-Sweep jobs, plan requests and grid-file entries all decode a scenario
-with :func:`~repro.utils.wire.from_wire`, which refuses a mistyped
-field by its name.
+A scenario refuses a mistyped field by its name when it is built, so
+library callers, grid files, sweep jobs and plan requests get the same
+refusal (:mod:`repro.utils.wire`).
 
 :func:`scenario_key` gives a resolved scenario a stable 32-hex identity
 (spec + fully-resolved config) — the unit of committed work in stream
@@ -26,16 +26,13 @@ import json
 import os
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, replace
-from numbers import Integral
-
-import numpy as np
 
 from repro.core.config import PlannerConfig
 from repro.core.constraints import PlanningConstraints
 from repro.core.planner import METHODS
 from repro.data.datasets import CITY_NAMES, list_profiles
 from repro.utils.errors import DataError, PlanningError, ValidationError
-from repro.utils.wire import from_wire, to_wire
+from repro.utils.wire import Record, from_wire, to_wire
 
 CONSTRAINED_METHODS = ("eta-pre", "eta")
 
@@ -44,18 +41,16 @@ _SCENARIO_AXES = ("method", "city", "profile", "route_count")
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """One declarative planning request within a sweep.
 
     A wire record (:mod:`repro.utils.wire`). ``overrides`` maps
     :class:`PlannerConfig` field names to values. It is stored
     key-sorted, so a scenario encodes the same whatever order its
-    overrides were given in, and a numpy scalar in it is stored as the
-    Python number it holds, so it encodes and keys like its plain twin.
-    ``seed=None`` lets the runner derive a deterministic per-scenario
-    seed from its base seed and the scenario name. An empty name, an
-    unknown city and an unknown profile are refused on construction,
-    and so on decode.
+    overrides were given in. ``seed=None`` lets the runner derive a
+    deterministic per-scenario seed from its base seed and the scenario
+    name. An empty name, an unknown city and an unknown profile are
+    refused on construction, and so on decode.
     """
 
     name: str
@@ -68,13 +63,19 @@ class Scenario:
     seed: "int | None" = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.name:
             raise ValidationError("a scenario needs a non-empty name")
-        _check_dataset_spec(self.city, self.profile)
-        object.__setattr__(self, "overrides", {
-            key: value.item() if isinstance(value, np.generic) else value
-            for key, value in sorted(self.overrides.items())
-        })
+        if self.city not in CITY_NAMES:
+            raise ValidationError(
+                f"unknown city {self.city!r}; choose from {CITY_NAMES}"
+            )
+        if self.profile not in list_profiles():
+            raise ValidationError(
+                f"unknown profile {self.profile!r}; choose from {list_profiles()}"
+            )
+        overrides = dict(sorted(self.overrides.items()))
+        object.__setattr__(self, "overrides", overrides)
 
     # ------------------------------------------------------------------
     def validate(self, base: "PlannerConfig | None" = None) -> None:
@@ -90,11 +91,6 @@ class Scenario:
                 f"got {self.route_count}"
             )
         if self.constraints is not None:
-            if not isinstance(self.constraints, PlanningConstraints):
-                raise PlanningError(
-                    f"scenario {self.name!r}: constraints must be a "
-                    f"PlanningConstraints, got {type(self.constraints).__name__}"
-                )
             if self.method not in CONSTRAINED_METHODS:
                 raise PlanningError(
                     f"scenario {self.name!r}: constrained planning supports "
@@ -124,7 +120,7 @@ class Scenario:
         """A copy with an explicit seed (no-op if one is already set)."""
         if self.seed is not None or "seed" in self.overrides:
             return self
-        return replace(self, seed=int(seed))
+        return replace(self, seed=seed)
 
 
 SCENARIO_KEY_LENGTH = 32
@@ -203,23 +199,6 @@ def expand_grid(
 # ----------------------------------------------------------------------
 # Grid files (YAML / JSON)
 # ----------------------------------------------------------------------
-def _as_int(value, label: str) -> int:
-    """``value`` if it is an integer; never coerced (``2.9``, ``"2"`` and
-    ``true`` are refused)."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise DataError(f"{label} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _check_dataset_spec(city: str, profile: str) -> None:
-    if city not in CITY_NAMES:
-        raise ValidationError(f"unknown city {city!r}; choose from {CITY_NAMES}")
-    if profile not in list_profiles():
-        raise ValidationError(
-            f"unknown profile {profile!r}; choose from {list_profiles()}"
-        )
-
-
 def load_grid(path: str) -> tuple[list[Scenario], PlannerConfig]:
     """Parse a sweep grid file into ``(scenarios, base_config)``.
 
@@ -282,8 +261,6 @@ def load_grid(path: str) -> tuple[list[Scenario], PlannerConfig]:
             raise DataError(
                 f"grid axis {key!r} must be a list of values, got {values!r}"
             )
-    for value in axes.get("route_count", ()):
-        _as_int(value, "grid axis 'route_count' value")
     if not isinstance(entries, list) or not all(
         isinstance(entry, Mapping) for entry in entries
     ):
@@ -296,7 +273,7 @@ def load_grid(path: str) -> tuple[list[Scenario], PlannerConfig]:
     city = base_spec.pop("city", "chicago")
     profile = base_spec.pop("profile", "tiny")
     method = base_spec.pop("method", "eta-pre")
-    route_count = _as_int(base_spec.pop("route_count", 1), "base route_count")
+    route_count = base_spec.pop("route_count", 1)
     if base_spec:
         raise DataError(f"unknown base keys {sorted(base_spec)}")
 

@@ -579,9 +579,9 @@ class TestHTTPDoor:
 # ----------------------------------------------------------------------
 BAD_VALUES = pytest.mark.parametrize("field, value, named", [
     ("overrides", {"k": 0}, "k must be >= 1"),
-    ("overrides", {"k": 12.5}, "k must be an integer"),
-    ("overrides", {"max_turns": 1.5}, "max_turns must be an integer"),
-    ("overrides", {"batch_eval": 1}, "batch_eval must be a bool"),
+    ("overrides", {"k": 12.5}, "'k' must be int"),
+    ("overrides", {"max_turns": 1.5}, "'max_turns' must be int"),
+    ("overrides", {"batch_eval": 1}, "'batch_eval' must be bool"),
     # The codec names a scenario field by its quoted path, which ends in
     # the field name: 'scenario.route_count'.
     ("route_count", 2.9, "route_count' must be int"),

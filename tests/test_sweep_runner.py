@@ -21,7 +21,7 @@ from repro.sweep import (
     outcomes_table,
     sweep_precomputation,
 )
-from repro.utils.errors import PlanningError
+from repro.utils.errors import PlanningError, ValidationError
 
 BASE = PlannerConfig(k=8, max_iterations=150, seed_count=100)
 
@@ -154,8 +154,9 @@ class TestScenarioValidation:
             Scenario(name="x", method="vk-tsp", constraints=constraints).validate(BASE)
 
     def test_non_constraints_object_rejected(self):
-        with pytest.raises(PlanningError):
-            Scenario(name="x", constraints={"anchor_stop": 0}).validate(BASE)
+        match = "'constraints' must be PlanningConstraints"
+        with pytest.raises(ValidationError, match=match):
+            Scenario(name="x", constraints={"anchor_stop": 0})
 
 
 class TestScenarioKinds:

@@ -1,14 +1,17 @@
-"""Decode is the validator: the wire codec and the doors that use it.
+"""Construction is the validator: the wire codec and the doors that use it.
 
-:func:`repro.utils.wire.from_wire` rejects a missing, unknown or
-mistyped field with a :class:`DataError` naming it, and never coerces a
-value into shape. The daemons and clients built on it turn such a
+A :class:`repro.utils.wire.Record` refuses a mistyped field by name when
+it is built, and never coerces a value into shape.
+:func:`repro.utils.wire.from_wire` adds the refusal of a missing or
+unknown field and reports every refusal as a :class:`DataError` naming
+the field's full path. The daemons and clients built on it turn such a
 rejection into a typed refusal — never into a plausible-looking answer
 computed from the wrong input.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import socket
 import threading
@@ -46,13 +49,13 @@ from repro.sweep.remote import (
     server_handshake,
 )
 from repro.utils.errors import DataError, PlanningError, ValidationError
-from repro.utils.wire import from_wire, to_wire
+from repro.utils.wire import Record, from_wire, to_wire
 
 SECRET = b"wire-decode-secret"
 
 
 @dataclass(frozen=True)
-class Pair:
+class Pair(Record):
     op: ClassVar[str] = "pair"
     index: int
     weight: float
@@ -131,6 +134,57 @@ class TestCodec:
         with pytest.raises(DataError, match=match):
             from_wire(RunFrame, doc)
 
+    def test_only_records_decode(self):
+        with pytest.raises(TypeError, match="not a wire record"):
+            from_wire(dict, {})
+
+
+# ----------------------------------------------------------------------
+# Construction checks with the codec's rules
+# ----------------------------------------------------------------------
+class TestRecord:
+    def test_containers_are_stored_as_declared(self):
+        pair = Pair(index=1, weight=0.5, points=[[1, 0.5], (2, 1)])
+        assert pair.points == ((1, 0.5), (2, 1))
+        assert type(pair.points[0]) is tuple
+        constraints = PlanningConstraints(forbid_stops=[3, 1], forbid_edges={2})
+        assert constraints.forbid_stops == frozenset({1, 3})
+        assert type(constraints.forbid_edges) is frozenset
+
+    def test_numpy_scalars_are_stored_as_python_values(self):
+        pair = Pair(
+            index=np.int64(3), weight=np.float32(0.5),
+            points=[(np.int8(1), np.float64(0.25))], note=np.str_("n"),
+        )
+        assert pair == Pair(index=3, weight=0.5, points=((1, 0.25),), note="n")
+        assert [type(v) for v in (pair.index, pair.weight, pair.note)] == [
+            int, float, str,
+        ]
+        assert [type(v) for v in pair.points[0]] == [int, float]
+
+    def test_dict_values_are_unwrapped_one_level_deep(self):
+        deep = np.arange(2)
+        scenario = Scenario(name="s", overrides={"k": np.int64(5), "x": deep})
+        assert type(scenario.overrides["k"]) is int
+        assert scenario.overrides["x"] is deep
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"index": True, "weight": 0.5}, "'index' must be int, got bool True"),
+        ({"index": np.float64(1.5), "weight": 0.5},
+         "'index' must be int, got float 1.5"),
+        ({"index": 1, "weight": 0.5, "points": [(1, "x")]},
+         r"'points\[\]\[\]' must be float, got str 'x'"),
+        ({"index": 1, "weight": 0.5, "points": {(1, 0.5)}},
+         "'points' must be a list, got set"),
+    ])
+    def test_refusal_names_the_record_and_field(self, kwargs, match):
+        with pytest.raises(ValidationError, match=rf"^Pair field {match}"):
+            Pair(**kwargs)
+
+    def test_a_nested_record_is_not_built_from_a_mapping(self):
+        with pytest.raises(ValidationError, match="'route' must be PlannedRoute"):
+            dataclasses.replace(plan_result(), route={"stops": [1]})
+
 
 # ----------------------------------------------------------------------
 # Planner knobs and scenario counts are never coerced
@@ -145,7 +199,8 @@ class TestNoCoercion:
         ("batch_eval", None), ("allow_loop", 0),
     ])
     def test_planner_config_refuses_a_wrong_type_by_name(self, field, value):
-        with pytest.raises(ValidationError, match=rf"^{field} must be an?"):
+        match = rf"^PlannerConfig field '{field}' must be (int|float|bool),"
+        with pytest.raises(ValidationError, match=match):
             PlannerConfig(**{field: value})
 
     def test_planner_config_accepts_numpy_scalars(self):
@@ -207,6 +262,28 @@ class TestNoCoercion:
             DataError, match=f"'(constraints\\.)?{named}(\\[\\])?' must be"
         ):
             from_wire(Scenario, spec)
+
+    def test_numpy_route_counts_encode_like_plain_ones(self):
+        grid = expand_grid({"route_count": np.array([1, 2])})
+        plain = expand_grid({"route_count": [1, 2]})
+        assert [json.dumps(to_wire(s)) for s in grid] == [
+            json.dumps(to_wire(s)) for s in plain
+        ]
+
+    def test_numpy_ids_encode_like_plain_ones(self):
+        scenarios = [
+            Scenario(name="c", constraints=PlanningConstraints(
+                forbid_stops=stops,
+            ))
+            for stops in (set(np.arange(3)), {0, 1, 2})
+        ]
+        assert json.dumps(to_wire(scenarios[0])) == json.dumps(
+            to_wire(scenarios[1])
+        )
+
+    def test_a_string_route_count_is_refused_on_construction(self):
+        with pytest.raises(ValidationError, match="'route_count' must be int"):
+            expand_grid({"route_count": ["2"]})
 
     @pytest.mark.parametrize("doc", [
         {"forbid_stops": [1, 1.0]},
