@@ -251,6 +251,9 @@ class TestSavedSpec:
     @pytest.mark.parametrize("name, value", [
         ("seed", MISSING),
         ("seed", "0"),
+        # Equal in value, not in type: 1 == True and 50.0 == 50.
+        ("batch_eval", 1),
+        ("n_probes", 50.0),
     ])
     def test_load_refuses_the_saved_field(
         self, chicago_pre, tmp_path, name, value
