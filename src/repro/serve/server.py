@@ -146,16 +146,19 @@ class PlanServer(FrameServer):
         idle_timeout: "float | None" = DEFAULT_IDLE_TIMEOUT,
         cache_max_bytes: "int | None" = None,
     ):
+        # Built before the port is bound: a refused argument leaks no socket.
+        cache_dir = str(cache_dir) if cache_dir else None
+        disk = (
+            PrecomputationCache(cache_dir, max_bytes=cache_max_bytes)
+            if cache_dir
+            else None
+        )
+        pool = ArtifactPool(disk, max_bytes=pool_bytes)
         super().__init__(
             host=host, port=port, secret=secret, idle_timeout=idle_timeout
         )
-        self.cache_dir = str(cache_dir) if cache_dir else None
-        disk = (
-            PrecomputationCache(self.cache_dir, max_bytes=cache_max_bytes)
-            if self.cache_dir
-            else None
-        )
-        self.pool = ArtifactPool(disk, max_bytes=pool_bytes)
+        self.cache_dir = cache_dir
+        self.pool = pool
         self.latency = LatencyReservoir()
         self._started = time.monotonic()
         # Handler threads hand jobs to the planner through this queue;

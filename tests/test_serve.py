@@ -8,6 +8,7 @@ without touching the disk artifact (asserted by counting
 quantiles and pool counters.
 """
 
+import gc
 import http.client
 import json
 import threading
@@ -15,6 +16,7 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
+import warnings
 from dataclasses import asdict
 
 import pytest
@@ -427,6 +429,15 @@ class TestPlanServer:
         assert wait_until(lambda: daemon.n_live_connections == 0)
         with pytest.raises(PlanningError, match="shutting down"):
             daemon.plan_request({"scenario": to_wire(make_scenario())})
+
+    def test_refused_argument_leaves_no_unclosed_socket(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(PlanningError, match="pool byte budget"):
+                PlanServer(pool_bytes=0)
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
 
 
 # ----------------------------------------------------------------------
