@@ -484,11 +484,13 @@ class TestHTTPDoor:
                           (f"{http_door}/plan", {})):
             with pytest.raises(urllib.error.HTTPError) as err:
                 http_json(url, body=body)
+            err.value.close()
             assert err.value.code == 401
 
     def test_wrong_token_is_401(self, http_door):
         with pytest.raises(urllib.error.HTTPError) as err:
             http_json(f"{http_door}/stats", token="f" * 64)
+        err.value.close()
         assert err.value.code == 401
 
     def test_plan_parity_with_frame_door(self, server, http_door):
@@ -513,11 +515,13 @@ class TestHTTPDoor:
         with pytest.raises(urllib.error.HTTPError) as err:
             http_json(f"{http_door}/plan", body={"scenario": None},
                       token=http_token(SECRET))
+        err.value.close()
         assert err.value.code == 400
 
     def test_unknown_endpoint_is_404(self, http_door):
         with pytest.raises(urllib.error.HTTPError) as err:
             http_json(f"{http_door}/nope", token=http_token(SECRET))
+        err.value.close()
         assert err.value.code == 404
 
     def test_shutdown_endpoint_stops_the_daemon(self, server, http_door):
@@ -631,7 +635,9 @@ class TestStrictRequests:
                 "scenario": bad_spec(field, value),
             }, token=http_token(SECRET))
         assert err.value.code == 400
-        assert named in json.loads(err.value.read())["error"]
+        error = json.loads(err.value.read())["error"]
+        err.value.close()
+        assert named in error
         assert ping(server.address, secret=SECRET)["role"] == "serve"
 
 
@@ -678,5 +684,7 @@ class TestOutOfRangeConstraints:
                 token=http_token(SECRET),
             )
         assert err.value.code == 400
-        assert named in json.loads(err.value.read())["error"]
+        error = json.loads(err.value.read())["error"]
+        err.value.close()
+        assert named in error
         assert ping(server.address, secret=SECRET)["role"] == "serve"

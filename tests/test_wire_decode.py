@@ -364,7 +364,9 @@ class TestStrictDoors:
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(request, timeout=30)
             assert err.value.code == 400
-            assert "base_confg" in json.loads(err.value.read())["error"]
+            error = json.loads(err.value.read())["error"]
+            err.value.close()
+            assert "base_confg" in error
         finally:
             http_server.shutdown()
             http_server.server_close()
