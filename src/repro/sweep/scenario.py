@@ -66,14 +66,7 @@ class Scenario(Record):
         super().__post_init__()
         if not self.name:
             raise ValidationError("a scenario needs a non-empty name")
-        if self.city not in CITY_NAMES:
-            raise ValidationError(
-                f"unknown city {self.city!r}; choose from {CITY_NAMES}"
-            )
-        if self.profile not in list_profiles():
-            raise ValidationError(
-                f"unknown profile {self.profile!r}; choose from {list_profiles()}"
-            )
+        _check_dataset_spec(self.city, self.profile)
         overrides = dict(sorted(self.overrides.items()))
         object.__setattr__(self, "overrides", overrides)
 
@@ -199,6 +192,15 @@ def expand_grid(
 # ----------------------------------------------------------------------
 # Grid files (YAML / JSON)
 # ----------------------------------------------------------------------
+def _check_dataset_spec(city: str, profile: str) -> None:
+    if city not in CITY_NAMES:
+        raise ValidationError(f"unknown city {city!r}; choose from {CITY_NAMES}")
+    if profile not in list_profiles():
+        raise ValidationError(
+            f"unknown profile {profile!r}; choose from {list_profiles()}"
+        )
+
+
 def load_grid(path: str) -> tuple[list[Scenario], PlannerConfig]:
     """Parse a sweep grid file into ``(scenarios, base_config)``.
 

@@ -8,20 +8,17 @@ travels as the first key. :func:`to_wire` emits and :func:`from_wire`
 consumes every declared field, so writer and reader cannot drift.
 
 Construction is the validator: built in-process or decoded, a record
-refuses a field that does not match its declared type with a
-:class:`ValidationError` naming it. Nothing is coerced. A numpy scalar
-is stored as the Python value it holds, a list or tuple (or a set, for
-a frozenset) as the declared container; a ``bool`` is not an ``int``,
-but an ``int`` is a ``float``. The shapes understood are the ones on
-the wire: ``int``, ``float``, ``str``, ``bool``, ``None``, ``X | None``,
-nested records, ``list[X]``, ``tuple[X, ...]``, fixed-length tuples,
-``frozenset[X]`` (a sorted list on the wire), and ``dict``, a JSON
-object passed through whole with numpy values unwrapped one level deep
-(a scenario's config overrides, which
-:meth:`~repro.sweep.scenario.Scenario.planner_config` validates).
-Decoding adds the wire's refusals (not a mapping, another op, an unknown
-key, a missing field) and raises every refusal as a :class:`DataError`
-naming the field by its full path.
+refuses a mistyped field with a :class:`ValidationError` naming it.
+Nothing is coerced. A numpy scalar is stored as the Python value it
+holds, a list or tuple (or a set, for a frozenset) as the declared
+container; a ``bool`` is not an ``int``, but an ``int`` is a ``float``.
+The shapes understood are those of JSON: ``int``, ``float``, ``str``,
+``bool``, ``None``, ``X | None``, nested records, ``list[X]``,
+``tuple[X, ...]``, fixed-length tuples, ``frozenset[X]`` (a sorted
+list), and ``dict``, an object passed through whole with numpy values
+unwrapped one level deep. Decoding adds the wire's refusals (not a
+mapping, another op, an unknown key, a missing field) and raises every
+refusal as a :class:`DataError` naming the field by its full path.
 """
 
 from __future__ import annotations
@@ -85,10 +82,10 @@ def _checker(tp: Any, wire: bool) -> Callable[[Any, str, str], Any]:
     if origin in (list, tuple, frozenset):
         fixed = origin is tuple and args[-1:] != (Ellipsis,)
         checks = [_checker(arg, wire) for arg in args if arg is not Ellipsis]
-        sequences = (list, tuple, set, frozenset) if origin is frozenset else (list, tuple)
+        sets = (set, frozenset) if origin is frozenset else ()
 
         def check_items(value: Any, top: str, path: str) -> Any:
-            if not isinstance(value, sequences):
+            if not isinstance(value, (list, tuple, *sets)):
                 raise _error(top, path, f"must be a list, got {_kind(value)}")
             if fixed and len(value) != len(checks):
                 raise _error(
@@ -109,7 +106,7 @@ def _checker(tp: Any, wire: bool) -> Callable[[Any, str, str], Any]:
     def check_value(value: Any, top: str, path: str) -> Any:
         if type(value) in kinds:
             return value
-        if type(value := _python(value)) in kinds:
+        if isinstance(value, np.generic) and type(value := value.item()) in kinds:
             return value
         raise _error(top, path, f"must be {tp.__name__}, got {_kind(value)}")
 
@@ -119,11 +116,10 @@ def _checker(tp: Any, wire: bool) -> Callable[[Any, str, str], Any]:
 def _dict(value: Any, top: str, path: str) -> dict:
     if not isinstance(value, dict):
         raise _error(top, path, f"must be dict, got {_kind(value)}")
-    return {key: _python(item) for key, item in value.items()}
-
-
-def _python(value: Any) -> Any:
-    return value.item() if isinstance(value, np.generic) else value
+    return {
+        key: item.item() if isinstance(item, np.generic) else item
+        for key, item in value.items()
+    }
 
 
 def to_wire(record: Any) -> dict:
