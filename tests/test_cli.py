@@ -147,6 +147,9 @@ class TestExitCodes:
         ({"scenarios": {"a": 1}}, "section 'scenarios'"),
         ({"scenarios": [["name", "x"]]}, "section 'scenarios'"),
         ({"axes": {"method": "vk-tsp"}}, "axis 'method'"),
+        ({"axes": {"route_count": [1, "2"]}}, "'route_count' must be int"),
+        ({"base": {"route_count": 2.9}, "axes": {"w": [0.5]}},
+         "'route_count' must be int"),
     ])
     def test_sweep_malformed_grid_file_exits_2(
         self, tmp_path, capsys, grid, named
