@@ -82,7 +82,7 @@ def _checker(tp: Any, wire: bool) -> Callable[[Any, str, str], Any]:
     if origin in (list, tuple, frozenset):
         fixed = origin is tuple and args[-1:] != (Ellipsis,)
         checks = [_checker(arg, wire) for arg in args if arg is not Ellipsis]
-        sets = (set, frozenset) if origin is frozenset else ()
+        sets: tuple = (set, frozenset) if origin is frozenset else ()
 
         def check_items(value: Any, top: str, path: str) -> Any:
             if not isinstance(value, (list, tuple, *sets)):
