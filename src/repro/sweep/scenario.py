@@ -281,12 +281,15 @@ def load_grid(path: str) -> tuple[list[Scenario], PlannerConfig]:
 
     scenarios = []
     if axes:
-        scenarios.extend(
-            expand_grid(
-                axes, city=city, profile=profile, method=method,
-                route_count=route_count,
+        try:
+            scenarios.extend(
+                expand_grid(
+                    axes, city=city, profile=profile, method=method,
+                    route_count=route_count,
+                )
             )
-        )
+        except ValidationError as exc:
+            raise DataError(f"grid file {path!r}: {exc}") from None
     for i, entry in enumerate(entries):
         spec = {
             "name": f"scenario-{i}", "city": city, "profile": profile,
@@ -297,7 +300,9 @@ def load_grid(path: str) -> tuple[list[Scenario], PlannerConfig]:
         try:
             scenarios.append(from_wire(Scenario, spec))
         except DataError as exc:
-            raise DataError(f"scenario {spec['name']!r}: {exc}") from None
+            raise DataError(
+                f"grid file {path!r}: scenario {spec['name']!r}: {exc}"
+            ) from None
     if not scenarios:
         raise DataError(f"grid file {path!r} defines no scenarios")
     for s in scenarios:

@@ -6,6 +6,8 @@ edges and scores of serially calling :class:`CTBusPlanner` — warm cache
 artifacts included.
 """
 
+import json
+
 import pytest
 
 from repro.core.config import PlannerConfig
@@ -18,10 +20,11 @@ from repro.sweep import (
     SweepRunner,
     cache_summary,
     expand_grid,
+    load_grid,
     outcomes_table,
     sweep_precomputation,
 )
-from repro.utils.errors import PlanningError, ValidationError
+from repro.utils.errors import DataError, PlanningError, ValidationError
 
 BASE = PlannerConfig(k=8, max_iterations=150, seed_count=100)
 
@@ -157,6 +160,25 @@ class TestScenarioValidation:
         match = "'constraints' must be PlanningConstraints"
         with pytest.raises(ValidationError, match=match):
             Scenario(name="x", constraints={"anchor_stop": 0})
+
+
+class TestLoadGrid:
+    """A grid file's refusals are DataErrors that name the file."""
+
+    @pytest.mark.parametrize("grid, named", [
+        ({"base": {"route_count": "2"}, "axes": {"w": [0.5]}},
+         "'route_count' must be int"),
+        ({"axes": {"city": ["atlantis"]}}, "unknown city 'atlantis'"),
+        ({"base": {"route_count": "2"}, "scenarios": [{"name": "a"}]},
+         "scenario 'a'"),
+    ])
+    def test_refusal_names_the_file(self, tmp_path, grid, named):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        with pytest.raises(DataError) as info:
+            load_grid(str(path))
+        assert str(info.value).startswith(f"grid file {str(path)!r}: ")
+        assert named in str(info.value)
 
 
 class TestScenarioKinds:
