@@ -117,7 +117,8 @@ class TestStreamIsIncremental:
     def test_terminal_summary(self, reference_records, cache_dir, tmp_path, grid_scenarios):
         path = str(tmp_path / "sum.jsonl")
         make_runner(cache_dir).run_stream(grid_scenarios, path)
-        lines = [json.loads(l) for l in open(path) if l.strip()]
+        with open(path) as f:
+            lines = [json.loads(l) for l in f if l.strip()]
         assert len(lines) == len(grid_scenarios) + 1
         summary = lines[-1]
         assert summary["record"] == "summary"
@@ -189,7 +190,8 @@ class TestCrashSafetyAndResume:
         runner.run_stream(grid_scenarios[:3], path)
         # Simulate a kill mid-write: drop the summary, tear the last
         # scenario record in half (no trailing newline).
-        lines = open(path).read().splitlines()
+        with open(path) as f:
+            lines = f.read().splitlines()
         with open(path, "w") as f:
             f.write("\n".join(lines[:-2]) + "\n")
             f.write(lines[-2][: len(lines[-2]) // 2])
@@ -341,7 +343,8 @@ class TestCrossBackendResumeIdentity:
         # "Interrupt" after half the grid: stream only a prefix, drop
         # the summary so the file looks exactly like a killed run.
         runner.run_stream(grid_scenarios[:3], path)
-        lines = open(path).read().splitlines()
+        with open(path) as f:
+            lines = f.read().splitlines()
         with open(path, "w") as f:
             f.write("\n".join(lines[:-1]) + "\n")
 
