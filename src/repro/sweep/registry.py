@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -65,6 +64,7 @@ from repro.sweep.remote import (
     send_frame,
 )
 from repro.utils.errors import DataError, PlanningError
+from repro.utils.fsio import atomic_write_text
 from repro.utils.guarded import Guarded
 from repro.utils.timing import wall_clock
 from repro.utils.wire import Record, from_wire, to_wire
@@ -227,19 +227,7 @@ class FileRegistry(Registry):
         return doc
 
     def _write(self, doc: dict) -> None:
-        directory = os.path.dirname(os.path.abspath(self.path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".registry-")
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(doc, f, indent=2)
-                f.write("\n")
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(self.path, json.dumps(doc, indent=2) + "\n")
 
     # ------------------------------------------------------------------
     def register(self, record: WorkerRecord) -> None:
