@@ -820,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "process (one task per scenario), sharded "
                               "(per-worker shards with failure isolation), "
                               "or remote (TCP worker daemons; needs "
-                              "--workers-at)")
+                              "--workers-at or --registry)")
     p_sweep.add_argument("--workers-at", default="",
                          metavar="HOST:PORT,...",
                          help="remote worker daemon addresses for "
@@ -1049,7 +1049,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser(
         "check",
         help="invariant-aware static analysis (determinism, "
-             "resource safety, atomic writes, locks)",
+             "resource safety, atomic writes, boxed shared state)",
     )
     p_check.add_argument("root", nargs="?", default="",
                          help="directory or file to check (default: this "
