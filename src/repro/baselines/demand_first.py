@@ -22,15 +22,11 @@ def run_vk_tsp(pre: Precomputation) -> PlanResult:
     normalizers so the result is comparable to CT-Bus runs (as in the
     paper's Table 6 columns).
     """
-    caller_cfg = pre.config
-    vk_cfg = caller_cfg.variant(w=1.0, new_edges_only=True)
+    vk_cfg = pre.config.variant(w=1.0, new_edges_only=True)
     vk_pre = rebind(pre, vk_cfg)
     result = ExpansionEngine(vk_pre, PrecomputedStrategy(vk_pre)).run()
     result.method = "vk-tsp"
     result.o_d_normalized = result.o_d / pre.d_max
     result.o_lambda_normalized = result.o_lambda / pre.lambda_max
-    result.objective = (
-        caller_cfg.w * result.o_d_normalized
-        + (1.0 - caller_cfg.w) * result.o_lambda_normalized
-    )
+    result.objective = pre.objective(result.o_d, result.o_lambda)
     return result

@@ -31,7 +31,7 @@ from collections import deque
 from repro.core.bounds import initial_bound, update_bound
 from repro.core.candidate import AT_BEGIN, AT_END, Candidate, extend, seed_candidate
 from repro.core.config import EXPANSION_ALL, PlannerConfig
-from repro.core.objective import OnlineStrategy, _StrategyBase
+from repro.core.objective import OnlineStrategy, PrecomputedStrategy
 from repro.core.precompute import Precomputation
 from repro.core.result import PlannedRoute, PlanResult
 from repro.utils.timing import Timer
@@ -47,7 +47,12 @@ class ExpansionEngine:
     :mod:`repro.core.constraints`.
     """
 
-    def __init__(self, pre: Precomputation, strategy: _StrategyBase, constraints=None):
+    def __init__(
+        self,
+        pre: Precomputation,
+        strategy: OnlineStrategy | PrecomputedStrategy,
+        constraints=None,
+    ):
         self.pre = pre
         self.config: PlannerConfig = pre.config
         self.universe = pre.universe
@@ -230,22 +235,12 @@ class ExpansionEngine:
         tuples; this evaluation (one connectivity estimate per neighbor
         for ETA) is exactly the paper's Bottleneck 1. The extensions of
         *both* sides (:meth:`feasible_extensions`) are scored in one
-        ``extension_scores`` batch (``batch_eval=True``) or through the
-        sequential reference loop (``batch_eval=False``, the differential
-        oracle's ground truth).
+        ``extension_scores`` call.
         """
-        cfg = self.config
         feasible = self.feasible_extensions(cand)
         if not feasible:
             return []
-        if cfg.batch_eval:
-            scores = self.strategy.extension_scores(
-                cand, [f[1] for f in feasible]
-            )
-        else:
-            scores = [
-                self.strategy.extension_score(cand, f[1]) for f in feasible
-            ]
+        scores = self.strategy.extension_scores(cand, [f[1] for f in feasible])
         return [
             (side, edge_index, new_stop, tinc, float(score))
             for (side, edge_index, new_stop, tinc), score in zip(feasible, scores)
@@ -333,7 +328,7 @@ class ExpansionEngine:
                 self.universe, best.stops, best.edge_ids, best.turns
             )
             o_d, o_l = self.strategy.exact_components(best.edge_ids)
-            objective = self.strategy.combine(o_d, o_l)
+            objective = self.pre.objective(o_d, o_l)
         return PlanResult(
             method=self.strategy.name,
             route=route,

@@ -1,8 +1,11 @@
 """Objective evaluation strategies (Definition 6 / Eq. 11).
 
-``O(mu) = w * O_d(mu)/d_max + (1 - w) * O_lambda(mu)/lambda_max``.
+``O(mu) = w * O_d(mu)/d_max + (1 - w) * O_lambda(mu)/lambda_max``,
+:meth:`~repro.core.precompute.Precomputation.objective`.
 
-Two interchangeable strategies drive the expansion engine:
+Two interchangeable strategies drive the expansion engine. Both seed a
+single edge with its ``L_e`` entry and score the extensions of an
+expansion round with one ``extension_scores`` call.
 
 * :class:`OnlineStrategy` (ETA) — the connectivity term of every
   candidate is re-estimated with the Lanczos+Hutchinson estimator; the
@@ -26,7 +29,7 @@ from repro.core.precompute import Precomputation
 
 
 class _StrategyBase:
-    """Shared plumbing: normalization and exact (Lanczos) re-evaluation."""
+    """Shared plumbing: seed scores and the reported objective of a path."""
 
     name = "base"
 
@@ -35,46 +38,22 @@ class _StrategyBase:
         self.config = pre.config
         self.universe = pre.universe
 
+    def seed_score(self, edge_index: int) -> float:
+        """Objective of a single-edge path: its ``L_e`` entry."""
+        return self.pre.L_e.value(edge_index)
+
     # -- exact evaluation (used for final reporting by both strategies) --
     def exact_components(self, edge_ids: Sequence[int]) -> tuple[float, float]:
         """``(O_d, O_lambda)`` raw values; connectivity via the estimator."""
         ids = list(edge_ids)
         o_d = float(self.universe.demand[ids].sum()) if ids else 0.0
-        pairs = self.universe.new_pairs(ids)
-        if pairs:
-            extended = self.pre.builder.extended(pairs)
-            o_l = self.pre.estimator.estimate(extended) - self.pre.lambda_base
-            o_l = max(o_l, 0.0)
-        else:
-            o_l = 0.0
-        return o_d, o_l
-
-    def combine(self, o_d: float, o_lambda: float) -> float:
-        """Normalized weighted objective (Eq. 3 with Eq. 12 normalizers)."""
-        return (
-            self.config.w * o_d / self.pre.d_max
-            + (1.0 - self.config.w) * o_lambda / self.pre.lambda_max
+        [o_l] = self.pre.connectivity_gains(
+            [self.universe.new_pairs(ids)], batched=False
         )
+        return o_d, float(o_l)
 
     def exact_objective(self, edge_ids: Sequence[int]) -> float:
-        o_d, o_l = self.exact_components(edge_ids)
-        return self.combine(o_d, o_l)
-
-    # -- batched extension scoring ---------------------------------------
-    def extension_score(self, cand: Candidate, edge_index: int) -> float:
-        raise NotImplementedError
-
-    def extension_scores(
-        self, cand: Candidate, edge_indices: Sequence[int]
-    ) -> np.ndarray:
-        """Score ``cand`` extended by each edge; the reference fallback.
-
-        Subclasses override with a genuinely vectorized path; this loop
-        is what ``batch_eval=False`` pins the kernel against.
-        """
-        return np.array(
-            [self.extension_score(cand, e) for e in edge_indices], dtype=float
-        )
+        return self.pre.objective(*self.exact_components(edge_ids))
 
 
 class OnlineStrategy(_StrategyBase):
@@ -86,60 +65,31 @@ class OnlineStrategy(_StrategyBase):
     def bound_list(self) -> RankedList:
         return self.pre.L_d
 
-    def seed_score(self, edge_index: int) -> float:
-        """Objective of a single-edge path (uses the pre-computed Delta)."""
-        o_d = float(self.universe.demand[edge_index])
-        o_l = float(self.universe.delta[edge_index])
-        return self.combine(o_d, o_l)
-
     def path_score(self, edge_ids: Sequence[int]) -> float:
         """True objective of a path — one connectivity estimate."""
         return self.exact_objective(edge_ids)
 
-    def extension_score(self, cand: Candidate, edge_index: int) -> float:
-        return self.path_score(cand.edge_ids + (edge_index,))
-
     def extension_scores(
         self, cand: Candidate, edge_indices: Sequence[int]
     ) -> np.ndarray:
-        """All extension objectives of a round through one batched estimate.
+        """The objective of ``cand`` extended by each edge.
 
-        Groups the per-extension connectivity evaluations into a single
-        :meth:`NaturalConnectivityEstimator.estimate_batch` call — one
-        shared Lanczos recurrence over the stacked probe block instead of
-        one block call per neighbor. Extensions whose paths add no new
-        vertex pair skip the estimator, exactly as
-        :meth:`exact_components` does, so ``estimator.evaluations``
-        advances by exactly the number the sequential path would have
-        charged.
+        One :meth:`~repro.core.precompute.Precomputation.connectivity_gains`
+        call prices every extension of the round, batched or not as
+        ``batch_eval`` says. An extension that adds no new vertex pair
+        skips the estimator, exactly as :meth:`exact_components` does.
         """
-        indices = list(edge_indices)
-        if not indices:
-            return np.zeros(0)
-        o_d = np.empty(len(indices))
-        o_l = np.zeros(len(indices))
-        groups: list[list[tuple[int, int]]] = []
-        members: list[int] = []
-        for pos, e in enumerate(indices):
-            ids = list(cand.edge_ids) + [e]
-            o_d[pos] = float(self.universe.demand[ids].sum())
-            pairs = self.universe.new_pairs(ids)
-            if pairs:
-                members.append(pos)
-                groups.append(self.pre.builder.novel_pairs(pairs))
-        if members:
-            estimates = self.pre.estimator.estimate_batch(
-                self.pre.builder.base(), groups
-            )
-            o_l[members] = np.maximum(estimates - self.pre.lambda_base, 0.0)
-        return (
-            self.config.w * o_d / self.pre.d_max
-            + (1.0 - self.config.w) * o_l / self.pre.lambda_max
+        paths = [list(cand.edge_ids) + [e] for e in edge_indices]
+        o_d = np.array([float(self.universe.demand[ids].sum()) for ids in paths])
+        o_l = self.pre.connectivity_gains(
+            [self.universe.new_pairs(ids) for ids in paths],
+            self.config.batch_eval,
         )
+        return self.pre.objective(o_d, o_l)
 
     def bound_to_upper(self, bound_value: float) -> float:
         """Objective-scale bound: Alg. 2 demand bound + Lemma 4 constant."""
-        return self.combine(bound_value, self.pre.path_bound_increment)
+        return self.pre.objective(bound_value, self.pre.path_bound_increment)
 
 
 class PrecomputedStrategy(_StrategyBase):
@@ -155,24 +105,15 @@ class PrecomputedStrategy(_StrategyBase):
     def bound_list(self) -> RankedList:
         return self.pre.L_e
 
-    def seed_score(self, edge_index: int) -> float:
-        return float(self._values[edge_index])
-
     def path_score(self, edge_ids: Sequence[int]) -> float:
         ids = list(edge_ids)
         return float(self._values[ids].sum()) if ids else 0.0
 
-    def extension_score(self, cand: Candidate, edge_index: int) -> float:
-        return cand.score + float(self._values[edge_index])
-
     def extension_scores(
         self, cand: Candidate, edge_indices: Sequence[int]
     ) -> np.ndarray:
-        """Vectorized linear scores — bitwise equal to the scalar path."""
-        if not edge_indices:
-            return np.zeros(0)
-        idx = np.asarray(list(edge_indices), dtype=np.intp)
-        return cand.score + self._values[idx]
+        """``cand.score`` plus each extension edge's ``L_e`` entry."""
+        return cand.score + self._values[np.asarray(edge_indices, dtype=np.intp)]
 
     def bound_to_upper(self, bound_value: float) -> float:
         """The Alg. 2 bound on ``L_e`` is already objective-scale."""

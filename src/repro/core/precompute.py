@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
+from typing import TypeVar
 
 import numpy as np
 
@@ -49,6 +51,8 @@ ARTIFACT_FORMAT = 2
 """On-disk artifact version (bump on incompatible layout *or semantics*
 changes; v2: sketch-mode deltas honor ``config.n_probes``, so v1 sketch
 artifacts no longer match what ``precompute()`` would produce)."""
+
+_Score = TypeVar("_Score", float, np.ndarray)
 
 @dataclass
 class Precomputation:
@@ -78,6 +82,18 @@ class Precomputation:
     @property
     def n_candidate_edges(self) -> int:
         return self.universe.n_new_edges
+
+    def connectivity_gains(
+        self, pair_groups: Sequence[Sequence[tuple[int, int]]], batched: bool
+    ) -> np.ndarray:
+        """:func:`connectivity_gains` against this precomputation's ``G_r``."""
+        return connectivity_gains(
+            self.builder, self.estimator, self.lambda_base, pair_groups, batched
+        )
+
+    def objective(self, o_d: _Score, o_lambda: _Score) -> _Score:
+        """:func:`combine` with this precomputation's ``w`` and normalizers."""
+        return combine(self.config.w, o_d, o_lambda, self.d_max, self.lambda_max)
 
     # ------------------------------------------------------------------
     # Persistence (npz + json artifact pair)
@@ -254,12 +270,10 @@ def compute_edge_increments(
 ) -> np.ndarray:
     """``Delta(e)`` for every universe edge (zero for existing edges).
 
-    ``mode="exact"`` re-estimates ``lambda(G_r + e)`` per candidate edge
-    with common probes; ``mode="sketch"`` prices all edges from one
-    low-rank ``e^A`` sketch (first-order perturbation). ``batch=True``
-    runs the exact mode through the batched kernel (one shared Lanczos
-    recurrence per chunk of candidate edges) — same estimator, same
-    probes, agreeing with the sequential loop to floating-point roundoff.
+    ``mode="exact"`` prices each candidate edge as a one-pair group of
+    :func:`connectivity_gains`, batched when ``batch`` is set;
+    ``mode="sketch"`` prices all edges from one low-rank ``e^A`` sketch
+    (first-order perturbation).
     """
     deltas = np.zeros(len(universe), dtype=float)
     new_indices = [e.index for e in universe.edges if e.is_new]
@@ -272,20 +286,61 @@ def compute_edge_increments(
         return deltas
     if mode != "exact":
         raise ValueError(f"unknown increment mode {mode!r}")
-    if batch:
-        groups = [
-            builder.novel_pairs([universe.edge(i).pair]) for i in new_indices
-        ]
-        values = estimator.estimate_batch(builder.base(), groups) - lambda_base
-        # Adding an edge never decreases natural connectivity; clamp noise.
-        deltas[new_indices] = np.maximum(values, 0.0)
-        return deltas
-    for i in new_indices:
-        pair = universe.edge(i).pair
-        value = estimator.estimate(builder.extended([pair])) - lambda_base
-        # Adding an edge never decreases natural connectivity; clamp noise.
-        deltas[i] = max(value, 0.0)
+    deltas[new_indices] = connectivity_gains(
+        builder,
+        estimator,
+        lambda_base,
+        [[universe.edge(i).pair] for i in new_indices],
+        batch,
+    )
     return deltas
+
+
+def connectivity_gains(
+    builder: AdjacencyBuilder,
+    estimator: NaturalConnectivityEstimator,
+    lambda_base: float,
+    pair_groups: Sequence[Sequence[tuple[int, int]]],
+    batched: bool,
+) -> np.ndarray:
+    """``max(lambda(G_r + group) - lambda_base, 0)`` for each group of stop pairs.
+
+    The connectivity term of Eq. 3, wherever it is needed: ``Delta(e)``
+    (one pair per group), the extensions of an expansion round and the
+    reported route. An empty group gains 0 and costs no estimate.
+    ``batched`` prices the other groups in one
+    :meth:`~NaturalConnectivityEstimator.estimate_batch` over their
+    novel pairs; without it each gets its own
+    :meth:`~NaturalConnectivityEstimator.estimate`, the sequential
+    reference. Both modes charge one evaluation per non-empty group and
+    agree to floating-point roundoff.
+    """
+    groups = list(pair_groups)
+    members = [i for i, group in enumerate(groups) if group]
+    gains = np.zeros(len(groups))
+    if not members:
+        return gains
+    if batched:
+        values = estimator.estimate_batch(
+            builder.base(), [builder.novel_pairs(groups[i]) for i in members]
+        )
+    else:
+        values = np.array(
+            [estimator.estimate(builder.extended(groups[i])) for i in members]
+        )
+    # Adding edges never decreases natural connectivity; clamp noise.
+    gains[members] = np.maximum(values - lambda_base, 0.0)
+    return gains
+
+
+def combine(
+    w: float, o_d: _Score, o_lambda: _Score, d_max: float, lambda_max: float
+) -> _Score:
+    """Eq. 3 under the Eq. 12 normalizers, on scalars or elementwise on arrays.
+
+    ``w * O_d / d_max + (1 - w) * O_lambda / lambda_max``.
+    """
+    return w * o_d / d_max + (1.0 - w) * o_lambda / lambda_max
 
 
 def _first_difference(a: PrecomputeSpec, b: PrecomputeSpec) -> str:
@@ -374,11 +429,9 @@ def _finalize(
     if lambda_max <= 0:
         lambda_max = path_bound_inc if path_bound_inc > 0 else 1.0
 
-    combined = (
-        config.w * universe.demand / d_max
-        + (1.0 - config.w) * universe.delta / lambda_max
+    L_e = RankedList(
+        combine(config.w, universe.demand, universe.delta, d_max, lambda_max)
     )
-    L_e = RankedList(combined)
 
     return Precomputation(
         universe=universe,

@@ -117,16 +117,6 @@ class NaturalConnectivityEstimator:
             return traces
         return np.log(traces / self.n)
 
-    def increment(self, A_base, A_extended, base_value: float | None = None) -> float:
-        """Estimate ``lambda(A_extended) - lambda(A_base)`` with common probes.
-
-        ``base_value`` may carry a cached ``estimate(A_base)`` to avoid
-        re-evaluating the (unchanging) base graph.
-        """
-        if base_value is None:
-            base_value = self.estimate(A_base)
-        return self.estimate(A_extended) - base_value
-
     def _check(self, A) -> None:
         if A.shape != (self.n, self.n):
             raise ValidationError(

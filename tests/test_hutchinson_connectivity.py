@@ -108,7 +108,7 @@ class TestEstimator:
         A, A2 = A.tocsr(), A2.tocsr()
         truth = natural_connectivity_exact(A2) - natural_connectivity_exact(A)
         est = NaturalConnectivityEstimator(100, n_probes=50, lanczos_steps=10, seed=0)
-        got = est.increment(A, A2)
+        got = est.estimate(A2) - est.estimate(A)
         assert got > 0  # right sign despite the tiny magnitude
         assert abs(got - truth) < 5e-3  # well under the ~1e-2 absolute noise
 
@@ -119,16 +119,8 @@ class TestEstimator:
         A, A2 = A.tocsr(), A2.tocsr()
         truth = natural_connectivity_exact(A2) - natural_connectivity_exact(A)
         est = NaturalConnectivityEstimator(100, n_probes=1200, lanczos_steps=12, seed=0)
-        assert est.increment(A, A2) == pytest.approx(truth, rel=0.25)
-
-    def test_increment_reuses_base_value(self):
-        A = random_adjacency(40, 0.1, 9)
-        est = NaturalConnectivityEstimator(40, n_probes=20, seed=0)
-        base = est.estimate(A)
-        evals_before = est.evaluations
-        inc = est.increment(A, A, base_value=base)
-        assert inc == 0.0
-        assert est.evaluations == evals_before + 1  # only the extended eval
+        got = est.estimate(A2) - est.estimate(A)
+        assert got == pytest.approx(truth, rel=0.25)
 
     def test_evaluation_counter(self):
         A = random_adjacency(20, 0.2, 10)

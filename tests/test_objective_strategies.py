@@ -1,9 +1,11 @@
 """Unit tests for the objective evaluation strategies."""
 
+import numpy as np
 import pytest
 
 from repro.core.candidate import seed_candidate
 from repro.core.objective import OnlineStrategy, PrecomputedStrategy
+from repro.core.precompute import combine
 
 
 @pytest.fixture(scope="module")
@@ -12,22 +14,30 @@ def strategies(small_pre):
 
 
 class TestCombine:
-    def test_weighted_normalized_sum(self, small_pre, strategies):
-        online, _ = strategies
+    def test_weighted_normalized_sum(self, small_pre):
         w = small_pre.config.w
-        got = online.combine(small_pre.d_max, small_pre.lambda_max)
+        got = small_pre.objective(small_pre.d_max, small_pre.lambda_max)
         assert got == pytest.approx(w * 1.0 + (1 - w) * 1.0)
 
-    def test_zero_components(self, strategies):
-        online, _ = strategies
-        assert online.combine(0.0, 0.0) == 0.0
+    def test_zero_components(self, small_pre):
+        assert small_pre.objective(0.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("w", [0.3, 0.5, 0.7])
+    def test_arrays_match_scalars_bitwise(self, small_pre, w):
+        rng = np.random.default_rng(0)
+        o_d = rng.uniform(0.0, small_pre.d_max, 64)
+        o_l = rng.uniform(0.0, small_pre.lambda_max, 64)
+        norms = (small_pre.d_max, small_pre.lambda_max)
+        got = combine(w, o_d, o_l, *norms)
+        want = [combine(w, float(d), float(l), *norms) for d, l in zip(o_d, o_l)]
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestOnlineStrategy:
     def test_seed_score_uses_precomputed_delta(self, small_pre, strategies):
         online, _ = strategies
         idx = int(small_pre.L_lambda.edge_at(1))
-        want = online.combine(
+        want = small_pre.objective(
             float(small_pre.universe.demand[idx]),
             float(small_pre.universe.delta[idx]),
         )
@@ -52,7 +62,7 @@ class TestOnlineStrategy:
     def test_bound_to_upper_adds_path_bound(self, small_pre, strategies):
         online, _ = strategies
         got = online.bound_to_upper(100.0)
-        want = online.combine(100.0, small_pre.path_bound_increment)
+        want = small_pre.objective(100.0, small_pre.path_bound_increment)
         assert got == pytest.approx(want)
 
     def test_bound_list_is_L_d(self, small_pre, strategies):
@@ -71,7 +81,7 @@ class TestPrecomputedStrategy:
         _, pre_strat = strategies
         cand = seed_candidate(small_pre.universe, 0)
         cand = cand.with_scores(pre_strat.seed_score(0), 0.0, 0, 0.0)
-        got = pre_strat.extension_score(cand, 1)
+        [got] = pre_strat.extension_scores(cand, [1])
         assert got == pytest.approx(pre_strat.path_score([0, 1]))
 
     def test_bound_to_upper_identity(self, strategies):

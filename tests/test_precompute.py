@@ -121,6 +121,44 @@ class TestIncrementModes:
             )
 
 
+class TestConnectivityGains:
+    """One function prices Delta(e), a round's extensions and a route."""
+
+    @staticmethod
+    def _groups(pre):
+        new = [e.pair for e in pre.universe.edges if e.is_new]
+        return [[], [new[0]], new[1:3], [], new[3:7]]
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_empty_group_is_zero_and_free(self, small_pre, batched):
+        before = small_pre.estimator.evaluations
+        gains = small_pre.connectivity_gains([[], []], batched)
+        assert gains.tolist() == [0.0, 0.0]
+        assert small_pre.estimator.evaluations == before
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_one_evaluation_per_nonempty_group(self, small_pre, batched):
+        groups = self._groups(small_pre)
+        before = small_pre.estimator.evaluations
+        gains = small_pre.connectivity_gains(groups, batched)
+        assert small_pre.estimator.evaluations - before == 3
+        assert gains[0] == gains[3] == 0.0
+
+    def test_modes_agree_per_group(self, small_pre):
+        groups = self._groups(small_pre)
+        batched = small_pre.connectivity_gains(groups, batched=True)
+        sequential = small_pre.connectivity_gains(groups, batched=False)
+        np.testing.assert_allclose(batched, sequential, atol=1e-9, rtol=0.0)
+
+    def test_single_pair_groups_are_the_precomputed_deltas(self, small_pre):
+        uni = small_pre.universe
+        new = [e.index for e in uni.edges if e.is_new]
+        gains = small_pre.connectivity_gains(
+            [[uni.edge(i).pair] for i in new], small_pre.config.batch_eval
+        )
+        assert gains.tobytes() == uni.delta[new].tobytes()
+
+
 class TestRebind:
     def test_w_change_updates_L_e_only(self, small_pre):
         re = rebind(small_pre, small_pre.config.variant(w=1.0))

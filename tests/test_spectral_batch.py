@@ -289,7 +289,7 @@ class TestOnlineExtensionScores(_StrategyFixture):
         assert neighbors, "fixture produced an isolated terminal"
         batched = strategy.extension_scores(cand, neighbors)
         sequential = np.array(
-            [strategy.extension_score(cand, e) for e in neighbors]
+            [strategy.path_score(cand.edge_ids + (e,)) for e in neighbors]
         )
         np.testing.assert_allclose(batched, sequential, atol=1e-9, rtol=0.0)
 
@@ -300,7 +300,7 @@ class TestOnlineExtensionScores(_StrategyFixture):
         score = strategy.extension_scores(cand, [edge])
         assert score.shape == (1,)
         assert score[0] == pytest.approx(
-            strategy.extension_score(cand, edge), abs=1e-9
+            strategy.path_score(cand.edge_ids + (edge,)), abs=1e-9
         )
 
     def test_empty_batch_skips_estimator(self, pre):
@@ -337,7 +337,7 @@ class TestPrecomputedExtensionScores(_StrategyFixture):
         indices = [pre.L_e.edge_at(r) for r in range(1, 6)]
         batched = strategy.extension_scores(cand, indices)
         scalar = np.array(
-            [strategy.extension_score(cand, e) for e in indices]
+            [cand.score + strategy.seed_score(e) for e in indices]
         )
         assert np.array_equal(batched, scalar)
         assert strategy.extension_scores(cand, []).shape == (0,)
