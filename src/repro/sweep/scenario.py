@@ -221,7 +221,8 @@ def load_grid(path: str) -> tuple[list[Scenario], PlannerConfig]:
             constraints: {anchor_stop: 3}
 
     ``.json`` files are parsed with the stdlib; ``.yaml``/``.yml`` need
-    PyYAML and fail with a clear error when it is missing.
+    PyYAML and fail with a clear error when it is missing. Every refusal
+    is a :class:`DataError` that names the file.
     """
     if not os.path.exists(path):
         raise DataError(f"grid file not found: {path!r}")
@@ -243,8 +244,16 @@ def load_grid(path: str) -> tuple[list[Scenario], PlannerConfig]:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"grid file {path!r} is not valid JSON: {exc}") from None
+    try:
+        return _grid_scenarios(data)
+    except (DataError, PlanningError, ValidationError) as exc:
+        raise DataError(f"grid file {path!r}: {exc}") from None
+
+
+def _grid_scenarios(data) -> tuple[list[Scenario], PlannerConfig]:
+    """The validated ``(scenarios, base_config)`` of a parsed grid file."""
     if not isinstance(data, Mapping):
-        raise DataError(f"grid file {path!r} must hold a mapping at top level")
+        raise DataError("the top level must be a mapping")
     unknown = set(data) - {"base", "axes", "scenarios"}
     if unknown:
         raise DataError(f"unknown grid sections {sorted(unknown)}")
@@ -281,15 +290,12 @@ def load_grid(path: str) -> tuple[list[Scenario], PlannerConfig]:
 
     scenarios = []
     if axes:
-        try:
-            scenarios.extend(
-                expand_grid(
-                    axes, city=city, profile=profile, method=method,
-                    route_count=route_count,
-                )
+        scenarios.extend(
+            expand_grid(
+                axes, city=city, profile=profile, method=method,
+                route_count=route_count,
             )
-        except ValidationError as exc:
-            raise DataError(f"grid file {path!r}: {exc}") from None
+        )
     for i, entry in enumerate(entries):
         spec = {
             "name": f"scenario-{i}", "city": city, "profile": profile,
@@ -300,11 +306,9 @@ def load_grid(path: str) -> tuple[list[Scenario], PlannerConfig]:
         try:
             scenarios.append(from_wire(Scenario, spec))
         except DataError as exc:
-            raise DataError(
-                f"grid file {path!r}: scenario {spec['name']!r}: {exc}"
-            ) from None
+            raise DataError(f"scenario {spec['name']!r}: {exc}") from None
     if not scenarios:
-        raise DataError(f"grid file {path!r} defines no scenarios")
+        raise DataError("no scenarios defined")
     for s in scenarios:
         s.validate(base_config)
     return scenarios, base_config

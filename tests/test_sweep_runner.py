@@ -171,6 +171,8 @@ class TestLoadGrid:
         ({"axes": {"city": ["atlantis"]}}, "unknown city 'atlantis'"),
         ({"base": {"route_count": "2"}, "scenarios": [{"name": "a"}]},
          "scenario 'a'"),
+        ({"axes": {"method": ["nope"]}}, "unknown method 'nope'"),
+        ({"base": [1, 2]}, "section 'base'"),
     ])
     def test_refusal_names_the_file(self, tmp_path, grid, named):
         path = tmp_path / "grid.json"
