@@ -15,11 +15,16 @@ One pass over the dataset produces everything the planners share:
 The work splits in two halves. The expensive one (universe,
 estimator, ``lambda(G_r)``, ``Delta(e)``) sees only the dataset and a
 :class:`~repro.core.config.PrecomputeSpec`, the fields the cache key
-hashes. The cheap one, :func:`_finalize`, is the only code here that
+hashes. The cheap one, :func:`_finalize`, is the only half that
 reads ``k`` or ``w``: it sizes the top spectrum and derives the ranked
 lists, normalizers and bounds. :func:`rebind` and
 :meth:`Precomputation.load` re-run only the cheap half for a tweaked
 config — e.g. a ``w`` or ``k`` sweep.
+
+Every planner also shares two formulas, kept here and bound to a
+:class:`Precomputation`: :func:`connectivity_gains`, the connectivity
+term of ``Delta(e)``, of online extension scores and of the reported
+``O_lambda``; and :func:`combine`, the objective of Eq. 3.
 """
 
 from __future__ import annotations

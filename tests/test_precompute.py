@@ -10,6 +10,7 @@ from repro.core.planner import run_method
 from repro.core.precompute import (
     Precomputation,
     compute_edge_increments,
+    connectivity_gains,
     precompute,
     rebind,
 )
@@ -143,6 +144,15 @@ class TestConnectivityGains:
         gains = small_pre.connectivity_gains(groups, batched)
         assert small_pre.estimator.evaluations - before == 3
         assert gains[0] == gains[3] == 0.0
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_gains_are_clamped_at_zero(self, small_pre, batched):
+        above_every_estimate = small_pre.lambda_base + 1.0
+        gains = connectivity_gains(
+            small_pre.builder, small_pre.estimator, above_every_estimate,
+            self._groups(small_pre), batched,
+        )
+        assert gains.tolist() == [0.0] * 5
 
     def test_modes_agree_per_group(self, small_pre):
         groups = self._groups(small_pre)
