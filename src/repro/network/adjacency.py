@@ -70,10 +70,6 @@ class AdjacencyBuilder:
     def n_edges(self) -> int:
         return len(self._edge_set)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self._edge_set
-
     def base(self) -> sp.csr_matrix:
         """The adjacency of the base graph (cached)."""
         if self._base is None:
@@ -136,22 +132,3 @@ class AdjacencyBuilder:
             added.add(key)
             novel.append((u, v))
         return novel
-
-    def commit(self, extra_edges: Iterable[tuple[int, int]]) -> None:
-        """Permanently add ``extra_edges`` to the base graph.
-
-        Used by multi-route planning: after a route is adopted its edges
-        become part of ``G_r``.
-        """
-        rows = list(self._rows)
-        cols = list(self._cols)
-        for u, v in extra_edges:
-            key = (u, v) if u < v else (v, u)
-            if key in self._edge_set or u == v:
-                continue
-            self._edge_set.add(key)
-            rows.extend((u, v))
-            cols.extend((v, u))
-        self._rows = np.asarray(rows, dtype=np.int32)
-        self._cols = np.asarray(cols, dtype=np.int32)
-        self._base = None

@@ -174,10 +174,6 @@ class TransitNetwork:
     def edge_list(self) -> list[tuple[int, int]]:
         return list(self._edges)
 
-    def routes_using_edge(self, eid: int) -> set[int]:
-        self._check_edge(eid)
-        return set(self._edge_routes[eid])
-
     def routes_at_stop(self, s: int) -> set[int]:
         """Route ids serving stop ``s``."""
         self._check_stop(s)

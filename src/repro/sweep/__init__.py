@@ -155,7 +155,6 @@ from repro.sweep.runner import (
     StreamRun,
     SweepRunner,
     cache_summary,
-    derive_scenario_seed,
     execute_scenario,
     failures_summary,
     outcomes_table,
@@ -245,7 +244,6 @@ __all__ = [
     "combine_fingerprints",
     "config_fingerprint",
     "dataset_fingerprint",
-    "derive_scenario_seed",
     "execute_scenario",
     "execute_shard",
     "expand_grid",

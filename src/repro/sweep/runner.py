@@ -22,7 +22,6 @@ ad-hoc ``for w in weights: rebind(...)`` loops that used to live in
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass, field
 
 from repro.core.config import PlannerConfig
@@ -40,16 +39,6 @@ from repro.sweep.scenario import Scenario, scenario_key
 from repro.utils.errors import PlanningError
 from repro.utils.tables import format_table
 from repro.utils.timing import Timer
-
-
-def derive_scenario_seed(base_seed: int, name: str) -> int:
-    """Deterministic per-scenario seed from the sweep seed + scenario name.
-
-    Stable across processes and sessions (unlike ``hash()``); distinct
-    names get independent seeds.
-    """
-    digest = hashlib.sha256(f"{base_seed}:{name}".encode()).digest()
-    return int.from_bytes(digest[:4], "little")
 
 
 @dataclass
@@ -231,12 +220,6 @@ class SweepRunner:
         differences between scenarios then come from their configs, not
         estimator noise — and, because ``seed`` is precompute-relevant,
         they share one warm cache entry.
-    vary_seeds:
-        Opt-in per-scenario seed *variation*: each unseeded scenario
-        gets :func:`derive_scenario_seed` of ``(root seed, name)``.
-        Still fully deterministic, but scenarios stop sharing cache
-        entries — use for replication studies, not parameter sweeps
-        (there, sweep ``seed`` as an explicit axis instead).
     """
 
     def __init__(
@@ -245,7 +228,6 @@ class SweepRunner:
         cache_dir: "str | None" = None,
         workers: "int | None" = None,
         base_seed: "int | None" = None,
-        vary_seeds: bool = False,
         backend: str = "process",
         addresses=None,
         registry=None,
@@ -255,7 +237,6 @@ class SweepRunner:
         self.cache_dir = str(cache_dir) if cache_dir else None
         self.workers = workers
         self.base_seed = None if base_seed is None else int(base_seed)
-        self.vary_seeds = bool(vary_seeds)
         self.backend = backend
         self.addresses = addresses
         self.registry = registry
@@ -264,20 +245,11 @@ class SweepRunner:
         self.last_worker_count = 0
 
     # ------------------------------------------------------------------
-    @property
-    def seed_root(self) -> int:
-        """The effective sweep seed (explicit, else the base config's)."""
-        return self.base_seed if self.base_seed is not None else self.base_config.seed
-
     def resolve(self, scenarios) -> list[Scenario]:
         """Validate and seed-resolve ``scenarios`` (deterministic)."""
         resolved = []
         for scenario in scenarios:
-            if self.vary_seeds:
-                scenario = scenario.with_seed(
-                    derive_scenario_seed(self.seed_root, scenario.name)
-                )
-            elif self.base_seed is not None:
+            if self.base_seed is not None:
                 scenario = scenario.with_seed(self.base_seed)
             # else: scenarios inherit base_config.seed via planner_config.
             scenario.validate(self.base_config)

@@ -54,22 +54,6 @@ class TestAdjacencyBuilder:
     def test_extended_empty_returns_base(self, builder):
         assert builder.extended([]) is builder.base()
 
-    def test_has_edge(self, builder):
-        assert builder.has_edge(1, 0)
-        assert not builder.has_edge(0, 4)
-
-    def test_commit_mutates_base(self, builder):
-        nnz_before = builder.base().nnz
-        builder.commit([(3, 4)])
-        assert builder.has_edge(3, 4)
-        assert builder.base().nnz == nnz_before + 2
-        assert builder.n_edges == 4
-
-    def test_commit_idempotent(self, builder):
-        builder.commit([(3, 4)])
-        builder.commit([(3, 4)])
-        assert builder.n_edges == 4
-
     def test_out_of_range_extension_rejected(self, builder):
         with pytest.raises(GraphError):
             builder.extended([(0, 50)])

@@ -129,15 +129,8 @@ class TestSeeds:
         for s in runner.resolve(grid_scenarios):
             assert s.planner_config(seeded).seed == 7
 
-    def test_vary_seeds_is_deterministic_and_distinct(self, grid_scenarios):
-        runner = SweepRunner(base_config=BASE, base_seed=3, vary_seeds=True)
-        seeds_a = [s.seed for s in runner.resolve(grid_scenarios)]
-        seeds_b = [s.seed for s in runner.resolve(grid_scenarios)]
-        assert seeds_a == seeds_b
-        assert len(set(seeds_a)) == len(seeds_a)
-
     def test_explicit_seed_wins(self):
-        runner = SweepRunner(base_config=BASE, base_seed=3, vary_seeds=True)
+        runner = SweepRunner(base_config=BASE, base_seed=3)
         (resolved,) = runner.resolve([Scenario(name="pinned", seed=42)])
         assert resolved.seed == 42
 
