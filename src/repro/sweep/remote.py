@@ -128,6 +128,7 @@ import struct
 import threading
 import time
 import warnings
+from contextlib import closing
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, ClassVar
 
@@ -959,6 +960,8 @@ class _QueueState:
     pending: list
     active: int
     weights: dict = field(default_factory=dict)
+    closed: bool = False
+    """Set by :meth:`_WorkQueue.drain`: no chunk is handed out after it."""
 
 
 class _WorkQueue:
@@ -972,8 +975,8 @@ class _WorkQueue:
     :meth:`get` in chunks proportional to the puller's share of the
     surviving weight. ``get`` blocks while the queue is empty but some
     worker is still mid-shard — that worker's death may requeue its
-    leftovers — and returns ``None`` only once no work can ever arrive
-    again.
+    leftovers — and returns ``None`` once no work can ever arrive again,
+    or once :meth:`drain` has closed the queue.
     """
 
     def __init__(self, pending, chunk_size=None, initial_active=0):
@@ -996,6 +999,8 @@ class _WorkQueue:
     def get(self, worker_id):
         with self._state as state:
             while True:
+                if state.closed:
+                    return None
                 if state.pending:
                     take = self._chunk_size
                     if take is None:
@@ -1022,11 +1027,19 @@ class _WorkQueue:
             self._state.notify_all()
 
     def drain(self):
-        """Whatever never ran (after all workers died)."""
+        """Close the queue and return whatever never ran."""
         with self._state as state:
+            state.closed = True
             leftovers = list(state.pending)
             state.pending.clear()
+            self._state.notify_all()
             return leftovers
+
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`drain` has run: drivers stop on seeing it."""
+        with self._state as state:
+            return state.closed
 
 
 @dataclass
@@ -1331,11 +1344,12 @@ class RemoteBackend(ExecutionBackend):
                     dead[format_address(address)] = error
         except BaseException:
             # Abort (typically the consumer closing this generator after
-            # a broken on_outcome transport): empty the work queue so
-            # driver threads stop after their in-flight shard instead of
-            # executing the rest of the grid on workers behind the
-            # caller's back — the queued-work cancellation the pool
-            # backends apply on abort.
+            # a broken on_outcome transport): close the work queue. Each
+            # driver then hangs up after its next outcome frame, and its
+            # worker stops at the next send that fails, instead of
+            # executing the rest of its shard (with one worker, the rest
+            # of the grid) behind the caller's back: the queued-work
+            # cancellation the pool backends apply on abort.
             work.drain()
             raise
         for thread in threads:
@@ -1384,12 +1398,17 @@ class RemoteBackend(ExecutionBackend):
                     return
             done: set = set()
             try:
-                for index, outcome in self._run_shard(
-                    address, shard, base_config
-                ):
-                    outcome.worker = format_address(address)
-                    done.add(index)
-                    events.put(("outcome", index, outcome))
+                with closing(
+                    self._run_shard(address, shard, base_config)
+                ) as answers:
+                    for index, outcome in answers:
+                        outcome.worker = format_address(address)
+                        done.add(index)
+                        events.put(("outcome", index, outcome))
+                        if work.closed:
+                            # The sweep was aborted: closing the answers
+                            # hangs up on the worker mid-shard.
+                            return
             except Exception as exc:  # noqa: BLE001 — any failure on this
                 # path (socket, handshake, protocol, malformed record)
                 # means the worker cannot be trusted. Worker death:

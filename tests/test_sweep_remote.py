@@ -405,8 +405,10 @@ class TestRemoteOracle:
     def test_broken_callback_aborts_and_cancels_queued_shards(
         self, grid_scenarios, cache_dir, monkeypatch
     ):
-        """A broken on_outcome transport must stop dispatching queued
-        shards (the queued-work cancellation the pool backends apply)."""
+        """A broken on_outcome transport must stop the workers mid-shard
+        (the queued-work cancellation the pool backends apply). One
+        worker gets one shard, the whole grid, so the rest of that shard
+        must not run behind the caller's back."""
         import time
 
         import repro.sweep.remote as remote_mod
@@ -416,15 +418,16 @@ class TestRemoteOracle:
 
         def counting(scenario, base_config=None, cache_dir=None):
             executed.append(scenario.name)
+            # Slow enough that the abort reaches the driver before the
+            # worker has finished the grid.
+            time.sleep(0.05)
             return real(scenario, base_config, cache_dir)
 
         # In-process daemons share this module global with the test.
         monkeypatch.setattr(remote_mod, "execute_scenario", counting)
         server = start_workers(cache_dir, n=1)[0]
         try:
-            backend = RemoteBackend(
-                addresses=[f"{server.host}:{server.port}"], shard_size=1
-            )
+            backend = RemoteBackend(addresses=[f"{server.host}:{server.port}"])
 
             def broken_transport(index, outcome):
                 raise OSError("stream transport gone")
@@ -434,9 +437,9 @@ class TestRemoteOracle:
                     grid_scenarios, BASE, cache_dir,
                     on_outcome=broken_transport,
                 )
-            time.sleep(0.5)  # let the driver finish its in-flight shard
+            time.sleep(1.0)  # let the worker run whatever it still will
             assert len(executed) < len(grid_scenarios), (
-                "queued shards kept executing after the abort"
+                "the shard kept executing after the abort"
             )
         finally:
             server.shutdown()
