@@ -22,22 +22,25 @@ plans through :func:`execute_scenario`, so results are bit-identical
 across backends (the oracle contract). Four ship today:
 
 * ``serial`` — in-process loop; fail-fast; the reference semantics.
-* ``sharded`` — the grid is chunked into per-worker shards (one task
-  per shard amortizes dataset construction and pickling), submitted
-  asynchronously to a process pool, with per-scenario failure
-  isolation: a raising scenario becomes a failure outcome
-  (``outcome.error`` set) instead of killing the sweep.
-* ``process`` — the sharded pool loop with one-scenario shards and no
-  failure isolation: one task per scenario, fail-fast (the default). A
-  fail-fast abort cancels still-queued scenarios (``cancel_futures``)
-  instead of letting them run to completion behind the caller's back.
+* ``sharded`` — the grid is cut into one shard per worker, sizes
+  within one of each other (one task per shard amortizes dataset
+  construction and pickling), submitted asynchronously to a process
+  pool, with per-scenario failure isolation: a raising scenario
+  becomes a failure outcome (``outcome.error`` set) instead of killing
+  the sweep.
+* ``process`` — the sharded pool loop with one shard per scenario and
+  no failure isolation: one task per scenario, fail-fast (the
+  default). A fail-fast abort cancels still-queued scenarios
+  (``cancel_futures``) instead of letting them run to completion
+  behind the caller's back.
 * ``remote`` — the same contract over TCP worker daemons
-  (``repro worker serve``): the grid is sharded across workers, outcome
-  frames stream back as scenarios finish (so ``--stream``/``--resume``
-  work unchanged), scenario failures are isolated worker-side, and a
-  worker that dies mid-shard has its unfinished scenarios rebalanced
-  onto the survivors. See :mod:`repro.sweep.remote` for the wire
-  protocol. CLI: ``--backend remote --workers-at host:port,...``.
+  (``repro worker serve``): the grid is cut into one shard per worker
+  entry, weighted by capacity; outcome frames stream back as scenarios
+  finish (so ``--stream``/``--resume`` work unchanged), scenario
+  failures are isolated worker-side, and a worker that dies mid-shard
+  has its unfinished scenarios rebalanced onto the survivors. See
+  :mod:`repro.sweep.remote` for the wire protocol. CLI: ``--backend
+  remote --workers-at host:port,...``.
 
 Trust and topology (remote fabric)
 ----------------------------------
@@ -54,10 +57,11 @@ roster at sweep start, skips registrants that died (with a warning),
 and backfills workers that join mid-sweep. Sharding is
 capacity-weighted: a ``--capacity 4`` worker receives ~4x the
 scenarios of a capacity-1 worker (:func:`~repro.sweep.backends.
-make_shards` with ``weights``), and rebalancing after a worker death
-respects the survivors' weights. Each outcome records the executing
-worker (``ScenarioOutcome.worker``), so reports expose the
-distribution.
+make_shards` with ``weights``, the one sharding rule every backend
+uses; a repeated static address counts once per entry), and
+rebalancing after a worker death respects the survivors' weights.
+Each outcome records the executing worker
+(``ScenarioOutcome.worker``), so reports expose the distribution.
 
 Structured results
 ------------------

@@ -58,14 +58,19 @@ constraints, corrupt datasets, worker crashes).
 
 Sharding
 --------
-The two pool backends share one loop. :class:`ShardedBackend` chunks
-the grid into per-worker shards and submits **one task per shard**:
-dataset construction and argument pickling are amortized per shard
-(scenarios are grouped by ``(city, profile)`` first so a shard shares
-its worker's dataset cache), and the asynchronous
+Every backend cuts its grid with :func:`make_shards`, one rule for
+all: scenarios are grouped by ``(city, profile)`` so a shard shares
+its worker's dataset cache, then apportioned into contiguous shards by
+weight (largest remainder, weight 1 per shard unless given). Each
+backend only says how many shards it wants. :class:`ShardedBackend`
+asks for one per worker, so shard sizes differ by at most one, and
+submits **one task per shard**: dataset construction and argument
+pickling are amortized per shard, and the asynchronous
 ``submit``/``as_completed`` path lets fast shards return while slow
-ones still run. :class:`ProcessBackend` is the same loop declared with
-one-scenario shards and a shard task that does not isolate failures.
+ones still run. :class:`ProcessBackend` is the same loop asking for
+one shard per scenario, with a shard task that does not isolate
+failures. The remote backend asks for one shard per worker entry,
+weighted by capacity.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator
 
 from repro.core.config import PlannerConfig
@@ -161,63 +166,35 @@ def apportion(n: int, weights) -> list[int]:
     return shares
 
 
-def make_shards(
-    scenarios,
-    n_shards: int,
-    shard_size: "int | None" = None,
-    weights=None,
-):
-    """Chunk ``scenarios`` into shards of ``(index, scenario)`` pairs.
+def make_shards(scenarios, n_shards: int, weights=None):
+    """Cut ``scenarios`` into ``n_shards`` shards of ``(index, scenario)``.
 
     Scenarios are grouped by ``(city, profile)`` (stably, by original
     index within a group) so shards share their worker's per-process
-    dataset cache, then cut into contiguous chunks. ``shard_size``
-    overrides the default ``ceil(n / n_shards)``.
-
-    ``weights`` (one positive number per shard, mutually exclusive
-    with ``shard_size``) switches to capacity-weighted apportionment:
-    exactly ``n_shards`` contiguous shards are returned — shard ``i``
-    belongs to worker ``i`` — with sizes proportional to the weights
-    via :func:`apportion`, so a weight-4 worker receives ~4x the
-    scenarios of a weight-1 worker. Unlike the uniform path, shards
-    may be *empty* (small grid, many workers); callers keep the
-    positional shard-to-worker pairing.
+    dataset cache, then cut into contiguous shards whose sizes
+    :func:`apportion` gives: proportional to ``weights`` (one positive
+    number per shard; default 1 each, so sizes differ by at most one).
+    Exactly ``n_shards`` shards are returned, shard ``i`` sized by
+    ``weights[i]`` (it belongs to worker ``i``), and shards may be
+    *empty* when the grid has fewer scenarios than shards.
     """
-    if weights is not None:
-        weights = list(weights)  # materialize once: generators welcome
-        if shard_size is not None:
-            raise PlanningError(
-                "make_shards takes weights or shard_size, not both "
-                "(weighted apportionment fixes the shard sizes)"
-            )
-        if len(weights) != int(n_shards):
-            raise PlanningError(
-                f"got {len(weights)} weights for {n_shards} shards"
-            )
-    if shard_size is not None and int(shard_size) < 1:
-        raise PlanningError(
-            f"shard_size must be >= 1, got {shard_size} "
-            f"(omit it for ceil(#scenarios / #workers))"
-        )
-    if shard_size is None and int(n_shards) < 1:
+    n_shards = int(n_shards)
+    if n_shards < 1:
         raise PlanningError(f"shard count must be >= 1, got {n_shards}")
+    weights = [1] * n_shards if weights is None else list(weights)
+    if len(weights) != n_shards:
+        raise PlanningError(
+            f"got {len(weights)} weights for {n_shards} shards"
+        )
     indexed = sorted(
         enumerate(scenarios), key=lambda p: (p[1].city, p[1].profile, p[0])
     )
-    n = len(indexed)
-    if weights is not None:
-        shards = []
-        start = 0
-        for size in apportion(n, weights):
-            shards.append(indexed[start:start + size])
-            start += size
-        return shards
-    if n == 0:
-        return []
-    if shard_size is None:
-        shard_size = -(-n // int(n_shards))  # ceil division
-    shard_size = int(shard_size)
-    return [indexed[i:i + shard_size] for i in range(0, n, shard_size)]
+    shards = []
+    start = 0
+    for size in apportion(len(indexed), weights):
+        shards.append(indexed[start:start + size])
+        start += size
+    return shards
 
 
 class ExecutionBackend:
@@ -297,23 +274,19 @@ class SerialBackend(ExecutionBackend):
 class ShardedBackend(ExecutionBackend):
     """Per-worker shards with async submission and failure isolation.
 
-    Large grids are cut into :func:`make_shards` chunks — one task per
-    shard — so dataset construction and pickling are paid per shard, not
+    The grid is cut into one :func:`make_shards` shard per worker, with
+    sizes within one of each other, and each non-empty shard is one
+    task — so dataset construction and pickling are paid per shard, not
     per scenario. Shards are submitted asynchronously and gathered with
     ``as_completed``; a scenario that raises becomes a failure outcome
     (``error`` set) without killing its shard or the sweep. One worker
     (or one shard) runs the shards in-process instead of starting a
-    pool.
-
-    ``shard_size`` fixes the scenarios-per-shard (default:
-    ``ceil(n / workers)``, i.e. exactly one shard per worker). A
-    shard's outcomes arrive together, in shard order, when its task
-    completes.
+    pool. A shard's outcomes arrive together, in shard order, when its
+    task completes.
     """
 
     name = "sharded"
     workers: "int | None" = None
-    shard_size: "int | None" = None
     isolate_failures = True
     """Whether a raising scenario becomes a failure outcome, or aborts
     the sweep (the ``process`` declaration)."""
@@ -323,9 +296,16 @@ class ShardedBackend(ExecutionBackend):
             return 1
         return _auto_workers(n_scenarios, self.workers)
 
+    def _shard_count(self, n_scenarios: int, n_workers: int) -> int:
+        """How many shards :meth:`outcomes` cuts: one per worker."""
+        return n_workers
+
     def outcomes(self, scenarios, base_config=None, cache_dir=None):
+        if not scenarios:
+            return
         n_workers = self.effective_workers(len(scenarios))
-        shards = make_shards(scenarios, n_workers, self.shard_size)
+        n_shards = self._shard_count(len(scenarios), n_workers)
+        shards = [shard for shard in make_shards(scenarios, n_shards) if shard]
         args = (base_config, cache_dir, self.isolate_failures)
         if n_workers <= 1 or len(shards) <= 1:
             for shard in shards:
@@ -351,15 +331,18 @@ class ShardedBackend(ExecutionBackend):
 class ProcessBackend(ShardedBackend):
     """One task per scenario over a process pool; fail-fast; the default.
 
-    A declaration over the :class:`ShardedBackend` loop: every shard is
-    a single scenario, and the shard task lets a raising scenario
+    A declaration over the :class:`ShardedBackend` loop: it cuts one
+    shard per scenario, and the shard task lets a raising scenario
     propagate, so the sweep aborts and the still-queued scenarios are
     cancelled. ``workers`` is its only setting.
     """
 
     name = "process"
-    shard_size: "int | None" = field(default=1, init=False)
     isolate_failures = False
+
+    def _shard_count(self, n_scenarios: int, n_workers: int) -> int:
+        """One shard per scenario."""
+        return n_scenarios
 
 
 BACKENDS = {

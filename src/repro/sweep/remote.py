@@ -67,9 +67,9 @@ Worker topology
 ---------------
 Workers are found one of two ways:
 
-* **Static addresses** (``--workers-at host:port,...``) — the PR 4
-  path, unchanged; every address gets weight 1 unless explicit
-  ``weights`` are supplied (repeating an address still works).
+* **Static addresses** (``--workers-at host:port,...``) — every
+  entry weighs 1, so repeating an address is how a daemon is weighted
+  (``a,b,b`` gives ``b`` two shares).
 * **Registry discovery** (``--registry host:port`` or
   ``--registry path.json``) — workers register themselves (heartbeat
   with capacity, cache-dir fingerprint, and protocol version; see
@@ -81,14 +81,13 @@ Workers are found one of two ways:
   ``registry_grace`` seconds before giving up, so a replacement
   worker can still rescue it.
 
-**Capacity-weighted sharding:** the initial distribution cuts the grid
-into one contiguous shard per worker with sizes proportional to worker
-weight (a ``--capacity 4`` worker receives ~4x the scenarios of a
-capacity-1 worker); work requeued by a dead worker is pulled by the
-survivors in chunks proportional to their share of the surviving
-weight. An explicit ``shard_size`` switches to uniform fine-grained
-chunks pulled from a shared queue (tighter rebalancing, more round
-trips) and disables the weighted initial split.
+**Capacity-weighted sharding:** the grid is cut by
+:func:`~repro.sweep.backends.make_shards`, the rule every backend
+shares, into one contiguous shard per worker entry with sizes
+proportional to its weight (a ``--capacity 4`` worker receives ~4x the
+scenarios of a capacity-1 worker); work requeued by a dead worker is
+pulled by the survivors in chunks proportional to their share of the
+surviving weight.
 
 Failure semantics and rebalancing
 ---------------------------------
@@ -969,18 +968,16 @@ class _WorkQueue:
 
     Work reaches drivers two ways: each worker's capacity-weighted
     *initial shard* is handed to its driver directly (those shards are
-    pre-counted via ``initial_active``), and everything else — work
-    requeued by a dead worker, or the whole grid when a fine-grained
-    ``chunk_size`` is set — sits in ``pending`` and is pulled by
-    :meth:`get` in chunks proportional to the puller's share of the
-    surviving weight. ``get`` blocks while the queue is empty but some
-    worker is still mid-shard — that worker's death may requeue its
-    leftovers — and returns ``None`` once no work can ever arrive again,
-    or once :meth:`drain` has closed the queue.
+    pre-counted via ``initial_active``), and work requeued by a dead
+    worker sits in ``pending`` and is pulled by :meth:`get` in chunks
+    proportional to the puller's share of the surviving weight. ``get``
+    blocks while the queue is empty but some worker is still mid-shard
+    — that worker's death may requeue its leftovers — and returns
+    ``None`` once no work can ever arrive again, or once :meth:`drain`
+    has closed the queue.
     """
 
-    def __init__(self, pending, chunk_size=None, initial_active=0):
-        self._chunk_size = None if chunk_size is None else int(chunk_size)
+    def __init__(self, pending, initial_active=0):
         self._state: Guarded[_QueueState] = Guarded(
             _QueueState(pending=list(pending), active=int(initial_active))
         )
@@ -1002,15 +999,13 @@ class _WorkQueue:
                 if state.closed:
                     return None
                 if state.pending:
-                    take = self._chunk_size
-                    if take is None:
-                        weight = state.weights.get(worker_id, 1)
-                        total = sum(state.weights.values()) or weight
-                        # Ceil of this worker's weighted share of what is
-                        # pending: a capacity-4 survivor absorbs ~4x a
-                        # capacity-1 survivor's part of a dead worker's
-                        # requeued scenarios.
-                        take = max(1, -(-len(state.pending) * weight // total))
+                    weight = state.weights.get(worker_id, 1)
+                    total = sum(state.weights.values()) or weight
+                    # Ceil of this worker's weighted share of what is
+                    # pending: a capacity-4 survivor absorbs ~4x a
+                    # capacity-1 survivor's part of a dead worker's
+                    # requeued scenarios.
+                    take = max(1, -(-len(state.pending) * weight // total))
                     chunk = state.pending[:take]
                     del state.pending[:take]
                     state.active += 1
@@ -1053,8 +1048,8 @@ class _BackendRoster:
 class RemoteBackend(ExecutionBackend):
     """Execute a sweep on ``repro worker serve`` daemons over TCP.
 
-    Workers come from static ``addresses`` (optionally with parallel
-    integer ``weights``; default weight 1 each) or from a ``registry``
+    Workers come from static ``addresses`` (weight 1 per entry; repeat
+    an address to weight it) or from a ``registry``
     (a ``host:port`` / ``path.json`` spec or a ready
     :class:`~repro.sweep.registry.Registry`), which is queried at run
     start — dead registrants ping-checked and skipped with a warning —
@@ -1063,13 +1058,11 @@ class RemoteBackend(ExecutionBackend):
     (see :func:`load_secret`).
 
     The grid's initial distribution is one contiguous
-    :func:`~repro.sweep.backends.make_shards` shard per worker, sized
-    proportionally to worker weight; each worker streams outcome
+    :func:`~repro.sweep.backends.make_shards` shard per worker entry,
+    sized proportionally to its weight; each worker streams outcome
     frames back as its scenarios finish, and every outcome is stamped
-    with the executing worker (``ScenarioOutcome.worker``).
-    ``shard_size`` switches to uniform queue-pulled chunks (tighter
-    rebalancing at the cost of more round-trips, no weighted split).
-    Driver threads hand outcomes to :meth:`outcomes` through a queue,
+    with the executing worker (``ScenarioOutcome.worker``). Driver
+    threads hand outcomes to :meth:`outcomes` through a queue,
     and it yields them on the consumer's thread, so
     ``--stream``/``--resume`` work unchanged. Scenario failures are
     isolated worker-side; a worker that dies mid-shard has its
@@ -1089,8 +1082,6 @@ class RemoteBackend(ExecutionBackend):
     #: :attr:`ExecutionBackend.uses_parent_cache`).
     uses_parent_cache = False
     addresses: tuple = ()
-    weights: tuple = ()
-    shard_size: "int | None" = None
     connect_timeout: float = 10.0
     secret: "bytes | None" = None
     registry: object = None
@@ -1106,23 +1097,6 @@ class RemoteBackend(ExecutionBackend):
                 "pass either static worker addresses or a registry, "
                 "not both"
             )
-        if self.weights:
-            if self.registry is not None:
-                raise PlanningError(
-                    "explicit weights only apply to static addresses; "
-                    "registry workers advertise their own capacity"
-                )
-            weights = tuple(int(w) for w in self.weights)
-            if len(weights) != len(self.addresses):
-                raise PlanningError(
-                    f"got {len(weights)} weights for "
-                    f"{len(self.addresses)} worker addresses"
-                )
-            if any(w < 1 for w in weights):
-                raise PlanningError(
-                    f"worker weights must be >= 1, got {weights}"
-                )
-            self.weights = weights
         self._registry_client: "Registry | None" = None
         if self.registry is not None:
             from repro.sweep.registry import resolve_registry
@@ -1241,8 +1215,7 @@ class RemoteBackend(ExecutionBackend):
                 "addresses=['host:port', ...] or registry=..."
             )
         else:
-            weights = self.weights or (1,) * len(self.addresses)
-            roster = tuple(zip(self.addresses, weights))
+            roster = tuple((address, 1) for address in self.addresses)
         with self._roster as cached:
             cached.workers = roster
         return roster
@@ -1256,27 +1229,14 @@ class RemoteBackend(ExecutionBackend):
         n = len(scenarios)
         if n == 0:
             return
-        if self.shard_size is None:
-            # Capacity-weighted initial distribution: one contiguous
-            # shard per worker, sized by weight (may be empty for tiny
-            # grids); rebalanced leftovers flow through the queue.
-            initial = make_shards(
-                scenarios, len(roster), weights=[w for _, w in roster]
-            )
-            pending = []
-        else:
-            # Fine-grained mode: everything is pulled from the queue in
-            # uniform shard_size chunks (the PR 4 semantics).
-            initial = [[] for _ in roster]
-            pending = [
-                pair
-                for shard in make_shards(scenarios, len(roster), self.shard_size)
-                for pair in shard
-            ]
+        # One contiguous shard per worker entry, sized by weight (may be
+        # empty for tiny grids); rebalanced leftovers flow through the
+        # queue.
+        initial = make_shards(
+            scenarios, len(roster), weights=[w for _, w in roster]
+        )
         work = _WorkQueue(
-            pending,
-            chunk_size=self.shard_size,
-            initial_active=sum(1 for shard in initial if shard),
+            [], initial_active=sum(1 for shard in initial if shard)
         )
         events: "queue.Queue[tuple]" = queue.Queue()
         threads: list = []

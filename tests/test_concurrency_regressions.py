@@ -105,7 +105,7 @@ class TestHeartbeatLastErrorCrossThread:
 class TestWorkQueueRequeueUnderContention:
     def test_dead_workers_chunk_is_redone_exactly_once(self):
         items = list(range(60))
-        queue = _WorkQueue(list(items), chunk_size=None, initial_active=0)
+        queue = _WorkQueue(list(items), initial_active=0)
         for worker_id, weight in (("a", 1), ("b", 2), ("c", 4)):
             queue.add_worker(worker_id, weight)
 
@@ -148,7 +148,7 @@ class TestWorkQueueRequeueUnderContention:
         assert queue.drain() == []
 
     def test_get_returns_none_for_every_late_puller(self):
-        queue = _WorkQueue([1, 2, 3], chunk_size=3, initial_active=0)
+        queue = _WorkQueue([1, 2, 3], initial_active=0)
         queue.add_worker("a", 1)
         assert queue.get("a") == [1, 2, 3]
         queue.task_done()

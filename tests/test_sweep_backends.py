@@ -101,7 +101,7 @@ class TestResolveBackend:
         assert isinstance(resolve_backend("sharded", workers=3), ShardedBackend)
 
     def test_instance_passthrough(self):
-        backend = ShardedBackend(workers=5, shard_size=2)
+        backend = ShardedBackend(workers=5)
         assert resolve_backend(backend) is backend
 
     def test_unknown_name_rejected(self):
@@ -148,23 +148,9 @@ class TestWorkerValidation:
         with pytest.raises(PlanningError, match="must be >= 1"):
             ShardedBackend(workers=workers).effective_workers(5)
 
-    @pytest.mark.parametrize("shard_size", [0, -2])
-    def test_make_shards_rejects_nonpositive_shard_size(
-        self, grid_scenarios, shard_size
-    ):
-        with pytest.raises(PlanningError, match="shard_size must be >= 1"):
-            make_shards(grid_scenarios, 2, shard_size=shard_size)
-
     def test_make_shards_rejects_nonpositive_shard_count(self, grid_scenarios):
         with pytest.raises(PlanningError, match="shard count must be >= 1"):
             make_shards(grid_scenarios, 0)
-
-    def test_sharded_backend_shard_size_zero_raises_not_tracebacks(
-        self, grid_scenarios, tmp_path
-    ):
-        backend = ShardedBackend(workers=2, shard_size=0)
-        with pytest.raises(PlanningError, match="shard_size"):
-            backend.run(grid_scenarios, BASE, str(tmp_path))
 
     def test_runner_surfaces_worker_validation(self, grid_scenarios, tmp_path):
         runner = SweepRunner(
@@ -187,8 +173,10 @@ class TestMakeShards:
         assert {len(s) for s in shards} == {3}
 
     def test_explicit_shard_size(self, grid_scenarios):
-        shards = make_shards(grid_scenarios, 2, shard_size=2)
-        assert [len(s) for s in shards] == [2, 2, 2]
+        # Unweighted shards differ by at most one scenario; the first
+        # shards take the remainder.
+        shards = make_shards(grid_scenarios, 4)
+        assert [len(s) for s in shards] == [2, 2, 1, 1]
 
     def test_groups_by_dataset(self):
         scenarios = [
@@ -203,7 +191,7 @@ class TestMakeShards:
         assert cities == [["chicago", "chicago"], ["nyc", "nyc"]]
 
     def test_empty(self):
-        assert make_shards([], 4) == []
+        assert make_shards([], 4) == [[], [], [], []]
 
 
 class TestWeightedShards:
@@ -247,10 +235,6 @@ class TestWeightedShards:
         shards = make_shards(self._grid(2), 3, weights=[1, 2, 4])
         assert len(shards) == 3
         assert [len(s) for s in shards] == [0, 1, 1]
-
-    def test_weights_and_shard_size_mutually_exclusive(self):
-        with pytest.raises(PlanningError, match="not both"):
-            make_shards(self._grid(4), 2, shard_size=2, weights=[1, 1])
 
     def test_weight_count_must_match_shard_count(self):
         with pytest.raises(PlanningError, match="2 weights for 3"):
@@ -409,7 +393,7 @@ class TestFailFastAbort:
             "queued scenarios ran to completion after a fail-fast abort"
         )
 
-    def test_sharded_abort_on_broken_callback_cancels_queue(
+    def test_process_abort_on_broken_callback_cancels_queue(
         self, tmp_path, monkeypatch
     ):
         import repro.sweep.backends as backends_mod
@@ -422,7 +406,7 @@ class TestFailFastAbort:
         def broken_transport(index, outcome):
             raise OSError("stream transport gone")
 
-        backend = ShardedBackend(workers=2, shard_size=1)
+        backend = ProcessBackend(workers=2)
         with pytest.raises(OSError, match="transport"):
             backend.run(
                 scenarios, BASE, str(tmp_path), on_outcome=broken_transport

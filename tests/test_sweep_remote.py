@@ -683,19 +683,18 @@ class TestWeightedSharding:
     def test_static_weights_shape_the_distribution(
         self, grid_scenarios, cache_dir, serial_outcomes
     ):
-        """Capacities [1, 2] over 6 scenarios: the heavier worker gets
-        exactly twice the scenarios, and results stay bit-identical."""
+        """Addresses [light, heavy, heavy] over 6 scenarios: the repeated
+        worker weighs 2 and gets exactly twice the scenarios, and
+        results stay bit-identical."""
         from collections import Counter
 
         servers = start_workers(cache_dir, n=2)
         try:
-            backend = RemoteBackend(
-                addresses=addresses_of(servers), weights=(1, 2)
-            )
+            light, heavy = addresses_of(servers)
+            backend = RemoteBackend(addresses=[light, heavy, heavy])
             outcomes = backend.run(grid_scenarios, BASE, None)
             assert_results_identical(outcomes, serial_outcomes)
             counts = Counter(o.worker for o in outcomes)
-            light, heavy = addresses_of(servers)
             assert counts == {light: 2, heavy: 4}
         finally:
             for server in servers:
@@ -712,24 +711,17 @@ class TestWeightedSharding:
         assert {r["worker"] for r in run.records} <= set(addresses_of(workers))
         assert all(r["worker"] for r in run.records)
 
-    def test_weights_must_match_addresses(self):
-        with pytest.raises(PlanningError, match="weights"):
-            RemoteBackend(addresses=("h:1", "i:2"), weights=(1,))
-
-    def test_nonpositive_weight_rejected(self):
-        with pytest.raises(PlanningError, match=">= 1"):
-            RemoteBackend(addresses=("h:1", "i:2"), weights=(1, 0))
-
     def test_dead_heavy_worker_rebalances_onto_light_survivor(
         self, grid_scenarios, cache_dir, serial_outcomes
     ):
-        """The weight-4 worker dies after one frame; the weight-1
-        survivor absorbs the requeued scenarios bit-identically."""
+        """The dying worker, listed four times (weight 4), drops each
+        connection after one frame; the weight-1 survivor absorbs the
+        requeued scenarios bit-identically."""
         dying = start_workers(cache_dir, n=1, fail_after_frames=1)[0]
         healthy = start_workers(cache_dir, n=1)[0]
         try:
             backend = RemoteBackend(
-                addresses=addresses_of([dying, healthy]), weights=(4, 1)
+                addresses=addresses_of([dying] * 4 + [healthy])
             )
             outcomes = backend.run(grid_scenarios, BASE, None)
             assert_results_identical(outcomes, serial_outcomes)
