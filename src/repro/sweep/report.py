@@ -29,9 +29,9 @@ import sys
 from dataclasses import dataclass, field
 
 from repro.core.result import PlanResult
-from repro.utils.errors import DataError
+from repro.utils.errors import DataError, ValidationError
 from repro.utils.fsio import atomic_write_text
-from repro.utils.wire import Record, to_wire
+from repro.utils.wire import Record, from_wire, to_wire
 
 SCHEMA_VERSION = 1
 """Bump on backwards-incompatible changes to the report/stream layout.
@@ -60,6 +60,41 @@ def _result_record(result) -> dict:
     return record
 
 
+@dataclass(frozen=True)
+class ScenarioRecord(Record):
+    """One scenario's report record (see :func:`scenario_record`).
+
+    Encoded and decoded by :mod:`repro.utils.wire`. Besides the field
+    types, it refuses an ``ok`` that disagrees with ``error``: a failed
+    scenario carries its error, a successful one none.
+    """
+
+    name: str
+    city: str
+    profile: str
+    method: str
+    route_count: int
+    seed: "int | None"
+    overrides: dict
+    constraints: "dict | None"
+    ok: bool
+    error: "str | None"
+    cache_hit: "bool | None"
+    worker: "str | None"
+    precompute_s: float
+    total_s: float
+    results: "tuple[dict, ...]"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.ok != (self.error is None):
+            raise ValidationError(
+                f"field 'ok' is {self.ok} but field 'error' is "
+                f"{self.error!r}; 'ok' must be true exactly when "
+                f"'error' is null"
+            )
+
+
 def scenario_record(outcome) -> dict:
     """One :class:`ScenarioOutcome` as a JSON-safe dict.
 
@@ -68,26 +103,26 @@ def scenario_record(outcome) -> dict:
     scenario it asked for, succeeded or not.
     """
     scenario = outcome.scenario
-    return {
-        "name": scenario.name,
-        "city": scenario.city,
-        "profile": scenario.profile,
-        "method": scenario.method,
-        "route_count": scenario.route_count,
-        "seed": scenario.seed,
-        "overrides": dict(scenario.overrides),
-        "constraints": (
+    return to_wire(ScenarioRecord(
+        name=scenario.name,
+        city=scenario.city,
+        profile=scenario.profile,
+        method=scenario.method,
+        route_count=scenario.route_count,
+        seed=scenario.seed,
+        overrides=dict(scenario.overrides),
+        constraints=(
             None if scenario.constraints is None
             else to_wire(scenario.constraints)
         ),
-        "ok": outcome.ok,
-        "error": outcome.error,
-        "cache_hit": outcome.cache_hit,
-        "worker": outcome.worker,
-        "precompute_s": round(float(outcome.precompute_s), 6),
-        "total_s": round(float(outcome.total_s), 6),
-        "results": [_result_record(r) for r in outcome.results],
-    }
+        ok=outcome.ok,
+        error=outcome.error,
+        cache_hit=outcome.cache_hit,
+        worker=outcome.worker,
+        precompute_s=round(float(outcome.precompute_s), 6),
+        total_s=round(float(outcome.total_s), 6),
+        results=tuple(_result_record(r) for r in outcome.results),
+    ))
 
 
 def _cache_block(cache_dir, hits: int, misses: int) -> "dict | None":
@@ -244,41 +279,25 @@ def summary_record(
 # The outcome payload: a lossless ScenarioOutcome on the wire
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class OutcomeRecord(Record):
+class OutcomeRecord(ScenarioRecord):
     """A :class:`ScenarioOutcome` as one wire payload.
 
     Encoded and decoded by :mod:`repro.utils.wire`. The payload is a
-    :func:`scenario_record` (so transports and humans read it like any
+    :class:`ScenarioRecord` (so transports and humans read it like any
     stream line) plus ``schema`` and ``results_wire``, the lossless twin
     of ``results``: every :class:`PlanResult` field at full precision —
     JSON floats round-trip exactly — so a rebuilt result is
     bit-identical to the original. ``precomputation`` never travels
     (same rule as worker processes in the pool backends).
 
-    Write-only fields travel for whoever reads the payload as a stream
-    record; :meth:`outcome` does not use them. Each is marked below with
-    its reason.
+    Some inherited fields are write-only: they travel for whoever reads
+    the payload as a stream record, and :meth:`outcome` does not use
+    them. The scenario's identity (``name`` to ``constraints``) is
+    rebuilt by the parent from its own resolved Scenario, ``ok`` is
+    ``error is None``, and ``results`` is the rounded report form of
+    ``results_wire``.
     """
 
-    # Write-only: the scenario's identity. The parent rebuilds
-    # ``outcome.scenario`` from its own resolved Scenario.
-    name: str
-    city: str
-    profile: str
-    method: str
-    route_count: int
-    seed: "int | None"
-    overrides: dict
-    constraints: "dict | None"
-    # Write-only: ``ok`` is ``error is None``.
-    ok: bool
-    error: "str | None"
-    cache_hit: "bool | None"
-    worker: "str | None"
-    precompute_s: float
-    total_s: float
-    # Write-only: the rounded report form of ``results_wire``.
-    results: "tuple[dict, ...]"
     schema: int
     results_wire: "tuple[PlanResult, ...]"
 
@@ -419,10 +438,15 @@ def read_stream(path: str, missing_ok: bool = False) -> StreamRecords:
     unterminated tail is the signature of a killed run: it is dropped
     (``truncated=True``) and excluded from ``valid_bytes``, so a resume
     overwrites it in place. A *terminated* line that is not valid JSON,
-    or a scenario record whose ``schema`` does not match
-    :data:`SCHEMA_VERSION`, raises :class:`DataError` — those are
-    corruption or incompatibility, not interruption. Record kinds other
-    than ``scenario``/``summary`` are skipped for forward compatibility.
+    a scenario record whose ``schema`` does not match
+    :data:`SCHEMA_VERSION`, or one whose other fields do not decode as a
+    :class:`ScenarioRecord` (a missing ``ok``, a string where a bool
+    belongs, an ``ok`` that disagrees with ``error``) or whose ``key``
+    or ``cache_key`` is neither a string nor null raises
+    :class:`DataError` naming the file and line — those are corruption
+    or incompatibility, not interruption, and ``--resume`` must not
+    replay them. Record kinds other than ``scenario``/``summary`` are
+    skipped for forward compatibility.
 
     A stream with scenario records but **no** ``summary``
     (``summary is None``) is an *interrupted* run, not a corrupt one —
@@ -469,6 +493,22 @@ def read_stream(path: str, missing_ok: bool = False) -> StreamRecords:
                         f"stream file {path!r} line {lineno} has schema "
                         f"{schema!r}; this build reads schema {SCHEMA_VERSION}"
                     )
+                try:
+                    from_wire(ScenarioRecord, {
+                        k: v for k, v in record.items()
+                        if k not in _STREAM_ENVELOPE
+                    })
+                    for name in ("key", "cache_key"):
+                        value = record.get(name)
+                        if not isinstance(value, (str, type(None))):
+                            raise DataError(
+                                f"field {name!r} must be a string or null, "
+                                f"got {value!r:.60}"
+                            )
+                except DataError as exc:
+                    raise DataError(
+                        f"stream file {path!r} line {lineno}: {exc}"
+                    ) from None
                 out.scenarios.append(record)
             elif kind == RECORD_SUMMARY:
                 out.summary = record

@@ -406,6 +406,36 @@ class TestStreamFlags:
         )) == 0
         assert "(2 replayed)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("line, edit, field", [
+        (1, lambda record: record.pop("ok"), "'ok'"),
+        (2, lambda record: record.update(ok="false", error="boom"), "'ok'"),
+        (2, lambda record: record.update(ok=True, error="boom"), "'ok'"),
+        (1, lambda record: record.update(key=["k"]), "'key'"),
+    ], ids=["missing-ok", "string-ok", "ok-with-error", "list-key"])
+    def test_resume_refuses_a_malformed_committed_record(
+        self, tmp_path, capsys, line, edit, field
+    ):
+        """A committed record that does not decode is corruption, not
+        resume currency: exit 2 naming the file, line and field, with
+        nothing run and the stream left byte-identical."""
+        stream = tmp_path / "out.jsonl"
+        args = self._args(tmp_path, ["--stream", str(stream)])
+        args[args.index("--weights") + 1] = "0.4,0.5,0.6"
+        assert main(args) == 0
+        lines = stream.read_text().splitlines()[:2]
+        record = json.loads(lines[line - 1])
+        edit(record)
+        lines[line - 1] = json.dumps(record)
+        stream.write_text("\n".join(lines) + "\n")
+        before = stream.read_bytes()
+        capsys.readouterr()
+        assert main([*args, "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert f"stream file {str(stream)!r} line {line}:" in err
+        assert field in err
+        assert "resume:" not in err and "[1/" not in err  # nothing ran
+        assert stream.read_bytes() == before
+
     def test_nonpositive_workers_exits_2(self, tmp_path, capsys):
         for workers in ("0", "-2"):
             args = [a for a in self._args(tmp_path)]
