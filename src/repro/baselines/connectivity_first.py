@@ -93,8 +93,8 @@ def greedy_connectivity_edges(
             break
         chosen.append(best_idx)
         chosen_pairs.append(universe.edge(best_idx).pair)
-    total = estimator.estimate(builder.extended(chosen_pairs)) - base_value
-    return chosen, max(total, 0.0)
+    total = pre.connectivity_gains([chosen_pairs], batched=False)[0]
+    return chosen, float(total)
 
 
 def connectivity_first_route(

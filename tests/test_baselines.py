@@ -90,6 +90,13 @@ class TestConnectivityFirst:
             random_total.append(inc)
         assert total >= np.mean(random_total) - 1e-6
 
+    def test_total_is_the_shared_connectivity_gain(self, small_pre):
+        """The reported total is O_lambda of the chosen edges as
+        connectivity_gains computes it, bit for bit."""
+        chosen, total = greedy_connectivity_edges(small_pre, l_edges=4, shortlist=20)
+        pairs = [small_pre.universe.edge(i).pair for i in chosen]
+        assert total == small_pre.connectivity_gains([pairs], batched=False)[0]
+
     def test_stitched_route_not_smooth(self, small_pre):
         """Figure 6's point: the stitched route needs long connectors."""
         result = connectivity_first_route(small_pre, l_edges=5, shortlist=20)
