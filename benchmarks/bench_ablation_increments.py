@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import bench_config, get_dataset, report
-from repro.core.eta_pre import run_eta_pre
 from repro.core.objective import PrecomputedStrategy
+from repro.core.planner import run_method
 from repro.core.precompute import compute_edge_increments, precompute
 from repro.spectral.connectivity import natural_connectivity_exact
 from repro.utils.prng import child_rng
@@ -51,8 +51,8 @@ def run_ablation(city: str = "chicago") -> dict:
     exact_vals = pre_exact.universe.delta[new_idx]
     sketch_vals = pre_sketch.universe.delta[new_idx]
 
-    res_exact = run_eta_pre(pre_exact)
-    res_sketch = run_eta_pre(pre_sketch)
+    res_exact = run_method(pre_exact, "eta-pre")
+    res_sketch = run_method(pre_sketch, "eta-pre")
     # Score the sketch-planned route under the *exact-mode* objective to
     # measure real quality loss.
     exact_strategy = PrecomputedStrategy(pre_exact)

@@ -13,14 +13,13 @@ from repro.bench.harness import (
     BENCH_ETA_ITERATIONS,
     BOROUGHS,
     bench_config,
+    eta_capped,
     get_dataset,
     get_precomputation,
     report,
 )
-from repro.core.eta import run_eta
-from repro.core.eta_pre import run_eta_pre
-from repro.core.precompute import precompute, rebind
-from repro.baselines.demand_first import run_vk_tsp
+from repro.core.planner import run_method
+from repro.core.precompute import precompute
 from repro.eval.metrics import evaluate_planned_route
 from repro.spectral.bounds import (
     estrada_upper_bound,
@@ -86,12 +85,6 @@ PAPER_TABLE7 = {
     40: (31967.53, 88.32, 16671.96, 41.13),
     50: (32435.84, 94.14, 16686.87, 44.97),
 }
-
-
-def capped_eta(pre):
-    """Online ETA with the benchmark iteration cap (see harness docs)."""
-    capped = rebind(pre, pre.config.variant(max_iterations=BENCH_ETA_ITERATIONS))
-    return run_eta(capped)
 
 
 # ----------------------------------------------------------------------
@@ -306,9 +299,9 @@ def table5_datasets() -> dict:
 def _method_rows(pre) -> dict[str, dict]:
     out = {}
     runs = {
-        "eta": capped_eta(pre),
-        "eta-pre": run_eta_pre(pre),
-        "vk-tsp": run_vk_tsp(pre),
+        "eta": run_method(eta_capped(pre), "eta"),
+        "eta-pre": run_method(pre, "eta-pre"),
+        "vk-tsp": run_method(pre, "vk-tsp"),
     }
     for name, res in runs.items():
         if res.route is None:

@@ -10,13 +10,12 @@ import numpy as np
 
 from repro.baselines.connectivity_first import connectivity_first_route
 from repro.bench.harness import (
-    BENCH_ETA_ITERATIONS,
+    eta_capped,
     get_dataset,
     get_precomputation,
     report,
 )
-from repro.core.eta import run_eta, run_eta_all
-from repro.core.eta_pre import run_eta_pre
+from repro.core.planner import run_method
 from repro.core.precompute import rebind
 from repro.eval.metrics import evaluate_planned_route
 from repro.spectral.connectivity import NaturalConnectivityEstimator
@@ -134,7 +133,7 @@ def fig4_top_edges(city: str, top_n: int = 1000, points: int = 12) -> dict:
 def fig6_connectivity_first(city: str, l_edges: int = 10) -> dict:
     pre = get_precomputation(city)
     cf = connectivity_first_route(pre, l_edges=l_edges, shortlist=40)
-    smooth = run_eta_pre(pre)
+    smooth = run_method(pre, "eta-pre")
     rows = [
         ["#discrete edges chosen", l_edges, "-"],
         ["total connectivity increment", round(cf.total_increment, 4),
@@ -198,7 +197,7 @@ def fig7_route_maps(cities, w: float = 0.5) -> dict:
         pre = get_precomputation(city)
         if w != pre.config.w:
             pre = rebind(pre, pre.config.variant(w=w))
-        res = run_eta_pre(pre)
+        res = run_method(pre, "eta-pre")
         results[city] = res
         ev = evaluate_planned_route(pre, res.route) if res.route else None
         header = (
@@ -219,7 +218,7 @@ def fig8_weight_extremes(city: str = "chicago") -> dict:
     rows = []
     for w in (1.0, 0.0):
         swept = rebind(pre, pre.config.variant(w=w))
-        res = run_eta_pre(swept)
+        res = run_method(swept, "eta-pre")
         ev = evaluate_planned_route(swept, res.route) if res.route else None
         results[w] = (res, ev)
         rows.append([
@@ -247,11 +246,11 @@ def fig8_weight_extremes(city: str = "chicago") -> dict:
 # ----------------------------------------------------------------------
 def fig9_convergence(city: str) -> dict:
     pre = get_precomputation(city)
-    capped = rebind(pre, pre.config.variant(max_iterations=BENCH_ETA_ITERATIONS))
+    capped = eta_capped(pre)
     runs = {
-        "eta": run_eta(capped),
-        "eta-pre": run_eta_pre(pre),
-        "eta-all": run_eta_all(capped),
+        "eta": run_method(capped, "eta"),
+        "eta-pre": run_method(pre, "eta-pre"),
+        "eta-all": run_method(capped, "eta-all"),
     }
     rows = []
     for name, res in runs.items():

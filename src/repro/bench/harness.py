@@ -15,7 +15,7 @@ import functools
 import os
 
 from repro.core.config import PlannerConfig
-from repro.core.precompute import Precomputation, precompute
+from repro.core.precompute import Precomputation, precompute, rebind
 from repro.data.datasets import Dataset, borough_like, chicago_like, nyc_like
 from repro.utils.fsio import atomic_write_text
 
@@ -29,6 +29,12 @@ The paper runs 100k iterations against a MATLAB kernel; our pure-Python
 online evaluator is ~50-100x slower per iteration, so benchmarks cap it.
 ETA-Pre (the paper's recommended planner) uses the full budget.
 """
+
+
+def eta_capped(pre: Precomputation) -> Precomputation:
+    """``pre`` rebound to the online-ETA cap, :data:`BENCH_ETA_ITERATIONS`."""
+    return rebind(pre, pre.config.variant(max_iterations=BENCH_ETA_ITERATIONS))
+
 
 _REPORTS: dict[str, str] = {}
 

@@ -8,8 +8,10 @@ Entry points:
 
 * :class:`~repro.core.planner.CTBusPlanner` — facade over all variants,
 * :func:`~repro.core.precompute.precompute` — the shared pre-computation,
-* :func:`~repro.core.eta.run_eta` / :func:`~repro.core.eta_pre.run_eta_pre`
-  — the two planners of Sections 4-6.
+* :func:`~repro.core.planner.run_method` — the one door into the search:
+  ETA, ETA-Pre, ETA-ALL and vk-TSP are rows of
+  :data:`~repro.core.planner.METHOD_TABLE` (a strategy and config
+  overrides over the one Algorithm 1 engine).
 """
 
 from repro.core.bounds import RankedList, initial_bound, rescan_bound, update_bound
@@ -17,10 +19,15 @@ from repro.core.candidate import Candidate, seed_candidate
 from repro.core.config import PlannerConfig
 from repro.core.constraints import PlanningConstraints
 from repro.core.edges import EdgeUniverse, PlanEdge
-from repro.core.eta import ExpansionEngine, run_eta, run_eta_all
-from repro.core.eta_pre import run_eta_pre
+from repro.core.eta import ExpansionEngine
 from repro.core.objective import OnlineStrategy, PrecomputedStrategy
-from repro.core.planner import METHODS, CTBusPlanner
+from repro.core.planner import (
+    CONSTRAINED_METHODS,
+    METHOD_TABLE,
+    METHODS,
+    CTBusPlanner,
+    run_method,
+)
 from repro.core.precompute import (
     Precomputation,
     compute_edge_increments,
@@ -42,13 +49,13 @@ __all__ = [
     "EdgeUniverse",
     "PlanEdge",
     "ExpansionEngine",
-    "run_eta",
-    "run_eta_all",
-    "run_eta_pre",
     "OnlineStrategy",
     "PrecomputedStrategy",
+    "CONSTRAINED_METHODS",
+    "METHOD_TABLE",
     "METHODS",
     "CTBusPlanner",
+    "run_method",
     "Precomputation",
     "compute_edge_increments",
     "precompute",

@@ -19,7 +19,10 @@ follows:
   (Alg. 1 line 5).
 
 The difference between ETA and ETA-Pre is entirely in the injected
-:mod:`~repro.core.objective` strategy.
+:mod:`~repro.core.objective` strategy. Which strategy and config each
+named method runs with is declared once, in
+:data:`repro.core.planner.METHOD_TABLE`, and
+:func:`repro.core.planner.run_method` is the one door into this engine.
 """
 
 from __future__ import annotations
@@ -346,33 +349,3 @@ class ExpansionEngine:
             pruned_by_bound=pruned_bound,
             pruned_by_domination=pruned_dom,
         )
-
-
-def run_eta(pre: Precomputation) -> PlanResult:
-    """ETA with online Lanczos connectivity evaluation (Sections 4-5)."""
-    return ExpansionEngine(pre, OnlineStrategy(pre)).run()
-
-
-def run_eta_all(pre: Precomputation) -> PlanResult:
-    """ETA-ALL: every edge seeds a breadth-first queue (Fig. 9).
-
-    This is the classical expansion-based traversal framework [58]: no
-    selective seeding and no bound-ordered scanning, hence the slow
-    convergence the paper contrasts against.
-    """
-    all_cfg = pre.config.variant(seed_count=None, queue_discipline="fifo")
-    pre_all = _with_config(pre, all_cfg)
-    result = ExpansionEngine(pre_all, OnlineStrategy(pre_all)).run()
-    result.method = "eta-all"
-    return result
-
-
-def _with_config(pre: Precomputation, config: PlannerConfig) -> Precomputation:
-    """A shallow re-bind of a precomputation to a tweaked config.
-
-    Valid only for changes that do not affect the pre-computed artifacts
-    (seeding size, iteration caps, expansion mode, ...).
-    """
-    from dataclasses import replace
-
-    return replace(pre, config=config)

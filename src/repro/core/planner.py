@@ -1,12 +1,18 @@
-"""High-level planning facade.
+"""High-level planning: the method table and the :class:`CTBusPlanner` facade.
 
-:class:`CTBusPlanner` wraps the dataset + config + precomputation
-lifecycle and exposes every planner variant by name:
+Every planner variant is the one Algorithm 1 traversal of
+:class:`~repro.core.eta.ExpansionEngine`. A method differs only in the
+strategy that scores a candidate and in a few config fields, which
+:data:`METHOD_TABLE` declares:
 
-* ``"eta-pre"`` — pre-computation-accelerated (Section 6, default),
+* ``"eta-pre"`` — pre-computed integrated increments (Section 6, default),
 * ``"eta"`` — online Lanczos evaluation (Sections 4-5),
-* ``"eta-all"`` — all edges as seeds (the Fig. 9 comparison),
-* ``"vk-tsp"`` — demand-first baseline (``w = 1``, new edges only).
+* ``"eta-all"`` — every edge seeds a breadth-first queue (Fig. 9),
+* ``"vk-tsp"`` — demand-first baseline: ``w = 1`` over new edges only
+  (Sec. 7.2.1).
+
+:func:`run_method` is the one door into the search, for the facade,
+the sweep engine, the server and the benchmarks alike.
 
 Multi-route planning (Section 6.3) replans after materializing each
 accepted route and zeroing the demand its edges already serve.
@@ -17,36 +23,78 @@ from __future__ import annotations
 from dataclasses import replace as dataclass_replace
 
 from repro.core.config import PlannerConfig
-from repro.core.eta import run_eta, run_eta_all
-from repro.core.eta_pre import run_eta_pre
-from repro.core.precompute import Precomputation, precompute
+from repro.core.constraints import PlanningConstraints
+from repro.core.eta import ExpansionEngine
+from repro.core.objective import OnlineStrategy, PrecomputedStrategy
+from repro.core.precompute import Precomputation, precompute, rebind
 from repro.core.result import PlannedRoute, PlanResult
 from repro.data.datasets import Dataset
 from repro.utils.errors import PlanningError, ValidationError
 
-METHODS = ("eta-pre", "eta", "eta-all", "vk-tsp")
+METHOD_TABLE: dict[
+    str, tuple[type[OnlineStrategy | PrecomputedStrategy], dict[str, object]]
+] = {
+    "eta-pre": (PrecomputedStrategy, {}),
+    "eta": (OnlineStrategy, {}),
+    # The classical expansion framework: no selective seeding and no
+    # bound-ordered scanning, hence the slow convergence of Fig. 9.
+    "eta-all": (OnlineStrategy, {"seed_count": None, "queue_discipline": "fifo"}),
+    # Demand alone over at most k new edges: the k-TSP variant of
+    # trajectory clustering's refinement step [58].
+    "vk-tsp": (PrecomputedStrategy, {"w": 1.0, "new_edges_only": True}),
+}
+"""Method name -> (strategy class, :class:`PlannerConfig` overrides)."""
+
+METHODS = tuple(METHOD_TABLE)
+
+CONSTRAINED_METHODS = tuple(
+    name for name, (_, overrides) in METHOD_TABLE.items() if not overrides
+)
+"""The methods that take :class:`PlanningConstraints`: a constrained
+replan searches the caller's own config, which a row with overrides
+replaces."""
 
 
-def run_method(pre: Precomputation, method: str) -> PlanResult:
+def check_method(method: str, constrained: bool = False) -> None:
+    """Refuse a method the table lacks, or constraints it does not take."""
+    if method not in METHOD_TABLE:
+        raise PlanningError(f"unknown method {method!r}; choose from {METHODS}")
+    if constrained and method not in CONSTRAINED_METHODS:
+        raise PlanningError(
+            f"constrained planning supports {CONSTRAINED_METHODS}, got {method!r}"
+        )
+
+
+def run_method(
+    pre: Precomputation,
+    method: str,
+    constraints: "PlanningConstraints | None" = None,
+) -> PlanResult:
     """Run one planner variant against a prepared precomputation.
 
-    The single dispatch point shared by :meth:`CTBusPlanner.plan` and
-    the sweep engine, so both are guaranteed to agree method-for-method.
+    A row with config overrides runs on a :func:`rebind` of ``pre`` and
+    its ``objective``, ``o_d_normalized`` and ``o_lambda_normalized``
+    are re-reported under the caller's ``w`` and normalizers, so every
+    method's result is comparable (the paper's Table 6 columns).
+    ``constraints`` turns the run into an interactive replan (Sec.
+    7.3.2): a stop or edge id outside this city raises
+    :class:`PlanningError` naming the id. The result is named
+    ``<method>``, or ``<method>+constraints``.
     """
-    if method not in METHODS:
-        raise PlanningError(f"unknown method {method!r}; choose from {METHODS}")
-    if method == "eta-pre":
-        return run_eta_pre(pre)
-    if method == "eta":
-        return run_eta(pre)
-    if method == "eta-all":
-        return run_eta_all(pre)
-    # vk-TSP: demand-only objective over new edges, same traversal;
-    # the baseline re-normalizes with the caller's w so Table 6-style
-    # comparisons are apples-to-apples.
-    from repro.baselines.demand_first import run_vk_tsp
-
-    return run_vk_tsp(pre)
+    check_method(method, constrained=constraints is not None)
+    strategy, overrides = METHOD_TABLE[method]
+    run_pre = rebind(pre, pre.config.variant(**overrides)) if overrides else pre
+    try:
+        engine = ExpansionEngine(run_pre, strategy(run_pre), constraints)
+    except ValidationError as exc:  # an id this city does not have
+        raise PlanningError(f"constraints do not fit this city: {exc}") from None
+    result = engine.run()
+    if run_pre is not pre:
+        result.objective = pre.objective(result.o_d, result.o_lambda)
+        result.o_d_normalized = result.o_d / pre.d_max
+        result.o_lambda_normalized = result.o_lambda / pre.lambda_max
+    result.method = method if constraints is None else f"{method}+constraints"
+    return result
 
 
 class CTBusPlanner:
@@ -87,10 +135,8 @@ class CTBusPlanner:
 
     def plan(self, method: str = "eta-pre") -> PlanResult:
         """Run one planner variant and return its result."""
-        if method not in METHODS:
-            # Duplicates run_method's guard on purpose: fail before the
-            # (potentially very expensive) lazy precomputation is built.
-            raise PlanningError(f"unknown method {method!r}; choose from {METHODS}")
+        # Fail before the (potentially very expensive) lazy precomputation.
+        check_method(method)
         return run_method(self.precomputation, method)
 
     def plan_constrained(self, constraints, method: str = "eta-pre") -> PlanResult:
@@ -102,29 +148,13 @@ class CTBusPlanner:
         Insight 4). A stop or edge id outside this city raises
         :class:`PlanningError` naming the id.
         """
-        if method not in ("eta-pre", "eta"):
-            raise PlanningError(
-                f"constrained planning supports 'eta-pre' and 'eta', got {method!r}"
-            )
-        from repro.core.constraints import PlanningConstraints
-
+        check_method(method, constrained=True)
         if not isinstance(constraints, PlanningConstraints):
             raise PlanningError(
                 "plan_constrained requires a PlanningConstraints instance, got "
                 f"{type(constraints).__name__}; use plan() for unconstrained runs"
             )
-        from repro.core.eta import ExpansionEngine
-        from repro.core.objective import OnlineStrategy, PrecomputedStrategy
-
-        pre = self.precomputation
-        strategy = PrecomputedStrategy(pre) if method == "eta-pre" else OnlineStrategy(pre)
-        try:
-            engine = ExpansionEngine(pre, strategy, constraints=constraints)
-        except ValidationError as exc:  # an id this city does not have
-            raise PlanningError(f"constraints do not fit this city: {exc}") from None
-        result = engine.run()
-        result.method = f"{method}+constraints"
-        return result
+        return run_method(self.precomputation, method, constraints)
 
     # ------------------------------------------------------------------
     def plan_multiple(
@@ -161,7 +191,7 @@ class CTBusPlanner:
         transit = self.dataset.transit.copy()
         lengths = [float(pre.universe.length[i]) for i in route.edge_indices]
         road_paths = [pre.universe.edge(i).road_path for i in route.edge_indices]
-        transit.add_planned_route(
+        transit.add_route(
             f"planned-{transit.n_routes}", list(route.stops), lengths, road_paths
         )
         new_dataset = dataclass_replace(self.dataset, road=road, transit=transit)

@@ -29,12 +29,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 from repro.core.config import PlannerConfig
 from repro.core.constraints import PlanningConstraints
-from repro.core.planner import METHODS
+from repro.core.planner import check_method
 from repro.data.datasets import CITY_NAMES, list_profiles
 from repro.utils.errors import DataError, PlanningError, ValidationError
 from repro.utils.wire import Record, from_wire, to_wire
-
-CONSTRAINED_METHODS = ("eta-pre", "eta")
 
 _SCENARIO_AXES = ("method", "city", "profile", "route_count")
 """Axis keys that map to scenario fields; all others are config overrides."""
@@ -73,27 +71,20 @@ class Scenario(Record):
     # ------------------------------------------------------------------
     def validate(self, base: "PlannerConfig | None" = None) -> None:
         """Fail fast on anything a worker would only discover mid-sweep."""
-        if self.method not in METHODS:
-            raise PlanningError(
-                f"scenario {self.name!r}: unknown method {self.method!r}; "
-                f"choose from {METHODS}"
-            )
+        try:
+            check_method(self.method, constrained=self.constraints is not None)
+        except PlanningError as exc:
+            raise PlanningError(f"scenario {self.name!r}: {exc}") from None
         if self.route_count < 1:
             raise PlanningError(
                 f"scenario {self.name!r}: route_count must be >= 1, "
                 f"got {self.route_count}"
             )
-        if self.constraints is not None:
-            if self.method not in CONSTRAINED_METHODS:
-                raise PlanningError(
-                    f"scenario {self.name!r}: constrained planning supports "
-                    f"{CONSTRAINED_METHODS}, got {self.method!r}"
-                )
-            if self.route_count > 1:
-                raise PlanningError(
-                    f"scenario {self.name!r}: constraints and route_count > 1 "
-                    f"cannot be combined"
-                )
+        if self.constraints is not None and self.route_count > 1:
+            raise PlanningError(
+                f"scenario {self.name!r}: constraints and route_count > 1 "
+                f"cannot be combined"
+            )
         self.planner_config(base)  # validates override names and values
 
     def planner_config(self, base: "PlannerConfig | None" = None) -> PlannerConfig:

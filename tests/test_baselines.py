@@ -7,13 +7,13 @@ from repro.baselines.connectivity_first import (
     connectivity_first_route,
     greedy_connectivity_edges,
 )
-from repro.baselines.demand_first import run_vk_tsp
 from repro.baselines.tsp import (
     held_karp_order,
     nearest_neighbor_order,
     tour_length,
     two_opt,
 )
+from repro.core.planner import run_method
 from repro.utils.errors import PlanningError, ValidationError
 
 
@@ -111,21 +111,19 @@ class TestConnectivityFirst:
 
 class TestDemandFirst:
     def test_maximizes_demand_over_eta_pre(self, small_pre):
-        from repro.core.eta_pre import run_eta_pre
-
-        vk = run_vk_tsp(small_pre)
-        balanced = run_eta_pre(small_pre)
+        vk = run_method(small_pre, "vk-tsp")
+        balanced = run_method(small_pre, "eta-pre")
         assert vk.route is not None
         # vk-TSP optimizes raw demand; it should collect at least as much
         # demand as the balanced planner does (modulo greedy noise).
         assert vk.o_d >= 0.7 * balanced.o_d
 
     def test_only_new_edges(self, small_pre):
-        vk = run_vk_tsp(small_pre)
+        vk = run_method(small_pre, "vk-tsp")
         assert vk.route.n_new_edges == vk.route.n_edges
 
     def test_renormalized_objective(self, small_pre):
-        vk = run_vk_tsp(small_pre)
+        vk = run_method(small_pre, "vk-tsp")
         w = small_pre.config.w
         want = w * vk.o_d_normalized + (1 - w) * vk.o_lambda_normalized
         assert vk.objective == pytest.approx(want)

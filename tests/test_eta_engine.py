@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.config import PlannerConfig
-from repro.core.eta import ExpansionEngine, run_eta, run_eta_all
-from repro.core.eta_pre import run_eta_pre
-from repro.core.objective import OnlineStrategy, PrecomputedStrategy
+from repro.core.eta import ExpansionEngine
+from repro.core.objective import PrecomputedStrategy
+from repro.core.planner import run_method
 from repro.core.precompute import precompute, rebind
 from route_checks import assert_route_geometry
 
@@ -32,32 +32,32 @@ def check_route_invariants(pre, result):
 
 class TestEtaPre:
     def test_finds_feasible_route(self, pre):
-        result = run_eta_pre(pre)
+        result = run_method(pre, "eta-pre")
         check_route_invariants(pre, result)
         assert result.objective > 0
         assert result.method == "eta-pre"
 
     def test_search_score_matches_linear_sum(self, pre):
-        result = run_eta_pre(pre)
+        result = run_method(pre, "eta-pre")
         strategy = PrecomputedStrategy(pre)
         assert result.search_score == pytest.approx(
             strategy.path_score(result.route.edge_indices)
         )
 
     def test_deterministic(self, pre):
-        a = run_eta_pre(pre)
-        b = run_eta_pre(pre)
+        a = run_method(pre, "eta-pre")
+        b = run_method(pre, "eta-pre")
         assert a.route.edge_indices == b.route.edge_indices
         assert a.search_score == pytest.approx(b.search_score)
 
     def test_trace_monotone(self, pre):
-        result = run_eta_pre(pre)
+        result = run_method(pre, "eta-pre")
         values = [v for _, v in result.trace]
         assert values == sorted(values)
 
     def test_few_connectivity_evaluations(self, pre):
         """The whole point of ETA-Pre: O(1) estimates (final report only)."""
-        result = run_eta_pre(pre)
+        result = run_method(pre, "eta-pre")
         assert result.connectivity_evaluations <= 2
 
     @pytest.mark.parametrize(
@@ -70,7 +70,7 @@ class TestEtaPre:
         """A run ending on a recording iteration does not repeat it."""
         capped = rebind(pre, pre.config.variant(
             max_iterations=max_iterations, record_every=record_every))
-        result = run_eta_pre(capped)
+        result = run_method(capped, "eta-pre")
         assert result.iterations == max_iterations
         assert [it for it, _ in result.trace] == recorded
         assert result.trace[-1][1] == result.search_score
@@ -81,24 +81,24 @@ class TestEtaOnline:
     """Benchmark-driving online-ETA runs (~10s total): tier-2 only."""
 
     def test_finds_feasible_route(self, pre):
-        result = run_eta(pre)
+        result = run_method(pre, "eta")
         check_route_invariants(pre, result)
         assert result.method == "eta"
 
     def test_many_connectivity_evaluations(self, pre):
         """ETA's Bottleneck 1: one estimate per candidate evaluation."""
-        result = run_eta(pre)
+        result = run_method(pre, "eta")
         assert result.connectivity_evaluations > result.iterations
 
     def test_slower_than_pre(self, pre):
-        online = run_eta(pre)
-        fast = run_eta_pre(pre)
+        online = run_method(pre, "eta")
+        fast = run_method(pre, "eta-pre")
         assert online.runtime_s > fast.runtime_s
 
     def test_comparable_objective_to_pre(self, pre):
         """Table 6: ETA and ETA-Pre reach similar objective values."""
-        online = run_eta(pre)
-        fast = run_eta_pre(pre)
+        online = run_method(pre, "eta")
+        fast = run_method(pre, "eta-pre")
         assert fast.objective >= 0.5 * online.objective
 
 
@@ -106,13 +106,13 @@ class TestVariants:
     def test_eta_all_runs(self, small_dataset_module):
         cfg = PlannerConfig(k=8, max_iterations=60, seed_count=40)
         pre_small = precompute(small_dataset_module, cfg)
-        result = run_eta_all(pre_small)
+        result = run_method(pre_small, "eta-all")
         assert result.method == "eta-all"
         assert result.route is not None
 
     def test_iteration_cap_respected(self, pre):
         capped = rebind(pre, pre.config.variant(max_iterations=5))
-        result = run_eta_pre(capped)
+        result = run_method(capped, "eta-pre")
         assert result.iterations <= 5
 
     def test_no_domination_still_correct(self, pre):

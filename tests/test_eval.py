@@ -47,9 +47,9 @@ class TestTransferRouter:
 class TestRouteEvaluation:
     @pytest.fixture(scope="class")
     def planned(self, small_pre):
-        from repro.core.eta_pre import run_eta_pre
+        from repro.core.planner import run_method
 
-        return run_eta_pre(small_pre)
+        return run_method(small_pre, "eta-pre")
 
     def test_materialize_adds_route(self, small_pre, planned):
         new = materialize_route(small_pre, planned.route)

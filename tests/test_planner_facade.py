@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.config import PlannerConfig
-from repro.core.planner import METHODS, CTBusPlanner
+from repro.core.constraints import PlanningConstraints
+from repro.core.planner import CONSTRAINED_METHODS, METHODS, CTBusPlanner, run_method
+from repro.core.precompute import rebind
 from repro.utils.errors import PlanningError
 
 
@@ -18,6 +20,7 @@ def planner():
 class TestFacade:
     def test_methods_listed(self):
         assert set(METHODS) == {"eta-pre", "eta", "eta-all", "vk-tsp"}
+        assert CONSTRAINED_METHODS == ("eta-pre", "eta")
 
     def test_unknown_method_rejected(self, planner):
         with pytest.raises(PlanningError):
@@ -43,6 +46,36 @@ class TestFacade:
 
         p = CTBusPlanner(chicago_like("tiny"))
         assert p.config.k == 30  # paper default
+
+
+class TestRunMethod:
+    """run_method is the one door into the search, constrained or not."""
+
+    def test_constrained_run_is_the_facade_replan(self, planner):
+        constraints = PlanningConstraints(anchor_stop=0)
+        direct = run_method(planner.precomputation, "eta-pre", constraints)
+        replan = planner.plan_constrained(constraints)
+        assert direct.method == "eta-pre+constraints"
+        assert direct.route == replan.route
+        assert direct.objective == replan.objective
+
+    @pytest.mark.parametrize("method", ["eta-all", "vk-tsp"])
+    def test_rows_with_overrides_take_no_constraints(self, planner, method):
+        with pytest.raises(PlanningError, match="constrained planning"):
+            run_method(planner.precomputation, method, PlanningConstraints())
+
+    def test_rows_without_overrides_do_not_rebind(self, planner, monkeypatch):
+        pre = rebind(
+            planner.precomputation,
+            planner.precomputation.config.variant(max_iterations=5),
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rebind called")
+
+        monkeypatch.setattr("repro.core.planner.rebind", refuse)
+        for method in CONSTRAINED_METHODS:
+            assert run_method(pre, method).method == method
 
 
 class TestMultiRoute:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.eta_pre import run_eta_pre
+from repro.core.planner import run_method
 from repro.core.result import PlannedRoute
 from repro.eval.route_stats import route_stats
 from repro.utils.errors import ValidationError
@@ -10,7 +10,7 @@ from repro.utils.errors import ValidationError
 
 @pytest.fixture(scope="module")
 def planned(small_pre):
-    return run_eta_pre(small_pre)
+    return run_method(small_pre, "eta-pre")
 
 
 class TestRouteStats:
