@@ -87,11 +87,13 @@ from repro.utils.errors import PlanningError
 
 
 def _auto_workers(n_scenarios: int, workers: "int | None") -> int:
-    """Explicit worker count, else ``min(n_scenarios, cpu_count)``.
+    """The explicit worker count, else the cpu count; at most one per scenario.
 
-    An explicit non-positive count is a configuration error, not a
-    request for the serial path — raising here (rather than silently
-    clamping to 1) keeps ``--workers 0`` from masking a typo'd flag.
+    A worker beyond the scenario count would never get a task, yet a
+    forking pool starts every worker up front. An explicit non-positive
+    count is a configuration error, not a request for the serial path —
+    raising here (rather than silently clamping to 1) keeps
+    ``--workers 0`` from masking a typo'd flag.
     """
     if workers is not None:
         workers = int(workers)
@@ -100,8 +102,9 @@ def _auto_workers(n_scenarios: int, workers: "int | None") -> int:
                 f"worker count must be >= 1, got {workers} "
                 f"(omit it for min(#scenarios, cpu_count))"
             )
-        return workers
-    return max(min(n_scenarios, os.cpu_count() or 1), 1)
+    else:
+        workers = os.cpu_count() or 1
+    return max(min(n_scenarios, workers), 1)
 
 
 def failure_outcome(scenario, exc: BaseException) -> ScenarioOutcome:

@@ -121,6 +121,25 @@ class TestResolveBackend:
         for name in ("process", "sharded"):
             assert resolve_backend(name, workers=4).effective_workers(1) == 1
 
+    @pytest.mark.parametrize("name", ["process", "sharded"])
+    def test_pool_starts_no_more_workers_than_scenarios(
+        self, name, grid_scenarios, tmp_path
+    ):
+        import multiprocessing
+
+        runner = SweepRunner(
+            base_config=BASE, cache_dir=str(tmp_path), workers=4, backend=name
+        )
+        live = []
+        runner.run(
+            grid_scenarios[:2],
+            on_outcome=lambda i, o: live.append(
+                len(multiprocessing.active_children())
+            ),
+        )
+        assert runner.last_worker_count == 2
+        assert len(live) == 2 and max(live) <= 2
+
     def test_process_shard_size_is_not_an_option(self):
         # process runs the sharded loop with one-scenario shards; the
         # size is part of what "process" means, not a constructor knob.
