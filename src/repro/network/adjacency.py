@@ -82,42 +82,27 @@ class AdjacencyBuilder:
     def extended(self, extra_edges: Iterable[tuple[int, int]]) -> sp.csr_matrix:
         """Adjacency of the base graph plus ``extra_edges``.
 
-        Edges already present (or duplicated within ``extra_edges``) are
-        ignored, keeping the matrix 0/1.
+        Only the :meth:`novel_pairs` of ``extra_edges`` are added, keeping
+        the matrix 0/1.
         """
-        rows: list[int] = []
-        cols: list[int] = []
-        added: set[tuple[int, int]] = set()
-        for u, v in extra_edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"edge ({u}, {v}) out of range for {self.n} vertices")
-            if u == v:
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key in self._edge_set or key in added:
-                continue
-            added.add(key)
-            rows.extend((u, v))
-            cols.extend((v, u))
-        if not rows:
+        novel = np.asarray(self.novel_pairs(extra_edges), dtype=np.int32)
+        if not len(novel):
             return self.base()
-        all_rows = np.concatenate([self._rows, np.asarray(rows, dtype=np.int32)])
-        all_cols = np.concatenate([self._cols, np.asarray(cols, dtype=np.int32)])
+        all_rows = np.concatenate([self._rows, novel.ravel()])
+        all_cols = np.concatenate([self._cols, novel[:, ::-1].ravel()])
         data = np.ones(len(all_rows), dtype=float)
         return sp.coo_matrix((data, (all_rows, all_cols)), shape=(self.n, self.n)).tocsr()
 
     def novel_pairs(
         self, pairs: Iterable[tuple[int, int]]
     ) -> list[tuple[int, int]]:
-        """The subset of ``pairs`` that :meth:`extended` would actually add.
+        """The subset of ``pairs`` that :meth:`extended` actually adds.
 
-        Same filtering as :meth:`extended` — out-of-range endpoints raise,
-        self-loops / base members / in-batch duplicates are dropped — but
-        returns the surviving pairs instead of building a matrix. This is
-        the bridge to the batched kernel
-        (:func:`repro.spectral.batch.batched_expm_traces`), which applies
-        perturbations as rank-updates and therefore must never be handed
-        an edge the base matrix already contains.
+        Out-of-range endpoints raise; self-loops, base members and
+        in-batch duplicates are dropped. This is also the bridge to the
+        batched kernel (:func:`repro.spectral.batch.batched_expm_traces`),
+        which applies perturbations as rank-updates and therefore must
+        never be handed an edge the base matrix already contains.
         """
         novel: list[tuple[int, int]] = []
         added: set[tuple[int, int]] = set()
