@@ -64,10 +64,6 @@ class RankedList:
             raise ValidationError(f"k must be >= 0, got {k}")
         return float(self._prefix[min(k, len(self._values))])
 
-    def top_edges(self, k: int) -> list[int]:
-        """Universe indices of the top ``k`` edges."""
-        return [int(i) for i in self._order[: max(k, 0)]]
-
     def values_array(self) -> np.ndarray:
         """Copy of the underlying per-edge values."""
         return self._values.copy()

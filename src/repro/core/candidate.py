@@ -57,14 +57,6 @@ class Candidate:
         return self.stops[-1]
 
     @property
-    def begin_edge(self) -> int:
-        return self.edge_ids[0]
-
-    @property
-    def end_edge(self) -> int:
-        return self.edge_ids[-1]
-
-    @property
     def is_loop(self) -> bool:
         return len(self.stops) >= 3 and self.stops[0] == self.stops[-1]
 

@@ -42,14 +42,6 @@ class PlanningConstraints(Record):
                 f"anchor stop {self.anchor_stop} is also forbidden"
             )
 
-    @property
-    def is_trivial(self) -> bool:
-        return (
-            self.anchor_stop is None
-            and not self.forbid_stops
-            and not self.forbid_edges
-        )
-
     def validate_against(self, universe: EdgeUniverse) -> None:
         """Fail fast on out-of-range stop/edge references."""
         n_stops = universe.n_stops

@@ -57,7 +57,7 @@ def materialize_route(
     transit = pre.universe.transit.copy()
     lengths = [float(pre.universe.length[i]) for i in route.edge_indices]
     road_paths = [pre.universe.edge(i).road_path for i in route.edge_indices]
-    transit.add_planned_route(name, list(route.stops), lengths, road_paths)
+    transit.add_route(name, list(route.stops), lengths, road_paths)
     return transit
 
 

@@ -21,7 +21,6 @@ from repro.network.geometry import (
 from repro.network.paths import count_turns, is_simple_stop_sequence, polyline_length
 from repro.network.road import RoadNetwork
 from repro.network.shortest_path import (
-    bidirectional_dijkstra,
     dijkstra,
     reconstruct_edge_path,
     reconstruct_vertex_path,
@@ -44,7 +43,6 @@ __all__ = [
     "is_simple_stop_sequence",
     "polyline_length",
     "RoadNetwork",
-    "bidirectional_dijkstra",
     "dijkstra",
     "reconstruct_edge_path",
     "reconstruct_vertex_path",

@@ -23,12 +23,6 @@ def euclidean(a, b) -> float:
     return math.hypot(b[0] - a[0], b[1] - a[1])
 
 
-def euclidean_many(points: np.ndarray, point) -> np.ndarray:
-    """Distances from every row of ``points`` (shape ``(n, 2)``) to ``point``."""
-    diff = np.asarray(points, dtype=float) - np.asarray(point, dtype=float)
-    return np.hypot(diff[:, 0], diff[:, 1])
-
-
 def nearest_vertices(
     points: np.ndarray, queries: np.ndarray, chunk: int = 1024
 ) -> np.ndarray:
@@ -78,33 +72,6 @@ def turn_angle(prev_pt, mid_pt, next_pt) -> float:
     0 means the path continues straight; pi means a full U-turn.
     """
     return angle_between_bearings(bearing(prev_pt, mid_pt), bearing(mid_pt, next_pt))
-
-
-def point_segment_distance(p, a, b) -> float:
-    """Distance from point ``p`` to the segment ``a``-``b``."""
-    ax, ay = a
-    bx, by = b
-    px, py = p
-    dx, dy = bx - ax, by - ay
-    seg_sq = dx * dx + dy * dy
-    if seg_sq == 0.0:
-        return euclidean(p, a)
-    t = ((px - ax) * dx + (py - ay) * dy) / seg_sq
-    t = max(0.0, min(1.0, t))
-    return euclidean(p, (ax + t * dx, ay + t * dy))
-
-
-def bounding_box(points: np.ndarray) -> tuple[float, float, float, float]:
-    """Return ``(min_x, min_y, max_x, max_y)`` of an ``(n, 2)`` array."""
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        return (0.0, 0.0, 0.0, 0.0)
-    return (
-        float(pts[:, 0].min()),
-        float(pts[:, 1].min()),
-        float(pts[:, 0].max()),
-        float(pts[:, 1].max()),
-    )
 
 
 class GridIndex:

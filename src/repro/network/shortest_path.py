@@ -128,65 +128,6 @@ def shortest_path(
     )
 
 
-def bidirectional_dijkstra(adj, source: int, target: int) -> tuple[float, list[int]]:
-    """Point-to-point distance + vertex path via bidirectional search.
-
-    Roughly halves the searched ball compared with :func:`dijkstra` for
-    far-apart endpoints; used by the transfer-convenience evaluation which
-    issues many point queries.
-    """
-    n = len(adj)
-    if not (0 <= source < n and 0 <= target < n):
-        raise GraphError(f"endpoints ({source}, {target}) out of range for {n} vertices")
-    if source == target:
-        return 0.0, [source]
-    dist_f = {source: 0.0}
-    dist_b = {target: 0.0}
-    pred_f: dict[int, int] = {source: -1}
-    pred_b: dict[int, int] = {target: -1}
-    heap_f = [(0.0, source)]
-    heap_b = [(0.0, target)]
-    best = math.inf
-    meet = -1
-
-    def expand(heap, dist_mine, dist_other, pred):
-        nonlocal best, meet
-        d, v = heapq.heappop(heap)
-        if d > dist_mine.get(v, math.inf):
-            return
-        for nbr, _eid, w in adj[v]:
-            nd = d + w
-            if nd < dist_mine.get(nbr, math.inf):
-                dist_mine[nbr] = nd
-                pred[nbr] = v
-                heapq.heappush(heap, (nd, nbr))
-                if nbr in dist_other and nd + dist_other[nbr] < best:
-                    best = nd + dist_other[nbr]
-                    meet = nbr
-
-    while heap_f and heap_b:
-        if heap_f[0][0] + heap_b[0][0] >= best:
-            break
-        if heap_f[0][0] <= heap_b[0][0]:
-            expand(heap_f, dist_f, dist_b, pred_f)
-        else:
-            expand(heap_b, dist_b, dist_f, pred_b)
-
-    if math.isinf(best):
-        return math.inf, []
-    forward = []
-    v = meet
-    while v != -1:
-        forward.append(v)
-        v = pred_f[v]
-    forward.reverse()
-    v = pred_b[meet]
-    while v != -1:
-        forward.append(v)
-        v = pred_b[v]
-    return best, forward
-
-
 def shortest_path_forest(
     n: int,
     edges: Sequence[tuple[int, int]],

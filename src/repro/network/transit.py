@@ -248,16 +248,6 @@ class TransitNetwork:
         other.routes = list(self.routes)
         return other
 
-    def add_planned_route(
-        self,
-        name: str,
-        stops: list[int],
-        lengths: list[float] | None = None,
-        road_paths: list[tuple[int, ...]] | None = None,
-    ) -> Route:
-        """Materialize a planned path as a new route (multi-route planning)."""
-        return self.add_route(name, stops, lengths, road_paths)
-
     def to_networkx(self):
         """Export to :class:`networkx.Graph` (lazy import)."""
         import networkx as nx

@@ -143,7 +143,6 @@ class TestExtend:
         c2 = extend(line_universe, c, 0, 0, AT_BEGIN, 0)
         assert c2.stops == (0, 1, 2)
         assert c2.edge_ids == (0, 1)
-        assert c2.begin_edge == 0 and c2.end_edge == 1
 
     def test_domination_key_unordered(self, line_universe):
         c = seed_candidate(line_universe, 1)

@@ -30,10 +30,6 @@ def check_geometry(planner, result):
 
 
 class TestConstraintObject:
-    def test_trivial(self):
-        assert PlanningConstraints().is_trivial
-        assert not PlanningConstraints(anchor_stop=3).is_trivial
-
     def test_anchor_cannot_be_forbidden(self):
         with pytest.raises(ValidationError):
             PlanningConstraints(anchor_stop=1, forbid_stops={1})

@@ -42,12 +42,9 @@ class TestRankedList:
         assert ranked.top_sum(100) == 27.0
         assert ranked.top_sum(0) == 0.0
 
-    def test_top_edges(self, ranked):
-        assert ranked.top_edges(3) == [2, 0, 3]
-
     def test_ties_stable(self):
         r = RankedList(np.array([5.0, 5.0, 5.0]))
-        assert r.top_edges(3) == [0, 1, 2]
+        assert [r.edge_at(rank) for rank in (1, 2, 3)] == [0, 1, 2]
 
     def test_bad_rank(self, ranked):
         with pytest.raises(ValidationError):

@@ -9,11 +9,8 @@ from repro.network.geometry import (
     GridIndex,
     angle_between_bearings,
     bearing,
-    bounding_box,
     euclidean,
-    euclidean_many,
     haversine_km,
-    point_segment_distance,
     turn_angle,
 )
 
@@ -21,11 +18,6 @@ from repro.network.geometry import (
 class TestDistances:
     def test_euclidean(self):
         assert euclidean((0, 0), (3, 4)) == pytest.approx(5.0)
-
-    def test_euclidean_many(self):
-        pts = np.array([[0, 0], [3, 4], [6, 8]])
-        d = euclidean_many(pts, (0, 0))
-        assert d == pytest.approx([0.0, 5.0, 10.0])
 
     def test_haversine_equator_degree(self):
         # One degree of longitude at the equator is ~111.19 km.
@@ -55,23 +47,6 @@ class TestBearingsAndTurns:
 
     def test_u_turn(self):
         assert turn_angle((0, 0), (1, 0), (0, 0)) == pytest.approx(math.pi)
-
-
-class TestPointSegment:
-    def test_perpendicular_foot(self):
-        assert point_segment_distance((1, 1), (0, 0), (2, 0)) == pytest.approx(1.0)
-
-    def test_clamps_to_endpoint(self):
-        assert point_segment_distance((3, 4), (0, 0), (0, 0)) == pytest.approx(5.0)
-        assert point_segment_distance((-1, 0), (0, 0), (2, 0)) == pytest.approx(1.0)
-
-
-class TestBoundingBox:
-    def test_basic(self):
-        assert bounding_box(np.array([[1, 2], [3, -1]])) == (1.0, -1.0, 3.0, 2.0)
-
-    def test_empty(self):
-        assert bounding_box(np.zeros((0, 2))) == (0.0, 0.0, 0.0, 0.0)
 
 
 class TestGridIndex:

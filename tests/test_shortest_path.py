@@ -4,14 +4,12 @@ import importlib
 import math
 
 import networkx as nx
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.synth import SynthConfig, generate_road_network
 from repro.network.shortest_path import (
-    bidirectional_dijkstra,
     dijkstra,
     path_weight,
     reconstruct_edge_path,
@@ -103,19 +101,6 @@ class TestPointToPoint:
         assert d == pytest.approx(want)
         assert vpath[0] == 0 and vpath[-1] == road.n_vertices - 1
 
-    def test_bidirectional_matches_unidirectional(self, road, adj):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            s, t = rng.integers(0, road.n_vertices, 2)
-            d_uni, _, _ = shortest_path(adj, int(s), int(t))
-            d_bi, path = bidirectional_dijkstra(adj, int(s), int(t))
-            assert d_bi == pytest.approx(d_uni)
-            if path:
-                assert path[0] == s and path[-1] == t
-
-    def test_bidirectional_same_vertex(self, adj):
-        d, path = bidirectional_dijkstra(adj, 3, 3)
-        assert d == 0.0 and path == [3]
 
 
 def adjacency_of(n, edges, weights):

@@ -92,7 +92,7 @@ class TestCopyAndExport:
     def test_add_planned_route_creates_edges(self, two_routes):
         dup = two_routes.copy()
         before = dup.n_edges
-        dup.add_planned_route("planned", [0, 5, 4])
+        dup.add_route("planned", [0, 5, 4])
         assert dup.n_edges == before + 2
         assert dup.n_routes == 3
 
