@@ -160,19 +160,14 @@ class SweepReport:
     ) -> "SweepReport":
         """Build a report from runner outcomes.
 
-        ``cache_dir`` (when caching was on) adds hit/miss counts from the
-        outcomes plus the directory's current entry count and byte size.
+        :meth:`from_records` over each outcome's :func:`scenario_record`,
+        so a report and a stream of the same sweep cannot drift.
         """
-        cache = _cache_block(
-            cache_dir,
-            hits=sum(1 for o in outcomes if o.cache_hit is True),
-            misses=sum(1 for o in outcomes if o.cache_hit is False),
-        )
-        return cls(
-            scenarios=[scenario_record(o) for o in outcomes],
+        return cls.from_records(
+            [scenario_record(o) for o in outcomes],
             backend=backend,
             workers=workers,
-            cache=cache,
+            cache_dir=cache_dir,
         )
 
     @classmethod
@@ -183,12 +178,13 @@ class SweepReport:
         workers: "int | None" = None,
         cache_dir: "str | None" = None,
     ) -> "SweepReport":
-        """Build a report from stream scenario records (see :func:`read_stream`).
+        """Build a report from scenario records, plain or streamed.
 
         The stream envelope fields (``record``/``schema``/``key``/
-        ``cache_key``) are stripped, so the resulting document is
-        schema-identical to one built by :meth:`from_outcomes` — this is
-        how a resumed ``--stream`` sweep still serves ``--json``.
+        ``cache_key``) are stripped, which is how a resumed ``--stream``
+        sweep still serves ``--json``. ``cache_dir`` (when caching was
+        on) adds hit/miss counts from the records plus the directory's
+        current entry count and byte size.
         """
         scenarios = [
             {k: v for k, v in rec.items() if k not in _STREAM_ENVELOPE}
