@@ -235,9 +235,10 @@ class ExpansionEngine:
         """All feasible one-edge extensions with their evaluated scores.
 
         Returns ``(side, edge_index, new_stop, turn_increment, score)``
-        tuples; this evaluation (one connectivity estimate per neighbor
-        for ETA) is exactly the paper's Bottleneck 1. The extensions of
-        *both* sides (:meth:`feasible_extensions`) are scored in one
+        tuples; this evaluation (for ETA, one connectivity estimate per
+        neighbor whose novel-pair set the run has not priced yet) is
+        exactly the paper's Bottleneck 1. The extensions of *both* sides
+        (:meth:`feasible_extensions`) are scored in one
         ``extension_scores`` call.
         """
         feasible = self.feasible_extensions(cand)
@@ -333,7 +334,7 @@ class ExpansionEngine:
             o_d, o_l = self.strategy.exact_components(best.edge_ids)
             objective = self.pre.objective(o_d, o_l)
         return PlanResult(
-            method=self.strategy.name,
+            method="",  # run_method names the result
             route=route,
             objective=objective,
             o_d=o_d,

@@ -7,6 +7,13 @@ Two interchangeable strategies drive the expansion engine. Both seed a
 single edge with its ``L_e`` entry and score the extensions of an
 expansion round with one ``extension_scores`` call.
 
+A strategy instance serves one planning run. Every connectivity
+estimate it makes, in the run's ``batch_eval`` mode, goes through its
+memo of gains keyed by the canonical novel-pair set, so a set the run
+has already priced is never priced again. Both terms of a path's
+objective depend only on its edge set, never on the order the search
+added the edges in.
+
 * :class:`OnlineStrategy` (ETA) — the connectivity term of every
   candidate is re-estimated with the Lanczos+Hutchinson estimator; the
   demand bound runs on ``L_d`` and the connectivity bound is the
@@ -29,28 +36,47 @@ from repro.core.precompute import Precomputation
 
 
 class _StrategyBase:
-    """Shared plumbing: seed scores and the reported objective of a path."""
-
-    name = "base"
+    """Shared plumbing: seed scores, the run's memo of connectivity
+    gains and the reported objective of a path."""
 
     def __init__(self, pre: Precomputation):
         self.pre = pre
         self.config = pre.config
         self.universe = pre.universe
+        self._gains: dict[tuple[tuple[int, int], ...], float] = {(): 0.0}
 
     def seed_score(self, edge_index: int) -> float:
         """Objective of a single-edge path: its ``L_e`` entry."""
         return self.pre.L_e.value(edge_index)
 
+    def demand(self, edge_ids: Sequence[int]) -> float:
+        """``O_d`` of a path, summed in edge-index order, so that every
+        order one edge set is built in scores bitwise the same."""
+        return float(self.universe.demand[sorted(edge_ids)].sum())
+
+    def connectivity(self, paths: Sequence[Sequence[int]]) -> np.ndarray:
+        """``O_lambda`` of each path of universe edges, through the memo.
+
+        A path is keyed by the canonical novel-pair set of its new edges.
+        Sets this strategy has not priced yet go to one
+        :meth:`~repro.core.precompute.Precomputation.connectivity_gains`
+        call in the run's ``batch_eval`` mode; a memo hit is bitwise what
+        that call returns, since both modes price a set independently of
+        the other sets in the call.
+        """
+        novel_pairs = self.pre.builder.novel_pairs
+        keys = [tuple(novel_pairs(self.universe.new_pairs(ids))) for ids in paths]
+        missing = [key for key in dict.fromkeys(keys) if key not in self._gains]
+        if missing:
+            gains = self.pre.connectivity_gains(missing, self.config.batch_eval)
+            self._gains.update(zip(missing, gains.tolist()))
+        return np.array([self._gains[key] for key in keys])
+
     # -- exact evaluation (used for final reporting by both strategies) --
     def exact_components(self, edge_ids: Sequence[int]) -> tuple[float, float]:
         """``(O_d, O_lambda)`` raw values; connectivity via the estimator."""
-        ids = list(edge_ids)
-        o_d = float(self.universe.demand[ids].sum()) if ids else 0.0
-        [o_l] = self.pre.connectivity_gains(
-            [self.universe.new_pairs(ids)], batched=False
-        )
-        return o_d, float(o_l)
+        [o_l] = self.connectivity([edge_ids])
+        return self.demand(edge_ids), float(o_l)
 
     def exact_objective(self, edge_ids: Sequence[int]) -> float:
         return self.pre.objective(*self.exact_components(edge_ids))
@@ -58,8 +84,6 @@ class _StrategyBase:
 
 class OnlineStrategy(_StrategyBase):
     """ETA: per-candidate Lanczos connectivity estimation (Section 5)."""
-
-    name = "eta"
 
     @property
     def bound_list(self) -> RankedList:
@@ -74,18 +98,13 @@ class OnlineStrategy(_StrategyBase):
     ) -> np.ndarray:
         """The objective of ``cand`` extended by each edge.
 
-        One :meth:`~repro.core.precompute.Precomputation.connectivity_gains`
-        call prices every extension of the round, batched or not as
-        ``batch_eval`` says. An extension that adds no new vertex pair
-        skips the estimator, exactly as :meth:`exact_components` does.
+        One :meth:`connectivity` call prices the round's extensions. An
+        extension that adds no new vertex pair, or one whose novel-pair
+        set the run has already priced, skips the estimator.
         """
         paths = [list(cand.edge_ids) + [e] for e in edge_indices]
-        o_d = np.array([float(self.universe.demand[ids].sum()) for ids in paths])
-        o_l = self.pre.connectivity_gains(
-            [self.universe.new_pairs(ids) for ids in paths],
-            self.config.batch_eval,
-        )
-        return self.pre.objective(o_d, o_l)
+        o_d = np.array([self.demand(ids) for ids in paths])
+        return self.pre.objective(o_d, self.connectivity(paths))
 
     def bound_to_upper(self, bound_value: float) -> float:
         """Objective-scale bound: Alg. 2 demand bound + Lemma 4 constant."""
@@ -94,8 +113,6 @@ class OnlineStrategy(_StrategyBase):
 
 class PrecomputedStrategy(_StrategyBase):
     """ETA-Pre: linear integrated increments ``L_e`` (Section 6.2)."""
-
-    name = "eta-pre"
 
     def __init__(self, pre: Precomputation):
         super().__init__(pre)

@@ -312,30 +312,29 @@ def connectivity_gains(
 
     The connectivity term of Eq. 3, wherever it is needed: ``Delta(e)``
     (one pair per group), the extensions of an expansion round and the
-    reported route. An empty group gains 0 and costs no estimate.
-    ``batched`` prices the other groups in one
-    :meth:`~NaturalConnectivityEstimator.estimate_batch` over their
-    novel pairs; without it each gets its own
-    :meth:`~NaturalConnectivityEstimator.estimate`, the sequential
-    reference. Both modes charge one evaluation per non-empty group and
-    agree to floating-point roundoff.
+    reported route. A group is priced by its canonical novel-pair set
+    (:meth:`~AdjacencyBuilder.novel_pairs`), once per call however many
+    groups name it, so duplicate, reordered and flipped groups get
+    bitwise-equal gains. An empty set gains 0 and costs no estimate.
+    ``batched`` prices the distinct sets in one
+    :meth:`~NaturalConnectivityEstimator.estimate_batch`; without it
+    each gets its own :meth:`~NaturalConnectivityEstimator.estimate`,
+    the sequential reference. Both modes charge one evaluation per
+    distinct non-empty set and agree to floating-point roundoff.
     """
-    groups = list(pair_groups)
-    members = [i for i, group in enumerate(groups) if group]
-    gains = np.zeros(len(groups))
-    if not members:
-        return gains
+    keys = [tuple(builder.novel_pairs(group)) for group in pair_groups]
+    distinct = [key for key in dict.fromkeys(keys) if key]
+    if not distinct:
+        return np.zeros(len(keys))
     if batched:
-        values = estimator.estimate_batch(
-            builder.base(), [builder.novel_pairs(groups[i]) for i in members]
-        )
+        values = estimator.estimate_batch(builder.base(), distinct)
     else:
         values = np.array(
-            [estimator.estimate(builder.extended(groups[i])) for i in members]
+            [estimator.estimate(builder.extended(key)) for key in distinct]
         )
     # Adding edges never decreases natural connectivity; clamp noise.
-    gains[members] = np.maximum(values - lambda_base, 0.0)
-    return gains
+    priced = dict(zip(distinct, np.maximum(values - lambda_base, 0.0)))
+    return np.array([priced[key] if key else 0.0 for key in keys])
 
 
 def combine(

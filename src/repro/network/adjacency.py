@@ -99,21 +99,21 @@ class AdjacencyBuilder:
         """The subset of ``pairs`` that :meth:`extended` actually adds.
 
         Out-of-range endpoints raise; self-loops, base members and
-        in-batch duplicates are dropped. This is also the bridge to the
-        batched kernel (:func:`repro.spectral.batch.batched_expm_traces`),
-        which applies perturbations as rank-updates and therefore must
-        never be handed an edge the base matrix already contains.
+        in-batch duplicates are dropped. The result is canonical: sorted
+        ``(min, max)`` pairs, so two lists naming the same edge set, in
+        any order or orientation, give the same list. This is also the
+        bridge to the batched kernel
+        (:func:`repro.spectral.batch.batched_expm_traces`), which applies
+        perturbations as rank-updates and therefore must never be handed
+        an edge the base matrix already contains.
         """
-        novel: list[tuple[int, int]] = []
-        added: set[tuple[int, int]] = set()
+        novel: set[tuple[int, int]] = set()
         for u, v in pairs:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise GraphError(f"edge ({u}, {v}) out of range for {self.n} vertices")
             if u == v:
                 continue
             key = (u, v) if u < v else (v, u)
-            if key in self._edge_set or key in added:
-                continue
-            added.add(key)
-            novel.append((u, v))
-        return novel
+            if key not in self._edge_set:
+                novel.add(key)
+        return sorted(novel)

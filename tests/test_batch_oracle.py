@@ -8,7 +8,8 @@ the oracle) across a corpus of synthetic cities × both strategies ×
 both expansion modes × both queue disciplines: 24 corpus points.
 
 Contract: the two modes must plan the *same route* with objectives and
-search scores within 1e-9. Routes are compared up to traversal
+search scores within 1e-9, pricing the same number of distinct
+novel-pair sets. Routes are compared up to traversal
 direction — a path and its reverse are the same physical bus route
 (identical edge set, stops, and objective), and which direction wins an
 *exact* score tie is an exploration-order artifact that sub-tolerance
@@ -75,6 +76,8 @@ def test_batched_plan_matches_sequential(city, method, expansion, discipline):
     )
     assert batched.o_d == pytest.approx(reference.o_d, abs=TOL * 1e3)
     assert batched.o_lambda == pytest.approx(reference.o_lambda, abs=TOL)
+    # Both modes price the same distinct novel-pair sets, once each.
+    assert batched.connectivity_evaluations == reference.connectivity_evaluations
 
 
 def test_corpus_size_meets_acceptance_floor():

@@ -43,10 +43,13 @@ class TestOnlineStrategy:
         )
         assert online.seed_score(idx) == pytest.approx(want)
 
-    def test_path_score_counts_estimates(self, small_pre, strategies):
-        online, _ = strategies
+    def test_path_score_counts_estimates(self, small_pre):
+        # A fresh strategy: one that has priced this set charges nothing.
+        online = OnlineStrategy(small_pre)
         new_edge = next(e.index for e in small_pre.universe.edges if e.is_new)
         before = small_pre.estimator.evaluations
+        online.path_score([new_edge])
+        assert small_pre.estimator.evaluations == before + 1
         online.path_score([new_edge])
         assert small_pre.estimator.evaluations == before + 1
 

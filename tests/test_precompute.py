@@ -154,6 +154,24 @@ class TestConnectivityGains:
         )
         assert gains.tolist() == [0.0] * 5
 
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_one_set_named_many_ways_is_priced_once(self, small_pre, batched):
+        (a, b), (c, d) = [e.pair for e in small_pre.universe.edges if e.is_new][:2]
+        groups = [
+            [(a, b), (c, d)],
+            [(c, d), (a, b)],  # reordered
+            [(b, a), (d, c)],  # flipped
+            [(a, b), (c, d), (b, a)],  # a duplicate pair
+            [(a, b), (c, d)],  # a duplicate group
+        ]
+        before = small_pre.estimator.evaluations
+        gains = small_pre.connectivity_gains(groups, batched)
+        assert small_pre.estimator.evaluations - before == 1
+        assert gains[0] > 0
+        assert gains.tobytes() == np.full(len(groups), gains[0]).tobytes()
+        alone = small_pre.connectivity_gains(groups[2:3], batched)
+        assert alone.tobytes() == gains[:1].tobytes()
+
     def test_modes_agree_per_group(self, small_pre):
         groups = self._groups(small_pre)
         batched = small_pre.connectivity_gains(groups, batched=True)

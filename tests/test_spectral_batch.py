@@ -3,7 +3,8 @@
 Covers the ``spectral/batch.py`` primitive itself, its quadrature
 (trace) finish against the probe . action finish, the estimator's
 batch API (including ``evaluations`` accounting), the strategy-level
-``extension_scores``, the previously untested corners of
+``extension_scores`` and the per-run memo of gains behind it, the
+previously untested corners of
 ``lanczos_expm_action_block``, and the ``hutchinson_trace`` /
 ``hutchinson_trace_samples`` error type. The end-to-end planning
 contract lives in ``test_batch_oracle.py``.
@@ -14,6 +15,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core.config import PlannerConfig
+from repro.core.eta import ExpansionEngine
 from repro.core.objective import OnlineStrategy, PrecomputedStrategy
 from repro.core.precompute import precompute
 from repro.data.datasets import canned_city
@@ -55,6 +57,11 @@ def novel_groups(A: sp.csr_matrix, sizes, seed: int):
                 group.append((u, v))
         groups.append(group)
     return groups
+
+
+def novel_set(pre, edge_ids):
+    """The canonical novel-pair set a path of universe edges adds."""
+    return tuple(pre.builder.novel_pairs(pre.universe.new_pairs(edge_ids)))
 
 
 class CountingMatrix:
@@ -281,6 +288,17 @@ class TestOnlineExtensionScores(_StrategyFixture):
         cand = seed_candidate(pre.universe, edge_index)
         return cand.with_scores(strategy.seed_score(edge_index), 0.0, 0, 0.0)
 
+    @staticmethod
+    def _sequential_scores(pre, cand, edges):
+        """The objective of each extension, priced by the sequential
+        reference rather than through a strategy's memo."""
+        paths = [list(cand.edge_ids) + [e] for e in edges]
+        o_d = np.array([pre.universe.demand[ids].sum() for ids in paths])
+        o_l = pre.connectivity_gains(
+            [pre.universe.new_pairs(ids) for ids in paths], batched=False
+        )
+        return pre.objective(o_d, o_l)
+
     def test_batch_matches_sequential_loop(self, pre):
         strategy = OnlineStrategy(pre)
         cand = self._candidate(pre, strategy)
@@ -288,9 +306,7 @@ class TestOnlineExtensionScores(_StrategyFixture):
         neighbors = list(pre.universe.incident(terminal))[:6]
         assert neighbors, "fixture produced an isolated terminal"
         batched = strategy.extension_scores(cand, neighbors)
-        sequential = np.array(
-            [strategy.path_score(cand.edge_ids + (e,)) for e in neighbors]
-        )
+        sequential = self._sequential_scores(pre, cand, neighbors)
         np.testing.assert_allclose(batched, sequential, atol=1e-9, rtol=0.0)
 
     def test_singleton_batch_matches_scalar(self, pre):
@@ -299,9 +315,8 @@ class TestOnlineExtensionScores(_StrategyFixture):
         [edge] = list(pre.universe.incident(cand.end_stop))[:1]
         score = strategy.extension_scores(cand, [edge])
         assert score.shape == (1,)
-        assert score[0] == pytest.approx(
-            strategy.path_score(cand.edge_ids + (edge,)), abs=1e-9
-        )
+        [want] = self._sequential_scores(pre, cand, [edge])
+        assert score[0] == pytest.approx(want, abs=1e-9)
 
     def test_empty_batch_skips_estimator(self, pre):
         strategy = OnlineStrategy(pre)
@@ -312,18 +327,67 @@ class TestOnlineExtensionScores(_StrategyFixture):
         assert pre.estimator.evaluations == before
 
     def test_batch_charges_one_evaluation_per_scored_extension(self, pre):
+        """A call charges one evaluation per distinct novel-pair set that
+        this strategy has not priced yet."""
         strategy = OnlineStrategy(pre)
         cand = self._candidate(pre, strategy)
         neighbors = list(pre.universe.incident(cand.end_stop))[:4]
+        paths = [list(cand.edge_ids) + [e] for e in neighbors]
+        sets = {novel_set(pre, ids) for ids in paths} - {()}
+        assert len(sets) >= 2, "fixture prices too few distinct sets"
         before = pre.estimator.evaluations
-        strategy.extension_scores(cand, neighbors)
-        charged = pre.estimator.evaluations - before
-        expected = sum(
-            1
-            for e in neighbors
-            if pre.universe.new_pairs(list(cand.edge_ids) + [e])
+        scores = strategy.extension_scores(cand, neighbors)
+        assert pre.estimator.evaluations - before == len(sets)
+        # Every set is priced now: the round again and a re-score of one
+        # of its paths are free, and bitwise what the first call gave.
+        before = pre.estimator.evaluations
+        again = strategy.extension_scores(cand, neighbors)
+        assert again.tobytes() == scores.tobytes()
+        assert strategy.path_score(paths[0]) == scores[0]
+        assert pre.estimator.evaluations == before
+
+
+class _Recording(OnlineStrategy):
+    """An online strategy that keeps every path it is asked to price."""
+
+    def __init__(self, pre):
+        super().__init__(pre)
+        self.paths = []
+
+    def connectivity(self, paths):
+        self.paths.extend(tuple(ids) for ids in paths)
+        return super().connectivity(paths)
+
+
+class TestRunMemo:
+    """One memo per run: a hit is bitwise what a fresh strategy computes."""
+
+    @pytest.fixture(
+        scope="class", params=[True, False], ids=["batched", "sequential"]
+    )
+    def pre(self, request):
+        config = PlannerConfig(
+            **_StrategyFixture.config_kwargs, batch_eval=request.param
         )
-        assert charged == expected
+        return precompute(canned_city("nyc", "tiny"), config)
+
+    def test_scores_after_a_run_equal_a_fresh_strategy(self, pre):
+        strategy = _Recording(pre)
+        ExpansionEngine(pre, strategy).run()
+        paths = list(dict.fromkeys(strategy.paths))
+        assert len(paths) > 20, "the run scored too few candidates"
+        before = pre.estimator.evaluations
+        remembered = [strategy.path_score(ids) for ids in paths]
+        assert pre.estimator.evaluations == before
+        fresh = [OnlineStrategy(pre).path_score(ids) for ids in paths]
+        assert np.array(remembered).tobytes() == np.array(fresh).tobytes()
+
+    def test_run_counts_the_distinct_sets_it_priced(self, pre):
+        strategy = _Recording(pre)
+        result = ExpansionEngine(pre, strategy).run()
+        sets = {novel_set(pre, ids) for ids in strategy.paths} - {()}
+        assert len(sets) < len(strategy.paths)
+        assert result.connectivity_evaluations == len(sets)
 
 
 class TestPrecomputedExtensionScores(_StrategyFixture):
