@@ -122,12 +122,13 @@ import hmac
 import json
 import os
 import queue
+import select
 import socket
 import struct
 import threading
 import time
 import warnings
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, ClassVar
 
@@ -905,9 +906,15 @@ class WorkerServer(FrameServer):
         return super().handle(conn, frame)
 
     def _run_job(self, conn: socket.socket, job: RunFrame) -> bool:
-        """Execute one job, streaming outcome frames; False = close."""
+        """Execute one job, streaming outcome frames; False = close.
+
+        A driver that hangs up mid-job (its caller aborted the sweep)
+        ends the job before the next scenario, with no ``DoneFrame``.
+        """
         n_sent = 0
         for item in job.scenarios:
+            if _peer_closed(conn):
+                return False
             try:
                 outcome = execute_scenario(
                     item.scenario, job.base_config, self.cache_dir
@@ -926,6 +933,19 @@ class WorkerServer(FrameServer):
                 conn.close()
                 return False
         send_frame(conn, DoneFrame(n_executed=n_sent))
+        return True
+
+
+def _peer_closed(conn: socket.socket) -> bool:
+    """Whether the peer of ``conn`` has closed or reset the connection.
+
+    Only for a connection the peer sends nothing more on (a driver is
+    silent after its ``RunFrame``): readable then means EOF or reset.
+    """
+    try:
+        readable, _, _ = select.select([conn], [], [], 0)
+        return bool(readable) and conn.recv(1, socket.MSG_PEEK) == b""
+    except ConnectionError:
         return True
 
 
@@ -961,6 +981,9 @@ class _QueueState:
     weights: dict = field(default_factory=dict)
     closed: bool = False
     """Set by :meth:`_WorkQueue.drain`: no chunk is handed out after it."""
+    connections: set = field(default_factory=set)
+    """The sockets of running shards, which :meth:`_WorkQueue.drain`
+    hangs up."""
 
 
 class _WorkQueue:
@@ -1021,10 +1044,27 @@ class _WorkQueue:
                 state.pending.extend(requeue)
             self._state.notify_all()
 
+    @contextmanager
+    def running(self, sock: socket.socket):
+        """Hold a running shard's connection for :meth:`drain`."""
+        with self._state as state:
+            state.connections.add(sock)
+        try:
+            yield
+        finally:
+            with self._state as state:
+                state.connections.discard(sock)
+
     def drain(self):
-        """Close the queue and return whatever never ran."""
+        """Close the queue, hang up every running shard (its worker stops
+        before its next scenario) and return whatever never ran."""
         with self._state as state:
             state.closed = True
+            for sock in state.connections:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # already gone
             leftovers = list(state.pending)
             state.pending.clear()
             self._state.notify_all()
@@ -1304,12 +1344,12 @@ class RemoteBackend(ExecutionBackend):
                     dead[format_address(address)] = error
         except BaseException:
             # Abort (typically the consumer closing this generator after
-            # a broken on_outcome transport): close the work queue. Each
-            # driver then hangs up after its next outcome frame, and its
-            # worker stops at the next send that fails, instead of
-            # executing the rest of its shard (with one worker, the rest
-            # of the grid) behind the caller's back: the queued-work
-            # cancellation the pool backends apply on abort.
+            # a broken on_outcome transport): close the work queue, which
+            # hangs up every running shard. Each worker then stops before
+            # its next scenario instead of executing the rest of its
+            # shard (with one worker, the rest of the grid) behind the
+            # caller's back: the queued-work cancellation the pool
+            # backends apply on abort.
             work.drain()
             raise
         for thread in threads:
@@ -1359,7 +1399,7 @@ class RemoteBackend(ExecutionBackend):
             done: set = set()
             try:
                 with closing(
-                    self._run_shard(address, shard, base_config)
+                    self._run_shard(address, shard, base_config, work)
                 ) as answers:
                     for index, outcome in answers:
                         outcome.worker = format_address(address)
@@ -1385,12 +1425,12 @@ class RemoteBackend(ExecutionBackend):
             work.task_done()
             shard = []
 
-    def _run_shard(self, address, shard, base_config):
+    def _run_shard(self, address, shard, base_config, work: _WorkQueue):
         """Send one job; yield ``(index, outcome)`` as frames arrive."""
         peer = f"worker {format_address(address)}"
         with connect_authenticated(
             address, self.secret, self.connect_timeout, peer=peer,
-        ) as sock:
+        ) as sock, work.running(sock):
             sock.settimeout(None)  # scenarios may run long; EOF still breaks
             send_frame(sock, RunFrame(
                 protocol=PROTOCOL_VERSION,
