@@ -12,6 +12,7 @@ that junction costs a turn.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from repro.network.geometry import (
 )
 from repro.network.transit import TransitNetwork
 from repro.utils.errors import GraphError
+
+if TYPE_CHECKING:
+    from repro.core.result import PlannedRoute
 
 Continuations = tuple[tuple[int, int, int], ...]
 """``(edge, stop it leads to, turn increment)`` for each allowed next edge."""
@@ -149,6 +153,18 @@ class EdgeUniverse:
             if e.is_new:
                 out.append(e.pair)
         return out
+
+    def materialize(self, route: "PlannedRoute", name: str) -> TransitNetwork:
+        """A copy of the transit network with ``route`` added as route
+        ``name``, each edge carrying its universe length and road path."""
+        transit = self.transit.copy()
+        transit.add_route(
+            name,
+            list(route.stops),
+            [float(self.length[i]) for i in route.edge_indices],
+            [self.edges[i].road_path for i in route.edge_indices],
+        )
+        return transit
 
     def set_deltas(self, values: np.ndarray) -> None:
         """Install pre-computed connectivity increments (aligned by index)."""

@@ -188,11 +188,8 @@ class CTBusPlanner:
             for idx in route.edge_indices:
                 for road_edge in pre.universe.edge(idx).road_path:
                     road.set_demand(road_edge, 0.0)
-        transit = self.dataset.transit.copy()
-        lengths = [float(pre.universe.length[i]) for i in route.edge_indices]
-        road_paths = [pre.universe.edge(i).road_path for i in route.edge_indices]
-        transit.add_route(
-            f"planned-{transit.n_routes}", list(route.stops), lengths, road_paths
+        transit = pre.universe.materialize(
+            route, f"planned-{self.dataset.transit.n_routes}"
         )
         new_dataset = dataclass_replace(self.dataset, road=road, transit=transit)
         return CTBusPlanner(new_dataset, self.config, cache=self.cache)

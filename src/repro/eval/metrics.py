@@ -54,11 +54,7 @@ def materialize_route(
     pre: Precomputation, route: PlannedRoute, name: str = "planned"
 ) -> TransitNetwork:
     """A copy of the transit network with ``route`` added as a real route."""
-    transit = pre.universe.transit.copy()
-    lengths = [float(pre.universe.length[i]) for i in route.edge_indices]
-    road_paths = [pre.universe.edge(i).road_path for i in route.edge_indices]
-    transit.add_route(name, list(route.stops), lengths, road_paths)
-    return transit
+    return pre.universe.materialize(route, name)
 
 
 def evaluate_planned_route(

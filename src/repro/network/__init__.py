@@ -18,7 +18,7 @@ from repro.network.geometry import (
     haversine_km,
     turn_angle,
 )
-from repro.network.paths import count_turns, is_simple_stop_sequence, polyline_length
+from repro.network.paths import count_turns, is_simple_stop_sequence
 from repro.network.road import RoadNetwork
 from repro.network.shortest_path import (
     dijkstra,
@@ -41,7 +41,6 @@ __all__ = [
     "turn_angle",
     "count_turns",
     "is_simple_stop_sequence",
-    "polyline_length",
     "RoadNetwork",
     "dijkstra",
     "reconstruct_edge_path",

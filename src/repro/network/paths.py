@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.network.geometry import SHARP_ANGLE, TURN_ANGLE, euclidean, turn_angle
+from repro.network.geometry import SHARP_ANGLE, TURN_ANGLE, turn_angle
 
 
 def is_simple_stop_sequence(stops: Sequence[int], allow_loop: bool = True) -> bool:
@@ -24,11 +24,6 @@ def is_simple_stop_sequence(stops: Sequence[int], allow_loop: bool = True) -> bo
     if allow_loop and len(stops) >= 3 and stops[0] == stops[-1]:
         interior = stops[:-1]
     return len(set(interior)) == len(interior)
-
-
-def polyline_length(coords: Sequence[Sequence[float]]) -> float:
-    """Total length of the polyline through ``coords``."""
-    return sum(euclidean(coords[i], coords[i + 1]) for i in range(len(coords) - 1))
 
 
 def count_turns(

@@ -2,9 +2,7 @@
 
 import math
 
-import pytest
-
-from repro.network.paths import count_turns, is_simple_stop_sequence, polyline_length
+from repro.network.paths import count_turns, is_simple_stop_sequence
 
 
 class TestSimpleSequence:
@@ -30,14 +28,6 @@ class TestSimpleSequence:
 
     def test_empty(self):
         assert is_simple_stop_sequence([])
-
-
-class TestPolylineLength:
-    def test_length(self):
-        assert polyline_length([(0, 0), (3, 4), (3, 5)]) == pytest.approx(6.0)
-
-    def test_single_point(self):
-        assert polyline_length([(1, 1)]) == 0.0
 
 
 class TestCountTurns:
