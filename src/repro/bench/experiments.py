@@ -9,6 +9,8 @@ EXPERIMENTS.md are what must hold.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.bench.harness import (
     BENCH_ETA_ITERATIONS,
     BOROUGHS,
@@ -33,6 +35,7 @@ from repro.spectral.connectivity import (
 from repro.spectral.eigs import top_k_eigenvalues
 from repro.spectral.norms import spectral_norm
 from repro.sweep import Scenario, SweepReport, sweep_precomputation
+from repro.utils.prng import child_rng
 from repro.utils.tables import format_table
 from repro.utils.timing import Timer
 
@@ -229,35 +232,79 @@ def table3_bound_tightness(city: str, k: int = 15) -> dict:
 # ----------------------------------------------------------------------
 # Table 4 — pre-computation cost
 # ----------------------------------------------------------------------
+TRUTH_SAMPLE = 300
+"""Candidate edges scored against dense ``eigvalsh`` per city."""
+
+
+def increment_truth(pre, sample_seed: int = 3) -> tuple:
+    """``(indices, truth)``: up to :data:`TRUTH_SAMPLE` candidate edges of
+    ``pre`` and their dense ``Delta(e)`` (:func:`natural_connectivity_exact`
+    of ``G_r`` and ``G_r + e``, the Eigen NumPy reference)."""
+    indices = np.array([e.index for e in pre.universe.edges if e.is_new])
+    if len(indices) > TRUTH_SAMPLE:
+        rng = child_rng(sample_seed, f"truth/{pre.universe.n_stops}")
+        indices = np.sort(rng.choice(indices, size=TRUTH_SAMPLE, replace=False))
+    lam0 = natural_connectivity_exact(pre.builder.base())
+    truth = np.array([
+        natural_connectivity_exact(
+            pre.builder.extended([pre.universe.edge(int(i)).pair])
+        ) - lam0
+        for i in indices
+    ])
+    return indices, truth
+
+
+def increment_accuracy(values: np.ndarray, truth: np.ndarray) -> tuple:
+    """``(median relative error, rank correlation)`` of ``values`` against
+    ``truth``."""
+    rel = np.abs(values - truth) / np.abs(truth)
+    ranks = [np.argsort(np.argsort(x)) for x in (values, truth)]
+    return float(np.median(rel)), float(np.corrcoef(*ranks)[0, 1])
+
+
 def table4_precompute(city: str) -> dict:
+    """Precompute cost, exact increments against the Hutchinson reference,
+    each scored against dense ``eigvalsh`` on sampled candidate edges."""
     ds = get_dataset(city)
     cfg = bench_config()
     with Timer() as t_exact:
         pre = precompute(ds, cfg)
-    with Timer() as t_sketch:
-        precompute(ds, cfg.variant(increment_mode="sketch"))
+    with Timer() as t_hutch:
+        ref = precompute(ds, cfg.variant(increment_mode="hutchinson"))
+    indices, truth = increment_truth(pre)
+    exact_err, exact_rho = increment_accuracy(pre.universe.delta[indices], truth)
+    hutch_err, hutch_rho = increment_accuracy(ref.universe.delta[indices], truth)
 
     result = {
         "city": city,
         "new_edges": pre.n_candidate_edges,
         "connectivity_s": pre.timings["increments_s"],
+        "connectivity_hutchinson_s": ref.timings["increments_s"],
         "shortest_path_s": pre.timings["candidate_edges_s"],
         "total_exact_s": t_exact.elapsed,
-        "total_sketch_s": t_sketch.elapsed,
+        "total_hutchinson_s": t_hutch.elapsed,
+        "exact_median_rel_err": exact_err,
+        "hutchinson_median_rel_err": hutch_err,
+        "exact_rank_corr": exact_rho,
+        "hutchinson_rank_corr": hutch_rho,
     }
     paper = PAPER_TABLE4[city]
     text = format_table(
-        ["quantity", "paper", "measured"],
+        ["quantity", "paper", "exact (measured)", "hutchinson (measured)"],
         [
-            ["#new candidate edges", paper["new_edges"], result["new_edges"]],
+            ["#new candidate edges", paper["new_edges"], result["new_edges"], "-"],
             ["connectivity increments (s)", paper["connectivity_s"],
-             round(result["connectivity_s"], 3)],
+             round(result["connectivity_s"], 3),
+             round(result["connectivity_hutchinson_s"], 3)],
             ["shortest-path demand pricing (s)", paper["shortest_path_s"],
-             round(result["shortest_path_s"], 3)],
-            ["total pre-computation (s), exact mode", "-",
-             round(result["total_exact_s"], 3)],
-            ["total pre-computation (s), sketch mode (ablation)", "-",
-             round(result["total_sketch_s"], 3)],
+             round(result["shortest_path_s"], 3), "-"],
+            ["total pre-computation (s)", "-",
+             round(result["total_exact_s"], 3),
+             round(result["total_hutchinson_s"], 3)],
+            [f"median rel. error vs eigvalsh ({len(indices)} edges)", "-",
+             f"{exact_err:.1e}", f"{hutch_err:.1e}"],
+            ["rank correlation vs eigvalsh", "-",
+             round(exact_rho, 6), round(hutch_rho, 3)],
         ],
         title=(
             f"Table 4 [{city}]: pre-computation on candidate new edges — "

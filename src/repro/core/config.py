@@ -18,6 +18,13 @@ EXPANSION_BEST = "best"
 EXPANSION_ALL = "all"
 """Enqueue every neighbor extension (the ETA-AN variant)."""
 
+INCREMENT_EXACT = "exact"
+"""Price connectivity gains with the probe-free block Lanczos kernel."""
+
+INCREMENT_HUTCHINSON = "hutchinson"
+"""Price connectivity gains with the paper's Lanczos + Hutchinson
+estimator (Sec. 5.1), kept as the reference."""
+
 
 @dataclass(frozen=True)
 class PrecomputeSpec(Record):
@@ -30,9 +37,13 @@ class PrecomputeSpec(Record):
     knobs, ...) only shapes the cheap derived state that
     :func:`~repro.core.precompute.rebind` re-creates, so one artifact
     serves a whole ``k``/``w`` sweep. ``batch_eval`` is keyed because
-    the batched and sequential increment paths agree only to
-    floating-point roundoff, not bitwise: sharing artifacts across the
-    switch would make the differential oracle compare a mixture.
+    in the ``"hutchinson"`` mode the batched and sequential increment
+    paths agree only to floating-point roundoff, not bitwise: sharing
+    artifacts across the switch would make the differential oracle
+    compare a mixture. (In the ``"exact"`` mode they agree bitwise, and
+    ``n_probes``, ``lanczos_steps`` and ``seed`` reach only
+    ``lambda(G_r)`` above the dense cutoff; the key keeps all fields so
+    that every key stays what it was.)
     """
 
     tau_km: float
@@ -74,11 +85,17 @@ class PlannerConfig(Record):
     new_edges_only:
         Restrict seeding/expansion to new edges (the vk-TSP baseline).
     n_probes / lanczos_steps:
-        Hutchinson repetitions ``s`` and Lanczos iterations ``t``.
+        Hutchinson repetitions ``s`` and Lanczos iterations ``t`` of the
+        ``"hutchinson"`` increment mode, and of ``lambda(G_r)`` above the
+        dense-spectrum cutoff.
     increment_mode:
-        Per-edge ``Delta(e)`` pre-computation: ``"exact"`` re-estimates
-        each extended graph; ``"sketch"`` uses the low-rank ``e^A`` sketch
-        (fast mode, see :mod:`repro.spectral.sketch`).
+        How every connectivity gain (``Delta(e)``, online extension
+        scores, the reported ``O_lambda``) is priced. ``"exact"``: a
+        block Lanczos run from the stops a path adds, within 1e-10 of
+        dense ``eigvalsh`` (:mod:`repro.spectral.gains`), with no probes
+        and no dependence on ``seed``. ``"hutchinson"``: the paper's
+        common-probe Lanczos + Hutchinson estimate, kept as the
+        reference.
     batch_eval:
         Score all feasible extensions of an expansion round through the
         batched kernel (:mod:`repro.spectral.batch`) — one shared Lanczos
@@ -105,7 +122,7 @@ class PlannerConfig(Record):
     new_edges_only: bool = False
     n_probes: int = 50
     lanczos_steps: int = 10
-    increment_mode: str = "exact"
+    increment_mode: str = INCREMENT_EXACT
     batch_eval: bool = True
     allow_loop: bool = True
     record_every: int = 100
@@ -123,8 +140,9 @@ class PlannerConfig(Record):
             f"expansion must be 'best' or 'all', got {self.expansion!r}",
         )
         require(
-            self.increment_mode in ("exact", "sketch"),
-            f"increment_mode must be 'exact' or 'sketch', got {self.increment_mode!r}",
+            self.increment_mode in (INCREMENT_EXACT, INCREMENT_HUTCHINSON),
+            f"increment_mode must be {INCREMENT_EXACT!r} or "
+            f"{INCREMENT_HUTCHINSON!r}, got {self.increment_mode!r}",
         )
         require(
             self.queue_discipline in ("bound", "fifo"),

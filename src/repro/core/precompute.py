@@ -4,9 +4,11 @@ One pass over the dataset produces everything the planners share:
 
 * the edge universe (existing + candidate new edges, with demand),
 * the base natural connectivity ``lambda(G_r)`` and top eigenvalues,
-* per-edge connectivity increments ``Delta(e)`` — exact (one common-probe
-  Lanczos estimate per candidate edge) or sketched (one ``e^A`` sketch
-  prices all edges, the perturbation fast path),
+* per-edge connectivity increments ``Delta(e)`` — by default from a
+  block Lanczos run started at each edge's two stops (probe-free, within
+  1e-10 of dense ``eigvalsh``), or, with ``increment_mode="hutchinson"``,
+  from the paper's common-probe Lanczos + Hutchinson estimate (Sec. 5.1),
+  kept as the reference,
 * the ranked lists ``L_d``, ``L_lambda``, ``L_e`` and the Eq. 12
   normalizers ``d_max``, ``lambda_max``,
 * the Lemma 4 path-bound increment used as ETA's constant
@@ -38,24 +40,35 @@ from typing import TypeVar
 import numpy as np
 
 from repro.core.bounds import RankedList
-from repro.core.config import PlannerConfig, PrecomputeSpec
+from repro.core.config import (
+    INCREMENT_EXACT,
+    INCREMENT_HUTCHINSON,
+    PlannerConfig,
+    PrecomputeSpec,
+)
 from repro.core.edges import EdgeUniverse, PlanEdge
 from repro.core.seeding import build_edge_universe
 from repro.data.datasets import Dataset
 from repro.network.adjacency import AdjacencyBuilder
 from repro.spectral.bounds import path_upper_bound_increment
-from repro.spectral.connectivity import NaturalConnectivityEstimator
-from repro.spectral.eigs import top_k_eigenvalues
-from repro.spectral.sketch import ExpmSketch
-from repro.utils.errors import DataError
+from repro.spectral.connectivity import (
+    NaturalConnectivityEstimator,
+    natural_connectivity_from_spectrum,
+)
+from repro.spectral.eigs import dense_spectrum, top_k_eigenvalues
+from repro.spectral.gains import block_lanczos_gains
+from repro.utils.errors import DataError, ValidationError
 from repro.utils.fsio import atomic_write_text
 from repro.utils.timing import Timer
 from repro.utils.wire import from_wire
 
-ARTIFACT_FORMAT = 2
+ARTIFACT_FORMAT = 3
 """On-disk artifact version (bump on incompatible layout *or semantics*
-changes; v2: sketch-mode deltas honor ``config.n_probes``, so v1 sketch
-artifacts no longer match what ``precompute()`` would produce)."""
+changes). v2: sketch-mode deltas honor ``config.n_probes``. v3: the
+default ``increment_mode="exact"`` prices ``Delta(e)`` with the block
+Lanczos kernel and takes ``lambda_base`` from the dense spectrum, where
+v2 used Hutchinson estimates; the spec, and so the cache key, is
+unchanged, so a v2 artifact must not be served for it."""
 
 _Score = TypeVar("_Score", float, np.ndarray)
 
@@ -80,8 +93,8 @@ class Precomputation:
     """The dataset's road network (used by baselines for stitching)."""
     spectrum_widened: bool = False
     """Set when the spectrum this object was derived from was too short
-    for its ``k`` and had to be recomputed: always for a fresh
-    :func:`precompute`, and for a :meth:`load` or :func:`rebind` at a
+    for its ``k`` and had to be recomputed: for a fresh :func:`precompute`
+    above the dense cutoff, and for a :meth:`load` or :func:`rebind` at a
     larger ``k`` — a loaded artifact with it set is worth re-persisting."""
 
     @property
@@ -91,9 +104,11 @@ class Precomputation:
     def connectivity_gains(
         self, pair_groups: Sequence[Sequence[tuple[int, int]]], batched: bool
     ) -> np.ndarray:
-        """:func:`connectivity_gains` against this precomputation's ``G_r``."""
+        """:func:`connectivity_gains` against this precomputation's ``G_r``,
+        in its ``increment_mode``."""
         return connectivity_gains(
-            self.builder, self.estimator, self.lambda_base, pair_groups, batched
+            self.builder, self.estimator, self.lambda_base, pair_groups, batched,
+            self.config.increment_mode,
         )
 
     def objective(self, o_d: _Score, o_lambda: _Score) -> _Score:
@@ -268,36 +283,24 @@ def compute_edge_increments(
     builder: AdjacencyBuilder,
     estimator: NaturalConnectivityEstimator,
     lambda_base: float,
-    mode: str = "exact",
-    sketch_probes: int = 256,
-    seed: int = 0,
-    batch: bool = False,
+    spec: PrecomputeSpec,
 ) -> np.ndarray:
     """``Delta(e)`` for every universe edge (zero for existing edges).
 
-    ``mode="exact"`` prices each candidate edge as a one-pair group of
-    :func:`connectivity_gains`, batched when ``batch`` is set;
-    ``mode="sketch"`` prices all edges from one low-rank ``e^A`` sketch
-    (first-order perturbation).
+    Each candidate edge is a one-pair group of :func:`connectivity_gains`
+    in the spec's ``increment_mode``, batched when ``batch_eval`` is set.
     """
     deltas = np.zeros(len(universe), dtype=float)
     new_indices = [e.index for e in universe.edges if e.is_new]
-    if not new_indices:
-        return deltas
-    if mode == "sketch":
-        sketch = ExpmSketch(builder.base(), n_probes=sketch_probes, seed=seed)
-        pairs = np.asarray([universe.edge(i).pair for i in new_indices], dtype=int)
-        deltas[new_indices] = sketch.delta_lambda_many(pairs)
-        return deltas
-    if mode != "exact":
-        raise ValueError(f"unknown increment mode {mode!r}")
-    deltas[new_indices] = connectivity_gains(
-        builder,
-        estimator,
-        lambda_base,
-        [[universe.edge(i).pair] for i in new_indices],
-        batch,
-    )
+    if new_indices:
+        deltas[new_indices] = connectivity_gains(
+            builder,
+            estimator,
+            lambda_base,
+            [[universe.edge(i).pair] for i in new_indices],
+            spec.batch_eval,
+            spec.increment_mode,
+        )
     return deltas
 
 
@@ -307,6 +310,7 @@ def connectivity_gains(
     lambda_base: float,
     pair_groups: Sequence[Sequence[tuple[int, int]]],
     batched: bool,
+    increment_mode: str = INCREMENT_EXACT,
 ) -> np.ndarray:
     """``max(lambda(G_r + group) - lambda_base, 0)`` for each group of stop pairs.
 
@@ -315,25 +319,44 @@ def connectivity_gains(
     reported route. A group is priced by its canonical novel-pair set
     (:meth:`~AdjacencyBuilder.novel_pairs`), once per call however many
     groups name it, so duplicate, reordered and flipped groups get
-    bitwise-equal gains. An empty set gains 0 and costs no estimate.
-    ``batched`` prices the distinct sets in one
-    :meth:`~NaturalConnectivityEstimator.estimate_batch`; without it
-    each gets its own :meth:`~NaturalConnectivityEstimator.estimate`,
-    the sequential reference. Both modes charge one evaluation per
-    distinct non-empty set and agree to floating-point roundoff.
+    bitwise-equal gains. An empty set gains 0 and costs no evaluation;
+    every distinct non-empty set counts one in ``estimator.evaluations``.
+
+    ``increment_mode="exact"`` prices a set with the block Lanczos kernel
+    (:func:`~repro.spectral.gains.block_lanczos_gains`), started at the
+    stops the set touches, against ``tr e^A = n e^{lambda_base}``.
+    ``batched`` prices the distinct sets in one kernel call, otherwise
+    each alone; the kernel prices a set independently of the others in
+    its call, so both modes agree bitwise. ``"hutchinson"`` is the
+    paper's estimator (Sec. 5.1): ``batched`` prices the distinct sets in
+    one :meth:`~NaturalConnectivityEstimator.estimate_batch`, otherwise
+    each gets its own :meth:`~NaturalConnectivityEstimator.estimate`, the
+    sequential reference; there the two modes agree to floating-point
+    roundoff.
     """
     keys = [tuple(builder.novel_pairs(group)) for group in pair_groups]
     distinct = [key for key in dict.fromkeys(keys) if key]
     if not distinct:
         return np.zeros(len(keys))
-    if batched:
-        values = estimator.estimate_batch(builder.base(), distinct)
-    else:
-        values = np.array(
-            [estimator.estimate(builder.extended(key)) for key in distinct]
+    if increment_mode == INCREMENT_EXACT:
+        trace_base = builder.n * float(np.exp(lambda_base))
+        parts = [distinct] if batched else [[key] for key in distinct]
+        values = np.concatenate(
+            [block_lanczos_gains(builder.base(), part, trace_base) for part in parts]
         )
+        estimator.evaluations += len(distinct)
+    elif increment_mode == INCREMENT_HUTCHINSON:
+        if batched:
+            estimates = estimator.estimate_batch(builder.base(), distinct)
+        else:
+            estimates = np.array(
+                [estimator.estimate(builder.extended(key)) for key in distinct]
+            )
+        values = estimates - lambda_base
+    else:
+        raise ValidationError(f"unknown increment mode {increment_mode!r}")
     # Adding edges never decreases natural connectivity; clamp noise.
-    priced = dict(zip(distinct, np.maximum(values - lambda_base, 0.0)))
+    priced = dict(zip(distinct, np.maximum(values, 0.0)))
     return np.array([priced[key] if key else 0.0 for key in keys])
 
 
@@ -366,7 +389,12 @@ def _compute_artifacts(dataset: Dataset, spec: PrecomputeSpec) -> tuple:
 
     Reads nothing but ``dataset`` and ``spec``, the fields the cache key
     hashes, so its output is valid for every config with this spec.
-    Returns ``(universe, builder, estimator, lambda_base, timings)``.
+    Returns ``(universe, builder, estimator, lambda_base, spectrum,
+    timings)``. ``spectrum`` is the base adjacency's whole spectrum,
+    descending, from one dense ``eigvalsh``; it is empty above the dense
+    cutoff (:func:`~repro.spectral.eigs.dense_spectrum`). In the exact
+    mode ``lambda_base`` comes from it where it exists; otherwise it is
+    the Hutchinson estimate.
     """
     timings: dict[str, float] = {}
 
@@ -379,23 +407,20 @@ def _compute_artifacts(dataset: Dataset, spec: PrecomputeSpec) -> tuple:
     estimator = _estimator(transit.n_stops, spec)
 
     with Timer() as t:
-        lambda_base = estimator.estimate(builder.base())
+        spectrum = dense_spectrum(builder.base())
+        if spec.increment_mode == INCREMENT_EXACT and spectrum.size:
+            lambda_base = natural_connectivity_from_spectrum(spectrum)
+        else:
+            lambda_base = estimator.estimate(builder.base())
     timings["base_spectrum_s"] = t.elapsed
 
     with Timer() as t:
         deltas = compute_edge_increments(
-            universe,
-            builder,
-            estimator,
-            lambda_base,
-            mode=spec.increment_mode,
-            sketch_probes=spec.n_probes,
-            seed=spec.seed,
-            batch=spec.batch_eval,
+            universe, builder, estimator, lambda_base, spec
         )
         universe.set_deltas(deltas)
     timings["increments_s"] = t.elapsed
-    return universe, builder, estimator, lambda_base, timings
+    return universe, builder, estimator, lambda_base, spectrum, timings
 
 
 def _finalize(
@@ -457,14 +482,15 @@ def _finalize(
 
 def precompute(dataset: Dataset, config: PlannerConfig) -> Precomputation:
     """Run the full pre-computation for ``dataset`` under ``config``."""
-    universe, builder, estimator, lambda_base, timings = _compute_artifacts(
-        dataset, config.spec
+    universe, builder, estimator, lambda_base, spectrum, timings = (
+        _compute_artifacts(dataset, config.spec)
     )
-    # base_spectrum_s covers lambda_base and the first spectrum, which
-    # the cheap half computes.
+    # base_spectrum_s covers lambda_base and the top spectrum; the cheap
+    # half computes the latter only above the dense cutoff.
     with Timer() as t:
         pre = _finalize(
-            universe, builder, estimator, lambda_base, np.empty(0), config, timings
+            universe, builder, estimator, lambda_base,
+            spectrum[: 2 * config.k], config, timings,
         )
     timings["base_spectrum_s"] += t.elapsed
     pre.road = dataset.road

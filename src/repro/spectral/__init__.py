@@ -7,11 +7,11 @@ it exactly needs a full eigendecomposition; this package provides
   dense reference ("Eigen NumPy" column of Table 2),
 * :class:`~repro.spectral.connectivity.NaturalConnectivityEstimator` —
   Lanczos + Hutchinson estimation with common random probes (Sec. 5.1),
+* :func:`~repro.spectral.gains.block_lanczos_gains` — probe-free
+  connectivity gains from a block Lanczos run started at the stops a set
+  of new edges touches,
 * the three upper bounds of Section 5.2 (Estrada / Lemma 3 / Lemma 4) in
-  :mod:`repro.spectral.bounds`,
-* :class:`~repro.spectral.sketch.ExpmSketch` — a randomized low-rank
-  sketch of ``e^A`` enabling first-order per-edge increments (the paper's
-  perturbation-theory future-work item).
+  :mod:`repro.spectral.bounds`.
 """
 
 from repro.spectral.alt_measures import (
@@ -31,8 +31,10 @@ from repro.spectral.bounds import (
 from repro.spectral.connectivity import (
     NaturalConnectivityEstimator,
     natural_connectivity_exact,
+    natural_connectivity_from_spectrum,
 )
-from repro.spectral.eigs import top_k_eigenvalues
+from repro.spectral.eigs import dense_spectrum, top_k_eigenvalues
+from repro.spectral.gains import GAIN_STEPS, block_lanczos_gains
 from repro.spectral.hutchinson import hutchinson_trace, sample_probes
 from repro.spectral.lanczos import (
     block_expm_lanczos,
@@ -43,13 +45,14 @@ from repro.spectral.lanczos import (
 )
 from repro.spectral.norms import spectral_norm
 from repro.spectral.path_graph import path_graph_adjacency, path_graph_eigenvalues
-from repro.spectral.sketch import ExpmSketch
 
 __all__ = [
     "algebraic_connectivity",
     "batched_expm_actions",
     "batched_expm_traces",
     "block_expm_lanczos",
+    "block_lanczos_gains",
+    "GAIN_STEPS",
     "edge_connectivity",
     "estrada_index",
     "laplacian",
@@ -60,6 +63,8 @@ __all__ = [
     "path_upper_bound_increment",
     "NaturalConnectivityEstimator",
     "natural_connectivity_exact",
+    "natural_connectivity_from_spectrum",
+    "dense_spectrum",
     "top_k_eigenvalues",
     "hutchinson_trace",
     "sample_probes",
@@ -70,5 +75,4 @@ __all__ = [
     "spectral_norm",
     "path_graph_adjacency",
     "path_graph_eigenvalues",
-    "ExpmSketch",
 ]

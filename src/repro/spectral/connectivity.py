@@ -33,11 +33,14 @@ def natural_connectivity_exact(A) -> float:
         dense = np.asarray(A, dtype=float)
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise ValidationError(f"adjacency must be square, got shape {dense.shape}")
-    n = dense.shape[0]
-    if n == 0:
+    if dense.shape[0] == 0:
         raise ValidationError("adjacency must be non-empty")
-    evals = np.linalg.eigvalsh(dense)
-    return float(logsumexp(evals) - np.log(n))
+    return natural_connectivity_from_spectrum(np.linalg.eigvalsh(dense))
+
+
+def natural_connectivity_from_spectrum(evals: np.ndarray) -> float:
+    """``ln(sum_j e^{lambda_j} / n)`` from all ``n`` eigenvalues (Eq. 1)."""
+    return float(logsumexp(evals) - np.log(len(evals)))
 
 
 class NaturalConnectivityEstimator:

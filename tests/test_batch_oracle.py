@@ -1,21 +1,28 @@
 """Differential oracle: batched planning ≡ the sequential reference.
 
-The batched extension-evaluation kernel (``repro.spectral.batch``) is
-correctness-critical — a silent numerical bug would shift every route
-the planner emits. This suite pins ``batch_eval=True`` against the
-sequential reference path (``batch_eval=False``, kept alive forever as
-the oracle) across a corpus of synthetic cities × both strategies ×
-both expansion modes × both queue disciplines: 24 corpus points.
+The batched kernels are correctness-critical — a silent numerical bug
+would shift every route the planner emits. This suite pins
+``batch_eval=True`` against the sequential reference path
+(``batch_eval=False``, kept alive forever as the oracle) across a
+corpus of synthetic cities × both strategies × both expansion modes ×
+both queue disciplines: 24 corpus points, in both increment modes.
 
-Contract: the two modes must plan the *same route* with objectives and
-search scores within 1e-9, pricing the same number of distinct
-novel-pair sets. Routes are compared up to traversal
-direction — a path and its reverse are the same physical bus route
-(identical edge set, stops, and objective), and which direction wins an
-*exact* score tie is an exploration-order artifact that sub-tolerance
-(~1e-16) roundoff between the kernel's rank-update matvec and the
-reference's rebuilt-CSR matvec may legitimately flip.
+Contract, ``increment_mode="exact"`` (the block Lanczos kernel of
+``repro.spectral.gains``): the two modes plan bitwise the same result,
+since the kernel prices each set independently of its batch.
+
+Contract, ``increment_mode="hutchinson"`` (``repro.spectral.batch``):
+the two modes must plan the *same route* with objectives and search
+scores within 1e-9, pricing the same number of distinct novel-pair
+sets. Routes are compared up to traversal direction — a path and its
+reverse are the same physical bus route (identical edge set, stops, and
+objective), and which direction wins an *exact* score tie is an
+exploration-order artifact that sub-tolerance (~1e-16) roundoff between
+the kernel's rank-update matvec and the reference's rebuilt-CSR matvec
+may legitimately flip.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -40,12 +47,12 @@ _BASE = dict(
 _pre_cache: dict = {}
 
 
-def _plan(city, method, expansion, discipline, batch_eval):
-    key = (city, expansion, discipline, batch_eval)
+def _plan(city, method, expansion, discipline, batch_eval, increment_mode="exact"):
+    key = (city, expansion, discipline, batch_eval, increment_mode)
     if key not in _pre_cache:
         config = PlannerConfig(
             **_BASE, expansion=expansion, queue_discipline=discipline,
-            batch_eval=batch_eval,
+            batch_eval=batch_eval, increment_mode=increment_mode,
         )
         _pre_cache[key] = precompute(canned_city(city, "tiny"), config)
     return run_method(_pre_cache[key], method)
@@ -60,6 +67,10 @@ def _canonical_route(route):
     return min(forward, backward)
 
 
+def _timeless(result):
+    return dataclasses.replace(result, runtime_s=0.0)
+
+
 @pytest.mark.parametrize("discipline", DISCIPLINES)
 @pytest.mark.parametrize("expansion", EXPANSIONS)
 @pytest.mark.parametrize("method", METHODS)
@@ -67,6 +78,19 @@ def _canonical_route(route):
 def test_batched_plan_matches_sequential(city, method, expansion, discipline):
     batched = _plan(city, method, expansion, discipline, True)
     reference = _plan(city, method, expansion, discipline, False)
+    assert batched.route is not None, "corpus point found no route"
+    assert _timeless(batched) == _timeless(reference)
+
+
+@pytest.mark.parametrize("discipline", DISCIPLINES)
+@pytest.mark.parametrize("expansion", EXPANSIONS)
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("city", CITIES)
+def test_hutchinson_batched_plan_matches_sequential(
+    city, method, expansion, discipline
+):
+    batched = _plan(city, method, expansion, discipline, True, "hutchinson")
+    reference = _plan(city, method, expansion, discipline, False, "hutchinson")
 
     assert _canonical_route(batched.route) == _canonical_route(reference.route)
     assert batched.route is not None, "corpus point found no route"
@@ -93,8 +117,18 @@ def test_corpus_covers_both_strategies_modes_and_disciplines():
 
 
 def test_precomputed_deltas_match_across_modes():
-    """Batched precompute increments agree with sequential ones."""
+    """Batched precompute increments equal sequential ones bitwise."""
     config = PlannerConfig(**_BASE, batch_eval=True)
+    ds = canned_city("chicago", "tiny")
+    on = precompute(ds, config)
+    off = precompute(ds, config.variant(batch_eval=False))
+    assert on.universe.delta.tobytes() == off.universe.delta.tobytes()
+    assert on.estimator.evaluations == off.estimator.evaluations
+
+
+def test_hutchinson_precomputed_deltas_match_across_modes():
+    """Batched Hutchinson increments agree with sequential ones."""
+    config = PlannerConfig(**_BASE, batch_eval=True, increment_mode="hutchinson")
     ds = canned_city("chicago", "tiny")
     on = precompute(ds, config)
     off = precompute(ds, config.variant(batch_eval=False))

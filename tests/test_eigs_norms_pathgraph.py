@@ -25,7 +25,7 @@ class TestTopK:
         assert got == pytest.approx(full[:7], abs=1e-8)
 
     def test_matches_dense_large_sparse_path(self):
-        A = random_adjacency(400, 0.015, 1)
+        A = random_adjacency(600, 0.01, 1)  # above the dense cutoff
         full = np.sort(np.linalg.eigvalsh(A.toarray()))[::-1]
         got = top_k_eigenvalues(A, 10)
         assert got == pytest.approx(full[:10], abs=1e-6)

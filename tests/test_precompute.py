@@ -9,12 +9,12 @@ from repro.core.config import PlannerConfig, PrecomputeSpec
 from repro.core.planner import run_method
 from repro.core.precompute import (
     Precomputation,
-    compute_edge_increments,
     connectivity_gains,
     precompute,
     rebind,
 )
 from repro.data.datasets import CITY_NAMES, canned_city
+from repro.utils.errors import ValidationError
 
 
 class TestPrecompute:
@@ -62,7 +62,7 @@ class TestPrecompute:
         from repro.spectral.connectivity import natural_connectivity_exact
 
         exact = natural_connectivity_exact(small_dataset.transit.adjacency())
-        assert small_pre.lambda_base == pytest.approx(exact, abs=0.1)
+        assert small_pre.lambda_base == pytest.approx(exact, rel=1e-13)
 
 
 class TestConfigFieldAudit:
@@ -77,49 +77,29 @@ class TestConfigFieldAudit:
 
 
 class TestIncrementModes:
-    def test_sketch_mode_correlates_with_exact(self, small_dataset, small_config):
-        exact_pre = precompute(small_dataset, small_config)
-        sketch_cfg = small_config.variant(increment_mode="sketch")
-        sketch_pre = precompute(small_dataset, sketch_cfg)
-        new = exact_pre.universe.is_new
-        a = exact_pre.universe.delta[new]
-        b = sketch_pre.universe.delta[new]
-        assert len(a) == len(b)
-        # Rankings should agree reasonably well.
-        ra = np.argsort(np.argsort(a))
-        rb = np.argsort(np.argsort(b))
-        assert np.corrcoef(ra, rb)[0, 1] > 0.5
-
-    def test_sketch_mode_honors_n_probes(self, small_dataset, small_config):
-        """Regression: ``config.n_probes`` must reach the ExpmSketch.
-
-        ``precompute()`` used to drop it (the sketch always ran its 256
-        default) while the cache key still varied on ``n_probes`` —
-        duplicate cache entries for identical artifacts and a dead knob.
-        Different probe counts must now produce different sketch deltas.
-        """
-        few = precompute(
-            small_dataset,
-            small_config.variant(increment_mode="sketch", n_probes=8),
-        )
-        many = precompute(
-            small_dataset,
-            small_config.variant(increment_mode="sketch", n_probes=64),
-        )
-        new = few.universe.is_new
-        assert not np.array_equal(
-            few.universe.delta[new], many.universe.delta[new]
-        )
-
     def test_unknown_mode_rejected(self, small_pre):
-        with pytest.raises(ValueError):
-            compute_edge_increments(
-                small_pre.universe,
-                small_pre.builder,
-                small_pre.estimator,
-                small_pre.lambda_base,
-                mode="bogus",
+        with pytest.raises(ValidationError, match="'exact' or 'hutchinson'"):
+            PlannerConfig(increment_mode="sketch")
+        pair = next(e.pair for e in small_pre.universe.edges if e.is_new)
+        with pytest.raises(ValidationError, match="bogus"):
+            connectivity_gains(
+                small_pre.builder, small_pre.estimator, small_pre.lambda_base,
+                [[pair]], True, "bogus",
             )
+
+    def test_hutchinson_mode_is_the_estimator(self, small_dataset, small_config):
+        """The reference mode prices ``lambda_base`` and ``Delta(e)`` with
+        the Lanczos + Hutchinson estimator, as the paper does."""
+        pre = precompute(small_dataset, small_config.variant(increment_mode="hutchinson"))
+        assert pre.lambda_base == pre.estimator.estimate(pre.builder.base())
+        new = [e.index for e in pre.universe.edges if e.is_new][:5]
+        want = np.maximum(
+            pre.estimator.estimate_batch(
+                pre.builder.base(), [[pre.universe.edge(i).pair] for i in new]
+            ) - pre.lambda_base,
+            0.0,
+        )
+        assert pre.universe.delta[new].tobytes() == want.tobytes()
 
 
 class TestConnectivityGains:
@@ -150,7 +130,7 @@ class TestConnectivityGains:
         above_every_estimate = small_pre.lambda_base + 1.0
         gains = connectivity_gains(
             small_pre.builder, small_pre.estimator, above_every_estimate,
-            self._groups(small_pre), batched,
+            self._groups(small_pre), batched, "hutchinson",
         )
         assert gains.tolist() == [0.0] * 5
 
@@ -176,7 +156,7 @@ class TestConnectivityGains:
         groups = self._groups(small_pre)
         batched = small_pre.connectivity_gains(groups, batched=True)
         sequential = small_pre.connectivity_gains(groups, batched=False)
-        np.testing.assert_allclose(batched, sequential, atol=1e-9, rtol=0.0)
+        assert batched.tobytes() == sequential.tobytes()
 
     def test_single_pair_groups_are_the_precomputed_deltas(self, small_pre):
         uni = small_pre.universe
@@ -227,7 +207,7 @@ class TestRebind:
         elif isinstance(value, (int, float)):
             changed = value + 1
         else:
-            changed = {"exact": "sketch", "sketch": "exact"}[value]
+            changed = {"exact": "hutchinson", "hutchinson": "exact"}[value]
         with pytest.raises(ValueError, match=name):
             rebind(small_pre, small_pre.config.variant(**{name: changed}))
 

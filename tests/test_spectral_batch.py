@@ -363,11 +363,18 @@ class TestRunMemo:
     """One memo per run: a hit is bitwise what a fresh strategy computes."""
 
     @pytest.fixture(
-        scope="class", params=[True, False], ids=["batched", "sequential"]
+        scope="class",
+        params=[
+            (True, "exact"), (False, "exact"),
+            (True, "hutchinson"), (False, "hutchinson"),
+        ],
+        ids=["batched", "sequential", "hutchinson-batched", "hutchinson-sequential"],
     )
     def pre(self, request):
+        batch_eval, increment_mode = request.param
         config = PlannerConfig(
-            **_StrategyFixture.config_kwargs, batch_eval=request.param
+            **_StrategyFixture.config_kwargs, batch_eval=batch_eval,
+            increment_mode=increment_mode,
         )
         return precompute(canned_city("nyc", "tiny"), config)
 

@@ -135,7 +135,7 @@ class TestKeySensitivity:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"tau_km": 0.4}, {"increment_mode": "sketch"}, {"n_probes": 11},
+        [{"tau_km": 0.4}, {"increment_mode": "hutchinson"}, {"n_probes": 11},
          {"lanczos_steps": 7}, {"seed": 123}],
     )
     def test_precompute_relevant_config_changes_key(
