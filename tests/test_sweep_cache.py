@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import PlannerConfig, PrecomputeSpec
-from repro.core.precompute import Precomputation, precompute
+from repro.core.precompute import ARTIFACT_FORMAT, Precomputation, precompute
 from repro.data.datasets import build_dataset, canned_city
 from repro.data.synth import SynthConfig
 from repro.network.road import RoadNetwork
@@ -177,14 +177,42 @@ class TestGoldenKey:
     def test_every_keyed_field_changed(self, chicago):
         config = PlannerConfig(
             seed=3, tau_km=0.4, n_probes=20, lanczos_steps=6,
-            increment_mode="sketch", batch_eval=False,
+            increment_mode="hutchinson", batch_eval=False,
         )
-        assert cache_key(chicago, config) == "b37ecac32410ee9e466f751d9d3ec768"
+        assert cache_key(chicago, config) == "d70ddfc934a85cb11adc9fba4d7fa5c2"
 
     def test_search_knobs_keep_default_key(self, chicago):
         assert cache_key(chicago, PlannerConfig(k=7, w=0.2)) == (
             "ed55d01e0dc1d8e67e85506734ff6dd7"
         )
+
+
+class TestArtifactFormat:
+    def test_format_2_entry_under_the_default_key_is_recomputed(self, tmp_path):
+        """The default spec, and so its key, is the same as under format 2,
+        whose ``Delta(e)`` came from the Hutchinson estimator: a warm
+        format-2 entry must be a miss, recomputed and replaced."""
+        chicago = canned_city("chicago", "tiny")
+        config = PlannerConfig()
+        stale = precompute(chicago, config.variant(increment_mode="hutchinson"))
+        stale.config = config
+        cache = PrecomputationCache(str(tmp_path))
+        key = cache.store(stale, chicago)
+        assert key == "ed55d01e0dc1d8e67e85506734ff6dd7"
+        json_path = tmp_path / f"{key}.json"
+        meta = json.loads(json_path.read_text())
+        meta["format"] = 2
+        json_path.write_text(json.dumps(meta))
+
+        pre, hit = cache.fetch_or_compute(chicago, config)
+        assert hit is False
+        fresh = precompute(chicago, config)
+        assert pre.universe.delta.tobytes() == fresh.universe.delta.tobytes()
+        assert not np.array_equal(pre.universe.delta, stale.universe.delta)
+        assert json.loads(json_path.read_text())["format"] == ARTIFACT_FORMAT == 3
+        again, hit = cache.fetch_or_compute(chicago, config)
+        assert hit is True
+        assert again.universe.delta.tobytes() == fresh.universe.delta.tobytes()
 
 
 class TestRoundTrip:
