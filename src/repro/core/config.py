@@ -91,17 +91,17 @@ class PlannerConfig(Record):
     increment_mode:
         How every connectivity gain (``Delta(e)``, online extension
         scores, the reported ``O_lambda``) is priced. ``"exact"``: a
-        block Lanczos run from the stops a path adds, within 1e-10 of
+        block Lanczos run from the stops a path adds, within 2e-10 of
         dense ``eigvalsh`` (:mod:`repro.spectral.gains`), with no probes
         and no dependence on ``seed``. ``"hutchinson"``: the paper's
         common-probe Lanczos + Hutchinson estimate, kept as the
         reference.
     batch_eval:
-        Score all feasible extensions of an expansion round through the
-        batched kernel (:mod:`repro.spectral.batch`) — one shared Lanczos
-        recurrence per round. ``False`` keeps the sequential
-        per-extension reference path, preserved forever as the
-        differential oracle for the kernel.
+        Score all feasible extensions of an expansion round with one
+        batched kernel call (:mod:`repro.spectral.gains`, or
+        :mod:`repro.spectral.batch` in the ``"hutchinson"`` mode).
+        ``False`` keeps the sequential per-extension reference path,
+        preserved forever as the differential oracle for the kernel.
     allow_loop:
         Permit the final edge to close a one-way loop (paper footnote 4).
     record_every:

@@ -6,7 +6,7 @@ One pass over the dataset produces everything the planners share:
 * the base natural connectivity ``lambda(G_r)`` and top eigenvalues,
 * per-edge connectivity increments ``Delta(e)`` — by default from a
   block Lanczos run started at each edge's two stops (probe-free, within
-  1e-10 of dense ``eigvalsh``), or, with ``increment_mode="hutchinson"``,
+  2e-10 of dense ``eigvalsh``), or, with ``increment_mode="hutchinson"``,
   from the paper's common-probe Lanczos + Hutchinson estimate (Sec. 5.1),
   kept as the reference,
 * the ranked lists ``L_d``, ``L_lambda``, ``L_e`` and the Eq. 12
@@ -310,7 +310,7 @@ def connectivity_gains(
     lambda_base: float,
     pair_groups: Sequence[Sequence[tuple[int, int]]],
     batched: bool,
-    increment_mode: str = INCREMENT_EXACT,
+    increment_mode: str,
 ) -> np.ndarray:
     """``max(lambda(G_r + group) - lambda_base, 0)`` for each group of stop pairs.
 

@@ -31,10 +31,9 @@ from repro.spectral.bounds import (
 from repro.spectral.connectivity import (
     NaturalConnectivityEstimator,
     natural_connectivity_exact,
-    natural_connectivity_from_spectrum,
 )
-from repro.spectral.eigs import dense_spectrum, top_k_eigenvalues
-from repro.spectral.gains import GAIN_STEPS, block_lanczos_gains
+from repro.spectral.eigs import top_k_eigenvalues
+from repro.spectral.gains import block_lanczos_gains
 from repro.spectral.hutchinson import hutchinson_trace, sample_probes
 from repro.spectral.lanczos import (
     block_expm_lanczos,
@@ -52,7 +51,6 @@ __all__ = [
     "batched_expm_traces",
     "block_expm_lanczos",
     "block_lanczos_gains",
-    "GAIN_STEPS",
     "edge_connectivity",
     "estrada_index",
     "laplacian",
@@ -63,8 +61,6 @@ __all__ = [
     "path_upper_bound_increment",
     "NaturalConnectivityEstimator",
     "natural_connectivity_exact",
-    "natural_connectivity_from_spectrum",
-    "dense_spectrum",
     "top_k_eigenvalues",
     "hutchinson_trace",
     "sample_probes",

@@ -40,9 +40,8 @@ from repro.utils.errors import ValidationError
 
 GAIN_STEPS = 8
 """Block Lanczos steps per set. Against dense ``eigvalsh`` the gains are
-within 1e-10 relative on every candidate edge and eta-pre route of the
-canned cities (``tests/test_gain_kernel.py``); 6 steps would save about
-a quarter of the kernel time at about 1e-7."""
+within 2e-10 relative on every candidate edge of the canned cities
+(``tests/test_gain_kernel.py`` states a bound of 1e-8)."""
 
 _DEFLATION_RTOL = 1e-8
 """A singular value of a new block at or below this times ``||A||`` is

@@ -13,9 +13,12 @@ set, the paper's "Eigen NumPy" reference. Contract:
   tiny cities);
 * a set's gain is bitwise the same priced alone, in its batch or in a
   shuffled batch, so the batched and sequential modes agree bitwise;
+* eta-pre plans the routes it plans with ``Delta(e)`` from dense
+  ``eigvalsh``;
 * nothing depends on ``seed``: eta-pre plans identically for seeds 0-4.
 """
 
+import functools
 import itertools
 import random
 
@@ -79,6 +82,7 @@ def assert_same_order(got, truth):
     assert agree[apart].all()
 
 
+@functools.lru_cache(maxsize=None)
 def _edge_gains(city, profile):
     pre = _pre(city, profile)
     new = [e.index for e in pre.universe.edges if e.is_new]
@@ -98,6 +102,24 @@ class TestCandidateEdges:
         pre = _pre(city, "tiny")
         exact = natural_connectivity_exact(pre.builder.base())
         assert pre.lambda_base == pytest.approx(exact, rel=1e-13)
+
+
+class TestDenseRoutes:
+    @pytest.mark.parametrize("city, profile", PROFILES)
+    def test_eta_pre_routes_equal_the_dense_delta_routes(self, city, profile):
+        """eta-pre plans with the kernel's ``Delta(e)`` as with ``Delta(e)``
+        from dense ``eigvalsh``, at k = 30 and k = 10."""
+        pre, _, truth = _edge_gains(city, profile)
+        dense = precompute(canned_city(city, profile), PlannerConfig())
+        deltas = np.zeros(len(dense.universe))
+        deltas[dense.universe.is_new] = np.maximum(truth, 0.0)
+        dense.universe.set_deltas(deltas)
+        for k in (30, 10):
+            got = run_method(rebind(pre, pre.config.variant(k=k)), "eta-pre")
+            want = run_method(rebind(dense, dense.config.variant(k=k)), "eta-pre")
+            route, dense_route = got.route.edge_indices, want.route.edge_indices
+            assert min(route, route[::-1]) == min(dense_route, dense_route[::-1])
+            assert got.objective == pytest.approx(want.objective, rel=1e-9)
 
 
 def _route_sets(city, profile, ks=(10, 30)):
