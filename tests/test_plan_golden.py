@@ -166,8 +166,8 @@ def test_plan_matches_golden(case):
     want = GOLDEN[case]
     assert got[:6] == want[:6]
     assert got[6:] == pytest.approx(want[6:], rel=REL)
-    o_lambda, true_o_lambda = got[7], got[9]
-    assert o_lambda == pytest.approx(true_o_lambda, rel=REL)
+    estimated, exact = got[7], got[9]
+    assert estimated == pytest.approx(exact, rel=REL)
 
 
 @pytest.mark.parametrize("city", CITY_NAMES)
