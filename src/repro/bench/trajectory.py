@@ -9,7 +9,7 @@ versioned snapshot file per area at the repo root::
     BENCH_plan.json      planner end-to-end + per-phase breakdown
     BENCH_sweep.json     grid execution, cold and warm cache
     BENCH_cache.json     artifact keying / store / hit latency
-    BENCH_spectral.json  Lanczos + Hutchinson microbenches
+    BENCH_spectral.json  gain-kernel and Hutchinson microbenches
     BENCH_serve.json     plan-server request latency, cold vs pool-warm
 
 Each probe is a plain function returning a flat ``{metric: value}``
@@ -44,8 +44,8 @@ from repro.core.config import PlannerConfig
 from repro.core.planner import CTBusPlanner, run_method
 from repro.core.precompute import precompute, rebind
 from repro.data.datasets import canned_city
+from repro.spectral.gains import block_lanczos_gains
 from repro.spectral.hutchinson import hutchinson_trace, sample_probes
-from repro.spectral.lanczos import lanczos_expm_action_block
 from repro.sweep.cache import PrecomputationCache
 from repro.sweep.runner import SweepRunner
 from repro.sweep.scenario import expand_grid
@@ -218,19 +218,19 @@ def _probe_cache_roundtrip(dataset_profile: str) -> dict:
     }
 
 
-def _probe_spectral_lanczos(dataset_profile: str) -> dict:
-    """Block Lanczos ``e^A V`` on the city's transit adjacency."""
-    config = _probe_config(dataset_profile)
-    A = canned_city(_CITY, dataset_profile).transit.adjacency()
-    V = sample_probes(A.shape[0], config.n_probes, seed=config.seed)
-    with Timer() as block_t:
-        out = lanczos_expm_action_block(A, V, steps=config.lanczos_steps)
+def _probe_spectral_gains(dataset_profile: str) -> dict:
+    """The block Lanczos gain kernel over the city's candidate edges."""
+    pre = _shared_precomputation(dataset_profile)
+    uni = pre.universe
+    sets = [[uni.edge(int(i)).pair] for i in np.flatnonzero(uni.is_new)]
+    trace_base = pre.builder.n * float(np.exp(pre.lambda_base))
+    with Timer() as gains_t:
+        gains = block_lanczos_gains(pre.builder.base(), sets, trace_base)
     return {
-        "block_s": block_t.elapsed,
-        "per_probe_s": block_t.elapsed / V.shape[1],
-        "n": float(A.shape[0]),
-        "n_probes": float(V.shape[1]),
-        "checksum": float(np.einsum("ns,ns->", V, out)),
+        "gains_s": gains_t.elapsed,
+        "per_set_s": gains_t.elapsed / len(sets),
+        "n_sets": float(len(sets)),
+        "checksum": float(gains.sum()),
     }
 
 
@@ -329,7 +329,7 @@ SUITES = {
         ("cache.roundtrip", _probe_cache_roundtrip),
     ),
     "spectral": (
-        ("spectral.lanczos_block", _probe_spectral_lanczos),
+        ("spectral.block_gains", _probe_spectral_gains),
         ("spectral.hutchinson", _probe_spectral_hutchinson),
     ),
     "serve": (

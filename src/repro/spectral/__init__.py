@@ -20,7 +20,7 @@ from repro.spectral.alt_measures import (
     estrada_index,
     laplacian,
 )
-from repro.spectral.batch import batched_expm_actions, batched_expm_traces
+from repro.spectral.batch import batched_expm_traces
 from repro.spectral.bounds import (
     estrada_upper_bound,
     general_upper_bound,
@@ -36,9 +36,6 @@ from repro.spectral.eigs import top_k_eigenvalues
 from repro.spectral.gains import block_lanczos_gains
 from repro.spectral.hutchinson import hutchinson_trace, sample_probes
 from repro.spectral.lanczos import (
-    block_expm_lanczos,
-    lanczos_expm_action,
-    lanczos_expm_action_block,
     lanczos_expm_quadrature,
     lanczos_tridiagonalize,
 )
@@ -47,9 +44,7 @@ from repro.spectral.path_graph import path_graph_adjacency, path_graph_eigenvalu
 
 __all__ = [
     "algebraic_connectivity",
-    "batched_expm_actions",
     "batched_expm_traces",
-    "block_expm_lanczos",
     "block_lanczos_gains",
     "edge_connectivity",
     "estrada_index",
@@ -64,8 +59,6 @@ __all__ = [
     "top_k_eigenvalues",
     "hutchinson_trace",
     "sample_probes",
-    "lanczos_expm_action",
-    "lanczos_expm_action_block",
     "lanczos_expm_quadrature",
     "lanczos_tridiagonalize",
     "spectral_norm",

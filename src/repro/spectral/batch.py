@@ -33,7 +33,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.spectral.hutchinson import check_probes
-from repro.spectral.lanczos import block_expm_lanczos, block_expm_quadrature
+from repro.spectral.lanczos import block_expm_quadrature
 from repro.utils.errors import GraphError, ValidationError
 
 DEFAULT_MAX_COLUMNS = 1024
@@ -108,28 +108,6 @@ def _stacked_operator(A, probes: np.ndarray, pair_groups: Sequence):
         return W
 
     return np.tile(probes, (1, m)), matmat
-
-
-def batched_expm_actions(
-    A,
-    probes: np.ndarray,
-    pair_groups: Sequence,
-    steps: int = 10,
-) -> np.ndarray:
-    """``e^{A_i} V`` for every variant ``A_i = A + edges(pair_groups[i])``.
-
-    One shared block-Lanczos recurrence over the ``(n, m*s)`` stacked
-    probe block; returns an ``(n, m*s)`` array whose column slice
-    ``[:, i*s:(i+1)*s]`` is the action for variant ``i``. Lower-level
-    sibling of :func:`batched_expm_traces` (which is what the estimator
-    consumes); no internal chunking.
-    """
-    probes = check_probes(A, probes)
-    groups = list(pair_groups)
-    if not groups:
-        return np.zeros((probes.shape[0], 0))
-    V, matmat = _stacked_operator(A, probes, groups)
-    return block_expm_lanczos(matmat, V, steps)
 
 
 def batched_expm_traces(

@@ -1,31 +1,27 @@
-"""Lanczos tridiagonalization and matrix-exponential actions.
+"""Lanczos tridiagonalization and the quadrature ``v^T e^A v``.
 
 The estimator of Section 5.1 needs ``v^T e^A v`` for many probe vectors.
 Each is obtained from a ``t``-step Lanczos run started at ``v``:
-``e^A v ~ ||v|| * Q_t e^{T_t} e_1`` where ``T_t`` is the tridiagonal
+``v^T e^A v ~ ||v||^2 (e^{T_t})_00`` where ``T_t`` is the tridiagonal
 Rayleigh quotient. Per Lemma 2 (Musco et al.), ``t = O(||A||_2 +
 log(1/eps))`` steps suffice; transit adjacencies have ``||A||_2 ~ 5`` so
 the paper's default ``t = 10`` is already accurate to well under 1%.
 
-:func:`lanczos_expm_action_block` vectorizes the three-term recurrence
+:func:`block_expm_quadrature` vectorizes the three-term recurrence
 across all probes simultaneously (one sparse mat-mat per step instead of
 ``s`` mat-vecs), which is where this pure-NumPy implementation recovers
-most of the speed the paper got from MATLAB. The shared block recurrence
-(:func:`_block_lanczos`) reorthogonalizes with one contraction per step
-and has two finishes: the action ``||v|| Q^T e^T e_1``
-(:func:`block_expm_lanczos`) and the trace finish ``||v||^2 (e^T)_00``
-(:func:`block_expm_quadrature`), both computing ``e^T e_1`` for all
-columns at once without an eigendecomposition
-(:func:`_expm_tridiagonal_e1_block`). The single-vector functions
-(:func:`lanczos_tridiagonalize`, :func:`_expm_tridiagonal_e1`,
-:func:`lanczos_expm_action`, :func:`lanczos_expm_quadrature`) keep the
+most of the speed the paper got from MATLAB. Its block recurrence
+(:func:`_block_lanczos`) reorthogonalizes with one contraction per step,
+and its finish computes ``e^T e_1`` for all columns at once without an
+eigendecomposition (:func:`_expm_tridiagonal_e1_block`). The
+single-vector functions (:func:`lanczos_tridiagonalize`,
+:func:`_expm_tridiagonal_e1`, :func:`lanczos_expm_quadrature`) keep the
 eigh route as the reference the block kernel is tested against.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.utils.errors import ValidationError
 
@@ -91,18 +87,6 @@ def _expm_tridiagonal_e1(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return evecs @ (np.exp(evals) * evecs[0])
 
 
-def lanczos_expm_action(A, v: np.ndarray, steps: int = 10) -> np.ndarray:
-    """Approximate ``e^A v`` with a ``steps``-step Lanczos run."""
-    v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return np.zeros_like(v)
-    matvec = (lambda x: A @ x) if not callable(A) else A
-    Q, alpha, beta = lanczos_tridiagonalize(matvec, v, steps)
-    coef = _expm_tridiagonal_e1(alpha, beta)
-    return norm * (Q.T @ coef)
-
-
 def lanczos_expm_quadrature(A, v: np.ndarray, steps: int = 10) -> float:
     """Approximate ``v^T e^A v`` via Lanczos quadrature.
 
@@ -119,49 +103,15 @@ def lanczos_expm_quadrature(A, v: np.ndarray, steps: int = 10) -> float:
     return norm * norm * float(coef[0])
 
 
-def lanczos_expm_action_block(
-    A: sp.spmatrix, V: np.ndarray, steps: int = 10, scale: float = 1.0
-) -> np.ndarray:
-    """Approximate ``e^{scale * A} V`` column-by-column, vectorized.
-
-    Runs ``s`` independent Lanczos recurrences simultaneously: each step
-    is one sparse ``(n, n) @ (n, s)`` product plus dense per-column
-    bookkeeping. Columns that break down early are handled by freezing
-    their recurrence (zero beta decouples the trailing block of ``T``).
-    """
-    V = np.asarray(V, dtype=float)
-    if V.ndim != 2:
-        raise ValidationError(f"V must be 2-D, got shape {V.shape}")
-    if scale == 1.0:
-        matmat = lambda X: A @ X  # noqa: E731 - trivial adapters
-    else:
-        matmat = lambda X: scale * (A @ X)  # noqa: E731
-    return block_expm_lanczos(matmat, V, steps)
-
-
-def block_expm_lanczos(matmat, V: np.ndarray, steps: int) -> np.ndarray:
-    """``e^M V`` where ``M`` is given only through ``matmat(X) -> M @ X``.
-
-    The action finish of the shared block recurrence
-    (:func:`_block_lanczos`) behind :func:`lanczos_expm_action_block`
-    and :func:`repro.spectral.batch.batched_expm_actions`: every column
-    of ``V`` runs its own independent Lanczos recurrence, but each step
-    costs one ``matmat`` call over the whole block. ``matmat`` must act
-    column-wise (column ``c`` of the result may depend only on column
-    ``c`` of the input) and represent a symmetric operator.
-    """
-    Q, alphas, betas, norms = _block_lanczos(matmat, V, steps)
-    coef = _expm_tridiagonal_e1_block(alphas, betas)
-    out = np.einsum("tns,ts->ns", Q, coef)
-    out *= norms
-    return out
-
-
 def block_expm_quadrature(matmat, V: np.ndarray, steps: int) -> np.ndarray:
-    """Per-column Lanczos quadrature ``v_c^T e^M v_c``.
+    """Per-column Lanczos quadrature ``v_c^T e^M v_c``, ``M`` given only
+    through ``matmat(X) -> M @ X``.
 
-    The trace finish of the shared block recurrence, with ``matmat`` and
-    ``V`` as in :func:`block_expm_lanczos`. A quadratic form needs only
+    Every column of ``V`` runs its own independent Lanczos recurrence
+    (:func:`_block_lanczos`), but each step costs one ``matmat`` call
+    over the whole block. ``matmat`` must act column-wise (column ``c``
+    of the result may depend only on column ``c`` of the input) and
+    represent a symmetric operator. A quadratic form needs only
     ``||v||^2 (e^T)_00 = ||v||^2 ||e^{T/2} e_1||^2`` per column, so
     neither ``Q^T coef`` nor a probe dot product is formed. The
     half-step form halves the Taylor radius (fewer terms than
@@ -174,7 +124,7 @@ def block_expm_quadrature(matmat, V: np.ndarray, steps: int) -> np.ndarray:
 
 
 def _block_lanczos(matmat, V: np.ndarray, steps: int):
-    """The shared block recurrence: ``(Q, alphas, betas, norms)``.
+    """The block recurrence: ``(Q, alphas, betas, norms)``.
 
     ``Q`` is the ``(t, n, s)`` orthonormal basis, ``alphas``/``betas``
     the ``(t, s)`` / ``(t - 1, s)`` tridiagonal coefficients per column

@@ -114,6 +114,17 @@ class TestHarness:
         assert seen == [("fake.probe", {"wall_s": 1.0})]
 
 
+PINNED_METRICS = {
+    "cache": ("cache.roundtrip.key_s", "cache.roundtrip.hit_rate"),
+    "spectral": (
+        "spectral.block_gains.gains_s",
+        "spectral.block_gains.n_sets",
+        "spectral.block_gains.checksum",
+    ),
+}
+"""Per area, a timing and the deterministic metrics that pin its work."""
+
+
 @pytest.mark.parametrize("area", ["cache", "spectral"])
 class TestRealProbes:
     """The two cheapest areas run end to end in tier-1."""
@@ -132,6 +143,7 @@ class TestRealProbes:
         """Non-timing metrics are exactly reproducible run to run."""
         first = run_area(area, "tiny", repeat=1, warmup=0)["metrics"]
         second = run_area(area, "tiny", repeat=1, warmup=0)["metrics"]
+        assert set(PINNED_METRICS[area]) <= first.keys()
         for key, value in first.items():
             if not key.endswith("_s"):
                 assert second[key] == pytest.approx(value, rel=1e-12), key

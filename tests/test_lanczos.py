@@ -1,4 +1,4 @@
-"""Unit tests for Lanczos tridiagonalization and expm actions.
+"""Unit tests for Lanczos tridiagonalization and the quadrature ``v^T e^A v``.
 
 Reference values come from dense ``scipy.linalg.expm``, the eigh-based
 single-vector functions and, where installed, 40-digit ``mpmath``.
@@ -24,10 +24,7 @@ from repro.spectral.lanczos import (
     _block_lanczos,
     _expm_tridiagonal_e1,
     _expm_tridiagonal_e1_block,
-    block_expm_lanczos,
     block_expm_quadrature,
-    lanczos_expm_action,
-    lanczos_expm_action_block,
     lanczos_expm_quadrature,
     lanczos_tridiagonalize,
 )
@@ -78,29 +75,6 @@ class TestTridiagonalize:
             lanczos_tridiagonalize(lambda x: A @ x, np.zeros(5), 0)
 
 
-class TestExpmAction:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_dense_expm(self, seed):
-        A = random_adjacency(50, 0.08, seed)
-        v = np.random.default_rng(seed + 10).standard_normal(50)
-        want = scipy.linalg.expm(A.toarray()) @ v
-        got = lanczos_expm_action(A, v, steps=25)
-        assert got == pytest.approx(want, rel=1e-6, abs=1e-8)
-
-    def test_few_steps_still_close(self):
-        # Transit-like spectral norm: t=10 should already be accurate.
-        A = random_adjacency(80, 0.04, 5)
-        v = np.random.default_rng(6).standard_normal(80)
-        want = scipy.linalg.expm(A.toarray()) @ v
-        got = lanczos_expm_action(A, v, steps=10)
-        rel = np.linalg.norm(got - want) / np.linalg.norm(want)
-        assert rel < 1e-3
-
-    def test_zero_vector(self):
-        A = random_adjacency(10, 0.3, 1)
-        assert lanczos_expm_action(A, np.zeros(10)) == pytest.approx(np.zeros(10))
-
-
 class TestQuadrature:
     def test_positive_and_matches_direct(self):
         A = random_adjacency(40, 0.1, 7)
@@ -113,43 +87,6 @@ class TestQuadrature:
     def test_zero_vector(self):
         A = random_adjacency(6, 0.4, 2)
         assert lanczos_expm_quadrature(A, np.zeros(6)) == 0.0
-
-
-class TestBlockAction:
-    def test_matches_column_by_column(self):
-        A = random_adjacency(35, 0.12, 11)
-        V = np.random.default_rng(12).standard_normal((35, 7))
-        block = lanczos_expm_action_block(A, V, steps=12)
-        for c in range(7):
-            single = lanczos_expm_action(A, V[:, c], steps=12)
-            assert block[:, c] == pytest.approx(single, rel=1e-8, abs=1e-9)
-
-    def test_scale_factor(self):
-        A = random_adjacency(25, 0.15, 13)
-        V = np.random.default_rng(14).standard_normal((25, 3))
-        got = lanczos_expm_action_block(A, V, steps=20, scale=0.5)
-        want = scipy.linalg.expm(0.5 * A.toarray()) @ V
-        assert got == pytest.approx(want, rel=1e-6, abs=1e-8)
-
-    def test_zero_columns_handled(self):
-        A = random_adjacency(15, 0.2, 15)
-        V = np.random.default_rng(16).standard_normal((15, 3))
-        V[:, 1] = 0.0
-        out = lanczos_expm_action_block(A, V, steps=8)
-        assert out[:, 1] == pytest.approx(np.zeros(15))
-        assert np.linalg.norm(out[:, 0]) > 0
-
-    def test_empty_block(self):
-        A = random_adjacency(5, 0.5, 17)
-        out = lanczos_expm_action_block(A, np.zeros((5, 0)), steps=4)
-        assert out.shape == (5, 0)
-
-    def test_bad_inputs(self):
-        A = random_adjacency(5, 0.5, 18)
-        with pytest.raises(ValidationError):
-            lanczos_expm_action_block(A, np.zeros(5), steps=4)
-        with pytest.raises(ValidationError):
-            lanczos_expm_action_block(A, np.zeros((5, 2)), steps=0)
 
 
 # ----------------------------------------------------------------------
@@ -292,18 +229,6 @@ class TestExpmTridiagonalBlock:
 
 
 class TestQuadratureFinish:
-    @pytest.mark.parametrize("case", ["random-0", "random-1", "brooklyn", "staten_island"])
-    def test_matches_probe_action_finish(self, case):
-        if case.startswith("random-"):
-            A = random_adjacency(60, 0.08, int(case[-1]))
-        else:
-            A = bench_adjacency(case)
-        V = np.random.default_rng(20).standard_normal((A.shape[0], 12))
-        matmat = lambda X: A @ X  # noqa: E731
-        quad = block_expm_quadrature(matmat, V, 10)
-        dots = np.einsum("ns,ns->s", V, block_expm_lanczos(matmat, V, 10))
-        np.testing.assert_allclose(quad, dots, rtol=1e-12, atol=0.0)
-
     def test_zero_norm_column_is_zero_and_isolated(self):
         A = random_adjacency(25, 0.15, 32)
         V = np.random.default_rng(33).standard_normal((25, 4))
@@ -331,8 +256,26 @@ class TestQuadratureFinish:
         assert np.all(alphas[1:, 0] == 0.0) and np.all(betas[:, 0] == 0.0)
 
     def test_matches_single_vector_quadrature(self):
-        A = random_adjacency(40, 0.1, 7)
-        V = np.random.default_rng(8).standard_normal((40, 5))
-        quad = block_expm_quadrature(lambda X: A @ X, V, 12)
-        single = [lanczos_expm_quadrature(A, V[:, c], steps=12) for c in range(5)]
-        np.testing.assert_allclose(quad, single, rtol=1e-12, atol=0.0)
+        cases = [
+            (random_adjacency(40, 0.1, 7), 5, 12),
+            (random_adjacency(60, 0.08, 0), 12, 10),
+            (random_adjacency(60, 0.08, 1), 12, 10),
+            (bench_adjacency("brooklyn"), 12, 10),
+            (bench_adjacency("staten_island"), 12, 10),
+        ]
+        for A, columns, steps in cases:
+            V = np.random.default_rng(8).standard_normal((A.shape[0], columns))
+            quad = block_expm_quadrature(lambda X: A @ X, V, steps)
+            single = [
+                lanczos_expm_quadrature(A, V[:, c], steps=steps) for c in range(columns)
+            ]
+            np.testing.assert_allclose(quad, single, rtol=1e-12, atol=0.0)
+
+    def test_empty_block_and_bad_inputs(self):
+        A = random_adjacency(5, 0.5, 18)
+        matmat = lambda X: A @ X  # noqa: E731
+        assert block_expm_quadrature(matmat, np.zeros((5, 0)), 4).shape == (0,)
+        with pytest.raises(ValidationError):
+            block_expm_quadrature(matmat, np.zeros(5), 4)
+        with pytest.raises(ValidationError):
+            block_expm_quadrature(matmat, np.zeros((5, 2)), 0)

@@ -1,13 +1,11 @@
 """Unit and property tests for the batched candidate-evaluation kernel.
 
 Covers the ``spectral/batch.py`` primitive itself, its quadrature
-(trace) finish against the probe . action finish, the estimator's
-batch API (including ``evaluations`` accounting), the strategy-level
-``extension_scores`` and the per-run memo of gains behind it, the
-previously untested corners of
-``lanczos_expm_action_block``, and the ``hutchinson_trace`` /
-``hutchinson_trace_samples`` error type. The end-to-end planning
-contract lives in ``test_batch_oracle.py``.
+(trace) finish against the single-vector eigh quadrature, the
+estimator's batch API (including ``evaluations`` accounting), the
+strategy-level ``extension_scores`` and the per-run memo of gains behind
+it, and the ``hutchinson_trace`` / ``hutchinson_trace_samples`` error
+type. The end-to-end planning contract lives in ``test_batch_oracle.py``.
 """
 
 import numpy as np
@@ -23,7 +21,6 @@ from repro.network.adjacency import AdjacencyBuilder
 from repro.spectral.batch import (
     _normalize_groups,
     _stacked_operator,
-    batched_expm_actions,
     batched_expm_traces,
 )
 from repro.spectral.connectivity import NaturalConnectivityEstimator
@@ -32,7 +29,7 @@ from repro.spectral.hutchinson import (
     hutchinson_trace_samples,
     sample_probes,
 )
-from repro.spectral.lanczos import lanczos_expm_action, lanczos_expm_action_block
+from repro.spectral.lanczos import lanczos_expm_quadrature
 from repro.utils.errors import GraphError, ValidationError
 
 
@@ -170,27 +167,23 @@ class TestBatchedTraces:
             np.add.at(block, vs, Q[us, i * 4 : (i + 1) * 4])
         assert np.array_equal(matmat(Q), want)
 
-    def test_actions_shape(self):
-        A = random_adjacency(20, 0.1, 19)
-        probes = sample_probes(20, 3, seed=20)
-        out = batched_expm_actions(A, probes, [[], []], steps=5)
-        assert out.shape == (20, 6)
-        np.testing.assert_array_equal(out[:, :3], out[:, 3:])
-
 
 class TestBatchedQuadratureFinish:
-    """The trace finish ``||v||^2 (e^T)_00`` against probe . action."""
+    """The trace finish ``||v||^2 (e^T)_00`` against the eigh reference."""
 
-    def test_matches_probe_action_finish(self):
+    def test_matches_single_vector_quadrature(self):
         A = random_adjacency(50, 0.08, 50)
         probes = sample_probes(50, 10, seed=51)
         groups = novel_groups(A, [2, 0, 1, 3], seed=52)
         traces = batched_expm_traces(A, probes, groups, steps=8)
-        actions = batched_expm_actions(A, probes, groups, steps=8)
-        dots = np.einsum("ns,ns->s", np.tile(probes, (1, len(groups))), actions)
-        np.testing.assert_allclose(
-            traces, dots.reshape(len(groups), -1).mean(axis=1), rtol=1e-12, atol=0.0
-        )
+        single = [
+            np.mean([
+                lanczos_expm_quadrature(extended(A, g), probes[:, j], steps=8)
+                for j in range(probes.shape[1])
+            ])
+            for g in groups
+        ]
+        np.testing.assert_allclose(traces, single, rtol=1e-12, atol=0.0)
 
     def test_zero_probe_column_adds_nothing(self):
         A = random_adjacency(30, 0.1, 53)
@@ -412,56 +405,6 @@ class TestPrecomputedExtensionScores(_StrategyFixture):
         )
         assert np.array_equal(batched, scalar)
         assert strategy.extension_scores(cand, []).shape == (0,)
-
-
-class TestLanczosBlockCorners:
-    """Direct coverage for corners previously hit only via the estimator."""
-
-    def test_scale_matches_prescaled_matrix(self):
-        A = random_adjacency(30, 0.12, 30)
-        V = np.random.default_rng(31).standard_normal((30, 5))
-        scaled = lanczos_expm_action_block(A, V, steps=8, scale=0.5)
-        reference = np.column_stack([
-            lanczos_expm_action(sp.csr_matrix(0.5 * A.toarray()), V[:, j], steps=8)
-            for j in range(V.shape[1])
-        ])
-        np.testing.assert_allclose(scaled, reference, atol=1e-8, rtol=1e-8)
-
-    def test_zero_norm_columns_stay_zero_and_isolated(self):
-        A = random_adjacency(25, 0.15, 32)
-        V = np.random.default_rng(33).standard_normal((25, 4))
-        V[:, 2] = 0.0
-        out = lanczos_expm_action_block(A, V, steps=6)
-        assert np.all(out[:, 2] == 0.0)
-        keep = [0, 1, 3]
-        without = lanczos_expm_action_block(A, V[:, keep], steps=6)
-        assert np.array_equal(out[:, keep], without)
-
-    def test_early_breakdown_freezes_column(self):
-        # Column 0 is an exact eigenvector: its recurrence breaks down
-        # after one step and must freeze at e^{lambda} v while the other
-        # columns keep iterating.
-        A = random_adjacency(20, 0.2, 34)
-        evals, evecs = np.linalg.eigh(A.toarray())
-        V = np.random.default_rng(35).standard_normal((20, 3))
-        V[:, 0] = evecs[:, -1]
-        out = lanczos_expm_action_block(A, V, steps=8)
-        np.testing.assert_allclose(
-            out[:, 0], np.exp(evals[-1]) * evecs[:, -1], atol=1e-8
-        )
-
-    def test_pinned_column_by_column_against_single_vector(self):
-        A = random_adjacency(35, 0.1, 36)
-        V = np.random.default_rng(37).standard_normal((35, 6))
-        block = lanczos_expm_action_block(A, V, steps=9)
-        for j in range(V.shape[1]):
-            single = lanczos_expm_action(A, V[:, j], steps=9)
-            np.testing.assert_allclose(block[:, j], single, atol=1e-9)
-
-    def test_rejects_one_dimensional_input(self):
-        A = random_adjacency(10, 0.3, 38)
-        with pytest.raises(ValidationError):
-            lanczos_expm_action_block(A, np.ones(10), steps=4)
 
 
 class TestHutchinsonErrorType:
