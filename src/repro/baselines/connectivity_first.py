@@ -93,7 +93,7 @@ def greedy_connectivity_edges(
             break
         chosen.append(best_idx)
         chosen_pairs.append(universe.edge(best_idx).pair)
-    total = pre.connectivity_gains([chosen_pairs], batched=False)[0]
+    total = pre.connectivity_gains([chosen_pairs])[0]
     return chosen, float(total)
 
 

@@ -69,7 +69,7 @@ def fig3_submodularity(
         for _ in range(samples):
             pick = rng.choice(new_edges, size=size, replace=False)
             pairs = [uni.edge(int(i)).pair for i in pick]
-            o_lambda = pre.connectivity_gains([pairs], batched=False)[0]
+            o_lambda = pre.connectivity_gains([pairs])[0]
             linear = float(uni.delta[pick].sum())
             if linear > 0:
                 thetas.append((o_lambda - linear) / linear)

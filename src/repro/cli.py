@@ -134,7 +134,6 @@ def _cmd_plan(args) -> int:
         tau_km=args.tau,
         max_turns=args.turns,
         max_iterations=args.iterations,
-        batch_eval=not args.no_batch_eval,
     )
     planner = CTBusPlanner(ds, config)
     result = planner.plan(args.method)
@@ -783,10 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--tau", type=float, default=0.5)
     p_plan.add_argument("--turns", type=int, default=3)
     p_plan.add_argument("--iterations", type=int, default=2000)
-    p_plan.add_argument("--no-batch-eval", action="store_true",
-                        help="score extensions through the sequential "
-                             "reference path instead of the batched "
-                             "kernel (the differential-oracle mode)")
     p_plan.add_argument("--evaluate", action="store_true",
                         help="also compute transfer-convenience metrics")
     p_plan.set_defaults(func=_cmd_plan)

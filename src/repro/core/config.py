@@ -36,19 +36,13 @@ class PrecomputeSpec(Record):
     :class:`PlannerConfig` (``k``, ``w``, ``seed_count``, traversal
     knobs, ...) only shapes the cheap derived state that
     :func:`~repro.core.precompute.rebind` re-creates, so one artifact
-    serves a whole ``k``/``w`` sweep. ``batch_eval`` is keyed because
-    in the ``"hutchinson"`` mode the batched and sequential increment
-    paths agree only to floating-point roundoff, not bitwise: sharing
-    artifacts across the switch would make the differential oracle
-    compare a mixture. (In the ``"exact"`` mode they agree bitwise, and
+    serves a whole ``k``/``w`` sweep. (In the ``"exact"`` mode
     ``n_probes``, ``lanczos_steps`` and ``seed`` reach only
-    ``lambda(G_r)`` above the dense cutoff; the key keeps all fields so
-    that every key stays what it was.)
+    ``lambda(G_r)`` above the dense cutoff; they are keyed all the same.)
     """
 
     tau_km: float
     increment_mode: str
-    batch_eval: bool
     n_probes: int
     lanczos_steps: int
     seed: int
@@ -96,12 +90,6 @@ class PlannerConfig(Record):
         and no dependence on ``seed``. ``"hutchinson"``: the paper's
         common-probe Lanczos + Hutchinson estimate, kept as the
         reference.
-    batch_eval:
-        Score all feasible extensions of an expansion round with one
-        batched kernel call (:mod:`repro.spectral.gains`, or
-        :mod:`repro.spectral.batch` in the ``"hutchinson"`` mode).
-        ``False`` keeps the sequential per-extension reference path,
-        preserved forever as the differential oracle for the kernel.
     allow_loop:
         Permit the final edge to close a one-way loop (paper footnote 4).
     record_every:
@@ -123,7 +111,6 @@ class PlannerConfig(Record):
     n_probes: int = 50
     lanczos_steps: int = 10
     increment_mode: str = INCREMENT_EXACT
-    batch_eval: bool = True
     allow_loop: bool = True
     record_every: int = 100
     seed: int = 0

@@ -80,7 +80,6 @@ class ExpansionEngine:
         best_score = 0.0
         trace: list[tuple[int, float]] = []
         pushes = pruned_bound = pruned_dom = 0
-        evaluations_before = self.pre.estimator.evaluations
 
         def push(cand: Candidate) -> None:
             if fifo:
@@ -166,7 +165,7 @@ class ExpansionEngine:
 
         return self._build_result(
             best, best_score, iterations, timer.elapsed, trace,
-            pushes, pruned_bound, pruned_dom, evaluations_before,
+            pushes, pruned_bound, pruned_dom,
         )
 
     # ------------------------------------------------------------------
@@ -323,7 +322,6 @@ class ExpansionEngine:
         pushes: int,
         pruned_bound: int,
         pruned_dom: int,
-        evaluations_before: int,
     ) -> PlanResult:
         route = None
         o_d = o_l = objective = 0.0
@@ -344,7 +342,7 @@ class ExpansionEngine:
             search_score=best_score,
             iterations=iterations,
             runtime_s=runtime,
-            connectivity_evaluations=self.pre.estimator.evaluations - evaluations_before,
+            connectivity_evaluations=self.strategy.evaluations,
             trace=trace,
             queue_pushes=pushes,
             pruned_by_bound=pruned_bound,

@@ -8,9 +8,9 @@ single edge with its ``L_e`` entry and score the extensions of an
 expansion round with one ``extension_scores`` call.
 
 A strategy instance serves one planning run. Every connectivity
-estimate it makes, in the run's ``batch_eval`` mode, goes through its
-memo of gains keyed by the canonical novel-pair set, so a set the run
-has already priced is never priced again. Both terms of a path's
+estimate it makes goes through its memo of gains keyed by the canonical
+novel-pair set, so a set the run has already priced is never priced
+again, and the memo's size is the run's count of evaluations. Both terms of a path's
 objective depend only on its edge set, never on the order the search
 added the edges in.
 
@@ -45,6 +45,11 @@ class _StrategyBase:
         self.universe = pre.universe
         self._gains: dict[tuple[tuple[int, int], ...], float] = {(): 0.0}
 
+    @property
+    def evaluations(self) -> int:
+        """How many distinct non-empty novel-pair sets this run has priced."""
+        return len(self._gains) - 1
+
     def seed_score(self, edge_index: int) -> float:
         """Objective of a single-edge path: its ``L_e`` entry."""
         return self.pre.L_e.value(edge_index)
@@ -60,15 +65,15 @@ class _StrategyBase:
         A path is keyed by the canonical novel-pair set of its new edges.
         Sets this strategy has not priced yet go to one
         :meth:`~repro.core.precompute.Precomputation.connectivity_gains`
-        call in the run's ``batch_eval`` mode; a memo hit is bitwise what
-        that call returns, since both modes price a set independently of
-        the other sets in the call.
+        call; in the exact mode a memo hit is bitwise what that call
+        returns, since the kernel prices a set independently of the
+        other sets in the call.
         """
         novel_pairs = self.pre.builder.novel_pairs
         keys = [tuple(novel_pairs(self.universe.new_pairs(ids))) for ids in paths]
         missing = [key for key in dict.fromkeys(keys) if key not in self._gains]
         if missing:
-            gains = self.pre.connectivity_gains(missing, self.config.batch_eval)
+            gains = self.pre.connectivity_gains(missing)
             self._gains.update(zip(missing, gains.tolist()))
         return np.array([self._gains[key] for key in keys])
 

@@ -102,12 +102,12 @@ class Precomputation:
         return self.universe.n_new_edges
 
     def connectivity_gains(
-        self, pair_groups: Sequence[Sequence[tuple[int, int]]], batched: bool
+        self, pair_groups: Sequence[Sequence[tuple[int, int]]]
     ) -> np.ndarray:
         """:func:`connectivity_gains` against this precomputation's ``G_r``,
         in its ``increment_mode``."""
         return connectivity_gains(
-            self.builder, self.estimator, self.lambda_base, pair_groups, batched,
+            self.builder, self.estimator, self.lambda_base, pair_groups,
             self.config.increment_mode,
         )
 
@@ -182,8 +182,8 @@ class Precomputation:
         ``config`` may differ from the saved config in any field outside
         its :class:`~repro.core.config.PrecomputeSpec` — the cheap derived
         artifacts are re-derived for it, exactly like :func:`rebind`. A
-        different or mistyped saved spec (``batch_eval: 1`` is not
-        ``True``), or a dataset of the wrong shape, raises
+        different or mistyped saved spec (``n_probes: 50.0`` is not
+        ``50``), or a dataset of the wrong shape, raises
         :class:`DataError`: the artifacts would be silently wrong.
         """
         json_path = f"{prefix}.json"
@@ -287,8 +287,8 @@ def compute_edge_increments(
 ) -> np.ndarray:
     """``Delta(e)`` for every universe edge (zero for existing edges).
 
-    Each candidate edge is a one-pair group of :func:`connectivity_gains`
-    in the spec's ``increment_mode``, batched when ``batch_eval`` is set.
+    Each candidate edge is a one-pair group of one
+    :func:`connectivity_gains` call in the spec's ``increment_mode``.
     """
     deltas = np.zeros(len(universe), dtype=float)
     new_indices = [e.index for e in universe.edges if e.is_new]
@@ -298,7 +298,6 @@ def compute_edge_increments(
             estimator,
             lambda_base,
             [[universe.edge(i).pair] for i in new_indices],
-            spec.batch_eval,
             spec.increment_mode,
         )
     return deltas
@@ -309,7 +308,6 @@ def connectivity_gains(
     estimator: NaturalConnectivityEstimator,
     lambda_base: float,
     pair_groups: Sequence[Sequence[tuple[int, int]]],
-    batched: bool,
     increment_mode: str,
 ) -> np.ndarray:
     """``max(lambda(G_r + group) - lambda_base, 0)`` for each group of stop pairs.
@@ -319,20 +317,18 @@ def connectivity_gains(
     reported route. A group is priced by its canonical novel-pair set
     (:meth:`~AdjacencyBuilder.novel_pairs`), once per call however many
     groups name it, so duplicate, reordered and flipped groups get
-    bitwise-equal gains. An empty set gains 0 and costs no evaluation;
-    every distinct non-empty set counts one in ``estimator.evaluations``.
+    bitwise-equal gains. An empty set gains 0 and is never priced.
 
-    ``increment_mode="exact"`` prices a set with the block Lanczos kernel
-    (:func:`~repro.spectral.gains.block_lanczos_gains`), started at the
-    stops the set touches, against ``tr e^A = n e^{lambda_base}``.
-    ``batched`` prices the distinct sets in one kernel call, otherwise
-    each alone; the kernel prices a set independently of the others in
-    its call, so both modes agree bitwise. ``"hutchinson"`` is the
-    paper's estimator (Sec. 5.1): ``batched`` prices the distinct sets in
-    one :meth:`~NaturalConnectivityEstimator.estimate_batch`, otherwise
-    each gets its own :meth:`~NaturalConnectivityEstimator.estimate`, the
-    sequential reference; there the two modes agree to floating-point
-    roundoff.
+    ``increment_mode="exact"`` prices the distinct sets in one call of
+    the block Lanczos kernel
+    (:func:`~repro.spectral.gains.block_lanczos_gains`), each started at
+    the stops it touches, against ``tr e^A = n e^{lambda_base}``; the
+    kernel prices a set independently of the others in its call.
+    ``"hutchinson"`` is the paper's estimator (Sec. 5.1): one
+    :meth:`~NaturalConnectivityEstimator.estimate_batch` over the
+    distinct sets, which agrees with one
+    :meth:`~NaturalConnectivityEstimator.estimate` per set to
+    floating-point roundoff.
     """
     keys = [tuple(builder.novel_pairs(group)) for group in pair_groups]
     distinct = [key for key in dict.fromkeys(keys) if key]
@@ -340,19 +336,9 @@ def connectivity_gains(
         return np.zeros(len(keys))
     if increment_mode == INCREMENT_EXACT:
         trace_base = builder.n * float(np.exp(lambda_base))
-        parts = [distinct] if batched else [[key] for key in distinct]
-        values = np.concatenate(
-            [block_lanczos_gains(builder.base(), part, trace_base) for part in parts]
-        )
-        estimator.evaluations += len(distinct)
+        values = block_lanczos_gains(builder.base(), distinct, trace_base)
     elif increment_mode == INCREMENT_HUTCHINSON:
-        if batched:
-            estimates = estimator.estimate_batch(builder.base(), distinct)
-        else:
-            estimates = np.array(
-                [estimator.estimate(builder.extended(key)) for key in distinct]
-            )
-        values = estimates - lambda_base
+        values = estimator.estimate_batch(builder.base(), distinct) - lambda_base
     else:
         raise ValidationError(f"unknown increment mode {increment_mode!r}")
     # Adding edges never decreases natural connectivity; clamp noise.
@@ -505,8 +491,8 @@ def rebind(pre: Precomputation, config: PlannerConfig) -> Precomputation:
     ``w``, ``seed_count``, ``max_iterations``, ``expansion``,
     ``use_domination``, ``new_edges_only``, ``max_turns`` or trace
     granularity. A change to a spec field (``tau_km``,
-    ``increment_mode``, ``batch_eval``, ``n_probes``, ``lanczos_steps``,
-    ``seed``) changes the expensive artifacts themselves — the universe,
+    ``increment_mode``, ``n_probes``, ``lanczos_steps``, ``seed``)
+    changes the expensive artifacts themselves — the universe,
     the estimator, ``Delta(e)``, ``lambda_base`` — so it raises
     :class:`ValueError` naming the field: run :func:`precompute` instead.
     """

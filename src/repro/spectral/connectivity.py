@@ -95,10 +95,9 @@ class NaturalConnectivityEstimator:
         estimate to floating-point roundoff. Each pair group must contain
         only *novel* edges (see ``AdjacencyBuilder.novel_pairs``); an
         empty group evaluates the base matrix. Counts ``len(pair_groups)``
-        evaluations — one per variant, exactly like the sequential path —
-        so :attr:`evaluations` stays comparable across the
-        ``batch_eval`` switch. An empty batch returns an empty array and
-        counts nothing.
+        evaluations, one per variant, as the calls of :meth:`trace_exp` it
+        stands for would. An empty batch returns an empty array and counts
+        nothing.
         """
         groups = list(pair_groups)
         if not groups:

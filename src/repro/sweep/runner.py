@@ -496,8 +496,8 @@ def sweep_precomputation(pre: Precomputation, scenarios) -> list[ScenarioOutcome
     Every scenario must target the same dataset (``city``/``profile``
     are ignored) and use rebind-safe overrides: a change to any field
     of :class:`~repro.core.config.PrecomputeSpec` (``tau_km``,
-    ``increment_mode``, ``batch_eval``, ``n_probes``, ``lanczos_steps``,
-    ``seed``) raises, exactly like :func:`rebind`.
+    ``increment_mode``, ``n_probes``, ``lanczos_steps``, ``seed``)
+    raises, exactly like :func:`rebind`.
     Scenario seeds are *not* re-derived: the probe vectors are part of
     the shared precomputation, so a scenario naming another seed raises
     too. Constraints and multi-route counts are not supported here

@@ -95,7 +95,7 @@ class TestConnectivityFirst:
         connectivity_gains computes it, bit for bit."""
         chosen, total = greedy_connectivity_edges(small_pre, l_edges=4, shortlist=20)
         pairs = [small_pre.universe.edge(i).pair for i in chosen]
-        assert total == small_pre.connectivity_gains([pairs], batched=False)[0]
+        assert total == small_pre.connectivity_gains([pairs])[0]
 
     def test_stitched_route_not_smooth(self, small_pre):
         """Figure 6's point: the stitched route needs long connectors."""

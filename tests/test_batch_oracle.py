@@ -1,28 +1,33 @@
-"""Differential oracle: batched planning ≡ the sequential reference.
+"""Differential oracle: batched planning ≡ a sequential reference.
 
 The batched kernels are correctness-critical — a silent numerical bug
-would shift every route the planner emits. This suite pins
-``batch_eval=True`` against the sequential reference path
-(``batch_eval=False``, kept alive forever as the oracle) across a
-corpus of synthetic cities × both strategies × both expansion modes ×
-both queue disciplines: 24 corpus points, in both increment modes.
+would shift every route the planner emits. This suite plans a corpus of
+synthetic cities × both strategies × both expansion modes × both queue
+disciplines (24 corpus points, in both increment modes) twice: as
+``connectivity_gains`` prices it, one kernel call per batch of distinct
+novel-pair sets, and with that call replaced by the sequential reference
+this suite supplies (:func:`_sequential_reference`), one set per call.
 
 Contract, ``increment_mode="exact"`` (the block Lanczos kernel of
-``repro.spectral.gains``): the two modes plan bitwise the same result,
-since the kernel prices each set independently of its batch.
+``repro.spectral.gains``, called once per set in the reference): the two
+plan bitwise the same result, since the kernel prices each set
+independently of its batch.
 
-Contract, ``increment_mode="hutchinson"`` (``repro.spectral.batch``):
-the two modes must plan the *same route* with objectives and search
-scores within 1e-9, pricing the same number of distinct novel-pair
-sets. Routes are compared up to traversal direction — a path and its
-reverse are the same physical bus route (identical edge set, stops, and
-objective), and which direction wins an *exact* score tie is an
-exploration-order artifact that sub-tolerance (~1e-16) roundoff between
-the kernel's rank-update matvec and the reference's rebuilt-CSR matvec
-may legitimately flip.
+Contract, ``increment_mode="hutchinson"`` (``estimate_batch`` of
+``repro.spectral.batch``; the reference is one ``estimate`` of the
+extended matrix per set): the two must plan the *same route* with
+objectives and search scores within 1e-9, pricing the same number of
+distinct novel-pair sets. Routes are compared up to traversal direction
+— a path and its reverse are the same physical bus route (identical
+edge set, stops, and objective), and which direction wins an *exact*
+score tie is an exploration-order artifact that sub-tolerance (~1e-16)
+roundoff between the kernel's rank-update matvec and the reference's
+rebuilt-CSR matvec may legitimately flip.
 """
 
+import contextlib
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -31,8 +36,14 @@ from repro.core.config import PlannerConfig
 from repro.core.planner import run_method
 from repro.core.precompute import precompute
 from repro.data.datasets import canned_city
+from repro.network.adjacency import AdjacencyBuilder
+from repro.spectral.connectivity import NaturalConnectivityEstimator
+from repro.spectral.gains import block_lanczos_gains
 
 TOL = 1e-9
+
+# The package re-exports the function ``precompute`` under the module's name.
+precompute_module = importlib.import_module("repro.core.precompute")
 
 CITIES = ("chicago", "nyc", "manhattan")
 METHODS = ("eta", "eta-pre")
@@ -44,18 +55,50 @@ _BASE = dict(
     n_probes=8, lanczos_steps=6, seed=0,
 )
 
+
+@contextlib.contextmanager
+def _sequential_reference(city):
+    """Price every novel-pair set of ``city`` with its own kernel call.
+
+    Yields the list of sets the reference priced, in call order.
+    """
+    dataset = canned_city(city, "tiny")
+    builder = AdjacencyBuilder(dataset.transit.n_stops, dataset.transit.edge_list())
+    priced = []
+
+    def one_set_per_call(A, pair_sets, trace_base):
+        priced.extend(pair_sets)
+        return np.concatenate(
+            [block_lanczos_gains(A, [s], trace_base) for s in pair_sets]
+        )
+
+    def estimate_each(estimator, A_base, pair_sets):
+        priced.extend(pair_sets)
+        return np.array([estimator.estimate(builder.extended(s)) for s in pair_sets])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(precompute_module, "block_lanczos_gains", one_set_per_call)
+        mp.setattr(NaturalConnectivityEstimator, "estimate_batch", estimate_each)
+        yield priced
+
+
+def _pricing(city, reference):
+    return _sequential_reference(city) if reference else contextlib.nullcontext()
+
+
 _pre_cache: dict = {}
 
 
-def _plan(city, method, expansion, discipline, batch_eval, increment_mode="exact"):
-    key = (city, expansion, discipline, batch_eval, increment_mode)
-    if key not in _pre_cache:
-        config = PlannerConfig(
-            **_BASE, expansion=expansion, queue_discipline=discipline,
-            batch_eval=batch_eval, increment_mode=increment_mode,
-        )
-        _pre_cache[key] = precompute(canned_city(city, "tiny"), config)
-    return run_method(_pre_cache[key], method)
+def _plan(city, method, expansion, discipline, increment_mode, reference):
+    key = (city, expansion, discipline, increment_mode, reference)
+    with _pricing(city, reference):
+        if key not in _pre_cache:
+            config = PlannerConfig(
+                **_BASE, expansion=expansion, queue_discipline=discipline,
+                increment_mode=increment_mode,
+            )
+            _pre_cache[key] = precompute(canned_city(city, "tiny"), config)
+        return run_method(_pre_cache[key], method)
 
 
 def _canonical_route(route):
@@ -76,8 +119,8 @@ def _timeless(result):
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("city", CITIES)
 def test_batched_plan_matches_sequential(city, method, expansion, discipline):
-    batched = _plan(city, method, expansion, discipline, True)
-    reference = _plan(city, method, expansion, discipline, False)
+    batched = _plan(city, method, expansion, discipline, "exact", False)
+    reference = _plan(city, method, expansion, discipline, "exact", True)
     assert batched.route is not None, "corpus point found no route"
     assert _timeless(batched) == _timeless(reference)
 
@@ -89,8 +132,8 @@ def test_batched_plan_matches_sequential(city, method, expansion, discipline):
 def test_hutchinson_batched_plan_matches_sequential(
     city, method, expansion, discipline
 ):
-    batched = _plan(city, method, expansion, discipline, True, "hutchinson")
-    reference = _plan(city, method, expansion, discipline, False, "hutchinson")
+    batched = _plan(city, method, expansion, discipline, "hutchinson", False)
+    reference = _plan(city, method, expansion, discipline, "hutchinson", True)
 
     assert _canonical_route(batched.route) == _canonical_route(reference.route)
     assert batched.route is not None, "corpus point found no route"
@@ -100,7 +143,7 @@ def test_hutchinson_batched_plan_matches_sequential(
     )
     assert batched.o_d == pytest.approx(reference.o_d, abs=TOL * 1e3)
     assert batched.o_lambda == pytest.approx(reference.o_lambda, abs=TOL)
-    # Both modes price the same distinct novel-pair sets, once each.
+    # Both price the same distinct novel-pair sets, once each.
     assert batched.connectivity_evaluations == reference.connectivity_evaluations
 
 
@@ -116,23 +159,29 @@ def test_corpus_covers_both_strategies_modes_and_disciplines():
     assert set(DISCIPLINES) == {"bound", "fifo"}
 
 
+def _deltas_both_ways(increment_mode):
+    config = PlannerConfig(**_BASE, increment_mode=increment_mode)
+    ds = canned_city("chicago", "tiny")
+    batched = precompute(ds, config)
+    with _sequential_reference("chicago") as priced:
+        reference = precompute(ds, config)
+    # The reference priced each candidate edge's pair once, alone.
+    assert sorted(priced) == sorted(
+        ((min(e.pair), max(e.pair)),) for e in batched.universe.edges if e.is_new
+    )
+    return batched, reference
+
+
 def test_precomputed_deltas_match_across_modes():
     """Batched precompute increments equal sequential ones bitwise."""
-    config = PlannerConfig(**_BASE, batch_eval=True)
-    ds = canned_city("chicago", "tiny")
-    on = precompute(ds, config)
-    off = precompute(ds, config.variant(batch_eval=False))
-    assert on.universe.delta.tobytes() == off.universe.delta.tobytes()
-    assert on.estimator.evaluations == off.estimator.evaluations
+    batched, reference = _deltas_both_ways("exact")
+    assert batched.universe.delta.tobytes() == reference.universe.delta.tobytes()
 
 
 def test_hutchinson_precomputed_deltas_match_across_modes():
     """Batched Hutchinson increments agree with sequential ones."""
-    config = PlannerConfig(**_BASE, batch_eval=True, increment_mode="hutchinson")
-    ds = canned_city("chicago", "tiny")
-    on = precompute(ds, config)
-    off = precompute(ds, config.variant(batch_eval=False))
+    batched, reference = _deltas_both_ways("hutchinson")
     np.testing.assert_allclose(
-        on.universe.delta, off.universe.delta, atol=TOL, rtol=0.0
+        batched.universe.delta, reference.universe.delta, atol=TOL, rtol=0.0
     )
-    assert on.estimator.evaluations == off.estimator.evaluations
+    assert batched.estimator.evaluations == reference.estimator.evaluations

@@ -24,11 +24,6 @@ class TestParser:
         assert args.method == "eta-pre"
         assert args.k == 20
         assert args.w == 0.5
-        assert args.no_batch_eval is False
-
-    def test_plan_no_batch_eval_flag(self):
-        args = build_parser().parse_args(["plan", "--no-batch-eval"])
-        assert args.no_batch_eval is True
 
 
 class TestCommands:
@@ -46,14 +41,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "objective O(mu)" in out
         assert "#transfers avoided" in out
-
-    def test_plan_no_batch_eval_runs_sequential_path(self, capsys):
-        rc = main([
-            "plan", "--city", "chicago", "--profile", "tiny",
-            "--k", "5", "--iterations", "100", "--no-batch-eval",
-        ])
-        assert rc == 0
-        assert "objective O(mu)" in capsys.readouterr().out
 
     def test_plan_vk_tsp(self, capsys):
         rc = main([

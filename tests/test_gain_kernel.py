@@ -12,7 +12,8 @@ set, the paper's "Eigen NumPy" reference. Contract:
   values lie within the bound of each other (exact ties occur on the
   tiny cities);
 * a set's gain is bitwise the same priced alone, in its batch or in a
-  shuffled batch, so the batched and sequential modes agree bitwise;
+  shuffled batch, so one ``connectivity_gains`` call over many sets and
+  one call per set agree bitwise;
 * eta-pre plans the routes it plans with ``Delta(e)`` from dense
   ``eigvalsh``;
 * nothing depends on ``seed``: eta-pre plans identically for seeds 0-4.
@@ -136,14 +137,14 @@ class TestRoutes:
     def test_eta_pre_routes_within_bound(self, city):
         pre, sets = _route_sets(city, "small")
         assert min(len(s) for s in sets) >= 2
-        got = pre.connectivity_gains(sets, batched=True)
+        got = pre.connectivity_gains(sets)
         assert_within_bound(got, _truth(pre.builder, sets))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("city", ["chicago", "nyc"])
     def test_bench_eta_pre_routes_within_bound(self, city):
         pre, sets = _route_sets(city, "bench")
-        got = pre.connectivity_gains(sets, batched=True)
+        got = pre.connectivity_gains(sets)
         assert_within_bound(got, _truth(pre.builder, sets))
 
 
@@ -222,18 +223,16 @@ class TestBatchInvariance:
 
     def test_batched_equals_sequential_bitwise(self):
         pre, sets = _mixed_sets(seed=3)
-        before = pre.estimator.evaluations
-        batched = pre.connectivity_gains(sets, batched=True)
-        sequential = pre.connectivity_gains(sets, batched=False)
+        batched = pre.connectivity_gains(sets)
+        sequential = np.concatenate([pre.connectivity_gains([s]) for s in sets])
         assert batched.tobytes() == sequential.tobytes()
-        assert pre.estimator.evaluations - before == 2 * len(set(sets))
 
-    def test_precomputed_deltas_equal_across_batch_eval(self):
-        ds = canned_city("chicago", "small")
-        on = precompute(ds, PlannerConfig(batch_eval=True))
-        off = precompute(ds, PlannerConfig(batch_eval=False))
-        assert on.universe.delta.tobytes() == off.universe.delta.tobytes()
-        assert on.lambda_base == off.lambda_base
+    def test_precomputed_deltas_equal_each_edge_priced_alone(self):
+        pre = precompute(canned_city("chicago", "small"), PlannerConfig())
+        uni = pre.universe
+        new = np.flatnonzero(uni.is_new)
+        alone = [pre.connectivity_gains([[uni.edge(int(i)).pair]])[0] for i in new]
+        assert uni.delta[new].tobytes() == np.array(alone).tobytes()
 
 
 class TestKernelInputs:

@@ -1,6 +1,7 @@
 """Unit tests for the pre-computation stage (Section 6 / Table 4)."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ class TestIncrementModes:
         with pytest.raises(ValidationError, match="bogus"):
             connectivity_gains(
                 small_pre.builder, small_pre.estimator, small_pre.lambda_base,
-                [[pair]], True, "bogus",
+                [[pair]], "bogus",
             )
 
     def test_hutchinson_mode_is_the_estimator(self, small_dataset, small_config):
@@ -110,32 +111,41 @@ class TestConnectivityGains:
         new = [e.pair for e in pre.universe.edges if e.is_new]
         return [[], [new[0]], new[1:3], [], new[3:7]]
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_empty_group_is_zero_and_free(self, small_pre, batched):
-        before = small_pre.estimator.evaluations
-        gains = small_pre.connectivity_gains([[], []], batched)
-        assert gains.tolist() == [0.0, 0.0]
-        assert small_pre.estimator.evaluations == before
+    @staticmethod
+    def _kernel_calls(monkeypatch):
+        """The sets handed to each gain-kernel call, recorded per call."""
+        module = importlib.import_module("repro.core.precompute")
+        kernel = module.block_lanczos_gains
+        calls = []
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_one_evaluation_per_nonempty_group(self, small_pre, batched):
-        groups = self._groups(small_pre)
-        before = small_pre.estimator.evaluations
-        gains = small_pre.connectivity_gains(groups, batched)
-        assert small_pre.estimator.evaluations - before == 3
+        def spy(A, pair_sets, trace_base):
+            calls.append(list(pair_sets))
+            return kernel(A, pair_sets, trace_base)
+
+        monkeypatch.setattr(module, "block_lanczos_gains", spy)
+        return calls
+
+    def test_empty_group_is_zero_and_free(self, small_pre, monkeypatch):
+        calls = self._kernel_calls(monkeypatch)
+        gains = small_pre.connectivity_gains([[], []])
+        assert gains.tolist() == [0.0, 0.0]
+        assert calls == []
+
+    def test_one_evaluation_per_nonempty_group(self, small_pre, monkeypatch):
+        calls = self._kernel_calls(monkeypatch)
+        gains = small_pre.connectivity_gains(self._groups(small_pre))
+        assert [len(sets) for sets in calls] == [3]
         assert gains[0] == gains[3] == 0.0
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_gains_are_clamped_at_zero(self, small_pre, batched):
+    def test_gains_are_clamped_at_zero(self, small_pre):
         above_every_estimate = small_pre.lambda_base + 1.0
         gains = connectivity_gains(
             small_pre.builder, small_pre.estimator, above_every_estimate,
-            self._groups(small_pre), batched, "hutchinson",
+            self._groups(small_pre), "hutchinson",
         )
         assert gains.tolist() == [0.0] * 5
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_one_set_named_many_ways_is_priced_once(self, small_pre, batched):
+    def test_one_set_named_many_ways_is_priced_once(self, small_pre, monkeypatch):
         (a, b), (c, d) = [e.pair for e in small_pre.universe.edges if e.is_new][:2]
         groups = [
             [(a, b), (c, d)],
@@ -144,26 +154,25 @@ class TestConnectivityGains:
             [(a, b), (c, d), (b, a)],  # a duplicate pair
             [(a, b), (c, d)],  # a duplicate group
         ]
-        before = small_pre.estimator.evaluations
-        gains = small_pre.connectivity_gains(groups, batched)
-        assert small_pre.estimator.evaluations - before == 1
+        calls = self._kernel_calls(monkeypatch)
+        gains = small_pre.connectivity_gains(groups)
+        assert [len(sets) for sets in calls] == [1]
         assert gains[0] > 0
         assert gains.tobytes() == np.full(len(groups), gains[0]).tobytes()
-        alone = small_pre.connectivity_gains(groups[2:3], batched)
+        alone = small_pre.connectivity_gains(groups[2:3])
         assert alone.tobytes() == gains[:1].tobytes()
 
     def test_modes_agree_per_group(self, small_pre):
+        """Groups priced in one call gain what each gains in its own call."""
         groups = self._groups(small_pre)
-        batched = small_pre.connectivity_gains(groups, batched=True)
-        sequential = small_pre.connectivity_gains(groups, batched=False)
-        assert batched.tobytes() == sequential.tobytes()
+        together = small_pre.connectivity_gains(groups)
+        alone = np.concatenate([small_pre.connectivity_gains([g]) for g in groups])
+        assert together.tobytes() == alone.tobytes()
 
     def test_single_pair_groups_are_the_precomputed_deltas(self, small_pre):
         uni = small_pre.universe
         new = [e.index for e in uni.edges if e.is_new]
-        gains = small_pre.connectivity_gains(
-            [[uni.edge(i).pair] for i in new], small_pre.config.batch_eval
-        )
+        gains = small_pre.connectivity_gains([[uni.edge(i).pair] for i in new])
         assert gains.tobytes() == uni.delta[new].tobytes()
 
 

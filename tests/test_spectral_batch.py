@@ -8,6 +8,8 @@ it, and the ``hutchinson_trace`` / ``hutchinson_trace_samples`` error
 type. The end-to-end planning contract lives in ``test_batch_oracle.py``.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -283,12 +285,12 @@ class TestOnlineExtensionScores(_StrategyFixture):
 
     @staticmethod
     def _sequential_scores(pre, cand, edges):
-        """The objective of each extension, priced by the sequential
-        reference rather than through a strategy's memo."""
+        """The objective of each extension, each path priced in its own
+        call rather than through a strategy's memo."""
         paths = [list(cand.edge_ids) + [e] for e in edges]
         o_d = np.array([pre.universe.demand[ids].sum() for ids in paths])
-        o_l = pre.connectivity_gains(
-            [pre.universe.new_pairs(ids) for ids in paths], batched=False
+        o_l = np.concatenate(
+            [pre.connectivity_gains([pre.universe.new_pairs(ids)]) for ids in paths]
         )
         return pre.objective(o_d, o_l)
 
@@ -314,10 +316,11 @@ class TestOnlineExtensionScores(_StrategyFixture):
     def test_empty_batch_skips_estimator(self, pre):
         strategy = OnlineStrategy(pre)
         cand = self._candidate(pre, strategy)
-        before = pre.estimator.evaluations
-        out = strategy.extension_scores(cand, [])
+        with mock.patch.object(pre, "connectivity_gains") as gains:
+            out = strategy.extension_scores(cand, [])
         assert out.shape == (0,)
-        assert pre.estimator.evaluations == before
+        gains.assert_not_called()
+        assert strategy.evaluations == 0
 
     def test_batch_charges_one_evaluation_per_scored_extension(self, pre):
         """A call charges one evaluation per distinct novel-pair set that
@@ -328,16 +331,16 @@ class TestOnlineExtensionScores(_StrategyFixture):
         paths = [list(cand.edge_ids) + [e] for e in neighbors]
         sets = {novel_set(pre, ids) for ids in paths} - {()}
         assert len(sets) >= 2, "fixture prices too few distinct sets"
-        before = pre.estimator.evaluations
         scores = strategy.extension_scores(cand, neighbors)
-        assert pre.estimator.evaluations - before == len(sets)
+        assert strategy.evaluations == len(sets)
         # Every set is priced now: the round again and a re-score of one
         # of its paths are free, and bitwise what the first call gave.
-        before = pre.estimator.evaluations
-        again = strategy.extension_scores(cand, neighbors)
+        with mock.patch.object(pre, "connectivity_gains") as gains:
+            again = strategy.extension_scores(cand, neighbors)
+            assert strategy.path_score(paths[0]) == scores[0]
+        gains.assert_not_called()
         assert again.tobytes() == scores.tobytes()
-        assert strategy.path_score(paths[0]) == scores[0]
-        assert pre.estimator.evaluations == before
+        assert strategy.evaluations == len(sets)
 
 
 class _Recording(OnlineStrategy):
@@ -355,19 +358,10 @@ class _Recording(OnlineStrategy):
 class TestRunMemo:
     """One memo per run: a hit is bitwise what a fresh strategy computes."""
 
-    @pytest.fixture(
-        scope="class",
-        params=[
-            (True, "exact"), (False, "exact"),
-            (True, "hutchinson"), (False, "hutchinson"),
-        ],
-        ids=["batched", "sequential", "hutchinson-batched", "hutchinson-sequential"],
-    )
+    @pytest.fixture(scope="class", params=["exact", "hutchinson"])
     def pre(self, request):
-        batch_eval, increment_mode = request.param
         config = PlannerConfig(
-            **_StrategyFixture.config_kwargs, batch_eval=batch_eval,
-            increment_mode=increment_mode,
+            **_StrategyFixture.config_kwargs, increment_mode=request.param,
         )
         return precompute(canned_city("nyc", "tiny"), config)
 
@@ -376,9 +370,9 @@ class TestRunMemo:
         ExpansionEngine(pre, strategy).run()
         paths = list(dict.fromkeys(strategy.paths))
         assert len(paths) > 20, "the run scored too few candidates"
-        before = pre.estimator.evaluations
-        remembered = [strategy.path_score(ids) for ids in paths]
-        assert pre.estimator.evaluations == before
+        with mock.patch.object(pre, "connectivity_gains") as gains:
+            remembered = [strategy.path_score(ids) for ids in paths]
+        gains.assert_not_called()
         fresh = [OnlineStrategy(pre).path_score(ids) for ids in paths]
         assert np.array(remembered).tobytes() == np.array(fresh).tobytes()
 

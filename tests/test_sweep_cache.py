@@ -177,7 +177,7 @@ class TestGoldenKey:
     def test_every_keyed_field_changed(self, chicago):
         config = PlannerConfig(
             seed=3, tau_km=0.4, n_probes=20, lanczos_steps=6,
-            increment_mode="hutchinson", batch_eval=False,
+            increment_mode="hutchinson",
         )
         assert cache_key(chicago, config) == "d70ddfc934a85cb11adc9fba4d7fa5c2"
 
@@ -279,8 +279,7 @@ class TestSavedSpec:
     @pytest.mark.parametrize("name, value", [
         ("seed", MISSING),
         ("seed", "0"),
-        # Equal in value, not in type: 1 == True and 50.0 == 50.
-        ("batch_eval", 1),
+        # Equal in value, not in type: 50.0 == 50.
         ("n_probes", 50.0),
     ])
     def test_load_refuses_the_saved_field(
