@@ -171,7 +171,7 @@ class TestGoldenKey:
 
     def test_default_config_key(self, chicago):
         assert cache_key(chicago, PlannerConfig()) == (
-            "ed55d01e0dc1d8e67e85506734ff6dd7"
+            "cf337dec8cb2922397648e61e11edc19"
         )
 
     def test_every_keyed_field_changed(self, chicago):
@@ -179,26 +179,26 @@ class TestGoldenKey:
             seed=3, tau_km=0.4, n_probes=20, lanczos_steps=6,
             increment_mode="hutchinson",
         )
-        assert cache_key(chicago, config) == "d70ddfc934a85cb11adc9fba4d7fa5c2"
+        assert cache_key(chicago, config) == "217440a0e620b8cf032c8b5ae934fb70"
 
     def test_search_knobs_keep_default_key(self, chicago):
         assert cache_key(chicago, PlannerConfig(k=7, w=0.2)) == (
-            "ed55d01e0dc1d8e67e85506734ff6dd7"
+            "cf337dec8cb2922397648e61e11edc19"
         )
 
 
 class TestArtifactFormat:
     def test_format_2_entry_under_the_default_key_is_recomputed(self, tmp_path):
-        """The default spec, and so its key, is the same as under format 2,
-        whose ``Delta(e)`` came from the Hutchinson estimator: a warm
-        format-2 entry must be a miss, recomputed and replaced."""
+        """A format-2 entry, whose ``Delta(e)`` came from the Hutchinson
+        estimator, found under the default key must be a miss,
+        recomputed and replaced."""
         chicago = canned_city("chicago", "tiny")
         config = PlannerConfig()
         stale = precompute(chicago, config.variant(increment_mode="hutchinson"))
         stale.config = config
         cache = PrecomputationCache(str(tmp_path))
         key = cache.store(stale, chicago)
-        assert key == "ed55d01e0dc1d8e67e85506734ff6dd7"
+        assert key == "cf337dec8cb2922397648e61e11edc19"
         json_path = tmp_path / f"{key}.json"
         meta = json.loads(json_path.read_text())
         meta["format"] = 2

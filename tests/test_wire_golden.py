@@ -120,8 +120,7 @@ BASE_CONFIG = (
     '"max_iterations": 2000, "expansion": "best", "queue_discipline": '
     '"bound", "use_domination": true, "new_edges_only": false, '
     '"n_probes": 50, "lanczos_steps": 10, "increment_mode": "exact", '
-    '"batch_eval": true, "allow_loop": true, "record_every": 100, '
-    '"seed": 0}'
+    '"allow_loop": true, "record_every": 100, "seed": 0}'
 )
 RUN = (
     '{"op": "run", "protocol": 2, "base_config": ' + BASE_CONFIG + ', '
@@ -484,13 +483,13 @@ class TestScenarioSpec:
 
     def test_scenario_keys(self):
         assert scenario_key(SCENARIO, PlannerConfig()) == (
-            "879d4530ae7ec79f468a38ffc2c961ed"
+            "671a0cfcb325a8d182188ff03a10df18"
         )
         assert scenario_key(SCENARIO, PlannerConfig(k=10)) == (
-            "c96542f54671426b51df6ddee20db1c5"
+            "386d86a4c5db86f03f08f095abfbc47c"
         )
         # ANCHORED overrides k, so the base config's k does not reach it.
         for base in (PlannerConfig(), PlannerConfig(k=10)):
             assert scenario_key(ANCHORED, base) == (
-                "fe2092a341de7920d922d065134e6cbe"
+                "3aa231761974b9f72704ce8dd54343d9"
             )
