@@ -57,12 +57,16 @@ def greedy_connectivity_edges(
 ) -> tuple[list[int], float]:
     """Greedy k-edge augmentation maximizing natural connectivity.
 
-    Each round re-scores a shortlist of the currently best candidates
-    (by their static ``Delta(e)`` ranking) against the *current* graph
-    with common probes, then commits the winner — the Chan et al.
-    greedy with the paper's Lanczos estimator inside.
+    Each round prices a shortlist of the currently best candidates (by
+    their static ``Delta(e)`` ranking), each added to the edges chosen
+    so far, with one
+    :meth:`~repro.core.precompute.Precomputation.connectivity_gains`
+    call in the precomputation's ``increment_mode``, then commits the
+    winner — the Chan et al. greedy with the planners' gain formula
+    inside. Every set of a round holds the chosen edges, so the largest
+    gain over ``G_r`` is the largest marginal gain.
 
-    Returns ``(chosen universe edge indices, total estimated increment)``.
+    Returns ``(chosen universe edge indices, total connectivity gain)``.
     """
     if l_edges < 1:
         raise PlanningError(f"l_edges must be >= 1, got {l_edges}")
@@ -74,23 +78,14 @@ def greedy_connectivity_edges(
 
     chosen: list[int] = []
     chosen_pairs: list[tuple[int, int]] = []
-    base_value = pre.lambda_base
-    estimator = pre.estimator
-    builder = pre.builder
     for _ in range(min(l_edges, len(candidates))):
-        best_idx = -1
-        best_gain = -math.inf
-        current = estimator.estimate(builder.extended(chosen_pairs)) if chosen_pairs else base_value
-        for i in candidates[:shortlist]:
-            if i in chosen:
-                continue
-            pair = universe.edge(i).pair
-            gain = estimator.estimate(builder.extended(chosen_pairs + [pair])) - current
-            if gain > best_gain:
-                best_gain = gain
-                best_idx = i
-        if best_idx < 0:
+        pool = [i for i in candidates[:shortlist] if i not in chosen]
+        if not pool:
             break
+        gains = pre.connectivity_gains(
+            [chosen_pairs + [universe.edge(i).pair] for i in pool]
+        )
+        best_idx = pool[int(np.argmax(gains))]
         chosen.append(best_idx)
         chosen_pairs.append(universe.edge(best_idx).pair)
     total = pre.connectivity_gains([chosen_pairs])[0]

@@ -14,6 +14,7 @@ from repro.baselines.tsp import (
     two_opt,
 )
 from repro.core.planner import run_method
+from repro.core.precompute import precompute
 from repro.utils.errors import PlanningError, ValidationError
 
 
@@ -80,14 +81,12 @@ class TestConnectivityFirst:
         rng = np.random.default_rng(0)
         new_edges = [i for i in range(len(small_pre.universe))
                      if small_pre.universe.is_new[i]]
-        random_total = []
-        for _ in range(5):
-            pick = rng.choice(new_edges, size=4, replace=False)
-            pairs = [small_pre.universe.edge(int(i)).pair for i in pick]
-            inc = small_pre.estimator.estimate(
-                small_pre.builder.extended(pairs)
-            ) - small_pre.lambda_base
-            random_total.append(inc)
+        picks = [
+            [small_pre.universe.edge(int(i)).pair
+             for i in rng.choice(new_edges, size=4, replace=False)]
+            for _ in range(5)
+        ]
+        random_total = small_pre.connectivity_gains(picks)
         assert total >= np.mean(random_total) - 1e-6
 
     def test_total_is_the_shared_connectivity_gain(self, small_pre):
@@ -96,6 +95,26 @@ class TestConnectivityFirst:
         chosen, total = greedy_connectivity_edges(small_pre, l_edges=4, shortlist=20)
         pairs = [small_pre.universe.edge(i).pair for i in chosen]
         assert total == small_pre.connectivity_gains([pairs])[0]
+
+    @pytest.mark.parametrize("increment_mode", ["exact", "hutchinson"])
+    def test_each_round_takes_the_largest_gain_of_the_mode(
+        self, small_dataset, small_pre, increment_mode
+    ):
+        """Every pick is the shortlist's largest gain, priced in the
+        precomputation's increment mode, over the edges picked before it."""
+        pre = small_pre
+        if increment_mode != pre.config.increment_mode:
+            pre = precompute(
+                small_dataset, pre.config.variant(increment_mode=increment_mode)
+            )
+        uni = pre.universe
+        chosen, _ = greedy_connectivity_edges(pre, l_edges=4, shortlist=20)
+        new = sorted(np.flatnonzero(uni.is_new), key=lambda i: -uni.delta[i])
+        for r, pick in enumerate(chosen):
+            before = [uni.edge(i).pair for i in chosen[:r]]
+            pool = [int(i) for i in new[:20] if i not in chosen[:r]]
+            gains = pre.connectivity_gains([before + [uni.edge(i).pair] for i in pool])
+            assert gains[pool.index(pick)] == gains.max(), r
 
     def test_stitched_route_not_smooth(self, small_pre):
         """Figure 6's point: the stitched route needs long connectors."""
