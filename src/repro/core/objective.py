@@ -10,9 +10,9 @@ expansion round with one ``extension_scores`` call.
 A strategy instance serves one planning run. Every connectivity
 estimate it makes goes through its memo of gains keyed by the canonical
 novel-pair set, so a set the run has already priced is never priced
-again, and the memo's size is the run's count of evaluations. Both terms of a path's
-objective depend only on its edge set, never on the order the search
-added the edges in.
+again, and the memo's size is the run's count of evaluations. Both
+terms of a path's objective depend only on its edge set, never on the
+order the search added the edges in.
 
 * :class:`OnlineStrategy` (ETA) — the connectivity term of every
   candidate is re-estimated with the Lanczos+Hutchinson estimator; the
@@ -65,9 +65,9 @@ class _StrategyBase:
         A path is keyed by the canonical novel-pair set of its new edges.
         Sets this strategy has not priced yet go to one
         :meth:`~repro.core.precompute.Precomputation.connectivity_gains`
-        call; in the exact mode a memo hit is bitwise what that call
-        returns, since the kernel prices a set independently of the
-        other sets in the call.
+        call; a memo hit is bitwise what that call returns, since the
+        kernel of either increment mode prices a set independently of
+        the other sets in the call.
         """
         novel_pairs = self.pre.builder.novel_pairs
         keys = [tuple(novel_pairs(self.universe.new_pairs(ids))) for ids in paths]

@@ -112,8 +112,7 @@ def block_expm_quadrature(matmat, V: np.ndarray, steps: int) -> np.ndarray:
     over the whole block. ``matmat`` must act column-wise (column ``c``
     of the result may depend only on column ``c`` of the input) and
     represent a symmetric operator. A quadratic form needs only
-    ``||v||^2 (e^T)_00 = ||v||^2 ||e^{T/2} e_1||^2`` per column, so
-    neither ``Q^T coef`` nor a probe dot product is formed. The
+    ``||v||^2 (e^T)_00 = ||v||^2 ||e^{T/2} e_1||^2`` per column. The
     half-step form halves the Taylor radius (fewer terms than
     ``e^T e_1``) and its final sum of squares cannot cancel. Zero
     columns give exactly 0.
