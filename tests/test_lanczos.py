@@ -229,6 +229,22 @@ class TestExpmTridiagonalBlock:
 
 
 class TestQuadratureFinish:
+    @pytest.mark.parametrize("case", ["random-0", "random-1", "brooklyn", "staten_island"])
+    def test_matches_probe_action_finish(self, case):
+        """The half-step quadrature equals ``v . e^A v`` with the action
+        ``||v|| Q e^T e_1`` formed from the same recurrence's basis."""
+        if case.startswith("random-"):
+            A = random_adjacency(60, 0.08, int(case[-1]))
+        else:
+            A = bench_adjacency(case)
+        V = np.random.default_rng(20).standard_normal((A.shape[0], 12))
+        matmat = lambda X: A @ X  # noqa: E731
+        quad = block_expm_quadrature(matmat, V, 10)
+        Q, alphas, betas, norms = _block_lanczos(matmat, V, 10)
+        action = np.einsum("tns,ts->ns", Q, _expm_tridiagonal_e1_block(alphas, betas))
+        dots = np.einsum("ns,ns->s", V, action * norms)
+        np.testing.assert_allclose(quad, dots, rtol=1e-12, atol=0.0)
+
     def test_zero_norm_column_is_zero_and_isolated(self):
         A = random_adjacency(25, 0.15, 32)
         V = np.random.default_rng(33).standard_normal((25, 4))

@@ -15,6 +15,7 @@ from repro.core.precompute import (
     rebind,
 )
 from repro.data.datasets import CITY_NAMES, canned_city
+from repro.spectral.connectivity import NaturalConnectivityEstimator
 from repro.utils.errors import ValidationError
 
 
@@ -112,8 +113,14 @@ class TestConnectivityGains:
         return [[], [new[0]], new[1:3], [], new[3:7]]
 
     @staticmethod
-    def _kernel_calls(monkeypatch):
-        """The sets handed to each gain-kernel call, recorded per call."""
+    def _pricing_calls(monkeypatch, pre, batched):
+        """The sets handed to each pricing call, recorded per call.
+
+        ``batched=False`` installs the sequential reference this suite
+        supplies: each set gets its own gain-kernel call in the exact
+        mode and its own ``estimate`` of the extended matrix in the
+        Hutchinson mode.
+        """
         module = importlib.import_module("repro.core.precompute")
         kernel = module.block_lanczos_gains
         calls = []
@@ -122,30 +129,53 @@ class TestConnectivityGains:
             calls.append(list(pair_sets))
             return kernel(A, pair_sets, trace_base)
 
-        monkeypatch.setattr(module, "block_lanczos_gains", spy)
+        def one_set_per_call(A, pair_sets, trace_base):
+            return np.concatenate([spy(A, [s], trace_base) for s in pair_sets])
+
+        def estimate_each(estimator, A_base, pair_sets):
+            calls.extend([s] for s in pair_sets)
+            return np.array(
+                [estimator.estimate(pre.builder.extended(s)) for s in pair_sets]
+            )
+
+        monkeypatch.setattr(
+            module, "block_lanczos_gains", spy if batched else one_set_per_call
+        )
+        if not batched:
+            monkeypatch.setattr(
+                NaturalConnectivityEstimator, "estimate_batch", estimate_each
+            )
         return calls
 
-    def test_empty_group_is_zero_and_free(self, small_pre, monkeypatch):
-        calls = self._kernel_calls(monkeypatch)
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_empty_group_is_zero_and_free(self, small_pre, monkeypatch, batched):
+        calls = self._pricing_calls(monkeypatch, small_pre, batched)
         gains = small_pre.connectivity_gains([[], []])
         assert gains.tolist() == [0.0, 0.0]
         assert calls == []
 
-    def test_one_evaluation_per_nonempty_group(self, small_pre, monkeypatch):
-        calls = self._kernel_calls(monkeypatch)
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_one_evaluation_per_nonempty_group(self, small_pre, monkeypatch, batched):
+        calls = self._pricing_calls(monkeypatch, small_pre, batched)
         gains = small_pre.connectivity_gains(self._groups(small_pre))
-        assert [len(sets) for sets in calls] == [3]
+        assert [len(sets) for sets in calls] == ([3] if batched else [1, 1, 1])
         assert gains[0] == gains[3] == 0.0
 
-    def test_gains_are_clamped_at_zero(self, small_pre):
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_gains_are_clamped_at_zero(self, small_pre, monkeypatch, batched):
+        calls = self._pricing_calls(monkeypatch, small_pre, batched)
         above_every_estimate = small_pre.lambda_base + 1.0
         gains = connectivity_gains(
             small_pre.builder, small_pre.estimator, above_every_estimate,
             self._groups(small_pre), "hutchinson",
         )
         assert gains.tolist() == [0.0] * 5
+        assert len(calls) == (0 if batched else 3)
 
-    def test_one_set_named_many_ways_is_priced_once(self, small_pre, monkeypatch):
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_one_set_named_many_ways_is_priced_once(
+        self, small_pre, monkeypatch, batched
+    ):
         (a, b), (c, d) = [e.pair for e in small_pre.universe.edges if e.is_new][:2]
         groups = [
             [(a, b), (c, d)],
@@ -154,7 +184,7 @@ class TestConnectivityGains:
             [(a, b), (c, d), (b, a)],  # a duplicate pair
             [(a, b), (c, d)],  # a duplicate group
         ]
-        calls = self._kernel_calls(monkeypatch)
+        calls = self._pricing_calls(monkeypatch, small_pre, batched)
         gains = small_pre.connectivity_gains(groups)
         assert [len(sets) for sets in calls] == [1]
         assert gains[0] > 0

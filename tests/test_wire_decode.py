@@ -196,7 +196,7 @@ class TestNoCoercion:
         ("lanczos_steps", 6.5), ("record_every", None), ("seed", True),
         ("w", True), ("w", "0.5"), ("tau_km", None),
         ("use_domination", 1), ("new_edges_only", "no"),
-        ("use_domination", None), ("allow_loop", 0),
+        ("allow_loop", None), ("allow_loop", 0),
     ])
     def test_planner_config_refuses_a_wrong_type_by_name(self, field, value):
         match = rf"^PlannerConfig field '{field}' must be (int|float|bool),"
