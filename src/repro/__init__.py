@@ -13,7 +13,8 @@ Quickstart::
     result = planner.plan("eta-pre")
     print(result.summary())
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
+See ``README.md`` for the module map and ``docs/`` for the design
+notes; the paper-table benchmarks under ``benchmarks/`` print the
 paper-vs-measured record of every reproduced table and figure.
 """
 

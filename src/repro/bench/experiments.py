@@ -3,8 +3,8 @@
 Each function returns structured data *and* registers a formatted
 paper-vs-measured report via :func:`repro.bench.harness.report`.
 Absolute numbers are expected to differ from the paper (scaled-down
-synthetic cities, pure-Python kernels); the *shapes* recorded in
-EXPERIMENTS.md are what must hold.
+synthetic cities, pure-Python kernels); the *shapes* are what must
+hold.
 """
 
 from __future__ import annotations
@@ -332,7 +332,7 @@ def table5_datasets() -> dict:
         rows,
         title=(
             "Table 5: dataset overview — bench profile is a ~20-25x "
-            "scaled-down synthetic stand-in (see DESIGN.md Section 3); "
+            "scaled-down synthetic stand-in; "
             "the 'paper' profile reproduces full-scale parameters"
         ),
     )

@@ -1,7 +1,7 @@
 """Figure experiments (paper Figures 1, 3, 4, 6, 7/8, 9, 10, 11, 12).
 
 Figures are reproduced as data series rendered through the ASCII helpers
-(the shapes, crossovers, and orderings are what EXPERIMENTS.md records).
+(the shapes, crossovers, and orderings are what must hold).
 """
 
 from __future__ import annotations

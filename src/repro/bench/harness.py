@@ -2,8 +2,8 @@
 
 * Session-cached datasets and precomputations (the expensive artifacts
   every experiment shares),
-* the scaled-down bench configuration (see DESIGN.md Section 3 on the
-  laptop-scale substitution),
+* the scaled-down bench configuration (the laptop-scale substitution
+  for the paper's cities),
 * a report registry: every experiment renders its paper-vs-measured
   table here; ``benchmarks/conftest.py`` dumps the registry into the
   terminal summary so ``bench_output.txt`` carries all reproductions.
@@ -57,7 +57,6 @@ def bench_config(**overrides) -> PlannerConfig:
         # Online ETA runs are separately capped at BENCH_ETA_ITERATIONS.
         max_iterations=4000,
         record_every=10,
-        seed=0,
     )
     base.update(overrides)
     return PlannerConfig(**base)

@@ -44,8 +44,8 @@ from repro.core.config import PlannerConfig
 from repro.core.planner import CTBusPlanner, run_method
 from repro.core.precompute import precompute, rebind
 from repro.data.datasets import canned_city
+from repro.spectral.connectivity import NaturalConnectivityEstimator
 from repro.spectral.gains import block_lanczos_gains
-from repro.spectral.hutchinson import hutchinson_trace, sample_probes
 from repro.sweep.cache import PrecomputationCache
 from repro.sweep.runner import SweepRunner
 from repro.sweep.scenario import expand_grid
@@ -82,14 +82,8 @@ def _probe_config(dataset_profile: str) -> PlannerConfig:
     that the timed regions dominate interpreter noise.
     """
     if dataset_profile == "tiny":
-        return PlannerConfig(
-            k=8, w=0.5, max_iterations=250, seed_count=100,
-            n_probes=16, lanczos_steps=8, seed=0,
-        )
-    return PlannerConfig(
-        k=20, w=0.5, max_iterations=1000, seed_count=400,
-        n_probes=32, lanczos_steps=10, seed=0,
-    )
+        return PlannerConfig(k=8, w=0.5, max_iterations=250, seed_count=100)
+    return PlannerConfig(k=20, w=0.5, max_iterations=1000, seed_count=400)
 
 
 # ----------------------------------------------------------------------
@@ -235,15 +229,15 @@ def _probe_spectral_gains(dataset_profile: str) -> dict:
 
 
 def _probe_spectral_hutchinson(dataset_profile: str) -> dict:
-    """Hutchinson natural-connectivity estimate on the same graph."""
-    config = _probe_config(dataset_profile)
+    """Hutchinson natural-connectivity estimate on the same graph, with
+    the estimator the ``"hutchinson"`` increment mode builds."""
     A = canned_city(_CITY, dataset_profile).transit.adjacency()
-    V = sample_probes(A.shape[0], config.n_probes, seed=config.seed)
+    estimator = NaturalConnectivityEstimator(A.shape[0])
     with Timer() as trace_t:
-        estimate = hutchinson_trace(A, V, lanczos_steps=config.lanczos_steps)
+        estimate = estimator.estimate(A)
     return {
         "trace_s": trace_t.elapsed,
-        "trace_estimate": float(estimate),
+        "estimate": estimate,
     }
 
 
@@ -267,15 +261,14 @@ def _probe_serve_latency(dataset_profile: str) -> dict:
     )
     from repro.sweep.scenario import Scenario
 
-    config = _probe_config(dataset_profile)
     scenario = Scenario(
         name="bench-serve", city=_CITY, profile=dataset_profile,
-        method="eta-pre", seed=config.seed,
+        method="eta-pre",
     )
     request = PlanFrame(
         protocol=PROTOCOL_VERSION,
         scenario=scenario,
-        base_config=config,
+        base_config=_probe_config(dataset_profile),
     )
     server = PlanServer(port=0)
     server.start_in_thread()

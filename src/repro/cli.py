@@ -294,7 +294,6 @@ def _cmd_sweep(args) -> int:
             base_config=base,
             cache_dir=cache_dir,
             workers=args.workers,
-            base_seed=args.seed,
             backend=args.backend,
             addresses=args.workers_at or None,
             registry=args.registry or None,
@@ -763,8 +762,21 @@ def _cmd_check(args) -> int:
     return 1 if run.failed(strict=args.strict) else 0
 
 
+class _WholeNameParser(argparse.ArgumentParser):
+    """An argument parser that matches only whole option names.
+
+    argparse otherwise takes any unambiguous prefix, so a removed flag
+    would silently parse as a longer one that it prefixes (``--seed 9``
+    as ``--seed-count 9``). Sub-parsers are built with the parser's own
+    class, so this holds for every command.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _WholeNameParser(
         prog="repro",
         description="CT-Bus: demand- and connectivity-aware bus route planning",
     )
@@ -830,8 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="shared secret authenticating the remote "
                               "workers/registry (must match their "
                               "--secret-file)")
-    p_sweep.add_argument("--seed", type=int, default=None,
-                         help="sweep-wide seed (default: the base config's)")
     p_sweep.add_argument("--json", default="", metavar="PATH",
                          help="also write a structured JSON report to PATH "
                               "('-' prints it to stdout instead of the table)")

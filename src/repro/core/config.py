@@ -1,8 +1,11 @@
 """Planner configuration (the paper's tunable parameters).
 
 Defaults follow the paper's experimental setup (Section 7.1.4):
-``k = 30``, ``w = 0.5``, ``tau = 0.5 km``, ``Tn = 3``, ``sn = 5000``,
-Hutchinson ``s = 50`` probes with ``t = 10`` Lanczos steps.
+``k = 30``, ``w = 0.5``, ``tau = 0.5 km``, ``Tn = 3``, ``sn = 5000``.
+The Hutchinson estimator's ``s = 50`` probes, ``t = 10`` Lanczos steps
+and probe seed 0 are its constants
+(:class:`~repro.spectral.connectivity.NaturalConnectivityEstimator`),
+not planner knobs.
 """
 
 from __future__ import annotations
@@ -36,16 +39,11 @@ class PrecomputeSpec(Record):
     :class:`PlannerConfig` (``k``, ``w``, ``seed_count``, traversal
     knobs, ...) only shapes the cheap derived state that
     :func:`~repro.core.precompute.rebind` re-creates, so one artifact
-    serves a whole ``k``/``w`` sweep. (In the ``"exact"`` mode
-    ``n_probes``, ``lanczos_steps`` and ``seed`` reach only
-    ``lambda(G_r)`` above the dense cutoff; they are keyed all the same.)
+    serves a whole ``k``/``w`` sweep.
     """
 
     tau_km: float
     increment_mode: str
-    n_probes: int
-    lanczos_steps: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -78,24 +76,19 @@ class PlannerConfig(Record):
         Keep the domination table (disable for the ETA-DT ablation).
     new_edges_only:
         Restrict seeding/expansion to new edges (the vk-TSP baseline).
-    n_probes / lanczos_steps:
-        Hutchinson repetitions ``s`` and Lanczos iterations ``t`` of the
-        ``"hutchinson"`` increment mode, and of ``lambda(G_r)`` above the
-        dense-spectrum cutoff.
     increment_mode:
         How every connectivity gain (``Delta(e)``, online extension
         scores, the reported ``O_lambda``) is priced. ``"exact"``: a
         block Lanczos run from the stops a path adds, within 2e-10 of
-        dense ``eigvalsh`` (:mod:`repro.spectral.gains`), with no probes
-        and no dependence on ``seed``. ``"hutchinson"``: the paper's
-        common-probe Lanczos + Hutchinson estimate, kept as the
-        reference.
+        dense ``eigvalsh`` (:mod:`repro.spectral.gains`), with no probes.
+        ``"hutchinson"``: the paper's common-probe Lanczos + Hutchinson
+        estimate with its fixed ``s = 50`` probes and ``t = 10`` steps,
+        kept as the reference. (Above the dense-spectrum cutoff,
+        ``lambda(G_r)`` is that estimate in both modes.)
     allow_loop:
         Permit the final edge to close a one-way loop (paper footnote 4).
     record_every:
         Convergence-trace granularity in iterations.
-    seed:
-        Seed for probe vectors and any tie-breaking randomness.
     """
 
     k: int = 30
@@ -108,12 +101,9 @@ class PlannerConfig(Record):
     queue_discipline: str = "bound"
     use_domination: bool = True
     new_edges_only: bool = False
-    n_probes: int = 50
-    lanczos_steps: int = 10
     increment_mode: str = INCREMENT_EXACT
     allow_loop: bool = True
     record_every: int = 100
-    seed: int = 0
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -137,8 +127,6 @@ class PlannerConfig(Record):
         )
         if self.seed_count is not None:
             require(self.seed_count >= 1, "seed_count must be >= 1 or None")
-        require_positive(self.n_probes, "n_probes")
-        require_positive(self.lanczos_steps, "lanczos_steps")
         require_positive(self.record_every, "record_every")
 
     @property

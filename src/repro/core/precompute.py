@@ -7,8 +7,9 @@ One pass over the dataset produces everything the planners share:
 * per-edge connectivity increments ``Delta(e)`` — by default from a
   block Lanczos run started at each edge's two stops (probe-free, within
   2e-10 of dense ``eigvalsh``), or, with ``increment_mode="hutchinson"``,
-  from the paper's common-probe Lanczos + Hutchinson estimate (Sec. 5.1),
-  kept as the reference,
+  from the paper's common-probe Lanczos + Hutchinson estimate (Sec. 5.1;
+  the estimator's fixed ``s = 50`` probes, ``t = 10`` steps and probe
+  seed 0), kept as the reference,
 * the ranked lists ``L_d``, ``L_lambda``, ``L_e`` and the Eq. 12
   normalizers ``d_max``, ``lambda_max``,
 * the Lemma 4 path-bound increment used as ETA's constant
@@ -62,13 +63,16 @@ from repro.utils.fsio import atomic_write_text
 from repro.utils.timing import Timer
 from repro.utils.wire import from_wire
 
-ARTIFACT_FORMAT = 3
+ARTIFACT_FORMAT = 4
 """On-disk artifact version (bump on incompatible layout *or semantics*
 changes). v2: sketch-mode deltas honor ``config.n_probes``. v3: the
 default ``increment_mode="exact"`` prices ``Delta(e)`` with the block
 Lanczos kernel and takes ``lambda_base`` from the dense spectrum, where
 v2 used Hutchinson estimates; the spec, and so the cache key, is
-unchanged, so a v2 artifact must not be served for it."""
+unchanged, so a v2 artifact must not be served for it. v4: the spec
+lost ``n_probes``, ``lanczos_steps`` and ``seed`` (the estimator always
+uses its defaults), so a v3 Hutchinson artifact saved with other values
+would otherwise load as a match."""
 
 _Score = TypeVar("_Score", float, np.ndarray)
 
@@ -182,8 +186,8 @@ class Precomputation:
         ``config`` may differ from the saved config in any field outside
         its :class:`~repro.core.config.PrecomputeSpec` — the cheap derived
         artifacts are re-derived for it, exactly like :func:`rebind`. A
-        different or mistyped saved spec (``n_probes: 50.0`` is not
-        ``50``), or a dataset of the wrong shape, raises
+        different or mistyped saved spec (``tau_km: "0.5"`` is not
+        ``0.5``), or a dataset of the wrong shape, raises
         :class:`DataError`: the artifacts would be silently wrong.
         """
         json_path = f"{prefix}.json"
@@ -268,7 +272,7 @@ class Precomputation:
         pre = _finalize(
             universe,
             builder,
-            _estimator(transit.n_stops, config.spec),
+            NaturalConnectivityEstimator(transit.n_stops),
             lambda_base,
             top_eigs,
             config,
@@ -361,15 +365,6 @@ def _first_difference(a: PrecomputeSpec, b: PrecomputeSpec) -> str:
     return next(f.name for f in fields(a) if getattr(a, f.name) != getattr(b, f.name))
 
 
-def _estimator(n_stops: int, spec: PrecomputeSpec) -> NaturalConnectivityEstimator:
-    return NaturalConnectivityEstimator(
-        n_stops,
-        n_probes=spec.n_probes,
-        lanczos_steps=spec.lanczos_steps,
-        seed=spec.seed,
-    )
-
-
 def _compute_artifacts(dataset: Dataset, spec: PrecomputeSpec) -> tuple:
     """The expensive half: universe, estimator, ``lambda(G_r)``, ``Delta(e)``.
 
@@ -380,7 +375,7 @@ def _compute_artifacts(dataset: Dataset, spec: PrecomputeSpec) -> tuple:
     descending, from one dense ``eigvalsh``; it is empty above the dense
     cutoff (:func:`~repro.spectral.eigs.dense_spectrum`). In the exact
     mode ``lambda_base`` comes from it where it exists; otherwise it is
-    the Hutchinson estimate.
+    the Hutchinson estimate from the estimator's fixed probes.
     """
     timings: dict[str, float] = {}
 
@@ -390,7 +385,7 @@ def _compute_artifacts(dataset: Dataset, spec: PrecomputeSpec) -> tuple:
 
     transit = dataset.transit
     builder = AdjacencyBuilder(transit.n_stops, transit.edge_list())
-    estimator = _estimator(transit.n_stops, spec)
+    estimator = NaturalConnectivityEstimator(transit.n_stops)
 
     with Timer() as t:
         spectrum = dense_spectrum(builder.base())
@@ -491,9 +486,8 @@ def rebind(pre: Precomputation, config: PlannerConfig) -> Precomputation:
     ``w``, ``seed_count``, ``max_iterations``, ``expansion``,
     ``use_domination``, ``new_edges_only``, ``max_turns`` or trace
     granularity. A change to a spec field (``tau_km``,
-    ``increment_mode``, ``n_probes``, ``lanczos_steps``, ``seed``)
-    changes the expensive artifacts themselves — the universe,
-    the estimator, ``Delta(e)``, ``lambda_base`` — so it raises
+    ``increment_mode``) changes the expensive artifacts themselves — the
+    universe, ``Delta(e)``, ``lambda_base`` — so it raises
     :class:`ValueError` naming the field: run :func:`precompute` instead.
     """
     if config.spec != pre.config.spec:

@@ -3,7 +3,7 @@
 The paper builds on DIMACS road graphs, NYC/Chicago taxi trip records and
 bus-route shapefiles — none of which is available offline. The
 :mod:`repro.data.synth` generator produces city-like substitutes with the
-statistics the algorithms actually consume (see DESIGN.md Section 3);
+statistics the algorithms actually consume;
 :mod:`repro.data.dimacs`, :mod:`repro.data.gtfs`, and
 :mod:`repro.data.tripcsv` load/store real data when it is available.
 """

@@ -7,7 +7,7 @@ in its seed. Profiles trade size for speed:
 * ``tiny``  — unit tests (sub-second end to end),
 * ``small`` — examples and integration tests,
 * ``bench`` — the benchmark suite (scaled-down stand-ins for the paper's
-  cities; see DESIGN.md Section 3 on why shapes are preserved),
+  cities that keep their shapes),
 * ``paper`` — full-scale parameters approximating Table 5 (slow; not run
   in CI).
 """

@@ -13,10 +13,9 @@
 * ``shutdown`` — stop accepting, drop live peers, stop the planner.
 
 Determinism and the parity oracle: planning mutates shared
-precomputation state (the connectivity estimator's evaluation counter,
-the adjacency builder's lazy base matrix), so two requests planning
-concurrently against one pooled artifact would interleave that state
-non-deterministically. The server therefore runs *all* planning on one
+precomputation state (the adjacency builder's lazily built base
+matrix), so two requests planning concurrently against one pooled
+artifact would race on that state. The server therefore runs *all* planning on one
 dedicated planner thread fed by a queue: handler threads stay free for
 pings/stats/new connections, no lock is held across the (blocking,
 linalg-heavy) planning work, and a served plan is bit-identical to the

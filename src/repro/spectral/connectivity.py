@@ -50,7 +50,8 @@ class NaturalConnectivityEstimator:
     vertices. Because the same probes are reused for every evaluation,
     *differences* between nearby graphs (the connectivity increments that
     drive ETA) are estimated far more accurately than the ~1% error of a
-    single absolute estimate.
+    single absolute estimate. The block is :attr:`probes`, an
+    ``(n, n_probes)`` array drawn once at construction.
 
     Parameters
     ----------
@@ -61,7 +62,7 @@ class NaturalConnectivityEstimator:
     lanczos_steps:
         Lanczos iterations ``t`` per repetition (paper default 10).
     seed:
-        Probe seed; fixed by default for reproducibility.
+        Probe seed (default 0, as every planner uses).
     """
 
     def __init__(
@@ -77,14 +78,12 @@ class NaturalConnectivityEstimator:
         self.n_probes = int(n_probes)
         self.lanczos_steps = int(lanczos_steps)
         rng = ensure_rng(seed)
-        self._probes = sample_probes(self.n, self.n_probes, rng)
-        self.evaluations = 0
+        self.probes = sample_probes(self.n, self.n_probes, rng)
 
     def trace_exp(self, A) -> float:
         """Estimate ``tr(e^A)``."""
         self._check(A)
-        self.evaluations += 1
-        return hutchinson_trace(A, self._probes, self.lanczos_steps)
+        return hutchinson_trace(A, self.probes, self.lanczos_steps)
 
     def trace_exp_batch(self, A_base, pair_groups) -> np.ndarray:
         """Estimate ``tr(e^{A_i})`` for every ``A_i = A_base + pair_groups[i]``.
@@ -94,18 +93,15 @@ class NaturalConnectivityEstimator:
         shared block driver), so each entry matches the sequential
         estimate to floating-point roundoff. Each pair group must contain
         only *novel* edges (see ``AdjacencyBuilder.novel_pairs``); an
-        empty group evaluates the base matrix. Counts ``len(pair_groups)``
-        evaluations, one per variant, as the calls of :meth:`trace_exp` it
-        stands for would. An empty batch returns an empty array and counts
-        nothing.
+        empty group evaluates the base matrix. An empty batch returns an
+        empty array.
         """
         groups = list(pair_groups)
         if not groups:
             return np.zeros(0)
         self._check(A_base)
-        self.evaluations += len(groups)
         return batched_expm_traces(
-            A_base, self._probes, groups, steps=self.lanczos_steps
+            A_base, self.probes, groups, steps=self.lanczos_steps
         )
 
     def estimate(self, A) -> float:

@@ -47,7 +47,7 @@ def hutchinson_trace(
 
     Keeping the probes fixed (common random numbers) is what makes
     *differences* of estimates across nearby graphs accurate enough to
-    resolve per-edge increments of order 1e-3 (see DESIGN.md Section 6).
+    resolve per-edge increments of order 1e-3.
     """
     return float(hutchinson_trace_samples(A, probes, lanczos_steps).mean())
 

@@ -1,8 +1,8 @@
 """Pluggable sweep execution backends.
 
 :class:`SweepRunner` delegates scenario execution to a *backend*, so the
-strategy for distributing work is orthogonal to grid declaration, seed
-resolution, and cache prewarming (which stay in the runner). Three
+strategy for distributing work is orthogonal to grid declaration,
+validation, and cache prewarming (which stay in the runner). Three
 in-process backends ship here; the ``remote`` backend (TCP workers on
 other machines, same contract) lives in :mod:`repro.sweep.remote` and
 is registered by name in :func:`resolve_backend`.

@@ -48,8 +48,7 @@ After ``welcome``, the conversation proper (client side first)::
     {"op": "shutdown"}              -> {"op": "bye"}   (daemon exits)
 
 A ``scenario`` is a :class:`~repro.sweep.scenario.Scenario` (already
-*resolved* by the parent's :class:`SweepRunner` — seed policy and
-validation never run twice); a ``base_config`` is a
+validated by the parent's :class:`SweepRunner`); a ``base_config`` is a
 :class:`~repro.core.config.PlannerConfig`; a ``record`` is an
 :class:`~repro.sweep.report.OutcomeRecord` — the stream record schema
 plus a lossless ``results_wire`` twin. A server that cannot serve a

@@ -33,12 +33,12 @@ from repro.utils.errors import DataError, ValidationError
 from repro.utils.fsio import atomic_write_text
 from repro.utils.wire import Record, from_wire, to_wire
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 """Bump on backwards-incompatible changes to the report/stream layout.
 
 Shared by :class:`SweepReport` documents and :class:`StreamWriter`
 records (the single source of truth; re-exported as
-``repro.sweep.SCHEMA_VERSION``).
+``repro.sweep.SCHEMA_VERSION``). v2: scenario records lost ``seed``.
 """
 
 RECORD_SCENARIO = "scenario"
@@ -74,7 +74,6 @@ class ScenarioRecord(Record):
     profile: str
     method: str
     route_count: int
-    seed: "int | None"
     overrides: dict
     constraints: "dict | None"
     ok: bool
@@ -109,7 +108,6 @@ def scenario_record(outcome) -> dict:
         profile=scenario.profile,
         method=scenario.method,
         route_count=scenario.route_count,
-        seed=scenario.seed,
         overrides=dict(scenario.overrides),
         constraints=(
             None if scenario.constraints is None

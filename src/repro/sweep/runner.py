@@ -1,7 +1,7 @@
 """Sweep execution: scenario grids over pluggable backends.
 
-:class:`SweepRunner` resolves a scenario grid (validation + seed
-policy), prewarms the shared cache, and hands execution to an
+:class:`SweepRunner` validates a scenario grid, prewarms the shared
+cache, and hands execution to an
 :mod:`execution backend <repro.sweep.backends>` — serial, process-pool,
 sharded, or remote. Each worker rebuilds its (deterministic) dataset,
 resolves the scenario's planner config, and plans through the regular
@@ -212,14 +212,6 @@ class SweepRunner:
         Shared handshake secret (bytes/str, e.g.
         :func:`~repro.sweep.remote.load_secret` output) for the
         ``remote`` backend's workers and registry; remote-only.
-    base_seed:
-        Explicit sweep-wide seed applied to every scenario that does
-        not set its own (via ``seed`` or a ``seed`` override). ``None``
-        (default) leaves ``base_config.seed`` in charge. Either way all
-        scenarios share one seed so they share probe vectors —
-        differences between scenarios then come from their configs, not
-        estimator noise — and, because ``seed`` is precompute-relevant,
-        they share one warm cache entry.
     """
 
     def __init__(
@@ -227,7 +219,6 @@ class SweepRunner:
         base_config: "PlannerConfig | None" = None,
         cache_dir: "str | None" = None,
         workers: "int | None" = None,
-        base_seed: "int | None" = None,
         backend: str = "process",
         addresses=None,
         registry=None,
@@ -236,7 +227,6 @@ class SweepRunner:
         self.base_config = base_config or PlannerConfig()
         self.cache_dir = str(cache_dir) if cache_dir else None
         self.workers = workers
-        self.base_seed = None if base_seed is None else int(base_seed)
         self.backend = backend
         self.addresses = addresses
         self.registry = registry
@@ -246,14 +236,10 @@ class SweepRunner:
 
     # ------------------------------------------------------------------
     def resolve(self, scenarios) -> list[Scenario]:
-        """Validate and seed-resolve ``scenarios`` (deterministic)."""
-        resolved = []
-        for scenario in scenarios:
-            if self.base_seed is not None:
-                scenario = scenario.with_seed(self.base_seed)
-            # else: scenarios inherit base_config.seed via planner_config.
+        """``scenarios`` as a list, each validated against the base config."""
+        resolved = list(scenarios)
+        for scenario in resolved:
             scenario.validate(self.base_config)
-            resolved.append(scenario)
         return resolved
 
     def _resolve_backend(self):
@@ -328,11 +314,10 @@ class SweepRunner:
     def _run_resolved(
         self, resolved, on_outcome=None, backend=None
     ) -> list[ScenarioOutcome]:
-        """:meth:`run` minus resolution, for callers that already resolved
-        (and keyed) the scenarios — resolution must happen exactly once so
-        stream-record keys always describe what actually executed.
-        ``backend`` lets those callers reuse an already-resolved backend
-        instead of re-constructing it."""
+        """:meth:`run` minus validation, for callers that already
+        validated (and keyed) the scenarios. ``backend`` lets those
+        callers reuse an already-resolved backend instead of
+        re-constructing it."""
         if not resolved:
             self.last_worker_count = 0
             return []
@@ -496,11 +481,8 @@ def sweep_precomputation(pre: Precomputation, scenarios) -> list[ScenarioOutcome
     Every scenario must target the same dataset (``city``/``profile``
     are ignored) and use rebind-safe overrides: a change to any field
     of :class:`~repro.core.config.PrecomputeSpec` (``tau_km``,
-    ``increment_mode``, ``n_probes``, ``lanczos_steps``, ``seed``)
-    raises, exactly like :func:`rebind`.
-    Scenario seeds are *not* re-derived: the probe vectors are part of
-    the shared precomputation, so a scenario naming another seed raises
-    too. Constraints and multi-route counts are not supported here
+    ``increment_mode``) raises, exactly like :func:`rebind`.
+    Constraints and multi-route counts are not supported here
     (rejected, not ignored) — run those through :class:`SweepRunner`.
     """
     outcomes = []

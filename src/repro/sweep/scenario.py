@@ -45,10 +45,8 @@ class Scenario(Record):
     A wire record (:mod:`repro.utils.wire`). ``overrides`` maps
     :class:`PlannerConfig` field names to values. It is stored
     key-sorted, so a scenario encodes the same whatever order its
-    overrides were given in. ``seed=None`` lets the runner derive a
-    deterministic per-scenario seed from its base seed and the scenario
-    name. An empty name, an unknown city and an unknown profile are
-    refused on construction, and so on decode.
+    overrides were given in. An empty name, an unknown city and an
+    unknown profile are refused on construction, and so on decode.
     """
 
     name: str
@@ -58,7 +56,6 @@ class Scenario(Record):
     overrides: dict = field(default_factory=dict)
     constraints: "PlanningConstraints | None" = None
     route_count: int = 1
-    seed: "int | None" = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -89,22 +86,12 @@ class Scenario(Record):
 
     def planner_config(self, base: "PlannerConfig | None" = None) -> PlannerConfig:
         """The resolved :class:`PlannerConfig` for this scenario."""
-        config = base or PlannerConfig()
-        overrides = dict(self.overrides)
-        if self.seed is not None:
-            overrides.setdefault("seed", self.seed)
         try:
-            return replace(config, **overrides)
+            return replace(base or PlannerConfig(), **self.overrides)
         except TypeError as exc:
             raise PlanningError(
                 f"scenario {self.name!r}: bad config override ({exc})"
             ) from None
-
-    def with_seed(self, seed: int) -> "Scenario":
-        """A copy with an explicit seed (no-op if one is already set)."""
-        if self.seed is not None or "seed" in self.overrides:
-            return self
-        return replace(self, seed=seed)
 
 
 SCENARIO_KEY_LENGTH = 32
@@ -119,7 +106,7 @@ def scenario_key(
     The key hashes everything that determines the scenario's plan
     results: the dataset spec (``city``/``profile`` names), ``method``,
     ``route_count``, constraints, and the **fully-resolved**
-    :class:`PlannerConfig` (base config + overrides + seed) — so the
+    :class:`PlannerConfig` (base config + overrides) — so the
     same scenario re-declared against a different base config gets a
     different key. The scenario ``name`` is deliberately excluded:
     renaming a grid point must not invalidate its committed stream
@@ -128,10 +115,9 @@ def scenario_key(
     additionally guards against dataset *content* drift.
     """
     spec = to_wire(scenario)
-    # The name stays out (see above); overrides and seed are hashed as
-    # part of the resolved config.
-    for name in ("name", "overrides", "seed"):
-        del spec[name]
+    # The name stays out (see above); overrides are hashed as part of
+    # the resolved config.
+    del spec["name"], spec["overrides"]
     spec["config"] = asdict(scenario.planner_config(base_config))
     blob = json.dumps(spec, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:SCENARIO_KEY_LENGTH]

@@ -50,10 +50,7 @@ METHODS = ("eta", "eta-pre")
 EXPANSIONS = ("best", "all")
 DISCIPLINES = ("bound", "fifo")
 
-_BASE = dict(
-    k=8, w=0.5, max_iterations=60, seed_count=40,
-    n_probes=8, lanczos_steps=6, seed=0,
-)
+_BASE = dict(k=8, w=0.5, max_iterations=60, seed_count=40)
 
 
 @contextlib.contextmanager
@@ -79,6 +76,30 @@ def _sequential_reference(city):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(precompute_module, "block_lanczos_gains", one_set_per_call)
         mp.setattr(NaturalConnectivityEstimator, "estimate_batch", estimate_each)
+        yield priced
+
+
+@contextlib.contextmanager
+def _recorded_pricing():
+    """Price as ``connectivity_gains`` does, recording every set priced."""
+    priced = []
+    kernel = block_lanczos_gains
+    estimate_batch = NaturalConnectivityEstimator.estimate_batch
+
+    def recorded_kernel(A, pair_sets, trace_base):
+        priced.extend(pair_sets)
+        return kernel(A, pair_sets, trace_base)
+
+    def recorded_estimate_batch(estimator, A_base, pair_sets):
+        priced.extend(pair_sets)
+        return estimate_batch(estimator, A_base, pair_sets)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(precompute_module, "block_lanczos_gains", recorded_kernel)
+        mp.setattr(
+            NaturalConnectivityEstimator, "estimate_batch",
+            recorded_estimate_batch,
+        )
         yield priced
 
 
@@ -162,13 +183,16 @@ def test_corpus_covers_both_strategies_modes_and_disciplines():
 def _deltas_both_ways(increment_mode):
     config = PlannerConfig(**_BASE, increment_mode=increment_mode)
     ds = canned_city("chicago", "tiny")
-    batched = precompute(ds, config)
+    with _recorded_pricing() as batched_priced:
+        batched = precompute(ds, config)
     with _sequential_reference("chicago") as priced:
         reference = precompute(ds, config)
-    # The reference priced each candidate edge's pair once, alone.
+    # The reference priced each candidate edge's pair once, alone, and
+    # the batched precompute priced the same number of sets.
     assert sorted(priced) == sorted(
         ((min(e.pair), max(e.pair)),) for e in batched.universe.edges if e.is_new
     )
+    assert len(batched_priced) == len(priced)
     return batched, reference
 
 
@@ -184,4 +208,3 @@ def test_hutchinson_precomputed_deltas_match_across_modes():
     np.testing.assert_allclose(
         batched.universe.delta, reference.universe.delta, atol=TOL, rtol=0.0
     )
-    assert batched.estimator.evaluations == reference.estimator.evaluations

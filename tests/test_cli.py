@@ -25,6 +25,18 @@ class TestParser:
         assert args.k == 20
         assert args.w == 0.5
 
+    @pytest.mark.parametrize("argv", [
+        # The removed sweep seed must not parse as --seed-count.
+        ["sweep", "--seed", "9"],
+        ["sweep", "--seed-c", "80"],
+        ["cache", "stats", "--cache", "x"],
+    ])
+    def test_options_match_whole_names_only(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_stats(self, capsys):
@@ -423,6 +435,27 @@ class TestStreamFlags:
         assert "resume:" not in err and "[1/" not in err  # nothing ran
         assert stream.read_bytes() == before
 
+    def test_resume_refuses_a_stream_of_an_older_schema(
+        self, tmp_path, capsys
+    ):
+        """A stream written before scenario records lost ``seed`` is
+        refused, not replayed: exit 2 with the schema message, nothing
+        run, the stream byte-identical."""
+        stream = tmp_path / "out.jsonl"
+        args = self._args(tmp_path, ["--stream", str(stream)])
+        assert main(args) == 0
+        records = [json.loads(l) for l in stream.read_text().splitlines()]
+        for record in records[:-1]:
+            record.update(schema=1, seed=None)
+        stream.write_text("".join(json.dumps(r) + "\n" for r in records))
+        before = stream.read_bytes()
+        capsys.readouterr()
+        assert main([*args, "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "line 1 has schema 1; this build reads schema 2" in err
+        assert "resume:" not in err and "[1/" not in err  # nothing ran
+        assert stream.read_bytes() == before
+
     def test_nonpositive_workers_exits_2(self, tmp_path, capsys):
         for workers in ("0", "-2"):
             args = [a for a in self._args(tmp_path)]
@@ -467,7 +500,7 @@ class TestCacheCommand:
         # A second precompute-relevant config makes a second entry.
         assert main([
             "sweep", "--city", "chicago", "--profile", "tiny",
-            "--methods", "eta-pre", "--weights", "0.5", "--seed", "9",
+            "--methods", "eta-pre", "--weights", "0.5", "--tau", "0.4",
             "--k", "6", "--iterations", "120", "--seed-count", "80",
             "--cache-dir", str(tmp_path / "cache"), "--workers", "1",
         ]) == 0
@@ -490,12 +523,13 @@ class TestCacheCommand:
 class TestAcceptanceFlow:
     """ISSUE 2 acceptance: sharded sweep with a failure → JSON → evict."""
 
-    def test_sharded_json_failure_then_evict(self, tmp_path, capsys):
-        grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps({
+    @staticmethod
+    def _grid(path, **config):
+        path.write_text(json.dumps({
             "base": {
                 "city": "chicago", "profile": "tiny",
-                "config": {"k": 6, "max_iterations": 120, "seed_count": 80},
+                "config": {"k": 6, "max_iterations": 120, "seed_count": 80,
+                           **config},
             },
             "axes": {"method": ["eta-pre", "vk-tsp"],
                      "w": [0.3, 0.5, 0.7, 0.9]},
@@ -503,6 +537,10 @@ class TestAcceptanceFlow:
                 {"name": "doomed", "constraints": {"anchor_stop": 999999}},
             ],
         }))
+        return path
+
+    def test_sharded_json_failure_then_evict(self, tmp_path, capsys):
+        grid = self._grid(tmp_path / "grid.json")
         out_path = tmp_path / "out.json"
         cache_dir = tmp_path / "cache"
         rc = main([
@@ -523,13 +561,16 @@ class TestAcceptanceFlow:
             if name != "doomed":
                 assert rec["ok"] and rec["results"][0]["found"]
 
-        # Second entry (different precompute seed), then evict to one.
+        # Second entry (a grid with another tau_km), then evict to one.
+        # (--grid replaces the inline --tau flag.)
+        other = self._grid(tmp_path / "other.json", tau_km=0.4)
         assert main([
-            "sweep", "--grid", str(grid), "--backend", "sharded",
-            "--seed", "5", "--workers", "2",
+            "sweep", "--grid", str(other), "--backend", "sharded",
+            "--workers", "2",
             "--cache-dir", str(cache_dir), "--json", str(out_path),
         ]) == 1
         capsys.readouterr()
+        assert len(list(cache_dir.glob("*.json"))) == 2
         assert main(["cache", "evict", "--max-entries", "1",
                      "--cache-dir", str(cache_dir)]) == 0
         capsys.readouterr()

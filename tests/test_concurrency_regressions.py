@@ -228,10 +228,7 @@ class TestArtifactPoolColdKeyRace:
         first insert wins, and every caller leaves with that object."""
         n_threads = 6
         dataset = canned_city("chicago", "tiny")
-        config = PlannerConfig(
-            k=6, max_iterations=40, seed_count=20, n_probes=8,
-            lanczos_steps=6, seed=0,
-        )
+        config = PlannerConfig(k=6, max_iterations=40, seed_count=20)
         pool = ArtifactPool()
         start = threading.Barrier(n_threads, timeout=BARRIER_TIMEOUT)
         results = [None] * n_threads

@@ -122,13 +122,6 @@ class TestEstimator:
         got = est.estimate(A2) - est.estimate(A)
         assert got == pytest.approx(truth, rel=0.25)
 
-    def test_evaluation_counter(self):
-        A = random_adjacency(20, 0.2, 10)
-        est = NaturalConnectivityEstimator(20, n_probes=8, seed=0)
-        est.estimate(A)
-        est.estimate(A)
-        assert est.evaluations == 2
-
     def test_wrong_shape_rejected(self):
         est = NaturalConnectivityEstimator(10, n_probes=4)
         with pytest.raises(ValidationError):

@@ -314,3 +314,77 @@ class TestRebindParity:
                 )
                 replan = run_method(got, "eta-pre")
                 assert dataclasses.replace(replan, runtime_s=0.0) == plan, overrides
+
+
+class TestAboveDenseCutoff:
+    """The precompute of a city too large for one dense ``eigvalsh``.
+
+    No canned tiny, small or bench city is that large, so the dense
+    cutoff is lowered to 50 and small chicago (56 stops) stands in for
+    a ``paper``-profile city.
+    """
+
+    @pytest.fixture(autouse=True)
+    def cutoff(self, monkeypatch):
+        monkeypatch.setattr(
+            importlib.import_module("repro.spectral.eigs"), "_DENSE_CUTOFF", 50
+        )
+
+    @pytest.fixture(scope="class")
+    def chicago(self):
+        return canned_city("chicago", "small")
+
+    def test_lambda_base_is_the_fixed_probe_estimate(self, chicago):
+        from repro.spectral.connectivity import natural_connectivity_exact
+
+        configs = [
+            PlannerConfig(), PlannerConfig(k=10, w=0.2, tau_km=0.4),
+            PlannerConfig(increment_mode="hutchinson"),
+        ]
+        pres = [precompute(chicago, config) for config in configs]
+        assert pres[0].universe.n_stops == 56
+        estimate = NaturalConnectivityEstimator(56).estimate(pres[0].builder.base())
+        assert [pre.lambda_base for pre in pres] == [estimate] * len(pres)
+        assert estimate == pytest.approx(0.9412, abs=1e-4)
+        exact = natural_connectivity_exact(chicago.transit.adjacency())
+        assert exact == pytest.approx(0.9631, abs=1e-4)
+
+    def test_top_eigenvalues_match_dense(self, chicago):
+        pre = precompute(chicago, PlannerConfig(k=10))
+        dense = np.linalg.eigvalsh(pre.builder.base().toarray())[::-1]
+        assert len(pre.top_eigenvalues) == 20
+        np.testing.assert_allclose(pre.top_eigenvalues, dense[:20], atol=1e-8)
+
+    def test_eta_pre_route_matches_below_the_cutoff(self, chicago, monkeypatch):
+        config = PlannerConfig(k=10)
+        above = run_method(precompute(chicago, config), "eta-pre")
+        monkeypatch.undo()
+        below = run_method(precompute(chicago, config), "eta-pre")
+        assert above.route.edge_indices == below.route.edge_indices
+
+    def test_cache_hit_at_a_larger_k_restores_the_wider_spectrum_once(
+        self, chicago, tmp_path, monkeypatch
+    ):
+        from repro.sweep.cache import PrecomputationCache
+
+        cache = PrecomputationCache(str(tmp_path))
+        stores = []
+        store = cache.store
+
+        def counted_store(pre, dataset):
+            stores.append(pre)
+            return store(pre, dataset)
+
+        monkeypatch.setattr(cache, "store", counted_store)
+        steps = []
+        for k in (10, 10, 30, 30):
+            pre, hit = cache.fetch_or_compute(chicago, PlannerConfig(k=k))
+            steps.append((k, hit, len(stores), cache.n_entries))
+            assert len(pre.top_eigenvalues) >= min(2 * k, 56)
+        assert steps == [
+            (10, False, 1, 1),  # a miss computes and stores 20 eigenvalues
+            (10, True, 1, 1),   # a plain hit
+            (30, True, 2, 1),   # a hit that widens to 56 and re-stores
+            (30, True, 2, 1),   # a plain hit on the wider spectrum
+        ]
+        assert len(stores[-1].top_eigenvalues) == 56

@@ -17,7 +17,7 @@ import urllib.error
 import urllib.parse
 import urllib.request
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -35,6 +35,7 @@ from repro.serve import (
 )
 from repro.serve.http import MAX_BODY_BYTES
 from repro.serve.pool import TIER_COMPUTED, TIER_DISK, TIER_POOL
+from repro.spectral.connectivity import NaturalConnectivityEstimator
 from repro.sweep.cache import PrecomputationCache
 from repro.sweep.remote import (
     PROTOCOL_VERSION,
@@ -49,10 +50,7 @@ from repro.utils.wire import to_wire
 
 SECRET = b"serve-suite-secret"
 
-CONFIG = PlannerConfig(
-    k=6, max_iterations=40, seed_count=20, n_probes=8, lanczos_steps=6,
-    seed=0,
-)
+CONFIG = PlannerConfig(k=6, max_iterations=40, seed_count=20)
 """Small enough that a served plan answers in milliseconds."""
 
 
@@ -241,7 +239,7 @@ class TestArtifactPool:
         one = precomputation_nbytes(precompute(tiny_dataset, CONFIG))
         pool = ArtifactPool(max_bytes=one + one // 2)  # room for ~1.5
         pool.fetch(tiny_dataset, CONFIG)
-        pool.fetch(tiny_dataset, CONFIG.variant(seed=1))  # distinct key
+        pool.fetch(tiny_dataset, CONFIG.variant(tau_km=0.49))  # distinct key
         stats = pool.stats()
         assert stats["evictions"] == 1
         assert stats["entries"] == 1
@@ -254,11 +252,24 @@ class TestArtifactPool:
         one = precomputation_nbytes(precompute(tiny_dataset, CONFIG))
         pool = ArtifactPool(max_bytes=2 * one + one // 2)  # room for ~2.5
         pool.fetch(tiny_dataset, CONFIG)
-        pool.fetch(tiny_dataset, CONFIG.variant(seed=1))
-        pool.fetch(tiny_dataset, CONFIG)  # touch: now seed=1 is LRU
-        pool.fetch(tiny_dataset, CONFIG.variant(seed=2))  # evicts seed=1
+        pool.fetch(tiny_dataset, CONFIG.variant(tau_km=0.49))
+        pool.fetch(tiny_dataset, CONFIG)  # touch: now tau_km=0.49 is LRU
+        pool.fetch(tiny_dataset, CONFIG.variant(tau_km=0.48))  # evicts it
         _, tier = pool.fetch(tiny_dataset, CONFIG)
         assert tier == TIER_POOL  # the touched entry survived
+
+    def test_estimate_counts_the_probe_block(self, tiny_dataset):
+        # Every precompute draws the estimator's probe block, n x 50
+        # float64s: on tiny chicago more than the rest of the estimate.
+        pre = precompute(tiny_dataset, CONFIG)
+        n = pre.universe.n_stops
+        wider = replace(
+            pre, estimator=NaturalConnectivityEstimator(n, n_probes=150)
+        )
+        assert (
+            precomputation_nbytes(wider) - precomputation_nbytes(pre)
+            == n * 100 * 8
+        )
 
     def test_single_oversized_artifact_stays_resident(self, tiny_dataset):
         pool = ArtifactPool(max_bytes=1)  # smaller than any artifact
@@ -602,8 +613,10 @@ BAD_VALUES = pytest.mark.parametrize("field, value, named", [
     ("route_count", 2.9, "route_count' must be int"),
     ("route_count", "2", "route_count' must be int"),
     ("route_count", True, "route_count' must be int"),
-    ("seed", True, "seed' must be int"),
+    # A field this build no longer has is refused by its name.
+    ("seed", 0, "unknown keys ['seed']"),
     ("constraints", {"anchor_stop": "3"}, "anchor_stop' must be int"),
+    ("overrides", {"lanczos_steps": 10}, "argument 'lanczos_steps'"),
 ])
 
 
@@ -639,6 +652,19 @@ class TestStrictRequests:
         err.value.close()
         assert named in error
         assert ping(server.address, secret=SECRET)["role"] == "serve"
+
+    def test_http_door_refuses_a_removed_base_config_field(
+        self, server, http_door
+    ):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            http_json(f"{http_door}/plan", body={
+                "scenario": to_wire(make_scenario()),
+                "base_config": {**asdict(CONFIG), "n_probes": 50},
+            }, token=http_token(SECRET))
+        assert err.value.code == 400
+        error = json.loads(err.value.read())["error"]
+        err.value.close()
+        assert "unknown keys ['n_probes']" in error
 
 
 # ----------------------------------------------------------------------

@@ -55,6 +55,15 @@ def micro_pre(micro, micro_config):
     return precompute(micro, micro_config)
 
 
+def keyed(config, i: int) -> PlannerConfig:
+    """``config`` under the ``i``-th of a family of distinct cache keys.
+
+    ``tau_km`` moves by ``i`` micrometres: a new precompute spec, and so a
+    new key, with the same edge universe and artifact sizes.
+    """
+    return config.variant(tau_km=config.tau_km + i * 1e-6)
+
+
 def _clone_with_road(dataset, road):
     return dataclasses.replace(dataset, road=road)
 
@@ -135,8 +144,8 @@ class TestKeySensitivity:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"tau_km": 0.4}, {"increment_mode": "hutchinson"}, {"n_probes": 11},
-         {"lanczos_steps": 7}, {"seed": 123}],
+        [{"tau_km": 0.4}, {"increment_mode": "hutchinson"}, {"tau_km": 0.6},
+         {"tau_km": 0.500001}, {"tau_km": 0.4, "increment_mode": "hutchinson"}],
     )
     def test_precompute_relevant_config_changes_key(
         self, micro, micro_config, overrides
@@ -175,10 +184,7 @@ class TestGoldenKey:
         )
 
     def test_every_keyed_field_changed(self, chicago):
-        config = PlannerConfig(
-            seed=3, tau_km=0.4, n_probes=20, lanczos_steps=6,
-            increment_mode="hutchinson",
-        )
+        config = PlannerConfig(tau_km=0.4, increment_mode="hutchinson")
         assert cache_key(chicago, config) == "217440a0e620b8cf032c8b5ae934fb70"
 
     def test_search_knobs_keep_default_key(self, chicago):
@@ -213,6 +219,24 @@ class TestArtifactFormat:
         again, hit = cache.fetch_or_compute(chicago, config)
         assert hit is True
         assert again.universe.delta.tobytes() == fresh.universe.delta.tobytes()
+
+
+    def test_format_3_artifact_is_refused(self, tmp_path):
+        """A format-3 spec also held the probe count, Lanczos steps and
+        probe seed, which this build no longer compares: an artifact
+        saved with other probes must not load as a match."""
+        chicago = canned_city("chicago", "tiny")
+        config = PlannerConfig(increment_mode="hutchinson")
+        prefix = str(tmp_path / "artifact")
+        _, json_path = precompute(chicago, config).save(prefix)
+        with open(json_path) as f:
+            meta = json.load(f)
+        meta["format"] = 3
+        meta["config"].update(n_probes=20, lanczos_steps=6, seed=3)
+        with open(json_path, "w") as f:
+            json.dump(meta, f)
+        with pytest.raises(DataError, match="artifact format 3 != 4"):
+            Precomputation.load(prefix, chicago, config)
 
 
 class TestRoundTrip:
@@ -258,7 +282,7 @@ class TestRoundTrip:
         prefix = str(tmp_path / "artifact")
         micro_pre.save(prefix)
         with pytest.raises(DataError):
-            Precomputation.load(prefix, micro, micro_config.variant(seed=99))
+            Precomputation.load(prefix, micro, keyed(micro_config, 99))
 
     def test_load_missing_artifacts(self, micro, micro_config, tmp_path):
         with pytest.raises(DataError):
@@ -277,10 +301,9 @@ class TestSavedSpec:
         return chicago, precompute(chicago, PlannerConfig())
 
     @pytest.mark.parametrize("name, value", [
-        ("seed", MISSING),
-        ("seed", "0"),
-        # Equal in value, not in type: 50.0 == 50.
-        ("n_probes", 50.0),
+        ("tau_km", MISSING),
+        ("tau_km", "0.5"),
+        ("increment_mode", None),
     ])
     def test_load_refuses_the_saved_field(
         self, chicago_pre, tmp_path, name, value
@@ -313,7 +336,7 @@ class TestCacheStore:
     def test_numpy_scalar_config_round_trip(self, micro, micro_config, tmp_path):
         # Sweep axes are numpy values; such a config must key and save.
         config = micro_config.variant(
-            k=np.int64(5), seed=np.int64(0), tau_km=np.float32(0.5)
+            k=np.int64(5), max_turns=np.int64(3), tau_km=np.float32(0.5)
         )
         cache = PrecomputationCache(str(tmp_path))
         assert cache.key_for(micro, config) == cache.key_for(micro, micro_config)
@@ -390,7 +413,7 @@ class TestCacheStore:
     def test_store_leaves_no_staging_files(self, micro, micro_config, tmp_path):
         cache = PrecomputationCache(str(tmp_path))
         cache.fetch_or_compute(micro, micro_config)
-        cache.fetch_or_compute(micro, micro_config.variant(seed=5))
+        cache.fetch_or_compute(micro, keyed(micro_config, 5))
         leftovers = [
             n for n in os.listdir(tmp_path)
             if not (n.endswith(".json") or n.endswith(".npz"))
@@ -444,18 +467,18 @@ class TestEntriesAccounting:
 
 
 class TestEviction:
-    def _fill(self, cache, micro, micro_config, seeds):
-        """One committed entry per seed (seed is precompute-relevant)."""
+    def _fill(self, cache, micro, micro_config, indices):
+        """One committed entry per index, each under its own key."""
         keys = []
-        for seed in seeds:
-            cfg = micro_config.variant(seed=seed)
+        for i in indices:
+            cfg = keyed(micro_config, i)
             cache.fetch_or_compute(micro, cfg)
             key = cache.key_for(micro, cfg)
             # Spread mtimes so LRU order is deterministic on coarse
             # filesystem timestamps.
             os.utime(
                 os.path.join(cache.directory, f"{key}.json"),
-                (1_000_000 + seed, 1_000_000 + seed),
+                (1_000_000 + i, 1_000_000 + i),
             )
             keys.append(key)
         return keys
@@ -496,7 +519,7 @@ class TestEviction:
         cache = PrecomputationCache(str(tmp_path))
         keys = self._fill(cache, micro, micro_config, [1, 2])
         # Touch the older entry via a hit: it must now outlive the newer.
-        cache.fetch_or_compute(micro, micro_config.variant(seed=1))
+        cache.fetch_or_compute(micro, keyed(micro_config, 1))
         evicted = cache.evict(max_entries=1)
         assert evicted == [keys[1]]
         assert [e.key for e in cache.entries()] == [keys[0]]
@@ -522,15 +545,15 @@ class TestStandingBudget:
     re-applied by every ``store`` (the carried-over ROADMAP item), so a
     long-lived daemon's disk tier stays bounded without a janitor."""
 
-    def _fill(self, cache, micro, micro_config, seeds):
+    def _fill(self, cache, micro, micro_config, indices):
         keys = []
-        for seed in seeds:
-            cfg = micro_config.variant(seed=seed)
+        for i in indices:
+            cfg = keyed(micro_config, i)
             cache.fetch_or_compute(micro, cfg)
             key = cache.key_for(micro, cfg)
             os.utime(
                 os.path.join(cache.directory, f"{key}.json"),
-                (1_000_000 + seed, 1_000_000 + seed),
+                (1_000_000 + i, 1_000_000 + i),
             )
             keys.append(key)
         return keys
@@ -543,12 +566,12 @@ class TestStandingBudget:
         assert cache.n_entries == 2
         # The third store pushes past the budget: the oldest entry goes,
         # the just-committed one (freshest mtime) stays.
-        cache.fetch_or_compute(micro, micro_config.variant(seed=3))
+        cache.fetch_or_compute(micro, keyed(micro_config, 3))
         assert cache.n_entries == 2
         kept = {e.key for e in cache.entries()}
         assert keys[0] not in kept
         assert keys[1] in kept
-        assert cache.key_for(micro, micro_config.variant(seed=3)) in kept
+        assert cache.key_for(micro, keyed(micro_config, 3)) in kept
 
     def test_store_evicts_past_standing_byte_budget(
         self, micro, micro_config, tmp_path
@@ -579,7 +602,7 @@ class TestStandingBudget:
         # store() itself (not just fetch_or_compute's miss path) evicts.
         cache = PrecomputationCache(str(tmp_path), max_entries=1)
         self._fill(cache, micro, micro_config, [1])
-        pre = precompute(micro, micro_config.variant(seed=2))
+        pre = precompute(micro, keyed(micro_config, 2))
         key = cache.store(pre, micro)
         assert [e.key for e in cache.entries()] == [key]
 
@@ -588,10 +611,10 @@ class TestStandingBudget:
     ):
         cache = PrecomputationCache(str(tmp_path), max_entries=2)
         keys = self._fill(cache, micro, micro_config, [1, 2])
-        # A hit touches seed=1's marker, so seed=2 is now the LRU entry
+        # A hit touches entry 1's marker, so entry 2 is now the LRU one
         # and the next store evicts it instead.
-        cache.fetch_or_compute(micro, micro_config.variant(seed=1))
-        cache.fetch_or_compute(micro, micro_config.variant(seed=3))
+        cache.fetch_or_compute(micro, keyed(micro_config, 1))
+        cache.fetch_or_compute(micro, keyed(micro_config, 3))
         kept = {e.key for e in cache.entries()}
         assert keys[0] in kept
         assert keys[1] not in kept
@@ -607,8 +630,8 @@ class TestEvictStoreRace:
     the files a mid-flight store is about to commit over.
     """
 
-    def _committed(self, cache, micro, micro_config, seed=1):
-        cfg = micro_config.variant(seed=seed)
+    def _committed(self, cache, micro, micro_config, i=1):
+        cfg = keyed(micro_config, i)
         cache.fetch_or_compute(micro, cfg)
         return cache.key_for(micro, cfg)
 
@@ -664,7 +687,7 @@ class TestEvictStoreRace:
         # The freshly-committed pair must be a fully readable entry.
         cache = PrecomputationCache(str(tmp_path))
         pre = precompute(micro, micro_config)
-        self._committed(cache, micro, micro_config, seed=9)
+        self._committed(cache, micro, micro_config, i=9)
         cache.evict(max_entries=0)
         key = cache.store(pre, micro)
         assert [e.key for e in cache.entries()] == [key]

@@ -182,7 +182,7 @@ class TestAddresses:
 class TestScenarioSpecRoundTrip:
     def test_plain_and_constrained(self):
         scenarios = [
-            Scenario(name="plain", overrides={"w": 0.3}, seed=7),
+            Scenario(name="plain", overrides={"w": 0.3, "k": 7}),
             Scenario(
                 name="constrained",
                 method="eta-pre",
@@ -759,12 +759,13 @@ class TestKeyStabilityProperties:
                 overrides["seed_count"] = rng.choice([50, 80, 120])
             if rng.random() < 0.3:
                 overrides["tau_km"] = rng.choice([0.4, 0.5, 0.6])
+            if rng.random() < 0.3:
+                overrides["increment_mode"] = "hutchinson"
             scenarios.append(Scenario(
                 name=f"random-{i}",
                 method=rng.choice(["eta-pre", "vk-tsp"]),
                 overrides=overrides,
                 route_count=rng.choice([1, 1, 1, 2]),
-                seed=rng.choice([None, 7, 11]),
             ))
         return scenarios
 
@@ -788,7 +789,6 @@ class TestKeyStabilityProperties:
             shuffled = Scenario(
                 name=scenario.name, method=scenario.method,
                 overrides=dict(items), route_count=scenario.route_count,
-                seed=scenario.seed,
             )
             assert scenario_key(shuffled, BASE) == scenario_key(scenario, BASE)
 

@@ -116,25 +116,6 @@ class TestCacheAcrossRuns:
             assert cold.result.objective == hot.result.objective
 
 
-class TestSeeds:
-    def test_shared_seed_when_explicit(self, grid_scenarios):
-        runner = SweepRunner(base_config=BASE, base_seed=3)
-        assert {s.seed for s in runner.resolve(grid_scenarios)} == {3}
-
-    def test_base_config_seed_survives_by_default(self, grid_scenarios):
-        # Regression: a seed set in the base config must not be clobbered
-        # by the runner's default.
-        seeded = BASE.variant(seed=7)
-        runner = SweepRunner(base_config=seeded)
-        for s in runner.resolve(grid_scenarios):
-            assert s.planner_config(seeded).seed == 7
-
-    def test_explicit_seed_wins(self):
-        runner = SweepRunner(base_config=BASE, base_seed=3)
-        (resolved,) = runner.resolve([Scenario(name="pinned", seed=42)])
-        assert resolved.seed == 42
-
-
 class TestScenarioValidation:
     def test_unknown_method_rejected(self):
         with pytest.raises(PlanningError):
@@ -230,7 +211,7 @@ class TestCacheKeyProperties:
         if rng.random() < 0.5:
             overrides["tau_km"] = rng.choice([0.4, 0.5, 0.6])
         if rng.random() < 0.3:
-            overrides["n_probes"] = rng.choice([8, 12])
+            overrides["increment_mode"] = "hutchinson"
         return overrides
 
     def test_cache_key_order_independent_and_spec_stable(self):
@@ -265,12 +246,12 @@ class TestCacheKeyProperties:
             ) == base_key
         # Precompute-relevant fields each produce a distinct key.
         distinct = {base_key}
-        for knob in ({"tau_km": 0.7}, {"n_probes": 5},
-                     {"lanczos_steps": 11}, {"seed": 1234}):
+        for knob in ({"tau_km": 0.7}, {"increment_mode": "hutchinson"},
+                     {"tau_km": 0.7, "increment_mode": "hutchinson"}):
             distinct.add(scenario_cache_key(
                 Scenario(name="c", overrides=knob), BASE
             ))
-        assert len(distinct) == 5
+        assert len(distinct) == 4
 
     def test_cache_key_matches_cache_key_for(self):
         """The memoized grid path must agree with the cache's own

@@ -192,8 +192,8 @@ class TestRecord:
 class TestNoCoercion:
     @pytest.mark.parametrize("field, value", [
         ("k", 12.5), ("k", 3.0), ("k", True), ("max_turns", 1.5),
-        ("seed_count", 2.0), ("max_iterations", "100"), ("n_probes", False),
-        ("lanczos_steps", 6.5), ("record_every", None), ("seed", True),
+        ("seed_count", 2.0), ("max_iterations", "100"), ("max_turns", False),
+        ("seed_count", 6.5), ("record_every", None), ("seed_count", True),
         ("w", True), ("w", "0.5"), ("tau_km", None),
         ("use_domination", 1), ("new_edges_only", "no"),
         ("allow_loop", None), ("allow_loop", 0),
@@ -203,17 +203,33 @@ class TestNoCoercion:
         with pytest.raises(ValidationError, match=match):
             PlannerConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["n_probes", "lanczos_steps", "seed"])
+    def test_a_removed_planner_field_is_refused_by_name(self, field):
+        # The probe count, Lanczos steps and probe seed are the
+        # estimator's constants now; naming them is an error, never a
+        # silently ignored knob.
+        with pytest.raises(TypeError, match=f"'{field}'"):
+            PlannerConfig(**{field: 1})
+        with pytest.raises(DataError, match=rf"unknown keys \['{field}'\]"):
+            from_wire(PlannerConfig, {**to_wire(PlannerConfig()), field: 1})
+        scenario = Scenario(name="s", overrides={field: 1})
+        with pytest.raises(PlanningError, match=f"'{field}'"):
+            scenario.validate()
+
     def test_planner_config_accepts_numpy_scalars(self):
         # Sweeps and figures build their axes with numpy.
         config = PlannerConfig(
             k=np.int64(5), w=np.float64(0.25), tau_km=np.float32(0.5),
-            seed=np.int32(3), seed_count=None,
+            max_turns=np.int32(2), seed_count=None,
         )
-        assert (config.k, config.w, config.seed) == (5, 0.25, 3)
+        assert (config.k, config.w, config.max_turns) == (5, 0.25, 2)
         # Stored as plain numbers: the config keys, saves and travels
         # exactly like its plain twin.
-        plain = PlannerConfig(k=5, w=0.25, tau_km=0.5, seed=3, seed_count=None)
-        assert [type(getattr(config, n)) for n in ("k", "seed", "w", "tau_km")] == [
+        plain = PlannerConfig(
+            k=5, w=0.25, tau_km=0.5, max_turns=2, seed_count=None
+        )
+        names = ("k", "max_turns", "w", "tau_km")
+        assert [type(getattr(config, n)) for n in names] == [
             int, int, float, float,
         ]
         assert config_fingerprint(config) == config_fingerprint(plain)
@@ -248,7 +264,7 @@ class TestNoCoercion:
 
     @pytest.mark.parametrize("field, value", [
         ("route_count", 2.9), ("route_count", "2"), ("route_count", True),
-        ("seed", True), ("seed", 1.5), ("seed", "7"),
+        ("name", True), ("city", 1.5), ("method", 7),
         ("overrides", [["k", 3]]),
         ("constraints", {"anchor_stop": True}),
         ("constraints", {"anchor_stop": "3"}),
