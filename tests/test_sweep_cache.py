@@ -180,16 +180,16 @@ class TestGoldenKey:
 
     def test_default_config_key(self, chicago):
         assert cache_key(chicago, PlannerConfig()) == (
-            "cf337dec8cb2922397648e61e11edc19"
+            "906a93cca2fb4e32fe1ff02958bea090"
         )
 
     def test_every_keyed_field_changed(self, chicago):
         config = PlannerConfig(tau_km=0.4, increment_mode="hutchinson")
-        assert cache_key(chicago, config) == "217440a0e620b8cf032c8b5ae934fb70"
+        assert cache_key(chicago, config) == "c9bdcc9ffc08b1d9ae4fdf0893e98e0e"
 
     def test_search_knobs_keep_default_key(self, chicago):
         assert cache_key(chicago, PlannerConfig(k=7, w=0.2)) == (
-            "cf337dec8cb2922397648e61e11edc19"
+            "906a93cca2fb4e32fe1ff02958bea090"
         )
 
 
@@ -204,7 +204,7 @@ class TestArtifactFormat:
         stale.config = config
         cache = PrecomputationCache(str(tmp_path))
         key = cache.store(stale, chicago)
-        assert key == "cf337dec8cb2922397648e61e11edc19"
+        assert key == "906a93cca2fb4e32fe1ff02958bea090"
         json_path = tmp_path / f"{key}.json"
         meta = json.loads(json_path.read_text())
         meta["format"] = 2
@@ -215,7 +215,7 @@ class TestArtifactFormat:
         fresh = precompute(chicago, config)
         assert pre.universe.delta.tobytes() == fresh.universe.delta.tobytes()
         assert not np.array_equal(pre.universe.delta, stale.universe.delta)
-        assert json.loads(json_path.read_text())["format"] == ARTIFACT_FORMAT == 3
+        assert json.loads(json_path.read_text())["format"] == ARTIFACT_FORMAT == 4
         again, hit = cache.fetch_or_compute(chicago, config)
         assert hit is True
         assert again.universe.delta.tobytes() == fresh.universe.delta.tobytes()

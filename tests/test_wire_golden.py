@@ -52,7 +52,7 @@ MONOTONIC = 1234.25
 
 SCENARIO = Scenario(
     name="golden", city="chicago", profile="tiny", method="eta",
-    overrides={"w": 0.25}, seed=7,
+    overrides={"w": 0.25},
 )
 ANCHORED = Scenario(
     name="anchored", city="nyc", profile="small", method="eta-pre",
@@ -113,14 +113,13 @@ BYE = '{"op": "bye"}'
 SCENARIO_SPEC = (
     '{"name": "golden", "city": "chicago", "profile": "tiny", '
     '"method": "eta", "overrides": {"w": 0.25}, "constraints": null, '
-    '"route_count": 1, "seed": 7}'
+    '"route_count": 1}'
 )
 BASE_CONFIG = (
     '{"k": 30, "w": 0.5, "tau_km": 0.5, "max_turns": 3, "seed_count": 5000, '
     '"max_iterations": 2000, "expansion": "best", "queue_discipline": '
     '"bound", "use_domination": true, "new_edges_only": false, '
-    '"n_probes": 50, "lanczos_steps": 10, "increment_mode": "exact", '
-    '"allow_loop": true, "record_every": 100, "seed": 0}'
+    '"increment_mode": "exact", "allow_loop": true, "record_every": 100}'
 )
 RUN = (
     '{"op": "run", "protocol": 2, "base_config": ' + BASE_CONFIG + ', '
@@ -130,7 +129,7 @@ ANCHORED_SPEC = (
     '{"name": "anchored", "city": "nyc", "profile": "small", '
     '"method": "eta-pre", "overrides": {"k": 12, "w": 0.4}, '
     '"constraints": {"anchor_stop": 5, "forbid_stops": [3, 9], '
-    '"forbid_edges": [2, 40]}, "route_count": 1, "seed": null}'
+    '"forbid_edges": [2, 40]}, "route_count": 1}'
 )
 ANCHORED_RUN = (
     '{"op": "run", "protocol": 2, "base_config": ' + BASE_CONFIG + ', '
@@ -153,13 +152,13 @@ DISPLAY_RESULT = (
 )
 SCENARIO_FIELDS = (
     '"name": "golden", "city": "chicago", "profile": "tiny", '
-    '"method": "eta", "route_count": 1, "seed": 7, "overrides": '
+    '"method": "eta", "route_count": 1, "overrides": '
     '{"w": 0.25}, "constraints": null, "ok": true, "error": null, '
     '"cache_hit": false, "worker": null, "precompute_s": 0.25, '
     '"total_s": 1.5, "results": [' + DISPLAY_RESULT + ']'
 )
 OUTCOME_RECORD = (
-    '{' + SCENARIO_FIELDS + ', "schema": 1, '
+    '{' + SCENARIO_FIELDS + ', "schema": 2, '
     '"results_wire": [' + RESULT + ']}'
 )
 OUTCOME = '{"op": "outcome", "index": 0, "record": ' + OUTCOME_RECORD + '}'
@@ -205,7 +204,7 @@ REGISTRY_FILE = """\
 """
 
 STREAM_LINE = (
-    '{"record": "scenario", "schema": 1, "key": "' + "k" * 32 + '", '
+    '{"record": "scenario", "schema": 2, "key": "' + "k" * 32 + '", '
     '"cache_key": "' + "c" * 64 + '", ' + SCENARIO_FIELDS + '}'
 )
 PLAN_REPLY_FIELDS = (
@@ -296,7 +295,7 @@ def handshake_received(*frames: str) -> list:
 class TestWorkerFrames:
     def test_versions(self):
         assert PROTOCOL_VERSION == 2
-        assert SCHEMA_VERSION == 1
+        assert SCHEMA_VERSION == 2
 
     def test_job_conversation(self, taps, monkeypatch):
         monkeypatch.setattr(remote_mod, "execute_scenario", hand_outcome)
@@ -404,7 +403,7 @@ class TestRegistryFrames:
 # ----------------------------------------------------------------------
 class TestStreamRecord:
     def test_version(self):
-        assert SCHEMA_VERSION == 1
+        assert SCHEMA_VERSION == 2
 
     def test_scenario_line(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
@@ -421,7 +420,7 @@ class TestStreamRecord:
 class TestServeFrames:
     def test_versions(self):
         assert PROTOCOL_VERSION == 2
-        assert SCHEMA_VERSION == 1
+        assert SCHEMA_VERSION == 2
         assert SERVE_SCHEMA_VERSION == 1
 
     def test_plan_reply_and_frames(self, taps, monkeypatch):
@@ -483,13 +482,13 @@ class TestScenarioSpec:
 
     def test_scenario_keys(self):
         assert scenario_key(SCENARIO, PlannerConfig()) == (
-            "671a0cfcb325a8d182188ff03a10df18"
+            "286a9c52088c3b9539a619df5739a811"
         )
         assert scenario_key(SCENARIO, PlannerConfig(k=10)) == (
-            "386d86a4c5db86f03f08f095abfbc47c"
+            "8a9f94730f2462bbc0c54a4f411989c7"
         )
         # ANCHORED overrides k, so the base config's k does not reach it.
         for base in (PlannerConfig(), PlannerConfig(k=10)):
             assert scenario_key(ANCHORED, base) == (
-                "3aa231761974b9f72704ce8dd54343d9"
+                "f8a9064914225e48f2e070e90ced16e1"
             )
