@@ -69,10 +69,9 @@ def precomputation_nbytes(pre: Precomputation) -> int:
     Counts the dense per-edge arrays, the spectrum, the estimator's
     ``(n, n_probes)`` probe block, and a per-edge overhead for the
     ``PlanEdge`` objects and their road paths — the state that actually
-    scales with city size. Cheap derived objects
-    (ranked lists, normalizers) are a small constant factor on top and
-    are deliberately ignored: the pool budget is a sizing knob, not an
-    accounting ledger.
+    scales with city size. Cheap derived objects (ranked lists,
+    normalizers) are a small constant factor on top and are deliberately
+    ignored: the pool budget is a sizing knob, not an accounting ledger.
     """
     uni = pre.universe
     n_bytes = (

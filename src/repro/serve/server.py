@@ -15,11 +15,12 @@
 Determinism and the parity oracle: planning mutates shared
 precomputation state (the adjacency builder's lazily built base
 matrix), so two requests planning concurrently against one pooled
-artifact would race on that state. The server therefore runs *all* planning on one
-dedicated planner thread fed by a queue: handler threads stay free for
-pings/stats/new connections, no lock is held across the (blocking,
-linalg-heavy) planning work, and a served plan is bit-identical to the
-same ``repro plan`` invocation — which the oracle test pins.
+artifact would race on that state. The server therefore runs *all*
+planning on one dedicated planner thread fed by a queue: handler
+threads stay free for pings/stats/new connections, no lock is held
+across the (blocking, linalg-heavy) planning work, and a served plan
+is bit-identical to the same ``repro plan`` invocation — which the
+oracle test pins.
 """
 
 from __future__ import annotations

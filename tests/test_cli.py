@@ -182,6 +182,19 @@ class TestExitCodes:
         assert main(["sweep", "--grid", str(grid), "--no-cache"]) == 2
         assert "bad base config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, named", [
+        ({"base": {"config": {"n_probes": 50}}}, "'n_probes'"),
+        ({"axes": {"lanczos_steps": [10]}}, "'lanczos_steps'"),
+        ({"scenarios": [{"name": "s", "seed": 3}]}, "'seed'"),
+    ], ids=["base-config", "axis", "scenario"])
+    def test_sweep_grid_naming_a_removed_field_exits_2(
+        self, tmp_path, capsys, doc, named
+    ):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(doc))
+        assert main(["sweep", "--grid", str(grid), "--no-cache"]) == 2
+        assert named in capsys.readouterr().err
+
     def test_sweep_malformed_yaml_exits_2(self, tmp_path, capsys):
         pytest.importorskip("yaml")
         grid = tmp_path / "grid.yaml"
