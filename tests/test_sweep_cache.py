@@ -220,7 +220,6 @@ class TestArtifactFormat:
         assert hit is True
         assert again.universe.delta.tobytes() == fresh.universe.delta.tobytes()
 
-
     def test_format_3_artifact_is_refused(self, tmp_path):
         """A format-3 spec also held the probe count, Lanczos steps and
         probe seed, which this build no longer compares: an artifact

@@ -205,9 +205,8 @@ class TestNoCoercion:
 
     @pytest.mark.parametrize("field", ["n_probes", "lanczos_steps", "seed"])
     def test_a_removed_planner_field_is_refused_by_name(self, field):
-        # The probe count, Lanczos steps and probe seed are the
-        # estimator's constants now; naming them is an error, never a
-        # silently ignored knob.
+        # The probe count, Lanczos steps and probe seed are constants of
+        # the estimator: naming one is an error, never an ignored knob.
         with pytest.raises(TypeError, match=f"'{field}'"):
             PlannerConfig(**{field: 1})
         with pytest.raises(DataError, match=rf"unknown keys \['{field}'\]"):
