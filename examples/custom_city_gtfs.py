@@ -23,8 +23,15 @@ from repro.data import read_dimacs, read_gtfs, read_trips_csv
 from repro.data import write_dimacs, write_gtfs, write_trips_csv
 from repro.data.datasets import Dataset
 from repro.data.synth import SynthConfig
-from repro.network.shortest_path import shortest_path
+from repro.network.shortest_path import PathForest, reconstruct_edge_path
 from repro.trajectory.demand import aggregate_trip_demand
+
+
+def road_path(road: RoadNetwork, a: int, b: int) -> tuple[float, list[int]]:
+    """Length and road-edge ids of a shortest road path from ``a`` to ``b``."""
+    forest = PathForest(road.n_vertices, road.edge_list())
+    ((_, dist, pred_v, pred_e),) = forest.trees(road.edge_lengths(), [a])
+    return dist[b], reconstruct_edge_path(pred_v, pred_e, a, b)
 
 
 def build_road() -> RoadNetwork:
@@ -54,9 +61,8 @@ def build_transit(road: RoadNetwork) -> TransitNetwork:
 
     def road_route(vertices):
         stops, lengths, paths = [], [], []
-        adj = road.adjacency_lists("length")
         for a, b in zip(vertices, vertices[1:]):
-            d, _, epath = shortest_path(adj, a, b)
+            d, epath = road_path(road, a, b)
             stops.append(stop_of[a])
             lengths.append(d)
             paths.append(tuple(epath))
@@ -77,10 +83,9 @@ def main() -> None:
 
     # Trips: morning commute into the hub + one noisy record that the
     # 5% tolerance filter must drop.
-    adj = road.adjacency_lists("length")
     trips = []
     for origin, dest in [(0, 9), (5, 9), (23, 9), (18, 2), (0, 4)] * 40:
-        d, _, epath = shortest_path(adj, origin, dest)
+        d, epath = road_path(road, origin, dest)
         t = sum(road.edge_travel_time(e) for e in epath)
         trips.append(TripRecord(origin, dest, d, t))
     trips.append(TripRecord(0, 23, 100.0, 500.0))  # bogus odometer

@@ -21,7 +21,7 @@ from repro.baselines.tsp import nearest_neighbor_order, two_opt
 from repro.core.precompute import Precomputation
 from repro.network.geometry import euclidean
 from repro.network.paths import count_turns
-from repro.network.shortest_path import dijkstra, reconstruct_vertex_path
+from repro.network.shortest_path import PathForest, reconstruct_vertex_path
 from repro.utils.errors import PlanningError
 
 
@@ -116,7 +116,8 @@ def connectivity_first_route(
 
     # Stitch: walk chosen edges in order, connecting with shortest road paths.
     road = _road_of(pre)
-    adj = road.adjacency_lists("length")
+    forest = PathForest(road.n_vertices, road.edge_list())
+    lengths = road.edge_lengths()
     polyline: list[int] = []
     connector_km = 0.0
     prev_exit: "int | None" = None
@@ -128,15 +129,16 @@ def connectivity_first_route(
             entry, exit_ = ru, rv
         else:
             # Enter through whichever endpoint is road-closer to the exit.
-            d_u, path_u = _road_distance(adj, prev_exit, ru)
-            d_v, path_v = _road_distance(adj, prev_exit, rv)
-            if d_u <= d_v:
-                entry, exit_, conn, conn_path = ru, rv, d_u, path_u
+            ((_, dist_from_exit, pred_v, _),) = forest.trees(lengths, [prev_exit])
+            if dist_from_exit[ru] <= dist_from_exit[rv]:
+                entry, exit_ = ru, rv
             else:
-                entry, exit_, conn, conn_path = rv, ru, d_v, path_v
+                entry, exit_ = rv, ru
+            conn = dist_from_exit[entry]
             if math.isinf(conn):
                 continue  # disconnected fragment: skip (counts against smoothness)
             connector_km += conn
+            conn_path = reconstruct_vertex_path(pred_v, prev_exit, entry)
             polyline.extend(conn_path[1:] if polyline else conn_path)
         if not polyline:
             polyline.append(entry)
@@ -170,10 +172,3 @@ def _road_of(pre: Precomputation):
             "repro.core.precompute.precompute()"
         )
     return pre.road
-
-
-def _road_distance(adj, source: int, target: int) -> tuple[float, list[int]]:
-    dist, pred_v, _ = dijkstra(adj, source, targets=[target])
-    if math.isinf(dist[target]):
-        return math.inf, []
-    return dist[target], reconstruct_vertex_path(pred_v, source, target)

@@ -14,7 +14,7 @@ import math
 
 from repro.data.datasets import Dataset
 from repro.network.geometry import GridIndex, euclidean
-from repro.network.shortest_path import dijkstra, reconstruct_edge_path
+from repro.network.shortest_path import PathForest, reconstruct_edge_path
 from repro.core.edges import EdgeUniverse, PlanEdge
 from repro.utils.errors import DataError
 from repro.utils.validation import require_positive
@@ -40,7 +40,8 @@ def build_edge_universe(dataset: Dataset, tau_km: float) -> EdgeUniverse:
     """Assemble the full planning universe for ``dataset``.
 
     New-edge shortest paths are grouped by source road vertex so each
-    distinct origin costs one Dijkstra run.
+    distinct origin costs one shortest-path tree of the road's
+    :class:`~repro.network.shortest_path.PathForest`.
     """
     transit = dataset.transit
     road = dataset.road
@@ -78,12 +79,12 @@ def build_edge_universe(dataset: Dataset, tau_km: float) -> EdgeUniverse:
             )
         by_origin.setdefault(ru, []).append((u, v))
 
-    adj = road.adjacency_lists("length")
     demand_w = road.demand_weights()
-    for origin, group in by_origin.items():
-        targets = {transit.stop_road_vertex(v) for _, v in group}
-        dist, pred_v, pred_e = dijkstra(adj, origin, targets=targets)
-        for u, v in group:
+    trees = PathForest(road.n_vertices, road.edge_list()).trees(
+        road.edge_lengths(), list(by_origin)
+    )
+    for origin, dist, pred_v, pred_e in trees:
+        for u, v in by_origin[origin]:
             rv = transit.stop_road_vertex(v)
             if math.isinf(dist[rv]):
                 continue  # disconnected in the road network: not plannable

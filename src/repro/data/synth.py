@@ -27,11 +27,10 @@ import numpy as np
 from repro.network.geometry import euclidean, nearest_vertices
 from repro.network.road import RoadNetwork
 from repro.network.shortest_path import (
-    dijkstra,
+    PathForest,
     path_weight,
     reconstruct_edge_path,
     reconstruct_vertex_path,
-    shortest_path_forest,
 )
 from repro.network.transit import TransitNetwork
 from repro.trajectory.trips import TripRecord
@@ -221,8 +220,8 @@ def generate_transit_network(
     transit = TransitNetwork()
     stop_of_vertex: dict[int, int] = {}
 
-    base_adj = road.adjacency_lists("length")
-    n_edges = road.n_edges
+    forest = PathForest(road.n_vertices, road.edge_list())
+    road_lengths = road.edge_lengths()
 
     built = 0
     attempts = 0
@@ -237,12 +236,8 @@ def generate_transit_network(
         if va == vb or euclidean(coords[va], coords[vb]) < cfg.route_min_km:
             continue
         # Perturb edge weights per route so parallel routes diverge.
-        mult = rng.uniform(0.75, 1.3, n_edges)
-        adj = [
-            [(nbr, eid, wgt * mult[eid]) for nbr, eid, wgt in nbrs]
-            for nbrs in base_adj
-        ]
-        dist, pred_v, _ = dijkstra(adj, va, targets=[vb])
+        mult = rng.uniform(0.75, 1.3, len(road_lengths))
+        ((_, _, pred_v, _),) = forest.trees(road_lengths * mult, [va])
         path = reconstruct_vertex_path(pred_v, va, vb)
         if len(path) < cfg.route_stop_hops + 1:
             continue
@@ -332,11 +327,11 @@ def generate_trips(
         by_origin.setdefault(va, []).append(vb)
 
     times = road.edge_travel_times().tolist()
-    forest = shortest_path_forest(
-        road.n_vertices, road.edge_list(), road.edge_lengths(), list(by_origin)
+    trees = PathForest(road.n_vertices, road.edge_list()).trees(
+        road.edge_lengths(), list(by_origin)
     )
     trips: list[TripRecord] = []
-    for origin, dist, pred_v, pred_e in forest:
+    for origin, dist, pred_v, pred_e in trees:
         for dest in by_origin[origin]:
             d = dist[dest]
             if math.isinf(d) or d <= 0:

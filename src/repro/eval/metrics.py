@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.core.precompute import Precomputation
 from repro.core.result import PlannedRoute
 from repro.eval.transfers import TransferRouter
-from repro.network.shortest_path import dijkstra
+from repro.network.shortest_path import PathForest
 from repro.network.transit import TransitNetwork
 from repro.utils.errors import ValidationError
 
@@ -57,6 +57,12 @@ def materialize_route(
     return pre.universe.materialize(route, name)
 
 
+def _length_trees(net: TransitNetwork, origins: list[int]):
+    """Shortest-path trees over ``net``'s edge lengths, one per origin."""
+    lengths = [net.edge_length(e) for e in range(net.n_edges)]
+    return PathForest(net.n_stops, net.edge_list()).trees(lengths, origins)
+
+
 def evaluate_planned_route(
     pre: Precomputation,
     route: PlannedRoute,
@@ -92,16 +98,15 @@ def evaluate_planned_route(
     transfers_avoided = sum(transfer_counts) / len(transfer_counts) if transfer_counts else 0.0
 
     # --- distance ratio zeta (Eq. 13) --------------------------------
-    old_adj = old.adjacency_lists("length")
-    new_adj = new.adjacency_lists("length")
     ratios = []
     by_origin: dict[int, list[int]] = {}
     for a, b in pairs:
         by_origin.setdefault(a, []).append(b)
-    for a, dests in by_origin.items():
-        old_dist, _, _ = dijkstra(old_adj, a, targets=set(dests))
-        new_dist, _, _ = dijkstra(new_adj, a, targets=set(dests))
-        for b in dests:
+    origins = list(by_origin)
+    for (a, old_dist, _, _), (_, new_dist, _, _) in zip(
+        _length_trees(old, origins), _length_trees(new, origins)
+    ):
+        for b in by_origin[a]:
             if math.isinf(old_dist[b]) or math.isinf(new_dist[b]) or new_dist[b] <= 0:
                 continue
             ratios.append(old_dist[b] / new_dist[b])

@@ -21,10 +21,9 @@ from repro.network.geometry import (
 from repro.network.paths import count_turns, is_simple_stop_sequence
 from repro.network.road import RoadNetwork
 from repro.network.shortest_path import (
-    dijkstra,
+    PathForest,
     reconstruct_edge_path,
     reconstruct_vertex_path,
-    shortest_path,
 )
 from repro.network.transit import Route, TransitNetwork
 
@@ -42,10 +41,9 @@ __all__ = [
     "count_turns",
     "is_simple_stop_sequence",
     "RoadNetwork",
-    "dijkstra",
+    "PathForest",
     "reconstruct_edge_path",
     "reconstruct_vertex_path",
-    "shortest_path",
     "Route",
     "TransitNetwork",
 ]

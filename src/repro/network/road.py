@@ -195,24 +195,6 @@ class RoadNetwork:
     # ------------------------------------------------------------------
     # Algorithms support
     # ------------------------------------------------------------------
-    def adjacency_lists(self, weight: str = "length") -> list[list[tuple[int, int, float]]]:
-        """Adjacency as ``[(neighbor, edge_id, weight), ...]`` per vertex.
-
-        ``weight`` is ``"length"``, ``"time"``, or ``"hops"``; the result
-        feeds :mod:`repro.network.shortest_path`.
-        """
-        if weight == "length":
-            values = self._lengths
-        elif weight == "time":
-            values = self._times
-        elif weight == "hops":
-            values = [1.0] * self.n_edges
-        else:
-            raise GraphError(f"unknown weight kind {weight!r}")
-        return [
-            [(nbr, eid, values[eid]) for nbr, eid in nbrs] for nbrs in self._adj
-        ]
-
     def connected_components(self) -> list[list[int]]:
         """Vertex components via iterative DFS."""
         seen = [False] * self.n_vertices

@@ -1,21 +1,15 @@
-"""Shortest-path engines over adjacency lists and edge lists.
+"""The shortest-path engine: one ``scipy.sparse.csgraph`` forest.
 
-The single-source and point-to-point engines operate on the
-``adjacency_lists`` representation produced by
-:meth:`repro.network.road.RoadNetwork.adjacency_lists` (and the
-transit-network equivalent): ``adj[v]`` is a list of
-``(neighbor, edge_id, weight)`` triples. Keeping this flat structure lets
-one adjacency build serve the many searches of route growth and
-candidate-edge pre-computation.
-
-:func:`shortest_path_forest` is the many-origin engine behind the dataset
-layer: one ``scipy.sparse.csgraph`` run per block of origins, with rows
-that :func:`reconstruct_edge_path` walks like a :func:`dijkstra` result.
+Every road and transit shortest path in the package comes from
+:class:`PathForest`. A forest holds the CSR pattern of one undirected
+edge list and the map from CSR entry to edge id, built once;
+:meth:`PathForest.trees` then runs ``csgraph.dijkstra`` under any
+per-edge weights and yields rows that :func:`reconstruct_vertex_path`
+and :func:`reconstruct_edge_path` walk.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -26,50 +20,81 @@ from scipy.sparse import csgraph
 from repro.utils.errors import GraphError
 
 FOREST_BLOCK = 64
-"""Origins per ``csgraph.dijkstra`` call in :func:`shortest_path_forest`;
+"""Origins per ``csgraph.dijkstra`` call in :meth:`PathForest.trees`;
 bounds the distance and predecessor rows held at once."""
 
-Adjacency = "list[list[tuple[int, int, float]]]"
 
+class PathForest:
+    """Shortest-path trees over one undirected graph, under any weights.
 
-def dijkstra(
-    adj,
-    source: int,
-    targets: "Iterable[int] | None" = None,
-    cutoff: float = math.inf,
-) -> tuple[list[float], list[int], list[int]]:
-    """Single-source Dijkstra.
-
-    Returns ``(dist, pred_vertex, pred_edge)`` arrays where unreachable
-    vertices have ``dist = inf`` and predecessors ``-1``. If ``targets``
-    is given, the search stops once every target is settled; ``cutoff``
-    prunes anything farther than the given distance.
+    ``edges`` are ``(u, v)`` pairs over ``n`` vertices, at most one per
+    pair; an edge's id is its position. The CSR pattern (both directions
+    of every edge) and the edge id of each CSR entry are built here, so
+    a caller that searches one graph under many weightings, as route
+    growth does, pays for them once.
     """
-    n = len(adj)
-    if not 0 <= source < n:
-        raise GraphError(f"source {source} out of range for {n} vertices")
-    dist = [math.inf] * n
-    pred_v = [-1] * n
-    pred_e = [-1] * n
-    dist[source] = 0.0
-    remaining = set(targets) if targets is not None else None
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        if remaining is not None:
-            remaining.discard(v)
-            if not remaining:
-                break
-        for nbr, eid, w in adj[v]:
-            nd = d + w
-            if nd < dist[nbr] and nd <= cutoff:
-                dist[nbr] = nd
-                pred_v[nbr] = v
-                pred_e[nbr] = eid
-                heapq.heappush(heap, (nd, nbr))
-    return dist, pred_v, pred_e
+
+    def __init__(self, n: int, edges: Sequence[tuple[int, int]]) -> None:
+        ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        rows = np.concatenate([ends[:, 0], ends[:, 1]])
+        cols = np.concatenate([ends[:, 1], ends[:, 0]])
+        # Entry (u, v) sorts by u * n + v, which is CSR order; the edge id
+        # of an entry is then found by binary search on that key.
+        keys = rows * n + cols
+        order = np.argsort(keys)
+        self.n = n
+        self.n_edges = len(ends)
+        self._keys = keys[order]
+        self._entry_edge = np.tile(np.arange(len(ends)), 2)[order]
+        self._indices = cols[order]
+        self._indptr = np.searchsorted(self._keys, np.arange(n + 1) * n)
+
+    def trees(
+        self,
+        weights: "Sequence[float] | np.ndarray",
+        origins: Sequence[int],
+        limit: float = math.inf,
+    ) -> Iterator[tuple[int, list[float], list[int], list[int]]]:
+        """Shortest-path trees from each origin, ``weights[id]`` per edge.
+
+        Runs ``csgraph.dijkstra`` on blocks of :data:`FOREST_BLOCK`
+        origins and yields, per origin and in the given order,
+        ``(origin, dist, pred_vertex, pred_edge)`` lists: ``inf`` and
+        ``-1`` where a vertex is unreachable or farther than ``limit``
+        (a vertex at exactly ``limit`` is kept).
+
+        A distance is summed edge by edge from the origin, so it equals
+        :func:`path_weight` along the tree's path. Where two paths tie
+        exactly, the tree holds csgraph's choice.
+        """
+        for origin in origins:
+            if not 0 <= origin < self.n:
+                raise GraphError(f"origin {origin} out of range for {self.n} vertices")
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (self.n_edges,):
+            raise GraphError(
+                f"need one weight per edge ({self.n_edges}), got shape {w.shape}"
+            )
+        # Built from the stored pattern, so a zero weight stays an edge.
+        graph = sp.csr_matrix(
+            (w[self._entry_edge], self._indices, self._indptr), shape=(self.n, self.n)
+        )
+        for start in range(0, len(origins), FOREST_BLOCK):
+            block = list(origins[start : start + FOREST_BLOCK])
+            dist, pred = csgraph.dijkstra(
+                graph, indices=block, return_predecessors=True, limit=limit
+            )
+            reached = pred >= 0
+            pred_edge = np.full(pred.shape, -1, dtype=np.int64)
+            pred_edge[reached] = self._entry_edge[
+                np.searchsorted(
+                    self._keys,
+                    pred[reached].astype(np.int64) * self.n + np.nonzero(reached)[1],
+                )
+            ]
+            pred[~reached] = -1
+            for i, origin in enumerate(block):
+                yield origin, dist[i].tolist(), pred[i].tolist(), pred_edge[i].tolist()
 
 
 def reconstruct_vertex_path(pred_v: list[int], source: int, target: int) -> list[int]:
@@ -109,70 +134,6 @@ def reconstruct_edge_path(
             return []
     edges.reverse()
     return edges
-
-
-def shortest_path(
-    adj, source: int, target: int
-) -> tuple[float, list[int], list[int]]:
-    """Distance, vertex path, and edge path between two vertices.
-
-    Unreachable targets yield ``(inf, [], [])``.
-    """
-    dist, pred_v, pred_e = dijkstra(adj, source, targets=[target])
-    if math.isinf(dist[target]):
-        return math.inf, [], []
-    return (
-        dist[target],
-        reconstruct_vertex_path(pred_v, source, target),
-        reconstruct_edge_path(pred_v, pred_e, source, target),
-    )
-
-
-def shortest_path_forest(
-    n: int,
-    edges: Sequence[tuple[int, int]],
-    weights: "Sequence[float] | np.ndarray",
-    origins: Sequence[int],
-) -> Iterator[tuple[int, list[float], list[int], list[int]]]:
-    """Full shortest-path trees from many origins over one undirected graph.
-
-    ``edges`` are ``(u, v)`` pairs over ``n`` vertices, at most one per
-    pair; an edge's id is its position and ``weights[id]`` its weight.
-    Runs ``scipy.sparse.csgraph.dijkstra`` on blocks of
-    :data:`FOREST_BLOCK` origins and yields, per origin and in the given
-    order, ``(origin, dist, pred_vertex, pred_edge)`` lists shaped like a
-    full-tree :func:`dijkstra` result (``inf`` and ``-1`` where
-    unreachable), so :func:`reconstruct_edge_path` walks them.
-
-    A distance is summed edge by edge from the origin, as :func:`dijkstra`
-    sums it, so both engines report the same float. Where two paths tie
-    exactly, the trees may pick different ones.
-    """
-    for origin in origins:
-        if not 0 <= origin < n:
-            raise GraphError(f"origin {origin} out of range for {n} vertices")
-    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    rows = np.concatenate([ends[:, 0], ends[:, 1]])
-    cols = np.concatenate([ends[:, 1], ends[:, 0]])
-    w = np.asarray(weights, dtype=float)
-    # No eliminate_zeros: csgraph reads a stored zero as a zero-length edge.
-    graph = sp.csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(n, n))
-    # The edge id of entry (u, v), found by binary search on u * n + v.
-    keys = rows * n + cols
-    order = np.argsort(keys)
-    keys = keys[order]
-    entry_edge = np.tile(np.arange(len(ends)), 2)[order]
-    for start in range(0, len(origins), FOREST_BLOCK):
-        block = list(origins[start : start + FOREST_BLOCK])
-        dist, pred = csgraph.dijkstra(graph, indices=block, return_predecessors=True)
-        reached = pred >= 0
-        pred_edge = np.full(pred.shape, -1, dtype=np.int64)
-        pred_edge[reached] = entry_edge[
-            np.searchsorted(keys, pred[reached].astype(np.int64) * n + np.nonzero(reached)[1])
-        ]
-        pred[~reached] = -1
-        for i, origin in enumerate(block):
-            yield origin, dist[i].tolist(), pred[i].tolist(), pred_edge[i].tolist()
 
 
 def path_weight(weights: Sequence[float], edge_path: Iterable[int]) -> float:

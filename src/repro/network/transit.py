@@ -195,16 +195,6 @@ class TransitNetwork:
         """Unweighted symmetric adjacency matrix of the transit graph."""
         return adjacency_matrix(self.n_stops, self._edges)
 
-    def adjacency_lists(self, weight: str = "length") -> list[list[tuple[int, int, float]]]:
-        """Adjacency as ``[(neighbor, edge_id, weight), ...]`` per stop."""
-        if weight == "length":
-            values = self._lengths
-        elif weight == "hops":
-            values = [1.0] * self.n_edges
-        else:
-            raise GraphError(f"unknown weight kind {weight!r}")
-        return [[(nbr, eid, values[eid]) for nbr, eid in nbrs] for nbrs in self._adj]
-
     # ------------------------------------------------------------------
     # Mutation used by experiments
     # ------------------------------------------------------------------

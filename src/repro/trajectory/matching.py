@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.network.geometry import GridIndex, euclidean
 from repro.network.road import RoadNetwork
-from repro.network.shortest_path import dijkstra, reconstruct_vertex_path
+from repro.network.shortest_path import PathForest, reconstruct_vertex_path
 from repro.trajectory.trajectory import Trajectory
 from repro.utils.errors import ValidationError
 
@@ -67,7 +67,8 @@ def map_match(
         cands.sort(key=lambda v: euclidean(road.vertex_xy(v), p))
         candidate_sets.append(cands[:max_candidates])
 
-    adj = road.adjacency_lists("length")
+    forest = PathForest(road.n_vertices, road.edge_list())
+    lengths = road.edge_lengths()
 
     # Viterbi over candidate layers.
     costs = [euclidean(road.vertex_xy(v), pts[0]) for v in candidate_sets[0]]
@@ -76,12 +77,13 @@ def map_match(
         straight = euclidean(pts[layer - 1], pts[layer])
         prev_cands = candidate_sets[layer - 1]
         cur_cands = candidate_sets[layer]
-        # One Dijkstra per previous candidate, restricted to current targets.
-        road_dists = []
-        for pv in prev_cands:
-            dist, _, _ = dijkstra(adj, pv, targets=cur_cands,
-                                  cutoff=10.0 * straight + 5.0 * search_radius)
-            road_dists.append(dist)
+        # One tree per previous candidate, pruned past a generous detour.
+        road_dists = [
+            dist
+            for _, dist, _, _ in forest.trees(
+                lengths, prev_cands, limit=10.0 * straight + 5.0 * search_radius
+            )
+        ]
         new_costs = [math.inf] * len(cur_cands)
         new_back = [-1] * len(cur_cands)
         for ci, cv in enumerate(cur_cands):
@@ -114,7 +116,7 @@ def map_match(
     for u, v in zip(matched, matched[1:]):
         if u == v:
             continue
-        dist, pred_v, _ = dijkstra(adj, u, targets=[v])
+        ((_, dist, pred_v, _),) = forest.trees(lengths, [u])
         if math.isinf(dist[v]):
             raise ValidationError(f"matched vertices {u} and {v} are disconnected")
         seg = reconstruct_vertex_path(pred_v, u, v)

@@ -15,11 +15,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.network.road import RoadNetwork
-from repro.network.shortest_path import (
-    path_weight,
-    reconstruct_edge_path,
-    shortest_path_forest,
-)
+from repro.network.shortest_path import PathForest, path_weight, reconstruct_edge_path
 from repro.trajectory.trajectory import Trajectory
 from repro.utils.errors import GraphError, ValidationError
 
@@ -62,7 +58,7 @@ def accepted_trip_paths(
     """Each trip the tolerance filter accepts, with its road edge path.
 
     Trips are grouped by pickup vertex and walked on one shortest-path
-    forest (:func:`~repro.network.shortest_path.shortest_path_forest`),
+    forest (:class:`~repro.network.shortest_path.PathForest`),
     so every consumer of this generator sees the same path for the same
     trip. A trip is accepted when its path's length and, with
     ``check_time``, its travel time along that path are both within
@@ -82,8 +78,8 @@ def accepted_trip_paths(
         by_origin.setdefault(trip.pickup_vertex, []).append(trip)
 
     times = road.edge_travel_times().tolist()
-    forest = shortest_path_forest(n, road.edge_list(), road.edge_lengths(), list(by_origin))
-    for origin, dist, pred_v, pred_e in forest:
+    trees = PathForest(n, road.edge_list()).trees(road.edge_lengths(), list(by_origin))
+    for origin, dist, pred_v, pred_e in trees:
         for trip in by_origin[origin]:
             d = dist[trip.dropoff_vertex]
             if math.isinf(d) or not _within(d, trip.distance_km, tolerance):

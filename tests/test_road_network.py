@@ -102,14 +102,6 @@ class TestDemand:
 
 
 class TestAdjacencyListsAndExport:
-    def test_weight_kinds(self, square):
-        by_len = square.adjacency_lists("length")
-        by_hops = square.adjacency_lists("hops")
-        assert by_hops[0][0][2] == 1.0
-        assert by_len[0][0][2] == square.edge_length(by_len[0][0][1])
-        with pytest.raises(GraphError):
-            square.adjacency_lists("bogus")
-
     def test_to_networkx(self, square):
         g = square.to_networkx()
         assert g.number_of_nodes() == 4

@@ -1,6 +1,5 @@
-"""Unit tests for the Dijkstra engines, cross-checked against networkx."""
+"""Unit tests for the shortest-path forest, cross-checked against networkx."""
 
-import importlib
 import math
 
 import networkx as nx
@@ -9,19 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.synth import SynthConfig, generate_road_network
+from repro.network import shortest_path as sp_mod
 from repro.network.shortest_path import (
-    dijkstra,
+    PathForest,
     path_weight,
     reconstruct_edge_path,
     reconstruct_vertex_path,
-    shortest_path,
-    shortest_path_forest,
 )
 from repro.utils.errors import GraphError
-
-# The package re-exports a function named shortest_path, which shadows the
-# submodule as an attribute of repro.network.
-sp_mod = importlib.import_module("repro.network.shortest_path")
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +24,8 @@ def road():
 
 
 @pytest.fixture(scope="module")
-def adj(road):
-    return road.adjacency_lists("length")
+def forest(road):
+    return PathForest(road.n_vertices, road.edge_list())
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +33,15 @@ def nx_graph(road):
     return road.to_networkx()
 
 
+def length_tree(road, forest, origin, limit=math.inf):
+    """``(dist, pred_v, pred_e)`` of one origin's tree over road lengths."""
+    ((_, dist, pred_v, pred_e),) = forest.trees(road.edge_lengths(), [origin], limit)
+    return dist, pred_v, pred_e
+
+
 class TestDijkstra:
-    def test_matches_networkx_all_targets(self, road, adj, nx_graph):
-        dist, _, _ = dijkstra(adj, 0)
+    def test_matches_networkx_all_targets(self, road, forest, nx_graph):
+        dist, _, _ = length_tree(road, forest, 0)
         want = nx.single_source_dijkstra_path_length(nx_graph, 0, weight="length")
         for v in range(road.n_vertices):
             if v in want:
@@ -49,29 +49,36 @@ class TestDijkstra:
             else:
                 assert math.isinf(dist[v])
 
-    def test_source_distance_zero(self, adj):
-        dist, pred_v, pred_e = dijkstra(adj, 5)
+    def test_source_distance_zero(self, road, forest):
+        dist, pred_v, pred_e = length_tree(road, forest, 5)
         assert dist[5] == 0.0
         assert pred_v[5] == -1 and pred_e[5] == -1
 
-    def test_early_termination_with_targets(self, adj):
-        dist, _, _ = dijkstra(adj, 0, targets=[1])
-        assert not math.isinf(dist[1])
-
-    def test_cutoff_prunes(self, adj):
-        dist, _, _ = dijkstra(adj, 0, cutoff=0.3)
+    def test_cutoff_prunes(self, road, forest):
+        dist, _, _ = length_tree(road, forest, 0, limit=0.3)
         finite = [d for d in dist if not math.isinf(d)]
+        assert len(finite) > 1 and len(finite) < road.n_vertices
         assert all(d <= 0.3 for d in finite)
 
-    def test_bad_source_rejected(self, adj):
+    def test_limit_is_inclusive(self):
+        # Sums of powers of two are exact: vertex 2 sits at exactly 0.75.
+        forest = PathForest(4, [(0, 1), (1, 2), (2, 3)])
+        weights = [0.5, 0.25, 0.25]
+        ((_, dist, pred_v, pred_e),) = forest.trees(weights, [0], limit=0.75)
+        assert dist == [0.0, 0.5, 0.75, math.inf]
+        assert pred_v == [-1, 0, 1, -1] and pred_e == [-1, 0, 1, -1]
+        ((_, dist, _, _),) = forest.trees(weights, [0], limit=math.nextafter(0.75, 0.0))
+        assert dist == [0.0, 0.5, math.inf, math.inf]
+
+    def test_bad_source_rejected(self, road, forest):
         with pytest.raises(GraphError):
-            dijkstra(adj, len(adj) + 10)
+            list(forest.trees(road.edge_lengths(), [road.n_vertices + 10]))
 
 
 class TestReconstruction:
-    def test_vertex_path_endpoints(self, road, adj):
+    def test_vertex_path_endpoints(self, road, forest):
         target = road.n_vertices - 1
-        dist, pred_v, pred_e = dijkstra(adj, 0)
+        dist, pred_v, pred_e = length_tree(road, forest, 0)
         path = reconstruct_vertex_path(pred_v, 0, target)
         assert path[0] == 0 and path[-1] == target
         edges = reconstruct_edge_path(pred_v, pred_e, 0, target)
@@ -80,35 +87,17 @@ class TestReconstruction:
         total = sum(road.edge_length(e) for e in edges)
         assert total == pytest.approx(dist[target])
 
-    def test_path_to_self(self, adj):
-        _, pred_v, pred_e = dijkstra(adj, 2)
+    def test_path_to_self(self, road, forest):
+        _, pred_v, pred_e = length_tree(road, forest, 2)
         assert reconstruct_vertex_path(pred_v, 2, 2) == [2]
         assert reconstruct_edge_path(pred_v, pred_e, 2, 2) == []
 
     def test_unreachable_gives_empty(self):
         # Two isolated vertices.
-        adj2 = [[], []]
-        dist, pred_v, pred_e = dijkstra(adj2, 0)
+        ((_, dist, pred_v, pred_e),) = PathForest(2, []).trees([], [0])
         assert math.isinf(dist[1])
         assert reconstruct_vertex_path(pred_v, 0, 1) == []
         assert reconstruct_edge_path(pred_v, pred_e, 0, 1) == []
-
-
-class TestPointToPoint:
-    def test_shortest_path_wrapper(self, road, adj, nx_graph):
-        d, vpath, epath = shortest_path(adj, 0, road.n_vertices - 1)
-        want = nx.dijkstra_path_length(nx_graph, 0, road.n_vertices - 1, weight="length")
-        assert d == pytest.approx(want)
-        assert vpath[0] == 0 and vpath[-1] == road.n_vertices - 1
-
-
-
-def adjacency_of(n, edges, weights):
-    adj = [[] for _ in range(n)]
-    for eid, (u, v) in enumerate(edges):
-        adj[u].append((v, eid, weights[eid]))
-        adj[v].append((u, eid, weights[eid]))
-    return adj
 
 
 @st.composite
@@ -133,12 +122,19 @@ class TestShortestPathForest:
     @settings(max_examples=150, deadline=None)
     @given(connected_graphs())
     def test_matches_dijkstra_and_walks_real_paths(self, graph):
+        # Any correct Dijkstra returns, per vertex, the least left-fold sum
+        # over its paths, so networkx's distances must match bit for bit.
         n, edges, weights, origins = graph
-        adj = adjacency_of(n, edges, weights)
-        rows = list(shortest_path_forest(n, edges, weights, origins))
+        reference = nx.Graph()
+        reference.add_nodes_from(range(n))
+        reference.add_weighted_edges_from(
+            (u, v, w) for (u, v), w in zip(edges, weights)
+        )
+        rows = list(PathForest(n, edges).trees(weights, origins))
         assert [row[0] for row in rows] == origins
         for origin, dist, pred_v, pred_e in rows:
-            assert dist == dijkstra(adj, origin)[0]
+            want = nx.single_source_dijkstra_path_length(reference, origin)
+            assert dist == [want[v] for v in range(n)]
             for v in range(n):
                 vertices = reconstruct_vertex_path(pred_v, origin, v)
                 edge_path = reconstruct_edge_path(pred_v, pred_e, origin, v)
@@ -148,15 +144,23 @@ class TestShortestPathForest:
                     assert edges[eid] == (min(a, b), max(a, b))
                 assert path_weight(weights, edge_path) == dist[v]
 
-    def test_rows_do_not_depend_on_block_size(self, road, monkeypatch):
+    def test_rows_do_not_depend_on_block_size(self, road, forest, monkeypatch):
         origins = list(range(road.n_vertices))[::-1]
-        args = (road.n_vertices, road.edge_list(), road.edge_lengths(), origins)
-        whole = list(shortest_path_forest(*args))
+        whole = list(forest.trees(road.edge_lengths(), origins))
         monkeypatch.setattr(sp_mod, "FOREST_BLOCK", 5)
-        assert list(shortest_path_forest(*args)) == whole
+        assert list(forest.trees(road.edge_lengths(), origins)) == whole
+
+    def test_one_forest_serves_many_weightings(self, road, forest):
+        origins = [0, road.n_vertices - 1]
+        for scale in (1.0, 0.5, 3.0):
+            weights = road.edge_lengths() * scale
+            fresh = PathForest(road.n_vertices, road.edge_list())
+            assert list(forest.trees(weights, origins)) == list(
+                fresh.trees(weights, origins)
+            )
 
     def test_unreachable_vertex(self):
-        (row,) = shortest_path_forest(3, [(0, 1)], [1.0], [0])
+        (row,) = PathForest(3, [(0, 1)]).trees([1.0], [0])
         _, dist, pred_v, pred_e = row
         assert dist == [0.0, 1.0, math.inf]
         assert pred_v == [-1, 0, -1] and pred_e == [-1, 0, -1]
@@ -164,16 +168,21 @@ class TestShortestPathForest:
         assert reconstruct_vertex_path(pred_v, 0, 2) == []
 
     def test_zero_length_edge_stays_an_edge(self):
-        (row,) = shortest_path_forest(3, [(0, 1), (1, 2)], [0.0, 1.5], [0])
+        (row,) = PathForest(3, [(0, 1), (1, 2)]).trees([0.0, 1.5], [0])
         _, dist, pred_v, pred_e = row
         assert dist == [0.0, 0.0, 1.5]
         assert pred_v == [-1, 0, 1] and pred_e == [-1, 0, 1]
         assert reconstruct_edge_path(pred_v, pred_e, 0, 2) == [0, 1]
 
     def test_empty_origin_list(self):
-        assert list(shortest_path_forest(3, [(0, 1)], [1.0], [])) == []
+        assert list(PathForest(3, [(0, 1)]).trees([1.0], [])) == []
 
     @pytest.mark.parametrize("origin", [-1, 3])
     def test_bad_origin_rejected(self, origin):
         with pytest.raises(GraphError):
-            list(shortest_path_forest(3, [(0, 1)], [1.0], [0, origin]))
+            list(PathForest(3, [(0, 1)]).trees([1.0], [0, origin]))
+
+    @pytest.mark.parametrize("weights", [[], [1.0, 2.0]])
+    def test_one_weight_per_edge(self, weights):
+        with pytest.raises(GraphError):
+            list(PathForest(3, [(0, 1)]).trees(weights, [0]))

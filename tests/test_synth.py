@@ -1,7 +1,6 @@
 """Unit tests for the synthetic city generator."""
 
-import math
-
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -153,16 +152,15 @@ class TestTripGeneration:
 
     def test_most_trips_near_true_shortest_path(self, cfg, road):
         """Noise model: most recorded distances within ~3 sigma of truth."""
-        from repro.network.shortest_path import dijkstra
-
         trips = generate_trips(cfg, road)
-        adj = road.adjacency_lists("length")
+        graph = road.to_networkx()
         close = 0
         sample = trips[:100]
         for t in sample:
-            dist, _, _ = dijkstra(adj, t.pickup_vertex, targets=[t.dropoff_vertex])
-            d = dist[t.dropoff_vertex]
-            if not math.isinf(d) and abs(t.distance_km - d) <= 0.08 * d:
+            d = nx.dijkstra_path_length(
+                graph, t.pickup_vertex, t.dropoff_vertex, weight="length"
+            )
+            if abs(t.distance_km - d) <= 0.08 * d:
                 close += 1
         assert close >= 0.7 * len(sample)
 

@@ -54,10 +54,6 @@ class TestAdjacency:
         assert A.diagonal().sum() == 0.0
         assert A.nnz == 2 * two_routes.n_edges
 
-    def test_adjacency_lists(self, two_routes):
-        adj = two_routes.adjacency_lists("hops")
-        assert {v for v, _, _ in adj[2]} == {1, 3, 5, 6}
-
 
 class TestRouteRemoval:
     def test_without_routes_drops_exclusive_edges(self, two_routes):

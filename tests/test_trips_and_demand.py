@@ -1,5 +1,6 @@
 """Unit tests for trip conversion (5% tolerance rule) and demand aggregation."""
 
+import networkx as nx
 import pytest
 
 from repro.network.road import RoadNetwork
@@ -32,11 +33,9 @@ def grid_road() -> RoadNetwork:
 
 def exact_trip(road: RoadNetwork, a: int, b: int, scale: float = 1.0) -> TripRecord:
     """A trip whose recorded values are the true shortest-path metrics."""
-    from repro.network.shortest_path import shortest_path
-
-    adj = road.adjacency_lists("length")
-    d, _, epath = shortest_path(adj, a, b)
-    t = sum(road.edge_travel_time(e) for e in epath)
+    graph = road.to_networkx()
+    d, vertices = nx.single_source_dijkstra(graph, a, b, weight="length")
+    t = sum(graph.edges[u, v]["travel_time"] for u, v in zip(vertices, vertices[1:]))
     return TripRecord(a, b, d * scale, t * scale)
 
 
