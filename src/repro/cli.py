@@ -114,9 +114,23 @@ def _load_secret_arg(path: "str | None") -> "bytes | None":
     return load_secret(path)
 
 
-def _add_city_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--city", choices=CITY_CHOICES, default="chicago")
-    parser.add_argument("--profile", choices=list_profiles(), default="small")
+def _add_city_args(parser: argparse.ArgumentParser, action="store") -> None:
+    parser.add_argument("--city", choices=CITY_CHOICES, default="chicago",
+                        action=action)
+    parser.add_argument("--profile", choices=list_profiles(), default="small",
+                        action=action)
+
+
+class _InlineFlag(argparse.Action):
+    """Stores a sweep axis or base-config flag and notes that it was given.
+
+    ``--grid`` replaces every such flag, so ``_sweep_scenarios`` refuses a
+    grid sweep that names one instead of dropping it.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.inline_flags = [*namespace.inline_flags, option_string]
 
 
 def _cmd_stats(args) -> int:
@@ -187,6 +201,12 @@ def _sweep_scenarios(args):
     from repro.sweep import expand_grid, load_grid
 
     if args.grid:
+        if args.inline_flags:
+            given = ", ".join(dict.fromkeys(args.inline_flags))
+            raise ValidationError(
+                f"--grid replaces every inline axis and base-config flag, so it "
+                f"cannot be combined with {given}; set them in the grid file"
+            )
         return load_grid(args.grid)
     axes = {}
     methods = _parse_values(args.methods, str)
@@ -801,23 +821,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", help="run a scenario grid with a persistent precompute cache"
     )
-    _add_city_args(p_sweep)
-    p_sweep.set_defaults(profile="tiny")
+    _add_city_args(p_sweep, action=_InlineFlag)
+    p_sweep.set_defaults(profile="tiny", inline_flags=[])
     p_sweep.add_argument("--grid", default="",
                          help="YAML/JSON grid file; replaces ALL inline axis "
                               "and base-config flags (--methods/--weights/"
                               "--ks/--k/--tau/--iterations/--seed-count/"
-                              "--count/--city/--profile)")
-    p_sweep.add_argument("--methods", default="eta-pre,vk-tsp",
+                              "--count/--city/--profile), and naming one "
+                              "with it is an error")
+    p_sweep.add_argument("--methods", default="eta-pre,vk-tsp", action=_InlineFlag,
                          help="comma-separated method axis")
-    p_sweep.add_argument("--weights", default="0.3,0.5,0.7",
+    p_sweep.add_argument("--weights", default="0.3,0.5,0.7", action=_InlineFlag,
                          help="comma-separated w axis")
-    p_sweep.add_argument("--ks", default="", help="comma-separated k axis")
-    p_sweep.add_argument("--k", type=int, default=12, help="base k")
-    p_sweep.add_argument("--tau", type=float, default=0.5)
-    p_sweep.add_argument("--iterations", type=int, default=500)
-    p_sweep.add_argument("--seed-count", type=int, default=200)
-    p_sweep.add_argument("--count", type=int, default=1,
+    p_sweep.add_argument("--ks", default="", action=_InlineFlag,
+                         help="comma-separated k axis")
+    p_sweep.add_argument("--k", type=int, default=12, action=_InlineFlag,
+                         help="base k")
+    p_sweep.add_argument("--tau", type=float, default=0.5, action=_InlineFlag)
+    p_sweep.add_argument("--iterations", type=int, default=500, action=_InlineFlag)
+    p_sweep.add_argument("--seed-count", type=int, default=200, action=_InlineFlag)
+    p_sweep.add_argument("--count", type=int, default=1, action=_InlineFlag,
                          help="routes per scenario (multi-route planning)")
     p_sweep.add_argument("--workers", type=int, default=None,
                          help="process count (default: min(#scenarios, cpus))")

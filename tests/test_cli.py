@@ -138,6 +138,27 @@ class TestExitCodes:
         assert main(["sweep", "--grid", "/nonexistent/grid.json"]) == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--k", "3", "--tau", "0.3", "--city", "nyc", "--methods", "vk-tsp"],
+         "--k, --tau, --city, --methods"),
+        # A flag given at its default value is still given.
+        (["--profile", "tiny"], "--profile"),
+        (["--count", "2", "--ks", "4", "--count", "3"], "--count, --ks"),
+        (["--weights", "0.5", "--iterations", "9", "--seed-count", "9"],
+         "--weights, --iterations, --seed-count"),
+    ])
+    def test_sweep_grid_with_inline_flags_exits_2(
+        self, tmp_path, capsys, flags, named
+    ):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "base": {"city": "chicago", "profile": "tiny", "config": {"k": 6}},
+            "scenarios": [{"name": "one", "method": "eta-pre"}],
+        }))
+        assert main(["sweep", "--grid", str(grid), "--no-cache", *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot be combined with {named};" in err
+
     @pytest.mark.parametrize("grid, named", [
         ({"base": [1, 2]}, "section 'base'"),
         ({"axes": [["w", [0.5]]]}, "section 'axes'"),
