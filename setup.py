@@ -1,10 +1,10 @@
-"""Legacy setup shim.
+"""Setuptools shim for a development install.
 
-The execution environment has no network access and no ``wheel``
-package, so PEP 660 editable installs (which build an editable wheel)
-fail. Keeping a ``setup.py`` lets ``pip install -e . --no-build-isolation``
-fall back to ``setup.py develop``, which works fully offline.
-All project metadata lives in ``pyproject.toml``.
+``python setup.py develop`` links ``src/repro`` into the environment
+and needs nothing beyond setuptools, so it works offline. Setuptools
+finds the package and its name in the ``src`` layout; there is no
+other project metadata. ``pip install -e .`` builds a PEP 660 editable
+wheel instead and fails where the ``wheel`` package is missing.
 """
 
 from setuptools import setup

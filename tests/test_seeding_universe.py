@@ -1,11 +1,17 @@
 """Unit tests for candidate-edge generation and the edge universe."""
 
+from itertools import islice
+
+import networkx as nx
 import numpy as np
 import pytest
 
 from repro.core.edges import PlanEdge
 from repro.core.seeding import build_edge_universe, candidate_stop_pairs
+from repro.data.datasets import build_dataset
+from repro.data.synth import SynthConfig
 from repro.network.geometry import euclidean
+from repro.network.shortest_path import path_weight
 from repro.utils.errors import GraphError
 
 
@@ -82,3 +88,48 @@ class TestEdgeUniverse:
         assert e.other(7) == 3
         with pytest.raises(GraphError):
             e.other(5)
+
+
+class TestCandidateEdgesUnderTies:
+    """On an unjittered grid most stop pairs have several shortest paths."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        dataset = build_dataset(SynthConfig(
+            name="grid", grid_width=10, grid_height=8, coord_jitter=0.0,
+            drop_edge_prob=0.0, diagonal_prob=0.0, n_routes=5,
+            route_min_km=1.0, n_trips=200, seed=5,
+        ))
+        universe = build_edge_universe(dataset, tau_km=0.8)
+        return dataset, [e for e in universe.edges if e.is_new]
+
+    def test_most_pairs_tie(self, grid):
+        dataset, new_edges = grid
+        graph = dataset.road.to_networkx()
+        tied = 0
+        for e in new_edges:
+            ru = dataset.transit.stop_road_vertex(e.u)
+            rv = dataset.transit.stop_road_vertex(e.v)
+            paths = nx.all_shortest_paths(graph, ru, rv, weight="length")
+            tied += len(list(islice(paths, 2))) == 2
+        assert new_edges and tied > len(new_edges) / 2
+
+    def test_length_is_the_shortest_road_distance(self, grid):
+        dataset, new_edges = grid
+        graph = dataset.road.to_networkx()
+        for e in new_edges:
+            ru = dataset.transit.stop_road_vertex(e.u)
+            rv = dataset.transit.stop_road_vertex(e.v)
+            assert e.length == nx.dijkstra_path_length(graph, ru, rv, weight="length")
+
+    def test_road_path_walks_from_stop_to_stop(self, grid):
+        dataset, new_edges = grid
+        road = dataset.road
+        for e in new_edges:
+            at = dataset.transit.stop_road_vertex(e.u)
+            for re in e.road_path:
+                a, b = road.edge_endpoints(re)
+                assert at in (a, b)
+                at = b if at == a else a
+            assert e.road_path and at == dataset.transit.stop_road_vertex(e.v)
+            assert path_weight(road.edge_lengths(), e.road_path) == e.length
