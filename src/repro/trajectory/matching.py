@@ -78,12 +78,8 @@ def map_match(
         prev_cands = candidate_sets[layer - 1]
         cur_cands = candidate_sets[layer]
         # One tree per previous candidate, pruned past a generous detour.
-        road_dists = [
-            dist
-            for _, dist, _, _ in forest.trees(
-                lengths, prev_cands, limit=10.0 * straight + 5.0 * search_radius
-            )
-        ]
+        limit = 10.0 * straight + 5.0 * search_radius
+        road_dists = [dist for _, dist, _, _ in forest.trees(lengths, prev_cands, limit)]
         new_costs = [math.inf] * len(cur_cands)
         new_back = [-1] * len(cur_cands)
         for ci, cv in enumerate(cur_cands):
