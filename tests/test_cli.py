@@ -146,7 +146,7 @@ class TestExitCodes:
         (["--count", "2", "--ks", "4", "--count", "3"], "--count, --ks"),
         (["--weights", "0.5", "--iterations", "9", "--seed-count", "9"],
          "--weights, --iterations, --seed-count"),
-    ])
+    ], ids=["axes-and-base", "default-value", "repeated", "base-config"])
     def test_sweep_grid_with_inline_flags_exits_2(
         self, tmp_path, capsys, flags, named
     ):
