@@ -36,7 +36,6 @@ from repro.spectral.connectivity import (
     NaturalConnectivityEstimator,
     natural_connectivity_exact,
 )
-from repro.trajectory.trajectory import Trajectory
 from repro.trajectory.trips import TripRecord
 
 __version__ = "1.0.0"
@@ -59,7 +58,6 @@ __all__ = [
     "TransitNetwork",
     "NaturalConnectivityEstimator",
     "natural_connectivity_exact",
-    "Trajectory",
     "TripRecord",
     "__version__",
 ]

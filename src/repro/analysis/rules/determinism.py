@@ -3,7 +3,7 @@
 The repo's headline guarantee is bit-identical results for identical
 configs — remote ≡ serial, resumed ≡ fresh. Every RNG therefore flows
 from ``config.seed`` through :mod:`repro.utils.prng` (``ensure_rng`` /
-``spawn_seeds``), and durations come from ``time.monotonic()``. A bare
+``child_rng``), and durations come from ``time.monotonic()``. A bare
 ``np.random.rand()`` or ``time.time()`` inside ``core/``, ``spectral/``
 or ``sweep/`` silently breaks that guarantee, so this rule bans the
 module-level entry points outright:
@@ -85,7 +85,7 @@ class DeterminismRule(Rule):
                 if canonical.startswith(("random.", "numpy.random.")):
                     remedy = (
                         "route randomness through "
-                        "repro.utils.prng.ensure_rng/spawn_seeds"
+                        "repro.utils.prng.ensure_rng/child_rng"
                     )
                 else:
                     remedy = (

@@ -15,7 +15,6 @@ from repro.network.geometry import (
     angle_between_bearings,
     bearing,
     euclidean,
-    haversine_km,
     turn_angle,
 )
 from repro.network.paths import count_turns, is_simple_stop_sequence
@@ -36,7 +35,6 @@ __all__ = [
     "angle_between_bearings",
     "bearing",
     "euclidean",
-    "haversine_km",
     "turn_angle",
     "count_turns",
     "is_simple_stop_sequence",

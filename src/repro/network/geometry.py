@@ -1,7 +1,7 @@
-"""Planar geometry used by networks, the turn model, and map matching.
+"""Planar geometry used by networks, the turn model, and candidate edges.
 
-Synthetic cities use planar coordinates in kilometres; real GTFS data can
-be projected with :func:`haversine_km`. The turn model of Algorithm 2
+Coordinates are planar kilometres, one frame per city (:mod:`repro.data.gtfs`
+reads a feed's coordinates as given). The turn model of Algorithm 2
 (lines 4-8 of the paper) is built on :func:`angle_between_bearings`.
 """
 
@@ -45,14 +45,6 @@ def nearest_vertices(
     return out
 
 
-def haversine_km(a, b) -> float:
-    """Great-circle distance in km between ``(lon, lat)`` degree pairs."""
-    lon1, lat1, lon2, lat2 = map(math.radians, (a[0], a[1], b[0], b[1]))
-    dlon, dlat = lon2 - lon1, lat2 - lat1
-    h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
-    return 2.0 * 6371.0088 * math.asin(min(1.0, math.sqrt(h)))
-
-
 def bearing(a, b) -> float:
     """Direction of travel from ``a`` to ``b`` in radians, in ``(-pi, pi]``."""
     return math.atan2(b[1] - a[1], b[0] - a[0])
@@ -85,7 +77,12 @@ class GridIndex:
         if cell <= 0:
             raise ValueError(f"cell size must be positive, got {cell}")
         self._points = np.asarray(points, dtype=float)
-        self._cell = float(cell)
+        # Padded by a relative 1e-9, so that rounding in ``x / cell`` cannot
+        # put two points within ``cell`` of each other two keys apart, out
+        # of a 1-cell search's reach. A quotient is off by at most
+        # |x| / cell * 2**-53, so a search of radius up to ``cell`` is
+        # exact while every |x| and |y| is below 10**6 cells.
+        self._cell = float(cell) * (1.0 + 1e-9)
         self._buckets: dict[tuple[int, int], list[int]] = {}
         for idx, (x, y) in enumerate(self._points):
             self._buckets.setdefault(self._key(x, y), []).append(idx)

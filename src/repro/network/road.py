@@ -192,29 +192,6 @@ class RoadNetwork:
         """Vector of ``f_e * |e|`` per edge — the weight of Eq. 4."""
         return self.demand_counts() * self.edge_lengths()
 
-    # ------------------------------------------------------------------
-    # Algorithms support
-    # ------------------------------------------------------------------
-    def connected_components(self) -> list[list[int]]:
-        """Vertex components via iterative DFS."""
-        seen = [False] * self.n_vertices
-        components: list[list[int]] = []
-        for start in range(self.n_vertices):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for nbr, _ in self._adj[v]:
-                    if not seen[nbr]:
-                        seen[nbr] = True
-                        stack.append(nbr)
-            components.append(comp)
-        return components
-
     def copy(self) -> "RoadNetwork":
         """Deep copy (shares nothing mutable with the original)."""
         other = RoadNetwork()

@@ -10,7 +10,6 @@ and :func:`reconstruct_edge_path` walk.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -53,15 +52,13 @@ class PathForest:
         self,
         weights: "Sequence[float] | np.ndarray",
         origins: Sequence[int],
-        limit: float = math.inf,
     ) -> Iterator[tuple[int, list[float], list[int], list[int]]]:
         """Shortest-path trees from each origin, ``weights[id]`` per edge.
 
         Runs ``csgraph.dijkstra`` on blocks of :data:`FOREST_BLOCK`
         origins and yields, per origin and in the given order,
         ``(origin, dist, pred_vertex, pred_edge)`` lists: ``inf`` and
-        ``-1`` where a vertex is unreachable or farther than ``limit``
-        (a vertex at exactly ``limit`` is kept).
+        ``-1`` where a vertex is unreachable.
 
         A distance is summed edge by edge from the origin, so it equals
         :func:`path_weight` along the tree's path. Where two paths tie
@@ -81,9 +78,7 @@ class PathForest:
         )
         for start in range(0, len(origins), FOREST_BLOCK):
             block = list(origins[start : start + FOREST_BLOCK])
-            dist, pred = csgraph.dijkstra(
-                graph, indices=block, return_predecessors=True, limit=limit
-            )
+            dist, pred = csgraph.dijkstra(graph, indices=block, return_predecessors=True)
             reached = pred >= 0
             pred_edge = np.full(pred.shape, -1, dtype=np.int64)
             pred_edge[reached] = self._entry_edge[

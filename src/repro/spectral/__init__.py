@@ -17,14 +17,12 @@ it exactly needs a full eigendecomposition; this package provides
 from repro.spectral.alt_measures import (
     algebraic_connectivity,
     edge_connectivity,
-    estrada_index,
     laplacian,
 )
 from repro.spectral.batch import batched_expm_traces
 from repro.spectral.bounds import (
     estrada_upper_bound,
     general_upper_bound,
-    general_upper_bound_increment,
     path_upper_bound,
     path_upper_bound_increment,
 )
@@ -47,11 +45,9 @@ __all__ = [
     "batched_expm_traces",
     "block_lanczos_gains",
     "edge_connectivity",
-    "estrada_index",
     "laplacian",
     "estrada_upper_bound",
     "general_upper_bound",
-    "general_upper_bound_increment",
     "path_upper_bound",
     "path_upper_bound_increment",
     "NaturalConnectivityEstimator",

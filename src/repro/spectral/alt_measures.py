@@ -53,16 +53,3 @@ def edge_connectivity(A) -> int:
         if u < v and w != 0
     ]
     return _edge_connectivity(n, edges)
-
-
-def estrada_index(A) -> float:
-    """The Estrada index ``EE = sum_j e^{lambda_j}`` (Estrada [28]).
-
-    Natural connectivity is ``ln(EE/n)``; the raw index is used in
-    chemistry for molecular structure and here for cross-checks.
-    """
-    dense = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise ValidationError(f"adjacency must be square, got {dense.shape}")
-    evals = np.linalg.eigvalsh(dense)
-    return float(np.exp(evals).sum())

@@ -57,13 +57,6 @@ def general_upper_bound(
     return float(np.log(value / n))
 
 
-def general_upper_bound_increment(
-    lambda_base: float, top_eigenvalues: np.ndarray, n: int, k: int
-) -> float:
-    """Lemma 3 as a bound on the connectivity *increment* ``O_lambda``."""
-    return general_upper_bound(lambda_base, top_eigenvalues, n, k) - lambda_base
-
-
 def path_upper_bound(
     lambda_base: float, top_eigenvalues: np.ndarray, n: int, k: int
 ) -> float:

@@ -1,26 +1,16 @@
-"""Trajectories, taxi trips, demand aggregation, and map matching.
+"""Taxi trips and edge-demand aggregation.
 
-Implements the paper's Definition 3 (network-constrained trajectories),
-the trip-record-to-trajectory conversion of Section 7.1.1 (shortest path
-accepted when its distance/time are within 5% of the recorded trip), and
-the edge-demand aggregation ``f_e`` consumed by Eq. 4.
+Implements the trip acceptance rule of Section 7.1.1 (a trip's shortest
+road path is accepted when its distance and time are within 5% of the
+recorded trip) and the edge-demand aggregation ``f_e`` consumed by
+Eq. 4. The paper takes map-matched trajectories as given; here each
+accepted trip's shortest path stands in for one.
 """
 
-from repro.trajectory.demand import (
-    aggregate_trip_demand,
-    aggregate_trajectory_demand,
-    demand_of_road_edges,
-)
-from repro.trajectory.matching import map_match
-from repro.trajectory.trajectory import Trajectory
-from repro.trajectory.trips import TripRecord, trips_to_trajectories
+from repro.trajectory.demand import aggregate_trip_demand
+from repro.trajectory.trips import TripRecord
 
 __all__ = [
     "aggregate_trip_demand",
-    "aggregate_trajectory_demand",
-    "demand_of_road_edges",
-    "map_match",
-    "Trajectory",
     "TripRecord",
-    "trips_to_trajectories",
 ]

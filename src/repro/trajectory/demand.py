@@ -7,59 +7,26 @@ network so every later demand lookup is an O(1) array access.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from repro.network.road import RoadNetwork
-from repro.trajectory.trajectory import Trajectory
-from repro.trajectory.trips import DEFAULT_TOLERANCE, TripRecord, accepted_trip_paths
+from repro.trajectory.trips import TripRecord, accepted_trip_paths
 
 
-def aggregate_trajectory_demand(
-    road: RoadNetwork, trajectories: Iterable[Trajectory], reset: bool = True
-) -> int:
-    """Accumulate ``f_e`` from materialized trajectories.
+def aggregate_trip_demand(road: RoadNetwork, trips: list[TripRecord]) -> int:
+    """Set ``f_e`` on ``road`` from trip records.
 
-    Returns the number of trajectories aggregated.
-    """
-    if reset:
-        road.reset_demand()
-    count = 0
-    for traj in trajectories:
-        for eid in traj.edges:
-            road.add_demand(eid, 1.0)
-        count += 1
-    return count
-
-
-def aggregate_trip_demand(
-    road: RoadNetwork,
-    trips: list[TripRecord],
-    tolerance: float = DEFAULT_TOLERANCE,
-    reset: bool = True,
-) -> int:
-    """Accumulate ``f_e`` directly from trip records (fast path).
-
-    Equivalent to :func:`~repro.trajectory.trips.trips_to_trajectories`
-    followed by :func:`aggregate_trajectory_demand`, but without
-    materializing the trajectories: both walk
-    :func:`~repro.trajectory.trips.accepted_trip_paths`, and each accepted
-    trip adds one count along its edge path. Returns the number of
-    accepted trips; the road is left unchanged if the trips are invalid.
+    Each trip :func:`~repro.trajectory.trips.accepted_trip_paths`
+    accepts adds one count along its edge path; every other edge's
+    demand is reset to 0. Returns the number of accepted trips; the road
+    is left unchanged if the trips are invalid.
     """
     counts = [0] * road.n_edges
     accepted = 0
-    for _trip, edges in accepted_trip_paths(road, trips, tolerance):
+    for _trip, edges in accepted_trip_paths(road, trips):
         for eid in edges:
             counts[eid] += 1
         accepted += 1
-    if reset:
-        road.reset_demand()
+    road.reset_demand()
     for eid, count in enumerate(counts):
         if count:
             road.add_demand(eid, float(count))
     return accepted
-
-
-def demand_of_road_edges(road: RoadNetwork, edge_ids: Iterable[int]) -> float:
-    """``sum f_e * |e|`` over the given road edges — Eq. 4 for one path."""
-    return sum(road.edge_demand(e) * road.edge_length(e) for e in edge_ids)

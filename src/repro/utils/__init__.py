@@ -11,14 +11,13 @@ from repro.utils.errors import (
     PlanningError,
     ValidationError,
 )
-from repro.utils.prng import child_rng, ensure_rng, spawn_seeds
+from repro.utils.prng import child_rng, ensure_rng
 from repro.utils.tables import format_series, format_table
-from repro.utils.timing import Timer, format_seconds
+from repro.utils.timing import Timer
 from repro.utils.validation import (
     require,
     require_in_range,
     require_positive,
-    require_probability,
 )
 
 __all__ = [
@@ -29,13 +28,10 @@ __all__ = [
     "ValidationError",
     "child_rng",
     "ensure_rng",
-    "spawn_seeds",
     "format_series",
     "format_table",
     "Timer",
-    "format_seconds",
     "require",
     "require_in_range",
     "require_positive",
-    "require_probability",
 ]

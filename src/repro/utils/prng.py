@@ -31,18 +31,6 @@ def ensure_rng(seed: "int | np.random.Generator | None") -> np.random.Generator:
     raise ValidationError(f"seed must be int, Generator, or None, got {type(seed)!r}")
 
 
-def spawn_seeds(seed: "int | np.random.Generator | None", count: int) -> list[int]:
-    """Derive ``count`` independent integer seeds from ``seed``.
-
-    Uses a dedicated generator so the parent stream is not advanced by a
-    data-dependent amount.
-    """
-    if count < 0:
-        raise ValidationError(f"count must be >= 0, got {count}")
-    rng = ensure_rng(seed)
-    return [int(s) for s in rng.integers(0, 2**63 - 1, size=count)]
-
-
 def child_rng(seed: "int | np.random.Generator | None", tag: str) -> np.random.Generator:
     """Return a child generator deterministically derived from ``seed``/``tag``.
 

@@ -17,10 +17,10 @@ class Timer:
     >>> t.elapsed >= 0.0
     True
 
-    :meth:`lap` and :meth:`__exit__` require the timer to have been
-    started via ``with`` (or an explicit :meth:`__enter__`); using an
-    unstarted timer raises :class:`ValidationError` instead of silently
-    returning seconds-since-the-perf-counter-epoch.
+    :meth:`__exit__` requires the timer to have been started via
+    ``with`` (or an explicit :meth:`__enter__`); exiting an unstarted
+    timer raises :class:`ValidationError` instead of silently recording
+    seconds-since-the-perf-counter-epoch.
     """
 
     elapsed: float = 0.0
@@ -31,18 +31,11 @@ class Timer:
         return self
 
     def __exit__(self, *exc) -> None:
-        self.elapsed = time.perf_counter() - self._started()
-
-    def lap(self) -> float:
-        """Return seconds since ``__enter__`` without stopping the timer."""
-        return time.perf_counter() - self._started()
-
-    def _started(self) -> float:
         if self._start is None:
             raise ValidationError(
                 "Timer was never started: enter it first ('with Timer() as t')"
             )
-        return self._start
+        self.elapsed = time.perf_counter() - self._start
 
 
 def wall_clock() -> float:
@@ -59,29 +52,3 @@ def wall_clock() -> float:
     such site greppable.
     """
     return time.time()
-
-
-def format_seconds(seconds: float) -> str:
-    """Render a duration compactly.
-
-    Tiers: ``1.23us`` / ``4.56ms`` below a second, ``4.56s`` below two
-    minutes, ``2m03.4s`` below an hour, then ``1h15m00.0s``. Negative
-    durations render with a leading ``-``.
-    """
-    if seconds < 0:
-        return f"-{format_seconds(-seconds)}"
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:.1f}us"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.2f}ms"
-    if seconds < 120.0:
-        return f"{seconds:.2f}s"
-    # Minute/hour tiers keep tenth-of-second resolution. Rounding happens
-    # on the total *before* splitting into fields, so 3599.97s carries
-    # into 1h00m00.0s instead of rendering the impossible 59m60.0s.
-    whole_seconds, tenths = divmod(round(seconds * 10), 10)
-    minutes, secs = divmod(whole_seconds, 60)
-    hours, minutes = divmod(minutes, 60)
-    if hours:
-        return f"{hours}h{minutes:02d}m{secs:02d}.{tenths}s"
-    return f"{minutes}m{secs:02d}.{tenths}s"

@@ -26,8 +26,3 @@ def require_in_range(value: float, lo: float, hi: float, name: str) -> None:
     """Require ``lo <= value <= hi``."""
     if not (lo <= value <= hi):
         raise ValidationError(f"{name} must be in [{lo}, {hi}], got {value!r}")
-
-
-def require_probability(value: float, name: str) -> None:
-    """Require ``0 <= value <= 1``."""
-    require_in_range(value, 0.0, 1.0, name)

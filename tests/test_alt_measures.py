@@ -8,7 +8,6 @@ import scipy.sparse as sp
 from repro.spectral.alt_measures import (
     algebraic_connectivity,
     edge_connectivity,
-    estrada_index,
     laplacian,
 )
 from repro.spectral.connectivity import natural_connectivity_exact
@@ -54,17 +53,6 @@ class TestAlgebraicConnectivity:
         A = nx.to_scipy_sparse_array(g, format="csr", dtype=float)
         want = nx.algebraic_connectivity(g)
         assert algebraic_connectivity(sp.csr_matrix(A)) == pytest.approx(want, rel=1e-6)
-
-
-class TestEstradaIndex:
-    def test_relation_to_natural_connectivity(self):
-        A = adjacency([(0, 1), (1, 2), (2, 0), (2, 3)], 4)
-        ee = estrada_index(A)
-        lam = natural_connectivity_exact(A)
-        assert lam == pytest.approx(np.log(ee / 4))
-
-    def test_empty_graph(self):
-        assert estrada_index(sp.csr_matrix((3, 3))) == pytest.approx(3.0)
 
 
 class TestPaperSection2Argument:

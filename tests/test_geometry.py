@@ -10,7 +10,6 @@ from repro.network.geometry import (
     angle_between_bearings,
     bearing,
     euclidean,
-    haversine_km,
     turn_angle,
 )
 
@@ -18,15 +17,6 @@ from repro.network.geometry import (
 class TestDistances:
     def test_euclidean(self):
         assert euclidean((0, 0), (3, 4)) == pytest.approx(5.0)
-
-    def test_haversine_equator_degree(self):
-        # One degree of longitude at the equator is ~111.19 km.
-        assert haversine_km((0, 0), (1, 0)) == pytest.approx(111.19, abs=0.5)
-
-    def test_haversine_symmetry(self):
-        a, b = (-73.98, 40.75), (-87.62, 41.88)  # NYC, Chicago
-        assert haversine_km(a, b) == pytest.approx(haversine_km(b, a))
-        assert 1100 < haversine_km(a, b) < 1200
 
 
 class TestBearingsAndTurns:
@@ -74,6 +64,13 @@ class TestGridIndex:
             if euclidean(pts[i], pts[j]) <= 0.5
         )
         assert got == want
+
+    def test_pair_at_exactly_the_cell_size(self):
+        # Unpadded, x / cell puts these two points 0.5 apart at keys 0 and
+        # 2, out of a 1-cell search's reach.
+        pts = np.array([[0.49999999999999994, 0.0], [1.0, 0.0]])
+        assert euclidean(pts[0], pts[1]) == 0.5
+        assert GridIndex(pts, cell=0.5).pairs_within(0.5) == [(0, 1)]
 
     def test_bad_cell_rejected(self):
         with pytest.raises(ValueError):

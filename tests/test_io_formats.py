@@ -8,7 +8,7 @@ from repro.data.dimacs import read_dimacs, write_dimacs
 from repro.data.gtfs import read_gtfs, write_gtfs
 from repro.data.tripcsv import read_trips_csv, write_trips_csv
 from repro.trajectory.trips import TripRecord
-from repro.utils.errors import DataError
+from repro.utils.errors import DataError, ValidationError
 
 
 class TestDimacs:
@@ -99,4 +99,15 @@ class TestTripCsv:
         p = tmp_path / "bad.csv"
         p.write_text("pickup_vertex,dropoff_vertex\n1,2\n")
         with pytest.raises(DataError):
+            read_trips_csv(str(p))
+
+    @pytest.mark.parametrize(
+        "row, field", [("0,1,nan,5", "distance_km"), ("0,1,1,inf", "duration_min")]
+    )
+    def test_non_finite_row_refused_naming_the_field(self, tmp_path, row, field):
+        # Such a record used to load and then be dropped by the demand
+        # aggregation without a word.
+        p = tmp_path / "trips.csv"
+        p.write_text("pickup_vertex,dropoff_vertex,distance_km,duration_min\n" + row + "\n")
+        with pytest.raises(ValidationError, match=f"^{field} must be finite"):
             read_trips_csv(str(p))

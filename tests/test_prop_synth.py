@@ -6,6 +6,7 @@ chain between their stops' road vertices, and demand aggregation only
 touches road edges that exist.
 """
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,7 +40,7 @@ class TestGeneratorInvariants:
         road, transit = ds.road, ds.transit
 
         # Road network connected.
-        assert len(road.connected_components()) == 1
+        assert nx.is_connected(road.to_networkx())
 
         # Stops affiliated with real road vertices, no duplicates per vertex.
         seen_vertices = set()

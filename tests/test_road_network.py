@@ -72,17 +72,6 @@ class TestTopology:
     def test_edge_between_missing(self, square):
         assert square.edge_between(1, 3) is None
 
-    def test_connected_components_single(self, square):
-        comps = square.connected_components()
-        assert len(comps) == 1
-        assert sorted(comps[0]) == [0, 1, 2, 3]
-
-    def test_connected_components_isolated_vertex(self, square):
-        square_copy = square.copy()
-        square_copy.add_vertex(5, 5)
-        comps = square_copy.connected_components()
-        assert len(comps) == 2
-
 
 class TestDemand:
     def test_accumulate_and_weights(self, square):

@@ -33,9 +33,9 @@ def nx_graph(road):
     return road.to_networkx()
 
 
-def length_tree(road, forest, origin, limit=math.inf):
+def length_tree(road, forest, origin):
     """``(dist, pred_v, pred_e)`` of one origin's tree over road lengths."""
-    ((_, dist, pred_v, pred_e),) = forest.trees(road.edge_lengths(), [origin], limit)
+    ((_, dist, pred_v, pred_e),) = forest.trees(road.edge_lengths(), [origin])
     return dist, pred_v, pred_e
 
 
@@ -53,22 +53,6 @@ class TestDijkstra:
         dist, pred_v, pred_e = length_tree(road, forest, 5)
         assert dist[5] == 0.0
         assert pred_v[5] == -1 and pred_e[5] == -1
-
-    def test_cutoff_prunes(self, road, forest):
-        dist, _, _ = length_tree(road, forest, 0, limit=0.3)
-        finite = [d for d in dist if not math.isinf(d)]
-        assert len(finite) > 1 and len(finite) < road.n_vertices
-        assert all(d <= 0.3 for d in finite)
-
-    def test_limit_is_inclusive(self):
-        # Sums of powers of two are exact: vertex 2 sits at exactly 0.75.
-        forest = PathForest(4, [(0, 1), (1, 2), (2, 3)])
-        weights = [0.5, 0.25, 0.25]
-        ((_, dist, pred_v, pred_e),) = forest.trees(weights, [0], limit=0.75)
-        assert dist == [0.0, 0.5, 0.75, math.inf]
-        assert pred_v == [-1, 0, 1, -1] and pred_e == [-1, 0, 1, -1]
-        ((_, dist, _, _),) = forest.trees(weights, [0], limit=math.nextafter(0.75, 0.0))
-        assert dist == [0.0, 0.5, math.inf, math.inf]
 
     def test_bad_source_rejected(self, road, forest):
         with pytest.raises(GraphError):

@@ -51,7 +51,7 @@ class TestRoadGeneration:
         assert a.coords == pytest.approx(b.coords)
 
     def test_connected(self, road):
-        assert len(road.connected_components()) == 1
+        assert nx.is_connected(road.to_networkx())
 
     def test_size(self, cfg, road):
         assert road.n_vertices == cfg.grid_width * cfg.grid_height

@@ -1,16 +1,15 @@
-"""Unit tests for trip conversion (5% tolerance rule) and demand aggregation."""
+"""Unit tests for trip acceptance (5% tolerance rule) and demand aggregation."""
+
+import math
 
 import networkx as nx
+import numpy as np
 import pytest
 
+from repro.network.geometry import euclidean
 from repro.network.road import RoadNetwork
-from repro.trajectory.demand import (
-    aggregate_trajectory_demand,
-    aggregate_trip_demand,
-    demand_of_road_edges,
-)
-from repro.trajectory.trajectory import Trajectory
-from repro.trajectory.trips import TripRecord, trips_to_trajectories
+from repro.trajectory.demand import aggregate_trip_demand
+from repro.trajectory.trips import TripRecord, accepted_trip_paths
 from repro.utils.errors import GraphError, ValidationError
 
 
@@ -39,11 +38,14 @@ def exact_trip(road: RoadNetwork, a: int, b: int, scale: float = 1.0) -> TripRec
     return TripRecord(a, b, d * scale, t * scale)
 
 
-def both_conversions(road: RoadNetwork, trips: list[TripRecord]):
-    """(accepted count and demand, trajectories) from the two conversions."""
-    direct = road.copy()
-    accepted = aggregate_trip_demand(direct, trips)
-    return (accepted, direct.demand_counts()), trips_to_trajectories(road, trips)
+def walk(road: RoadNetwork, start: int, edges: list[int]) -> int:
+    """The vertex an edge path from ``start`` ends at; fails if it breaks."""
+    v = start
+    for e in edges:
+        a, b = road.edge_endpoints(e)
+        assert v in (a, b)
+        v = b if v == a else a
+    return v
 
 
 class TestTripRecord:
@@ -58,101 +60,113 @@ class TestTripRecord:
         with pytest.raises(ValidationError):
             TripRecord(pickup, dropoff, 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "distance, duration, field",
+        [
+            (math.nan, 5.0, "distance_km"),
+            (math.inf, 5.0, "distance_km"),
+            (-math.inf, 5.0, "distance_km"),
+            (1.0, math.nan, "duration_min"),
+            (1.0, math.inf, "duration_min"),
+            (1.0, -math.inf, "duration_min"),
+        ],
+    )
+    def test_non_finite_rejected_naming_the_field(self, distance, duration, field):
+        with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+            TripRecord(0, 1, distance, duration)
 
-class TestTripsToTrajectories:
+
+class TestAcceptedTripPaths:
     def test_accepts_within_tolerance(self, grid_road):
         trips = [exact_trip(grid_road, 0, 8, 1.03)]
-        out = trips_to_trajectories(grid_road, trips, tolerance=0.05)
-        assert len(out) == 1
-        assert out[0].origin == 0 and out[0].destination == 8
-        assert out[0].n_edges == 4
+        ((trip, edges),) = accepted_trip_paths(grid_road, trips)
+        assert trip is trips[0]
+        assert len(edges) == 4
+        assert walk(grid_road, 0, edges) == 8
 
     def test_rejects_outside_tolerance(self, grid_road):
         trips = [exact_trip(grid_road, 0, 8, 1.30)]
-        assert trips_to_trajectories(grid_road, trips, tolerance=0.05) == []
+        assert list(accepted_trip_paths(grid_road, trips)) == []
 
     def test_time_check_can_reject(self, grid_road):
         trip = exact_trip(grid_road, 0, 8)
         bad_time = TripRecord(0, 8, trip.distance_km, trip.duration_min * 2)
-        assert trips_to_trajectories(grid_road, [bad_time]) == []
-        assert len(trips_to_trajectories(grid_road, [bad_time], check_time=False)) == 1
+        assert list(accepted_trip_paths(grid_road, [bad_time])) == []
+        assert len(list(accepted_trip_paths(grid_road, [trip]))) == 1
 
     def test_groups_by_origin(self, grid_road):
-        trips = [exact_trip(grid_road, 0, 8), exact_trip(grid_road, 0, 2),
-                 exact_trip(grid_road, 4, 6)]
-        out = trips_to_trajectories(grid_road, trips)
-        assert len(out) == 3
-
-    def test_timestamps_monotone(self, grid_road):
-        out = trips_to_trajectories(grid_road, [exact_trip(grid_road, 0, 8)])
-        ts = out[0].timestamps
-        assert all(ts[i] < ts[i + 1] for i in range(len(ts) - 1))
-
-    def test_bad_tolerance_rejected(self, grid_road):
-        with pytest.raises(ValidationError):
-            trips_to_trajectories(grid_road, [], tolerance=-0.1)
+        trips = [exact_trip(grid_road, 0, 8), exact_trip(grid_road, 4, 6),
+                 exact_trip(grid_road, 0, 2)]
+        out = list(accepted_trip_paths(grid_road, trips))
+        # One tree per pickup vertex, in first-seen order.
+        assert [trip for trip, _ in out] == [trips[0], trips[2], trips[1]]
+        for trip, edges in out:
+            assert walk(grid_road, trip.pickup_vertex, edges) == trip.dropoff_vertex
 
 
 class TestDemandAggregation:
-    def test_trajectory_aggregation_counts(self, grid_road):
-        t1 = Trajectory((0, 1, 2), tuple(
-            grid_road.edge_between(a, b) for a, b in [(0, 1), (1, 2)]
-        ))
-        count = aggregate_trajectory_demand(grid_road, [t1, t1])
-        assert count == 2
-        assert grid_road.edge_demand(grid_road.edge_between(0, 1)) == 2.0
+    def test_counts_match_networkx_and_the_five_percent_rule(self):
+        # A jittered grid with a random speed per edge: no two paths tie,
+        # and a path's time is not its length rescaled, so the time check
+        # rejects trips the distance check keeps.
+        rng = np.random.default_rng(3)
+        side = 6
+        road = RoadNetwork()
+        for y in range(side):
+            for x in range(side):
+                road.add_vertex(x + rng.uniform(-0.25, 0.25), y + rng.uniform(-0.25, 0.25))
+        for v in range(side * side):
+            for w in ([v + 1] if v % side < side - 1 else []) + (
+                [v + side] if v + side < side * side else []
+            ):
+                length = euclidean(road.vertex_xy(v), road.vertex_xy(w))
+                road.add_edge(v, w, travel_time=length * rng.uniform(1.5, 3.0))
+        graph = road.to_networkx()
 
-    def test_trip_aggregation_matches_trajectory_path(self, grid_road):
-        # Every ordered pair of the unit grid: most have several tied
-        # shortest paths, and both conversions must pick the same one.
-        road_a, road_b = grid_road.copy(), grid_road.copy()
-        trips = [
-            exact_trip(grid_road, a, b)
-            for a in range(grid_road.n_vertices)
-            for b in range(grid_road.n_vertices)
-            if a != b
-        ]
-        assert len(trips) == 72
-        accepted = aggregate_trip_demand(road_a, trips)
-        trajs = trips_to_trajectories(road_b, trips)
-        aggregate_trajectory_demand(road_b, trajs)
-        assert accepted == len(trajs) == 72
-        assert road_a.demand_counts().tolist() == road_b.demand_counts().tolist()
+        trips, expected, accepted, time_rejected = [], [0.0] * road.n_edges, 0, 0
+        for _ in range(300):
+            a, b = (int(v) for v in rng.choice(road.n_vertices, 2, replace=False))
+            d, path = nx.single_source_dijkstra(graph, a, b, weight="length")
+            t = 0.0
+            for u, v in zip(path, path[1:]):
+                t += graph.edges[u, v]["travel_time"]
+            trip = TripRecord(a, b, d * rng.uniform(0.9, 1.1), t * rng.uniform(0.9, 1.1))
+            trips.append(trip)
+            d_ok = abs(d - trip.distance_km) <= 0.05 * trip.distance_km
+            t_ok = abs(t - trip.duration_min) <= 0.05 * trip.duration_min
+            time_rejected += d_ok and not t_ok
+            if d_ok and t_ok:
+                accepted += 1
+                for u, v in zip(path, path[1:]):
+                    expected[graph.edges[u, v]["edge_id"]] += 1.0
+
+        assert 0 < accepted < len(trips) and time_rejected > 0
+        assert aggregate_trip_demand(road, trips) == accepted
+        assert road.demand_counts().tolist() == expected
 
     @pytest.mark.parametrize("distance, duration", [(0.0, 0.0), (0.0, 4.0), (2.0, 0.0)])
     def test_zero_records_rejected_like_the_reference(self, grid_road, distance, duration):
-        # 0 -> 2 is a two-edge path of length 2 and time 4: a recorded 0
-        # is out of tolerance, exactly as in trips_to_trajectories.
-        (accepted, demand), trajs = both_conversions(
-            grid_road, [TripRecord(0, 2, distance, duration)]
-        )
-        assert accepted == len(trajs) == 0
-        assert demand.sum() == 0.0
-
-    def test_negative_tolerance_rejected(self, grid_road):
+        # 0 -> 2 is a two-edge path of length 2 and time 4: by the 5% rule
+        # a recorded 0 is out of tolerance.
         road = grid_road.copy()
-        road.add_demand(0, 3.0)
-        with pytest.raises(ValidationError):
-            aggregate_trip_demand(road, [exact_trip(grid_road, 0, 2)], tolerance=-0.1)
-        assert road.edge_demand(0) == 3.0
+        assert aggregate_trip_demand(road, [TripRecord(0, 2, distance, duration)]) == 0
+        assert road.demand_counts().sum() == 0.0
 
     @pytest.mark.parametrize("pickup, dropoff", [(0, 9), (9, 0), (10**6, 3)])
     def test_out_of_range_vertex_raises_naming_the_trip(self, grid_road, pickup, dropoff):
         trips = [exact_trip(grid_road, 0, 2), TripRecord(pickup, dropoff, 1.0, 1.0)]
         road = grid_road.copy()
+        road.add_demand(0, 3.0)
         with pytest.raises(GraphError, match=f"trip 1 \\({pickup} -> {dropoff}\\)"):
             aggregate_trip_demand(road, trips)
-        assert road.demand_counts().sum() == 0.0
-        with pytest.raises(GraphError, match=f"trip 1 \\({pickup} -> {dropoff}\\)"):
-            trips_to_trajectories(grid_road, trips)
+        assert road.demand_counts().tolist() == [3.0] + [0.0] * (road.n_edges - 1)
 
     def test_unreachable_trip_skipped(self, grid_road):
         road = grid_road.copy()
         island = road.add_vertex(5.0, 5.0)
         trips = [exact_trip(grid_road, 0, 2), TripRecord(0, island, 5.0, 10.0)]
-        (accepted, demand), trajs = both_conversions(road, trips)
-        assert accepted == len(trajs) == 1
-        assert demand.sum() == 2.0
+        assert aggregate_trip_demand(road, trips) == 1
+        assert road.demand_counts().sum() == 2.0
 
     def test_rejected_trips_add_nothing(self, grid_road):
         road = grid_road.copy()
@@ -160,17 +174,10 @@ class TestDemandAggregation:
         assert accepted == 0
         assert road.demand_counts().sum() == 0.0
 
-    def test_reset_flag(self, grid_road):
+    def test_replaces_earlier_demand(self, grid_road):
         road = grid_road.copy()
         aggregate_trip_demand(road, [exact_trip(grid_road, 0, 2)])
-        before = road.demand_counts().sum()
-        aggregate_trip_demand(road, [exact_trip(grid_road, 0, 2)], reset=False)
-        assert road.demand_counts().sum() == pytest.approx(2 * before)
-
-    def test_demand_of_road_edges(self, grid_road):
-        road = grid_road.copy()
-        eid = road.edge_between(0, 1)
-        road.add_demand(eid, 3.0)
-        assert demand_of_road_edges(road, [eid]) == pytest.approx(
-            3.0 * road.edge_length(eid)
-        )
+        once = road.demand_counts().tolist()
+        road.add_demand(road.edge_between(6, 7), 5.0)
+        aggregate_trip_demand(road, [exact_trip(grid_road, 0, 2)])
+        assert road.demand_counts().tolist() == once

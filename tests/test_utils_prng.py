@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils.errors import ValidationError
-from repro.utils.prng import child_rng, ensure_rng, spawn_seeds
+from repro.utils.prng import child_rng, ensure_rng
 
 
 class TestEnsureRng:
@@ -28,23 +28,6 @@ class TestEnsureRng:
     def test_rejects_bad_type(self):
         with pytest.raises(ValidationError):
             ensure_rng("not a seed")
-
-
-class TestSpawnSeeds:
-    def test_count_and_range(self):
-        seeds = spawn_seeds(3, 10)
-        assert len(seeds) == 10
-        assert all(0 <= s < 2**63 for s in seeds)
-
-    def test_deterministic(self):
-        assert spawn_seeds(5, 4) == spawn_seeds(5, 4)
-
-    def test_zero_count(self):
-        assert spawn_seeds(1, 0) == []
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValidationError):
-            spawn_seeds(1, -1)
 
 
 class TestChildRng:

@@ -5,13 +5,8 @@ import time
 import pytest
 
 from repro.utils.errors import ValidationError
-from repro.utils.timing import Timer, format_seconds, wall_clock
-from repro.utils.validation import (
-    require,
-    require_in_range,
-    require_positive,
-    require_probability,
-)
+from repro.utils.timing import Timer, wall_clock
+from repro.utils.validation import require, require_in_range, require_positive
 
 
 class TestTimer:
@@ -20,20 +15,10 @@ class TestTimer:
             time.sleep(0.01)
         assert t.elapsed >= 0.009
 
-    def test_lap_before_exit(self):
-        with Timer() as t:
-            lap = t.lap()
-            assert lap >= 0.0
-        assert t.elapsed >= lap
-
-    def test_lap_before_enter_raises(self):
-        # Regression: _start used to default to 0.0, so lap() on an
-        # unstarted timer returned seconds-since-perf-counter-epoch — a
-        # silently huge number — instead of failing.
-        with pytest.raises(ValidationError, match="never started"):
-            Timer().lap()
-
     def test_exit_without_enter_raises(self):
+        # Regression: _start used to default to 0.0, so an unstarted timer
+        # recorded seconds-since-perf-counter-epoch — a silently huge
+        # number — instead of failing.
         with pytest.raises(ValidationError, match="never started"):
             Timer().__exit__(None, None, None)
 
@@ -72,53 +57,6 @@ class TestWallClock:
         assert wall_clock() > 1_577_836_800.0
 
 
-class TestFormatSeconds:
-    @pytest.mark.parametrize(
-        "value, expect",
-        [
-            (5e-7, "us"),
-            (0.005, "ms"),
-            (1.5, "s"),
-            (150.0, "m"),
-            (4500.0, "h"),
-        ],
-    )
-    def test_units(self, value, expect):
-        assert expect in format_seconds(value)
-
-    @pytest.mark.parametrize(
-        "value, expect",
-        [
-            (0.005, "5.00ms"),
-            (1.5, "1.50s"),
-            (119.96, "119.96s"),  # just below the minutes tier
-            (120.0, "2m00.0s"),
-            (123.46, "2m03.5s"),
-            (3599.9, "59m59.9s"),
-            (3600.0, "1h00m00.0s"),
-            (4500.0, "1h15m00.0s"),  # 75 minutes: used to render 75m00.0s
-            (4503.2, "1h15m03.2s"),
-            (90061.0, "25h01m01.0s"),
-        ],
-    )
-    def test_exact_rendering(self, value, expect):
-        assert format_seconds(value) == expect
-
-    def test_minute_rounding_carries_into_hours(self):
-        # 3599.97 rounds to 3600.0s; without carry this rendered the
-        # impossible 59m60.0s.
-        assert format_seconds(3599.97) == "1h00m00.0s"
-
-    @pytest.mark.parametrize("value", [-0.5, -150.0, -4500.0])
-    def test_negative(self, value):
-        rendered = format_seconds(value)
-        assert rendered.startswith("-")
-        assert rendered[1:] == format_seconds(-value)
-
-    def test_zero(self):
-        assert format_seconds(0.0) == "0.0us"
-
-
 class TestValidation:
     def test_require_passes(self):
         require(True, "never raised")
@@ -137,8 +75,3 @@ class TestValidation:
         require_in_range(1.0, 0.0, 1.0, "x")
         with pytest.raises(ValidationError):
             require_in_range(1.0001, 0.0, 1.0, "x")
-
-    def test_require_probability(self):
-        require_probability(0.5, "p")
-        with pytest.raises(ValidationError):
-            require_probability(-0.1, "p")
