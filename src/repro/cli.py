@@ -77,7 +77,10 @@ from repro.spectral.bounds import (
     general_upper_bound,
     path_upper_bound,
 )
-from repro.spectral.connectivity import NaturalConnectivityEstimator
+from repro.spectral.connectivity import (
+    NaturalConnectivityEstimator,
+    natural_connectivity_quadrature,
+)
 from repro.spectral.eigs import top_k_eigenvalues
 from repro.utils.errors import DataError, PlanningError, ValidationError
 from repro.utils.tables import format_series, format_table
@@ -691,13 +694,12 @@ def _cmd_bounds(args) -> int:
     ds = canned_city(args.city, args.profile)
     A = ds.transit.adjacency()
     n = ds.transit.n_stops
-    estimator = NaturalConnectivityEstimator(n)
-    lam = estimator.estimate(A)
+    lam = natural_connectivity_quadrature(A)
     eigs = top_k_eigenvalues(A, max(2 * args.k, 1))
     print(format_table(
         ["bound", "value", "increment over lambda"],
         [
-            ["lambda(G_r) (estimated)", round(lam, 4), "-"],
+            ["lambda(G_r)", round(lam, 4), "-"],
             ["Estrada [25]",
              round(estrada_upper_bound(n, ds.transit.n_edges + args.k), 4), "-"],
             ["General (Lemma 3)",

@@ -33,9 +33,9 @@ estimator (Sec. 5.1), kept as the reference."""
 class PrecomputeSpec(Record):
     """The config fields that determine the expensive precompute artifacts.
 
-    The edge universe, the estimator, ``lambda(G_r)`` and ``Delta(e)``
-    are computed from a dataset and this spec alone, and the cache key
-    hashes exactly these fields. Everything else in
+    The edge universe, the hutchinson mode's estimator, ``lambda(G_r)``
+    and ``Delta(e)`` are computed from a dataset and this spec alone,
+    and the cache key hashes exactly these fields. Everything else in
     :class:`PlannerConfig` (``k``, ``w``, ``seed_count``, traversal
     knobs, ...) only shapes the cheap derived state that
     :func:`~repro.core.precompute.rebind` re-creates, so one artifact
@@ -83,8 +83,8 @@ class PlannerConfig(Record):
         dense ``eigvalsh`` (:mod:`repro.spectral.gains`), with no probes.
         ``"hutchinson"``: the paper's common-probe Lanczos + Hutchinson
         estimate with its fixed ``s = 50`` probes and ``t = 10`` steps,
-        kept as the reference. (Above the dense-spectrum cutoff,
-        ``lambda(G_r)`` is that estimate in both modes.)
+        kept as the reference. ``lambda(G_r)`` is exact in the exact mode
+        at every size and that estimate in the hutchinson mode.
     allow_loop:
         Permit the final edge to close a one-way loop (paper footnote 4).
     record_every:

@@ -3,20 +3,23 @@
 One pass over the dataset produces everything the planners share:
 
 * the edge universe (existing + candidate new edges, with demand),
-* the base natural connectivity ``lambda(G_r)`` and top eigenvalues,
+* the base natural connectivity ``lambda(G_r)`` — exact by default, from
+  the dense spectrum up to the dense cutoff and from the probe-free
+  unit-column quadrature above it — and the top eigenvalues,
 * per-edge connectivity increments ``Delta(e)`` — by default from a
   block Lanczos run started at each edge's two stops (probe-free, within
   2e-10 of dense ``eigvalsh``), or, with ``increment_mode="hutchinson"``,
   from the paper's common-probe Lanczos + Hutchinson estimate (Sec. 5.1;
   the estimator's fixed ``s = 50`` probes, ``t = 10`` steps and probe
-  seed 0), kept as the reference,
+  seed 0), kept as the reference and the only mode that builds an
+  estimator (it estimates ``lambda(G_r)`` too),
 * the ranked lists ``L_d``, ``L_lambda``, ``L_e`` and the Eq. 12
   normalizers ``d_max``, ``lambda_max``,
 * the Lemma 4 path-bound increment used as ETA's constant
   ``O^_lambda`` upper bound.
 
 The work splits in two halves. The expensive one (universe,
-estimator, ``lambda(G_r)``, ``Delta(e)``) sees only the dataset and a
+``lambda(G_r)``, ``Delta(e)``) sees only the dataset and a
 :class:`~repro.core.config.PrecomputeSpec`, the fields the cache key
 hashes. The cheap one, :func:`_finalize`, is the only half that
 reads ``k`` or ``w``: it sizes the top spectrum and derives the ranked
@@ -55,6 +58,7 @@ from repro.spectral.bounds import path_upper_bound_increment
 from repro.spectral.connectivity import (
     NaturalConnectivityEstimator,
     natural_connectivity_from_spectrum,
+    natural_connectivity_quadrature,
 )
 from repro.spectral.eigs import dense_spectrum, top_k_eigenvalues
 from repro.spectral.gains import block_lanczos_gains
@@ -63,7 +67,7 @@ from repro.utils.fsio import atomic_write_text
 from repro.utils.timing import Timer
 from repro.utils.wire import from_wire
 
-ARTIFACT_FORMAT = 4
+ARTIFACT_FORMAT = 5
 """On-disk artifact version (bump on incompatible layout *or semantics*
 changes). v2: sketch-mode deltas honor ``config.n_probes``. v3: the
 default ``increment_mode="exact"`` prices ``Delta(e)`` with the block
@@ -72,7 +76,11 @@ v2 used Hutchinson estimates; the spec, and so the cache key, is
 unchanged, so a v2 artifact must not be served for it. v4: the spec
 lost ``n_probes``, ``lanczos_steps`` and ``seed`` (the estimator always
 uses its defaults), so a v3 Hutchinson artifact saved with other values
-would otherwise load as a match."""
+would otherwise load as a match. v5: above the dense cutoff the exact
+mode's ``lambda_base`` is the unit-column quadrature
+(:func:`~repro.spectral.connectivity.natural_connectivity_quadrature`),
+where v4 took the Hutchinson estimate; ``Delta(e)`` is priced against
+it under an unchanged cache key, so a v4 artifact must not be served."""
 
 _Score = TypeVar("_Score", float, np.ndarray)
 
@@ -82,7 +90,9 @@ class Precomputation:
 
     universe: EdgeUniverse
     builder: AdjacencyBuilder
-    estimator: NaturalConnectivityEstimator
+    estimator: "NaturalConnectivityEstimator | None"
+    """The Hutchinson estimator; ``None`` in the exact mode, which reads
+    no probes."""
     lambda_base: float
     top_eigenvalues: np.ndarray
     L_d: RankedList
@@ -272,7 +282,7 @@ class Precomputation:
         pre = _finalize(
             universe,
             builder,
-            NaturalConnectivityEstimator(transit.n_stops),
+            _estimator(saved, transit.n_stops),
             lambda_base,
             top_eigs,
             config,
@@ -285,7 +295,7 @@ class Precomputation:
 def compute_edge_increments(
     universe: EdgeUniverse,
     builder: AdjacencyBuilder,
-    estimator: NaturalConnectivityEstimator,
+    estimator: "NaturalConnectivityEstimator | None",
     lambda_base: float,
     spec: PrecomputeSpec,
 ) -> np.ndarray:
@@ -309,7 +319,7 @@ def compute_edge_increments(
 
 def connectivity_gains(
     builder: AdjacencyBuilder,
-    estimator: NaturalConnectivityEstimator,
+    estimator: "NaturalConnectivityEstimator | None",
     lambda_base: float,
     pair_groups: Sequence[Sequence[tuple[int, int]]],
     increment_mode: str,
@@ -332,7 +342,7 @@ def connectivity_gains(
     :meth:`~NaturalConnectivityEstimator.estimate_batch` over the
     distinct sets, which agrees with one
     :meth:`~NaturalConnectivityEstimator.estimate` per set to
-    floating-point roundoff.
+    floating-point roundoff. Only this mode reads ``estimator``.
     """
     keys = [tuple(builder.novel_pairs(group)) for group in pair_groups]
     distinct = [key for key in dict.fromkeys(keys) if key]
@@ -365,6 +375,15 @@ def _first_difference(a: PrecomputeSpec, b: PrecomputeSpec) -> str:
     return next(f.name for f in fields(a) if getattr(a, f.name) != getattr(b, f.name))
 
 
+def _estimator(
+    spec: PrecomputeSpec, n: int
+) -> "NaturalConnectivityEstimator | None":
+    """The Hutchinson estimator, built only in the mode that reads it."""
+    if spec.increment_mode == INCREMENT_HUTCHINSON:
+        return NaturalConnectivityEstimator(n)
+    return None
+
+
 def _compute_artifacts(dataset: Dataset, spec: PrecomputeSpec) -> tuple:
     """The expensive half: universe, estimator, ``lambda(G_r)``, ``Delta(e)``.
 
@@ -374,8 +393,11 @@ def _compute_artifacts(dataset: Dataset, spec: PrecomputeSpec) -> tuple:
     timings)``. ``spectrum`` is the base adjacency's whole spectrum,
     descending, from one dense ``eigvalsh``; it is empty above the dense
     cutoff (:func:`~repro.spectral.eigs.dense_spectrum`). In the exact
-    mode ``lambda_base`` comes from it where it exists; otherwise it is
-    the Hutchinson estimate from the estimator's fixed probes.
+    mode, which builds no estimator, ``lambda_base`` comes from that
+    spectrum where it exists and from the unit-column quadrature
+    (:func:`~repro.spectral.connectivity.natural_connectivity_quadrature`)
+    above the cutoff. In the hutchinson mode it is the estimate from the
+    estimator's fixed probes.
     """
     timings: dict[str, float] = {}
 
@@ -385,14 +407,16 @@ def _compute_artifacts(dataset: Dataset, spec: PrecomputeSpec) -> tuple:
 
     transit = dataset.transit
     builder = AdjacencyBuilder(transit.n_stops, transit.edge_list())
-    estimator = NaturalConnectivityEstimator(transit.n_stops)
+    estimator = _estimator(spec, transit.n_stops)
 
     with Timer() as t:
         spectrum = dense_spectrum(builder.base())
-        if spec.increment_mode == INCREMENT_EXACT and spectrum.size:
+        if estimator is not None:
+            lambda_base = estimator.estimate(builder.base())
+        elif spectrum.size:
             lambda_base = natural_connectivity_from_spectrum(spectrum)
         else:
-            lambda_base = estimator.estimate(builder.base())
+            lambda_base = natural_connectivity_quadrature(builder.base())
     timings["base_spectrum_s"] = t.elapsed
 
     with Timer() as t:
@@ -407,7 +431,7 @@ def _compute_artifacts(dataset: Dataset, spec: PrecomputeSpec) -> tuple:
 def _finalize(
     universe: EdgeUniverse,
     builder: AdjacencyBuilder,
-    estimator: NaturalConnectivityEstimator,
+    estimator: "NaturalConnectivityEstimator | None",
     lambda_base: float,
     top_eigs: np.ndarray,
     config: PlannerConfig,

@@ -12,7 +12,7 @@ Three metrics over the commuters served by a newly planned route ``mu``:
 from repro.eval.metrics import RouteEvaluation, evaluate_planned_route
 from repro.eval.report import effectiveness_row, format_effectiveness_table
 from repro.eval.route_stats import RouteStats, route_stats
-from repro.eval.transfers import TransferRouter, min_transfers
+from repro.eval.transfers import TransferRouter
 
 __all__ = [
     "RouteEvaluation",
@@ -22,5 +22,4 @@ __all__ = [
     "RouteStats",
     "route_stats",
     "TransferRouter",
-    "min_transfers",
 ]

@@ -50,13 +50,6 @@ class RouteEvaluation:
         }
 
 
-def materialize_route(
-    pre: Precomputation, route: PlannedRoute, name: str = "planned"
-) -> TransitNetwork:
-    """A copy of the transit network with ``route`` added as a real route."""
-    return pre.universe.materialize(route, name)
-
-
 def _length_trees(net: TransitNetwork, origins: list[int]):
     """Shortest-path trees over ``net``'s edge lengths, one per origin."""
     lengths = [net.edge_length(e) for e in range(net.n_edges)]
@@ -78,7 +71,7 @@ def evaluate_planned_route(
     if route.n_stops < 2:
         raise ValidationError("route must have at least 2 stops")
     old = pre.universe.transit
-    new = materialize_route(pre, route)
+    new = pre.universe.materialize(route, "planned")
 
     stops = list(dict.fromkeys(route.stops))  # unique, order kept (loops)
     pairs = [(a, b) for a in stops for b in stops if a != b]

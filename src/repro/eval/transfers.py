@@ -62,8 +62,3 @@ class TransferRouter:
                         seen_routes.add(nxt)
                         frontier.append((nxt, boarded + 1))
         return None
-
-
-def min_transfers(transit: TransitNetwork, origin: int, destination: int) -> "int | None":
-    """One-off convenience wrapper around :class:`TransferRouter`."""
-    return TransferRouter(transit).min_transfers(origin, destination)

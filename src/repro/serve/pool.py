@@ -66,12 +66,13 @@ _EDGE_OVERHEAD_BYTES = 96
 def precomputation_nbytes(pre: Precomputation) -> int:
     """Estimated resident size of ``pre``'s expensive artifacts.
 
-    Counts the dense per-edge arrays, the spectrum, the estimator's
-    ``(n, n_probes)`` probe block, and a per-edge overhead for the
-    ``PlanEdge`` objects and their road paths — the state that actually
-    scales with city size. Cheap derived objects (ranked lists,
-    normalizers) are a small constant factor on top and are deliberately
-    ignored: the pool budget is a sizing knob, not an accounting ledger.
+    Counts the dense per-edge arrays, the spectrum, the hutchinson
+    mode's ``(n, n_probes)`` probe block (the exact mode holds none), and
+    a per-edge overhead for the ``PlanEdge`` objects and their road paths
+    — the state that actually scales with city size. Cheap derived
+    objects (ranked lists, normalizers) are a small constant factor on
+    top and are deliberately ignored: the pool budget is a sizing knob,
+    not an accounting ledger.
     """
     uni = pre.universe
     n_bytes = (
@@ -80,8 +81,9 @@ def precomputation_nbytes(pre: Precomputation) -> int:
         + int(uni.is_new.nbytes)
         + int(uni.delta.nbytes)
         + int(pre.top_eigenvalues.nbytes)
-        + int(pre.estimator.probes.nbytes)
     )
+    if pre.estimator is not None:
+        n_bytes += int(pre.estimator.probes.nbytes)
     for edge in uni.edges:
         n_bytes += _EDGE_OVERHEAD_BYTES + 8 * len(edge.road_path)
     return n_bytes

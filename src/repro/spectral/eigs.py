@@ -27,7 +27,7 @@ def dense_spectrum(A) -> np.ndarray:
     """Every eigenvalue of ``A``, descending, by one dense ``eigvalsh``.
 
     Empty above :data:`_DENSE_CUTOFF`, where a dense solve costs
-    ``O(n^3)`` (24 s on the 4,055-stop ``paper`` nyc).
+    ``O(n^3)`` (3.8 s on the 4,055-stop ``paper`` nyc, one BLAS thread).
     """
     if A.shape[0] > _DENSE_CUTOFF:
         return np.empty(0)

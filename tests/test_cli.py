@@ -8,6 +8,10 @@ import subprocess
 import pytest
 
 from repro.cli import build_parser, main
+from repro.data.datasets import canned_city
+from repro.spectral.bounds import path_upper_bound
+from repro.spectral.connectivity import natural_connectivity_exact
+from repro.spectral.eigs import top_k_eigenvalues
 
 
 class TestParser:
@@ -93,6 +97,21 @@ class TestCommands:
                      "--k", "4"]) == 0
         out = capsys.readouterr().out
         assert "Estrada" in out and "Lemma 4" in out
+
+    def test_bounds_rest_on_the_exact_lambda(self, capsys):
+        assert main(["bounds", "--city", "chicago", "--profile", "small",
+                     "--k", "10"]) == 0
+        rows = {}
+        for line in capsys.readouterr().out.splitlines()[3:]:
+            label, *cells = [cell.strip() for cell in line.strip("|").split("|")]
+            rows[label] = cells
+        A = canned_city("chicago", "small").transit.adjacency()
+        lam = natural_connectivity_exact(A)
+        path = path_upper_bound(lam, top_k_eigenvalues(A, 20), A.shape[0], 10)
+        assert rows["lambda(G_r)"] == [f"{round(lam, 4):.4g}", "-"]
+        assert rows["Path (Lemma 4)"] == [
+            f"{round(path, 4):.4g}", f"{round(path - lam, 4):.4g}",
+        ]
 
 
 class TestExitCodes:

@@ -5,7 +5,10 @@ or an imported name anywhere in ``src/repro`` outside the definition
 itself, or anywhere under ``examples/``, ``benchmarks/`` or
 ``perfbench/``. Re-exports in a package ``__init__`` do not count, and
 neither do mentions in strings or docstrings. Decorated definitions are
-skipped, since a decorator may register them.
+skipped, since a decorator may register them. Names are matched
+without their owner, so an attribute with the same name hides a
+module-level function: a call of a method ``obj.f()`` counts as a
+mention of a function ``f``.
 
 A definition that only tests call is dead code unless the tests keep it
 as an oracle; those are listed in :data:`TEST_REFERENCES` with the reason.

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.eval.metrics import evaluate_planned_route, materialize_route
+from repro.eval.metrics import evaluate_planned_route
 from repro.eval.report import effectiveness_row, format_effectiveness_table
-from repro.eval.transfers import TransferRouter, min_transfers
+from repro.eval.transfers import TransferRouter
 from repro.network.transit import TransitNetwork
 
 
@@ -22,16 +22,16 @@ def hub_network() -> TransitNetwork:
 
 class TestTransferRouter:
     def test_same_route_zero_transfers(self, hub_network):
-        assert min_transfers(hub_network, 0, 2) == 0
+        assert TransferRouter(hub_network).min_transfers(0, 2) == 0
 
     def test_one_transfer(self, hub_network):
-        assert min_transfers(hub_network, 0, 3) == 1
+        assert TransferRouter(hub_network).min_transfers(0, 3) == 1
 
     def test_two_transfers(self, hub_network):
-        assert min_transfers(hub_network, 0, 6) == 2
+        assert TransferRouter(hub_network).min_transfers(0, 6) == 2
 
     def test_same_stop(self, hub_network):
-        assert min_transfers(hub_network, 3, 3) == 0
+        assert TransferRouter(hub_network).min_transfers(3, 3) == 0
 
     def test_unreachable(self, hub_network):
         t = hub_network.copy()
@@ -52,7 +52,7 @@ class TestRouteEvaluation:
         return run_method(small_pre, "eta-pre")
 
     def test_materialize_adds_route(self, small_pre, planned):
-        new = materialize_route(small_pre, planned.route)
+        new = small_pre.universe.materialize(planned.route, "planned")
         assert new.n_routes == small_pre.universe.transit.n_routes + 1
         # Original untouched.
         assert small_pre.universe.transit.n_routes == new.n_routes - 1

@@ -7,7 +7,9 @@ set, the paper's "Eigen NumPy" reference. Contract:
 
 * every gain is within ``REL_BOUND`` relative of the oracle, on every
   candidate edge of the canned cities (``tiny`` and ``small`` here,
-  ``bench`` under ``-m slow``) and on whole eta-pre routes;
+  ``bench`` under ``-m slow``), on a sample of ``paper`` queens' (653
+  stops, above the dense cutoff; ``-m slow``) and on whole eta-pre
+  routes;
 * gains order edges as the oracle does, except where the oracle's own
   values lie within the bound of each other (exact ties occur on the
   tiny cities);
@@ -110,6 +112,16 @@ class TestCandidateEdges:
         pre = _pre(city, "tiny")
         exact = natural_connectivity_exact(pre.builder.base())
         assert pre.lambda_base == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.slow
+    def test_paper_queens_sample_within_bound(self):
+        # Above the dense cutoff every gain is priced against the
+        # quadrature lambda_base, so an estimated one would scale them all.
+        pre = precompute(canned_city("queens", "paper"), PlannerConfig())
+        new = [e.index for e in pre.universe.edges if e.is_new]
+        sample = sorted(random.Random(0).sample(new, 40))
+        truth = _truth(pre.builder, [[pre.universe.edge(i).pair] for i in sample])
+        assert_within_bound(pre.universe.delta[sample], truth)
 
 
 class TestDenseRoutes:
@@ -272,9 +284,9 @@ class TestSeedIndependence:
     def test_eta_pre_plan_is_the_same_for_every_seed(
         self, city, profile, monkeypatch
     ):
-        # Planners draw their probe block with seed 0. Below the dense
-        # cutoff the exact mode reads none of it, so a block drawn from
-        # any other seed plans the same route.
+        # The hutchinson mode draws its probe block with seed 0. The
+        # exact mode draws none, so a block drawn from any other seed
+        # plans the same route.
         ds = canned_city(city, profile)
         plans = []
         for seed in range(5):

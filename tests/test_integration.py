@@ -17,7 +17,7 @@ from repro.core.planner import CTBusPlanner, run_method
 from repro.core.precompute import precompute
 from repro.data.datasets import build_dataset
 from repro.data.synth import SynthConfig
-from repro.eval.metrics import evaluate_planned_route, materialize_route
+from repro.eval.metrics import evaluate_planned_route
 from repro.spectral.connectivity import (
     NaturalConnectivityEstimator,
     natural_connectivity_exact,
@@ -42,7 +42,7 @@ class TestEndToEnd:
         planner = CTBusPlanner(micro_dataset, cfg)
         pre = planner.precomputation
         result = planner.plan("eta-pre")
-        new_transit = materialize_route(pre, result.route)
+        new_transit = pre.universe.materialize(result.route, "planned")
         exact_new = natural_connectivity_exact(new_transit.adjacency())
         exact_old = natural_connectivity_exact(
             pre.universe.transit.adjacency()

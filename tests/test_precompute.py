@@ -14,9 +14,21 @@ from repro.core.precompute import (
     precompute,
     rebind,
 )
-from repro.data.datasets import CITY_NAMES, canned_city
-from repro.spectral.connectivity import NaturalConnectivityEstimator
+from repro.data.datasets import CITY_NAMES, canned_city, canned_config
+from repro.data.synth import (
+    generate_hotspots,
+    generate_road_network,
+    generate_transit_network,
+)
+from repro.serve.pool import precomputation_nbytes
+from repro.spectral.connectivity import (
+    NaturalConnectivityEstimator,
+    natural_connectivity_exact,
+    natural_connectivity_quadrature,
+)
 from repro.utils.errors import ValidationError
+
+eigs_module = importlib.import_module("repro.spectral.eigs")
 
 
 class TestPrecompute:
@@ -61,10 +73,26 @@ class TestPrecompute:
         )
 
     def test_lambda_base_close_to_exact(self, small_dataset, small_pre):
-        from repro.spectral.connectivity import natural_connectivity_exact
-
         exact = natural_connectivity_exact(small_dataset.transit.adjacency())
         assert small_pre.lambda_base == pytest.approx(exact, rel=1e-13)
+
+    def test_one_eigvalsh_and_no_quadrature_below_the_cutoff(
+        self, small_dataset, small_config, monkeypatch
+    ):
+        def refuse(A):
+            raise AssertionError("quadrature below the dense cutoff")
+
+        solves = []
+        eigvalsh = eigs_module._eigvalsh
+        monkeypatch.setattr(
+            eigs_module, "_eigvalsh", lambda A: solves.append(A.shape) or eigvalsh(A)
+        )
+        monkeypatch.setattr(
+            importlib.import_module("repro.core.precompute"),
+            "natural_connectivity_quadrature", refuse,
+        )
+        n = precompute(small_dataset, small_config).universe.n_stops
+        assert solves == [(n, n)]
 
 
 class TestConfigFieldAudit:
@@ -102,6 +130,25 @@ class TestIncrementModes:
             0.0,
         )
         assert pre.universe.delta[new].tobytes() == want.tobytes()
+
+    def test_hutchinson_mode_builds_one_estimator_per_precompute_or_load(
+        self, small_dataset, small_config, tmp_path, monkeypatch
+    ):
+        built = []
+        init = NaturalConnectivityEstimator.__init__
+
+        def counted(self, n, *args, **kwargs):
+            built.append(n)
+            init(self, n, *args, **kwargs)
+
+        monkeypatch.setattr(NaturalConnectivityEstimator, "__init__", counted)
+        config = small_config.variant(increment_mode="hutchinson")
+        prefix = str(tmp_path / "artifact")
+        precompute(small_dataset, config).save(prefix)
+        loaded = Precomputation.load(prefix, small_dataset, config)
+        for method in ("eta-pre", "vk-tsp"):
+            run_method(rebind(loaded, config.variant(w=0.3)), method)
+        assert built == [small_dataset.transit.n_stops] * 2
 
 
 class TestConnectivityGains:
@@ -165,8 +212,9 @@ class TestConnectivityGains:
     def test_gains_are_clamped_at_zero(self, small_pre, monkeypatch, batched):
         calls = self._pricing_calls(monkeypatch, small_pre, batched)
         above_every_estimate = small_pre.lambda_base + 1.0
+        estimator = NaturalConnectivityEstimator(small_pre.builder.n)
         gains = connectivity_gains(
-            small_pre.builder, small_pre.estimator, above_every_estimate,
+            small_pre.builder, estimator, above_every_estimate,
             self._groups(small_pre), "hutchinson",
         )
         assert gains.tolist() == [0.0] * 5
@@ -326,28 +374,41 @@ class TestAboveDenseCutoff:
 
     @pytest.fixture(autouse=True)
     def cutoff(self, monkeypatch):
-        monkeypatch.setattr(
-            importlib.import_module("repro.spectral.eigs"), "_DENSE_CUTOFF", 50
-        )
+        monkeypatch.setattr(eigs_module, "_DENSE_CUTOFF", 50)
 
     @pytest.fixture(scope="class")
     def chicago(self):
         return canned_city("chicago", "small")
 
-    def test_lambda_base_is_the_fixed_probe_estimate(self, chicago):
-        from repro.spectral.connectivity import natural_connectivity_exact
-
-        configs = [
-            PlannerConfig(), PlannerConfig(k=10, w=0.2, tau_km=0.4),
-            PlannerConfig(increment_mode="hutchinson"),
-        ]
-        pres = [precompute(chicago, config) for config in configs]
-        assert pres[0].universe.n_stops == 56
-        estimate = NaturalConnectivityEstimator(56).estimate(pres[0].builder.base())
-        assert [pre.lambda_base for pre in pres] == [estimate] * len(pres)
+    def test_lambda_base_is_exact_or_the_hutchinson_estimate(self, chicago):
+        """The exact mode's lambda_base is the unit-column quadrature; the
+        hutchinson mode keeps the fixed-probe estimate, bit for bit."""
+        dense = natural_connectivity_exact(chicago.transit.adjacency())
+        assert dense == pytest.approx(0.9631, abs=1e-4)
+        for config in [PlannerConfig(), PlannerConfig(k=10, w=0.2, tau_km=0.4)]:
+            pre = precompute(chicago, config)
+            assert pre.universe.n_stops == 56
+            assert abs(pre.lambda_base - dense) <= 1e-12
+        pre = precompute(chicago, PlannerConfig(increment_mode="hutchinson"))
+        estimate = NaturalConnectivityEstimator(56).estimate(pre.builder.base())
+        assert pre.lambda_base == estimate
         assert estimate == pytest.approx(0.9412, abs=1e-4)
-        exact = natural_connectivity_exact(chicago.transit.adjacency())
-        assert exact == pytest.approx(0.9631, abs=1e-4)
+
+    def test_the_exact_mode_builds_no_estimator(self, chicago, tmp_path, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the exact mode built an estimator")
+
+        monkeypatch.setattr(NaturalConnectivityEstimator, "__init__", refuse)
+        config = PlannerConfig(k=10, max_iterations=100)
+        pre = precompute(chicago, config)
+        prefix = str(tmp_path / "artifact")
+        pre.save(prefix)
+        loaded = Precomputation.load(prefix, chicago, config)
+        rebound = rebind(loaded, config.variant(k=8, w=0.3))
+        for method in ("eta", "eta-pre"):
+            run_method(rebound, method)
+        assert precomputation_nbytes(rebound) > 0
+        assert pre.estimator is loaded.estimator is rebound.estimator is None
 
     def test_top_eigenvalues_match_dense(self, chicago):
         pre = precompute(chicago, PlannerConfig(k=10))
@@ -388,3 +449,21 @@ class TestAboveDenseCutoff:
             (30, True, 2, 1),   # a plain hit on the wider spectrum
         ]
         assert len(stores[-1].top_eigenvalues) == 56
+
+
+class TestPaperSizeLambda:
+    """The quadrature lambda on ``paper`` networks above the dense cutoff.
+
+    Only the road, hotspots and transit network are built, with no
+    trips: well under a second per city.
+    """
+
+    @pytest.mark.parametrize("city, n_stops", [("queens", 653), ("chicago", 1449)])
+    def test_quadrature_matches_dense(self, city, n_stops):
+        cfg = canned_config(city, "paper")
+        road = generate_road_network(cfg)
+        transit = generate_transit_network(cfg, road, generate_hotspots(cfg, road))
+        A = transit.adjacency()
+        assert A.shape[0] == n_stops > eigs_module._DENSE_CUTOFF
+        dense = natural_connectivity_exact(A)
+        assert abs(natural_connectivity_quadrature(A) - dense) <= 1e-12

@@ -17,7 +17,7 @@ import urllib.error
 import urllib.parse
 import urllib.request
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import pytest
 
@@ -35,7 +35,6 @@ from repro.serve import (
 )
 from repro.serve.http import MAX_BODY_BYTES
 from repro.serve.pool import TIER_COMPUTED, TIER_DISK, TIER_POOL
-from repro.spectral.connectivity import NaturalConnectivityEstimator
 from repro.sweep.cache import PrecomputationCache
 from repro.sweep.remote import (
     PROTOCOL_VERSION,
@@ -259,16 +258,18 @@ class TestArtifactPool:
         assert tier == TIER_POOL  # the touched entry survived
 
     def test_estimate_counts_the_probe_block(self, tiny_dataset):
-        # Every precompute draws the estimator's probe block, n x 50
-        # float64s: on tiny chicago more than the rest of the estimate.
-        pre = precompute(tiny_dataset, CONFIG)
-        n = pre.universe.n_stops
-        wider = replace(
-            pre, estimator=NaturalConnectivityEstimator(n, n_probes=150)
+        # Only the hutchinson mode draws the estimator's probe block,
+        # n x 50 float64s: on tiny chicago more than the rest of the
+        # estimate. The exact mode holds no estimator.
+        exact = precompute(tiny_dataset, CONFIG)
+        hutchinson = precompute(
+            tiny_dataset, CONFIG.variant(increment_mode="hutchinson")
         )
+        n = exact.universe.n_stops
+        assert exact.estimator is None
         assert (
-            precomputation_nbytes(wider) - precomputation_nbytes(pre)
-            == n * 100 * 8
+            precomputation_nbytes(hutchinson) - precomputation_nbytes(exact)
+            == n * 50 * 8
         )
 
     def test_single_oversized_artifact_stays_resident(self, tiny_dataset):

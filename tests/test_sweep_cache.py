@@ -215,7 +215,7 @@ class TestArtifactFormat:
         fresh = precompute(chicago, config)
         assert pre.universe.delta.tobytes() == fresh.universe.delta.tobytes()
         assert not np.array_equal(pre.universe.delta, stale.universe.delta)
-        assert json.loads(json_path.read_text())["format"] == ARTIFACT_FORMAT == 4
+        assert json.loads(json_path.read_text())["format"] == ARTIFACT_FORMAT == 5
         again, hit = cache.fetch_or_compute(chicago, config)
         assert hit is True
         assert again.universe.delta.tobytes() == fresh.universe.delta.tobytes()
@@ -234,7 +234,7 @@ class TestArtifactFormat:
         meta["config"].update(n_probes=20, lanczos_steps=6, seed=3)
         with open(json_path, "w") as f:
             json.dump(meta, f)
-        with pytest.raises(DataError, match="artifact format 3 != 4"):
+        with pytest.raises(DataError, match="artifact format 3 != 5"):
             Precomputation.load(prefix, chicago, config)
 
 
