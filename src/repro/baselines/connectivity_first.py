@@ -64,7 +64,9 @@ def greedy_connectivity_edges(
     call in the precomputation's ``increment_mode``, then commits the
     winner — the Chan et al. greedy with the planners' gain formula
     inside. Every set of a round holds the chosen edges, so the largest
-    gain over ``G_r`` is the largest marginal gain.
+    gain over ``G_r`` is the largest marginal gain. The first round's
+    sets are one pair each, whose gains are ``Delta(e)`` itself, so its
+    winner is the top of the ranking and nothing is priced.
 
     Returns ``(chosen universe edge indices, total connectivity gain)``.
     """
@@ -82,10 +84,13 @@ def greedy_connectivity_edges(
         pool = [i for i in candidates[:shortlist] if i not in chosen]
         if not pool:
             break
-        gains = pre.connectivity_gains(
-            [chosen_pairs + [universe.edge(i).pair] for i in pool]
-        )
-        best_idx = pool[int(np.argmax(gains))]
+        if chosen:
+            gains = pre.connectivity_gains(
+                [chosen_pairs + [universe.edge(i).pair] for i in pool]
+            )
+            best_idx = pool[int(np.argmax(gains))]
+        else:
+            best_idx = pool[0]
         chosen.append(best_idx)
         chosen_pairs.append(universe.edge(best_idx).pair)
     total = pre.connectivity_gains([chosen_pairs])[0]

@@ -7,15 +7,17 @@ Two interchangeable strategies drive the expansion engine. Both seed a
 single edge with its ``L_e`` entry and score the extensions of an
 expansion round with one ``extension_scores`` call.
 
-A strategy instance serves one planning run. Every connectivity
-estimate it makes goes through its memo of gains keyed by the canonical
-novel-pair set, so a set the run has already priced is never priced
-again, and the memo's size is the run's count of evaluations. Both
-terms of a path's objective depend only on its edge set, never on the
-order the search added the edges in.
+A strategy instance serves one planning run. Every connectivity gain
+it needs goes through its memo of gains keyed by the canonical
+novel-pair set, so a set the run has already scored is never scored
+again, and the memo's size is the run's count of evaluations. A path
+with one new edge ``e`` scores ``Delta(e)``, which the precomputation
+priced for that very set; any other set is priced by the kernel of the
+run's ``increment_mode``. Both terms of a path's objective depend only
+on its edge set, never on the order the search added the edges in.
 
 * :class:`OnlineStrategy` (ETA) — the connectivity term of every
-  candidate is re-estimated with the Lanczos+Hutchinson estimator; the
+  candidate is re-scored on ``G_r`` plus the candidate's new edges; the
   demand bound runs on ``L_d`` and the connectivity bound is the
   constant Lemma 4 path bound (valid for every partial candidate since
   the final route is always a <= k-edge path added to ``G_r``).
@@ -47,7 +49,8 @@ class _StrategyBase:
 
     @property
     def evaluations(self) -> int:
-        """How many distinct non-empty novel-pair sets this run has priced."""
+        """How many distinct non-empty novel-pair sets this run has
+        scored, by the kernel or from ``Delta(e)``."""
         return len(self._gains) - 1
 
     def seed_score(self, edge_index: int) -> float:
@@ -63,14 +66,24 @@ class _StrategyBase:
         """``O_lambda`` of each path of universe edges, through the memo.
 
         A path is keyed by the canonical novel-pair set of its new edges.
-        Sets this strategy has not priced yet go to one
+        A path with one new edge ``e`` scores ``Delta(e)``, which
+        :func:`~repro.core.precompute.compute_edge_increments` priced for
+        this very set. The other sets this strategy has not scored yet
+        go to one
         :meth:`~repro.core.precompute.Precomputation.connectivity_gains`
-        call; a memo hit is bitwise what that call returns, since the
-        kernel of either increment mode prices a set independently of
-        the other sets in the call.
+        call. Either is bitwise what that call returns for the set, since
+        the kernel of either increment mode prices a set independently
+        of the other sets in the call.
         """
         novel_pairs = self.pre.builder.novel_pairs
-        keys = [tuple(novel_pairs(self.universe.new_pairs(ids))) for ids in paths]
+        edges, delta = self.universe.edges, self.universe.delta
+        keys = []
+        for ids in paths:
+            new = [edges[i] for i in ids if edges[i].is_new]
+            key = tuple(novel_pairs([e.pair for e in new]))
+            if len(new) == 1:
+                self._gains.setdefault(key, float(delta[new[0].index]))
+            keys.append(key)
         missing = [key for key in dict.fromkeys(keys) if key not in self._gains]
         if missing:
             gains = self.pre.connectivity_gains(missing)
@@ -79,7 +92,9 @@ class _StrategyBase:
 
     # -- exact evaluation (used for final reporting by both strategies) --
     def exact_components(self, edge_ids: Sequence[int]) -> tuple[float, float]:
-        """``(O_d, O_lambda)`` raw values; connectivity via the estimator."""
+        """``(O_d, O_lambda)`` raw values; ``O_lambda`` through
+        :meth:`connectivity`, so a path with one new edge reads
+        ``Delta(e)``."""
         [o_l] = self.connectivity([edge_ids])
         return self.demand(edge_ids), float(o_l)
 
@@ -88,14 +103,14 @@ class _StrategyBase:
 
 
 class OnlineStrategy(_StrategyBase):
-    """ETA: per-candidate Lanczos connectivity estimation (Section 5)."""
+    """ETA: per-candidate connectivity gains (Section 5)."""
 
     @property
     def bound_list(self) -> RankedList:
         return self.pre.L_d
 
     def path_score(self, edge_ids: Sequence[int]) -> float:
-        """True objective of a path — one connectivity estimate."""
+        """True objective of a path — one connectivity score."""
         return self.exact_objective(edge_ids)
 
     def extension_scores(
@@ -103,9 +118,10 @@ class OnlineStrategy(_StrategyBase):
     ) -> np.ndarray:
         """The objective of ``cand`` extended by each edge.
 
-        One :meth:`connectivity` call prices the round's extensions. An
-        extension that adds no new vertex pair, or one whose novel-pair
-        set the run has already priced, skips the estimator.
+        One :meth:`connectivity` call scores the round's extensions. An
+        extended path with no new vertex pair or with exactly one new
+        edge, or whose novel-pair set the run has already scored, skips
+        the kernel.
         """
         paths = [list(cand.edge_ids) + [e] for e in edge_indices]
         o_d = np.array([self.demand(ids) for ids in paths])

@@ -44,12 +44,7 @@ from typing import TypeVar
 import numpy as np
 
 from repro.core.bounds import RankedList
-from repro.core.config import (
-    INCREMENT_EXACT,
-    INCREMENT_HUTCHINSON,
-    PlannerConfig,
-    PrecomputeSpec,
-)
+from repro.core.config import INCREMENT_HUTCHINSON, PlannerConfig, PrecomputeSpec
 from repro.core.edges import EdgeUniverse, PlanEdge
 from repro.core.seeding import build_edge_universe
 from repro.data.datasets import Dataset
@@ -62,7 +57,7 @@ from repro.spectral.connectivity import (
 )
 from repro.spectral.eigs import dense_spectrum, top_k_eigenvalues
 from repro.spectral.gains import block_lanczos_gains
-from repro.utils.errors import DataError, ValidationError
+from repro.utils.errors import DataError
 from repro.utils.fsio import atomic_write_text
 from repro.utils.timing import Timer
 from repro.utils.wire import from_wire
@@ -119,10 +114,9 @@ class Precomputation:
         self, pair_groups: Sequence[Sequence[tuple[int, int]]]
     ) -> np.ndarray:
         """:func:`connectivity_gains` against this precomputation's ``G_r``,
-        in its ``increment_mode``."""
+        with the kernel of its ``increment_mode``."""
         return connectivity_gains(
-            self.builder, self.estimator, self.lambda_base, pair_groups,
-            self.config.increment_mode,
+            self.builder, self.estimator, self.lambda_base, pair_groups
         )
 
     def objective(self, o_d: _Score, o_lambda: _Score) -> _Score:
@@ -297,12 +291,11 @@ def compute_edge_increments(
     builder: AdjacencyBuilder,
     estimator: "NaturalConnectivityEstimator | None",
     lambda_base: float,
-    spec: PrecomputeSpec,
 ) -> np.ndarray:
     """``Delta(e)`` for every universe edge (zero for existing edges).
 
     Each candidate edge is a one-pair group of one
-    :func:`connectivity_gains` call in the spec's ``increment_mode``.
+    :func:`connectivity_gains` call.
     """
     deltas = np.zeros(len(universe), dtype=float)
     new_indices = [e.index for e in universe.edges if e.is_new]
@@ -312,7 +305,6 @@ def compute_edge_increments(
             estimator,
             lambda_base,
             [[universe.edge(i).pair] for i in new_indices],
-            spec.increment_mode,
         )
     return deltas
 
@@ -322,7 +314,6 @@ def connectivity_gains(
     estimator: "NaturalConnectivityEstimator | None",
     lambda_base: float,
     pair_groups: Sequence[Sequence[tuple[int, int]]],
-    increment_mode: str,
 ) -> np.ndarray:
     """``max(lambda(G_r + group) - lambda_base, 0)`` for each group of stop pairs.
 
@@ -333,28 +324,28 @@ def connectivity_gains(
     groups name it, so duplicate, reordered and flipped groups get
     bitwise-equal gains. An empty set gains 0 and is never priced.
 
-    ``increment_mode="exact"`` prices the distinct sets in one call of
-    the block Lanczos kernel
+    The kernel is chosen by ``estimator``, which only the
+    ``increment_mode="hutchinson"`` precomputation builds
+    (:func:`_estimator`). Without one (the default exact mode) the
+    distinct sets go to one call of the block Lanczos kernel
     (:func:`~repro.spectral.gains.block_lanczos_gains`), each started at
     the stops it touches, against ``tr e^A = n e^{lambda_base}``; the
-    kernel prices a set independently of the others in its call.
-    ``"hutchinson"`` is the paper's estimator (Sec. 5.1): one
+    kernel prices a set independently of the others in its call. With
+    one, they go to the paper's estimator (Sec. 5.1): one
     :meth:`~NaturalConnectivityEstimator.estimate_batch` over the
     distinct sets, which agrees with one
     :meth:`~NaturalConnectivityEstimator.estimate` per set to
-    floating-point roundoff. Only this mode reads ``estimator``.
+    floating-point roundoff.
     """
     keys = [tuple(builder.novel_pairs(group)) for group in pair_groups]
     distinct = [key for key in dict.fromkeys(keys) if key]
     if not distinct:
         return np.zeros(len(keys))
-    if increment_mode == INCREMENT_EXACT:
+    if estimator is None:
         trace_base = builder.n * float(np.exp(lambda_base))
         values = block_lanczos_gains(builder.base(), distinct, trace_base)
-    elif increment_mode == INCREMENT_HUTCHINSON:
-        values = estimator.estimate_batch(builder.base(), distinct) - lambda_base
     else:
-        raise ValidationError(f"unknown increment mode {increment_mode!r}")
+        values = estimator.estimate_batch(builder.base(), distinct) - lambda_base
     # Adding edges never decreases natural connectivity; clamp noise.
     priced = dict(zip(distinct, np.maximum(values, 0.0)))
     return np.array([priced[key] if key else 0.0 for key in keys])
@@ -420,9 +411,7 @@ def _compute_artifacts(dataset: Dataset, spec: PrecomputeSpec) -> tuple:
     timings["base_spectrum_s"] = t.elapsed
 
     with Timer() as t:
-        deltas = compute_edge_increments(
-            universe, builder, estimator, lambda_base, spec
-        )
+        deltas = compute_edge_increments(universe, builder, estimator, lambda_base)
         universe.set_deltas(deltas)
     timings["increments_s"] = t.elapsed
     return universe, builder, estimator, lambda_base, spectrum, timings

@@ -25,7 +25,6 @@ from repro.core.eta import ExpansionEngine
 from repro.core.objective import PrecomputedStrategy
 from repro.core.precompute import Precomputation
 from repro.network.transit import TransitNetwork
-from repro.spectral.connectivity import NaturalConnectivityEstimator
 from repro.network.adjacency import AdjacencyBuilder
 
 
@@ -69,7 +68,6 @@ def make_pre(universe: EdgeUniverse, config: PlannerConfig) -> Precomputation:
     """A minimal precomputation around a hand-built universe."""
     transit = universe.transit
     builder = AdjacencyBuilder(transit.n_stops, transit.edge_list())
-    estimator = NaturalConnectivityEstimator(transit.n_stops, n_probes=8)
     L_d = RankedList(universe.demand)
     L_lambda = RankedList(universe.delta)
     d_max = max(L_d.top_sum(config.k), 1.0)
@@ -81,7 +79,7 @@ def make_pre(universe: EdgeUniverse, config: PlannerConfig) -> Precomputation:
     return Precomputation(
         universe=universe,
         builder=builder,
-        estimator=estimator,
+        estimator=None,
         lambda_base=0.0,
         top_eigenvalues=np.array([2.0]),
         L_d=L_d,

@@ -17,13 +17,10 @@ set, the paper's "Eigen NumPy" reference. Contract:
   shuffled batch, so one ``connectivity_gains`` call over many sets and
   one call per set agree bitwise;
 * eta-pre plans the routes it plans with ``Delta(e)`` from dense
-  ``eigvalsh``;
-* nothing reads the estimator's probes: eta-pre plans identically with
-  the probe block drawn from seeds 0-4.
+  ``eigvalsh``.
 """
 
 import functools
-import importlib
 import itertools
 import random
 
@@ -36,14 +33,9 @@ from repro.core.planner import run_method
 from repro.core.precompute import precompute, rebind
 from repro.data.datasets import CITY_NAMES, canned_city
 from repro.network.adjacency import AdjacencyBuilder
-from repro.spectral.connectivity import (
-    NaturalConnectivityEstimator,
-    natural_connectivity_exact,
-)
+from repro.spectral.connectivity import natural_connectivity_exact
 from repro.spectral.gains import GAIN_STEPS, block_lanczos_gains
 from repro.utils.errors import ValidationError
-
-precompute_module = importlib.import_module("repro.core.precompute")
 
 REL_BOUND = 1e-8
 """Stated relative-error bound of a gain against dense ``eigvalsh``. The
@@ -278,24 +270,3 @@ class TestKernelInputs:
         with pytest.raises(ValidationError):
             block_lanczos_gains(A, [[(0, 2)]], 0.0)
 
-
-class TestSeedIndependence:
-    @pytest.mark.parametrize("city, profile", PROFILES)
-    def test_eta_pre_plan_is_the_same_for_every_seed(
-        self, city, profile, monkeypatch
-    ):
-        # The hutchinson mode draws its probe block with seed 0. The
-        # exact mode draws none, so a block drawn from any other seed
-        # plans the same route.
-        ds = canned_city(city, profile)
-        plans = []
-        for seed in range(5):
-            monkeypatch.setattr(
-                precompute_module, "NaturalConnectivityEstimator",
-                functools.partial(NaturalConnectivityEstimator, seed=seed),
-            )
-            result = run_method(precompute(ds, PlannerConfig()), "eta-pre")
-            plans.append((
-                result.route.edge_indices, result.o_lambda, result.objective,
-            ))
-        assert plans == [plans[0]] * 5
